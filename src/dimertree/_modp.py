@@ -11,6 +11,14 @@ import os
 
 import numpy as np
 
+INT64_MAX = 2 ** 63 - 1
+# a product of two residues must fit in int64: p < isqrt(INT64_MAX)
+PRIME_BOUND = 3037000499
+
+
+class FieldError(ValueError):
+    """A field spec that is unknown, not prime, or too large for int64."""
+
 
 def numba_requested() -> bool:
     flag = os.environ.get("DIMERTREE_NUMBA", "").strip().lower()
@@ -137,5 +145,10 @@ def nullspace_modp(a: np.ndarray, p: int) -> np.ndarray:
 
 
 def matmul_modp(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    # entries < p <= 32003 and inner dims stay desk-scale, so int64 is safe
+    """a @ b mod p for entries reduced mod p; raises FieldError when a sum
+    of inner products of residues could overflow int64."""
+    inner = a.shape[1]
+    if inner * (p - 1) ** 2 > INT64_MAX:
+        raise FieldError(
+            f"GF({p}) product with inner dimension {inner} overflows int64")
     return np.mod(a.astype(np.int64) @ b.astype(np.int64), p)

@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import diagonals
 from .diagonals import TwoDiagonal
@@ -114,10 +115,20 @@ class CheckerboardPolygon:
     shaded: list[ShadedRegion]
     whites: list[WhiteRegion]
     triangle_order: list[str]          # boundary arrows clockwise
+    # diagonal -> SyzygyObject, filled by syzygy.presentation_of; the lines
+    # must not change once a presentation has been read
+    presentations: dict = field(default_factory=dict, init=False,
+                                repr=False, compare=False)
 
     @property
     def half(self) -> int:
         return self.size // 2
+
+    @cached_property
+    def line_diagonals(self) -> list[tuple[object, TwoDiagonal]]:
+        """(vertex, radical line) pairs in vertex order."""
+        return [(v, self.lines[v].diagonal())
+                for v in sorted(self.lines, key=_vkey)]
 
     def radical_line_of(self, vertex) -> TwoDiagonal:
         if vertex not in self.lines:

@@ -141,12 +141,6 @@ class TranslationQuiver:
     sigma: dict[tuple[TwoDiagonal, TwoDiagonal], tuple[TwoDiagonal, TwoDiagonal]]
     meshes: list[Mesh]
 
-    def arrows_into(self, x: TwoDiagonal) -> list[tuple[TwoDiagonal, TwoDiagonal]]:
-        return [ar for ar in self.arrows if ar[1] == x]
-
-    def arrows_out_of(self, x: TwoDiagonal) -> list[tuple[TwoDiagonal, TwoDiagonal]]:
-        return [ar for ar in self.arrows if ar[0] == x]
-
     def tau_orbits(self) -> list[list[TwoDiagonal]]:
         seen: set[TwoDiagonal] = set()
         orbits = []
@@ -188,16 +182,16 @@ def ar_quiver(n: int) -> TranslationQuiver:
                     raise DiagonalError(f"pivot left the diagonal set: {d} -> {e}")
                 arrows.append((d, e))
     tau = {d: rotate(d, -2, n) for d in nodes}
-    tau_inv = {v: k for k, v in tau.items()}
     arrow_set = set(arrows)
+    sources_into: dict[TwoDiagonal, list[TwoDiagonal]] = {d: [] for d in nodes}
+    for y, x in arrows:
+        sources_into[x].append(y)
     sigma = {}
     meshes = []
     for x in nodes:
         tx = tau[x]
         middles = []
-        for (y, x2) in arrows:
-            if x2 != x:
-                continue
+        for y in sources_into[x]:
             back = (tx, y)
             if back not in arrow_set:
                 raise DiagonalError(

@@ -12,12 +12,9 @@ from fractions import Fraction
 import numpy as np
 
 from . import _modp
+from ._modp import FieldError
 
 DEFAULT_PRIME = 32003
-
-
-class FieldError(ValueError):
-    pass
 
 
 def parse_field_spec(spec: str | int) -> "Field":
@@ -77,6 +74,9 @@ class Field:
 
 class GF(Field):
     def __init__(self, p: int):
+        if p >= _modp.PRIME_BOUND:
+            raise FieldError(f"GF({p}): the prime must be below "
+                             f"{_modp.PRIME_BOUND} for int64 arithmetic")
         if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
             raise FieldError(f"{p} is not prime")
         self.p = p

@@ -22,7 +22,6 @@ from .quiver import (
     QuiverError,
     analyze_structure,
     build_potential,
-    cycle_path,
     leaf_cycles,
     validate_dimer_tree,
 )
@@ -79,16 +78,6 @@ def qp_from_quiver(q: Quiver) -> QP:
     pot = build_potential(q, report.structure)
     terms = [PotentialTerm(s, _canonical_word(c.arrows)) for s, c in pot.terms]
     return QP(q, terms)
-
-
-def _fresh_arrow_id(qp: QP, base: str) -> str:
-    used = set(qp.quiver.arrow_by_id) | set(qp.names)
-    cand = base
-    n = 1
-    while cand in used:
-        n += 1
-        cand = f"{base}#{n}"
-    return cand
 
 
 def _fresh_vertex(qp: QP, base) -> str:
@@ -269,25 +258,14 @@ def normalize_signs(qp: QP) -> tuple[QP, list[str]]:
 def total_weight_lenient(q: Quiver) -> int:
     """Total weight from cycle paths; arrows outside all cycles (coextension
     sockets) are ignored."""
-    structure = analyze_structure(q)
-    total = 0
-    for a in q.arrows:
-        if structure.classification[a.id] == "boundary":
-            cp = cycle_path(q, structure, a.id, "cycle")
-            total += 1 if cp.length % 2 == 1 else 2
-    return total
+    return sum(analyze_structure(q).path_weights("cycle").values())
 
 
 def _weights(q: Quiver):
     structure = analyze_structure(q)
-    out = {}
-    for a in q.arrows:
-        if structure.classification[a.id] == "boundary":
-            cp = cycle_path(q, structure, a.id, "cycle")
-            ccp = cycle_path(q, structure, a.id, "cocycle")
-            out[a.id] = (1 if cp.length % 2 == 1 else 2,
-                         1 if ccp.length % 2 == 1 else 2)
-    return structure, out
+    w = structure.path_weights("cycle")
+    cw = structure.path_weights("cocycle")
+    return structure, {a: (w[a], cw[a]) for a in w}
 
 
 # ---------------------------------------------------------------------------
@@ -358,10 +336,6 @@ def apply_move(qp: QP, kind: str, site: dict) -> tuple[QP, Move]:
         notes.extend(flips)
     move = Move(kind, site, equivalence, before, after, tree_ok, notes)
     return out, move
-
-
-def _boundary_weights_or_fail(qp: QP):
-    return _weights(qp.quiver)
 
 
 def _move_mutate_in_out(qp: QP, site: dict, notes: list[str]) -> QP:

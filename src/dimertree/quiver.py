@@ -34,7 +34,8 @@ class Arrow:
 
 
 class Quiver:
-    """Immutable quiver with ordered vertices and arrows."""
+    """Immutable quiver with ordered vertices and arrows; derived structure
+    (see `analyze_structure`) is computed once and cached on it."""
 
     def __init__(self, vertices: Iterable[VertexId], arrows: Iterable[Arrow],
                  name: str = ""):
@@ -44,6 +45,10 @@ class Quiver:
         self.arrow_by_id = {a.id: a for a in self.arrows}
         self.out_arrows: dict[VertexId, list[Arrow]] = {v: [] for v in self.vertices}
         self.in_arrows: dict[VertexId, list[Arrow]] = {v: [] for v in self.vertices}
+        # (source, target) -> first such arrow; parallel arrows are rejected
+        # by check_well_formed, not here
+        self._arrow_index: dict[tuple[VertexId, VertexId], Arrow] = {}
+        self._structure: StructureReport | None = None
         vset = set(self.vertices)
         if len(vset) != len(self.vertices):
             raise QuiverError("duplicate vertex ids")
@@ -56,6 +61,7 @@ class Quiver:
                 raise QuiverError(f"arrow {a.id}: unknown target {a.target!r}")
             self.out_arrows[a.source].append(a)
             self.in_arrows[a.target].append(a)
+            self._arrow_index.setdefault((a.source, a.target), a)
 
     # -- basic invariants ---------------------------------------------------
 
@@ -96,10 +102,7 @@ class Quiver:
     # -- helpers ------------------------------------------------------------
 
     def arrow_between(self, s: VertexId, t: VertexId) -> Arrow | None:
-        for a in self.out_arrows.get(s, ()):
-            if a.target == t:
-                return a
-        return None
+        return self._arrow_index.get((s, t))
 
     def sorted_vertices(self) -> list[VertexId]:
         return sorted(self.vertices, key=_vkey)
@@ -252,34 +255,32 @@ def chordless_cycles(q: Quiver) -> list[ChordlessCycle]:
     path vertex, so only chord-free paths are ever extended.
     """
     order = {v: i for i, v in enumerate(q.sorted_vertices())}
+    succ = {v: sorted(q.out_arrows[v], key=lambda a: _vkey(a.target))
+            for v in q.vertices}
+    neighbours: dict[VertexId, set[VertexId]] = {v: set() for v in q.vertices}
+    for a in q.arrows:
+        neighbours[a.source].add(a.target)
+        neighbours[a.target].add(a.source)
     found: list[ChordlessCycle] = []
 
-    def extend(v0: VertexId, path_vertices: list[VertexId], path_arrows: list[Arrow]):
-        tip = path_vertices[-1]
-        for a in sorted(q.out_arrows[tip], key=lambda a: _vkey(a.target)):
+    def extend(v0: VertexId, tip: VertexId, on_path: set[VertexId],
+               path_arrows: list[Arrow]):
+        for a in succ[tip]:
             w = a.target
             if w == v0:
                 if len(path_arrows) >= 2:
                     found.append(_canonical_cycle(
                         q, [x.id for x in path_arrows] + [a.id]))
                 continue
-            if order[w] <= order[v0] or w in path_vertices:
+            if order[w] <= order[v0] or w in on_path:
                 continue
             # any arrow joining w to the path, other than the step tip->w and
             # a potential closure w->v0, is a chord: abandon this branch
-            chord = False
-            for u in path_vertices:
-                for x, y in ((u, w), (w, u)):
-                    if x == tip and y == w:
-                        continue
-                    if x == w and y == v0:
-                        continue
-                    if q.arrow_between(x, y) is not None:
-                        chord = True
-                        break
-                if chord:
-                    break
-            if chord:
+            if any(u != tip and u != v0 for u in neighbours[w] & on_path):
+                continue
+            # at tip and v0 only w->tip and v0->w are chords
+            if tip != v0 and (q.arrow_between(w, tip) is not None
+                              or q.arrow_between(v0, w) is not None):
                 continue
             closing = q.arrow_between(w, v0)
             if closing is not None:
@@ -288,14 +289,14 @@ def chordless_cycles(q: Quiver) -> list[ChordlessCycle]:
                     found.append(_canonical_cycle(
                         q, [x.id for x in path_arrows] + [a.id, closing.id]))
                 continue
-            path_vertices.append(w)
+            on_path.add(w)
             path_arrows.append(a)
-            extend(v0, path_vertices, path_arrows)
-            path_vertices.pop()
+            extend(v0, w, on_path, path_arrows)
+            on_path.discard(w)
             path_arrows.pop()
 
     for v0 in q.sorted_vertices():
-        extend(v0, [v0], [])
+        extend(v0, v0, {v0}, [])
     uniq = {c.arrows: c for c in found}
     return sorted(uniq.values(), key=lambda c: (len(c), c.key))
 
@@ -360,11 +361,19 @@ class DualGraph:
 
 @dataclass
 class StructureReport:
+    """Chordless cycles, arrow classification and dual graph of a quiver.
+
+    `analyze_structure` returns the same report for every call on the same
+    quiver, so callers must not mutate it."""
     cycles: list[ChordlessCycle]
     arrow_cycle_count: dict[str, int]
     classification: dict[str, str]      # 'boundary' | 'interior' | 'none' | 'overloaded'
     dual: DualGraph
+    # arrow id -> indices of the cycles through it, in cycle order
+    owners: dict[str, list[int]] = field(repr=False)
     problems: list[str] = field(default_factory=list)
+    _path_weights: dict[str, dict[str, int]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def boundary_arrows(self) -> list[str]:
@@ -375,15 +384,34 @@ class StructureReport:
         return [a for a, k in self.classification.items() if k == "interior"]
 
     def cycles_of_arrow(self, arrow_id: str) -> list[ChordlessCycle]:
-        return [c for c in self.cycles if arrow_id in c.arrows]
+        return [self.cycles[i] for i in self.owners.get(arrow_id, ())]
+
+    def path_weights(self, direction: str) -> dict[str, int]:
+        """Boundary arrow -> weight ('cycle') or coweight ('cocycle'): 1 when
+        its (co)cycle path has odd length, else 2.  Computed once per
+        direction; arrows outside all cycles are ignored."""
+        if direction not in self._path_weights:
+            # the walk reads only the structure, never the quiver
+            self._path_weights[direction] = {
+                a: 1 if cycle_path(None, self, a, direction).length % 2 == 1 else 2
+                for a, kind in self.classification.items() if kind == "boundary"}
+        return self._path_weights[direction]
 
 
 def analyze_structure(q: Quiver) -> StructureReport:
+    """The structure of q, computed on the first call and cached on q."""
+    if q._structure is None:
+        q._structure = _analyze_structure(q)
+    return q._structure
+
+
+def _analyze_structure(q: Quiver) -> StructureReport:
     cycles = chordless_cycles(q)
-    counts = {a.id: 0 for a in q.arrows}
-    for c in cycles:
+    owners: dict[str, list[int]] = {a.id: [] for a in q.arrows}
+    for i, c in enumerate(cycles):
         for aid in c.arrows:
-            counts[aid] += 1
+            owners[aid].append(i)
+    counts = {aid: len(idx) for aid, idx in owners.items()}
     classification = {}
     problems = []
     for a in q.arrows:
@@ -399,20 +427,17 @@ def analyze_structure(q: Quiver) -> StructureReport:
             classification[a.id] = "overloaded"
             problems.append(f"arrow {a.id} lies in {n} chordless cycles")
 
-    boundary = [a for a, k in classification.items() if k == "boundary"]
+    boundary = {a for a, k in classification.items() if k == "boundary"}
     trunk = []
     for a in q.arrows:
-        owners = [i for i, c in enumerate(cycles) if a.id in c.arrows]
-        if len(owners) == 2:
-            trunk.append((owners[0], owners[1], a.id))
-        elif len(owners) > 2:
-            for x in range(len(owners)):
-                for y in range(x + 1, len(owners)):
-                    trunk.append((owners[x], owners[y], a.id))
+        idx = owners[a.id]
+        for x in range(len(idx)):
+            for y in range(x + 1, len(idx)):
+                trunk.append((idx[x], idx[y], a.id))
     leaves = [(i, aid) for i, c in enumerate(cycles) for aid in c.arrows
-              if aid in set(boundary)]
-    dual = DualGraph(cycles, sorted(set(boundary)), trunk, leaves)
-    return StructureReport(cycles, counts, classification, dual, problems)
+              if aid in boundary]
+    dual = DualGraph(cycles, sorted(boundary), trunk, leaves)
+    return StructureReport(cycles, counts, classification, dual, owners, problems)
 
 
 @dataclass

@@ -47,11 +47,17 @@ def radical_line_of(cp: CheckerboardPolygon, vertex) -> TwoDiagonal:
 
 
 def presentation_of(cp: CheckerboardPolygon, diagonal: TwoDiagonal) -> SyzygyObject:
+    """The presentation read off the crossings of a diagonal.  It is computed
+    once per polygon and kept in `cp.presentations`; callers must not mutate
+    it."""
+    obj = cp.presentations.get(diagonal)
+    if obj is not None:
+        return obj
     n = cp.half
     d = diagonals.make_diagonal(diagonal.tail, diagonal.head, n)
     p0, p1 = [], []
-    for v in sorted(cp.lines, key=_vkey):
-        direction = diagonals.crossing(d, cp.lines[v].diagonal(), n)
+    for v, line in cp.line_diagonals:
+        direction = diagonals.crossing(d, line, n)
         if direction == "right_to_left":
             p0.append(v)
         elif direction == "left_to_right":
@@ -59,7 +65,8 @@ def presentation_of(cp: CheckerboardPolygon, diagonal: TwoDiagonal) -> SyzygyObj
     if not p0 or not p1:
         raise SyzygyError(
             f"diagonal {d} has a one-sided crossing pattern: p0={p0}, p1={p1}")
-    return SyzygyObject(d, tuple(p0), tuple(p1))
+    obj = cp.presentations[diagonal] = SyzygyObject(d, tuple(p0), tuple(p1))
+    return obj
 
 
 def resolution(cp: CheckerboardPolygon, diagonal: TwoDiagonal,
@@ -68,19 +75,18 @@ def resolution(cp: CheckerboardPolygon, diagonal: TwoDiagonal,
     presentations, and report the minimal rotation period."""
     n = cp.half
     d0 = diagonals.make_diagonal(diagonal.tail, diagonal.head, n)
-    period = 1
+    orbit = [d0]
     cur = diagonals.rotate(d0, 1, n)
     while cur != d0:
-        period += 1
+        orbit.append(cur)
         cur = diagonals.rotate(cur, 1, n)
+    period = len(orbit)
     count = steps if steps is not None else period
-    trace: list[ResolutionStep] = []
+    prev_obj = presentation_of(cp, d0)
+    trace = [ResolutionStep(d0, prev_obj.p0, prev_obj.p1)]
     gluing_ok = True
-    cur = d0
-    prev_obj = presentation_of(cp, cur)
-    trace.append(ResolutionStep(cur, prev_obj.p0, prev_obj.p1))
-    for _ in range(count):
-        cur = diagonals.rotate(cur, 1, n)
+    for i in range(1, count + 1):
+        cur = orbit[i % period]
         obj = presentation_of(cp, cur)
         trace.append(ResolutionStep(cur, obj.p0, obj.p1))
         if obj.p0 != prev_obj.p1:

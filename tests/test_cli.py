@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -177,6 +178,15 @@ def test_oracle_bad_field(capsys):
     code, _, err = run(capsys, "oracle", fixture_path("c3"),
                        "--field", "banana")
     assert code == 2
+
+
+@pytest.mark.parametrize("prime", ["4294967311", "1000000000000000003"])
+def test_oracle_field_too_large_for_int64(capsys, prime):
+    start = time.monotonic()
+    code, _, err = run(capsys, "oracle", fixture_path("q9"), "--field", prime)
+    assert time.monotonic() - start < 1.0
+    assert code == 2
+    assert "3037000499" in err and "internal error" not in err
 
 
 def test_all_pipeline_q7(capsys):

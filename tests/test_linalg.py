@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -106,3 +107,24 @@ def test_rank_agrees_across_fields():
     gf = GF(32003)
     qq = QQ()
     assert gf.rank(gf.matrix(a_int.tolist())) == qq.rank(qq.matrix(a_int.tolist()))
+
+
+def test_gf_rejects_primes_too_large_for_int64_before_testing_primality():
+    start = time.monotonic()
+    for p in (3037000507, 4294967311, 1000000000000000003):
+        with pytest.raises(FieldError, match="3037000499"):
+            GF(p)
+    assert time.monotonic() - start < 1.0
+    assert GF(3037000493).p == 3037000493  # the largest prime below the bound
+
+
+def test_gf_matmul_refuses_sums_that_overflow_int64():
+    f = GF(3037000493)
+    a = f.matrix([[f.p - 1]])
+    assert f.matmul(a, a)[0, 0] == 1  # (p-1)^2 fits: (-1)(-1) = 1
+    wide = f.matrix([[f.p - 1, f.p - 1]])
+    with pytest.raises(FieldError, match="overflows int64"):
+        f.matmul(wide, wide.T)
+    g = GF(32003)
+    big = g.matrix([[g.p - 1] * 64])
+    assert g.matmul(big, big.T)[0, 0] == 64

@@ -1,4 +1,5 @@
 import json
+import random
 
 import networkx as nx
 import pytest
@@ -103,6 +104,17 @@ def test_q7_cycles(q7):
     assert {tuple(sorted(c.vertices)) for c in cycles} == {
         (1, 2, 3, 4, 5), (4, 5, 6, 7)}
     assert as_vertex_cycles(cycles) == brute_force_chordless(q7)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_random_digraph_cycles_match_brute_force(seed):
+    rng = random.Random(seed)
+    n = rng.randint(3, 9)
+    pairs = {(s, t) for s in range(1, n + 1) for t in range(1, n + 1)
+             if s != t and rng.random() < 0.3}
+    pairs = sorted(p for p in pairs if p[::-1] not in pairs or p[0] < p[1])
+    q = quiver_from_arrows(pairs or [(1, 2)])
+    assert as_vertex_cycles(chordless_cycles(q)) == brute_force_chordless(q)
 
 
 def test_q9_arrow_classification(q9):
