@@ -1,9 +1,12 @@
 """Field abstraction for the oracle's linear algebra.
 
-Two backends share one small matrix API: GF(p) on numpy int64 arrays backed
-by the kernels in _modp, and exact rationals on numpy object arrays of
-Fractions.  Relations in the algebras at hand have unit coefficients, so the
-rational path stays cheap and certifies the prime-field results.
+Two fields share one small matrix API: GF(p) on numpy int64 arrays of
+residues, and the exact rationals on numpy object arrays of Fractions.  Row
+reduction and kernels are computed by one exact elimination routine on sparse
+rows, `rref_rows`, over Python ints mod p or over Fractions; the oracle's
+matrices are tiny and mostly zero, so only nonzero entries are touched.
+Relations in the algebras at hand have unit coefficients, so the rational
+path stays cheap and certifies the prime-field results.
 """
 from __future__ import annotations
 
@@ -12,9 +15,14 @@ from fractions import Fraction
 import numpy as np
 
 from . import _modp
-from ._modp import FieldError
 
 DEFAULT_PRIME = 32003
+# a product of two residues must fit in int64: p < isqrt(INT64_MAX)
+PRIME_BOUND = 3037000499
+
+
+class FieldError(ValueError):
+    """A field spec that is unknown, not prime, or too large for int64."""
 
 
 def parse_field_spec(spec: str | int) -> "Field":
@@ -28,6 +36,101 @@ def parse_field_spec(spec: str | int) -> "Field":
     except ValueError:
         raise FieldError(f"unknown field spec {spec!r}") from None
     return GF(p)
+
+
+# -- exact elimination on sparse rows --------------------------------------------
+#
+# `p` is the prime of GF(p), with entries Python ints in [0, p), or None for
+# the rationals, with entries Fractions.
+
+def rref_rows(rows: list[dict[int, object]], p: int | None) -> list[tuple[int, dict]]:
+    """Reduced row echelon form of rows given as {column: nonzero entry}.
+
+    Returns the nonzero rows of the RREF as (pivot column, row) pairs in
+    increasing pivot order; each row has entry 1 at its pivot and no entry in
+    another pivot column.  The input rows are not modified."""
+    pivot_rows: dict[int, dict] = {}
+    for row in rows:
+        row = dict(row)
+        while row:
+            c = min(row)
+            prow = pivot_rows.get(c)
+            if prow is None:
+                inv = pow(row[c], -1, p) if p else 1 / row[c]
+                pivot_rows[c] = {j: x * inv % p if p else x * inv
+                                 for j, x in row.items()}
+                break
+            _eliminate(row, row[c], prow, p)
+    # back substitution, highest pivot first: the rows above are reduced, so
+    # subtracting them adds no entry in a pivot column
+    order = sorted(pivot_rows)
+    for c in reversed(order):
+        row = pivot_rows[c]
+        for j in [j for j in row if j > c and j in pivot_rows]:
+            _eliminate(row, row[j], pivot_rows[j], p)
+    return [(c, pivot_rows[c]) for c in order]
+
+
+def _eliminate(row: dict, f, prow: dict, p: int | None) -> None:
+    """row -= f * prow, in place, keeping only nonzero entries."""
+    for j, v in prow.items():
+        x = row.get(j, 0) - f * v
+        if p:
+            x %= p
+        if x:
+            row[j] = x
+        else:
+            del row[j]
+
+
+def _sparse(a: np.ndarray, p: int | None) -> list[dict[int, object]]:
+    rows = []
+    for r in a.tolist():
+        row = {}
+        for j, x in enumerate(r):
+            if p:
+                x %= p
+            if x:
+                row[j] = x
+        rows.append(row)
+    return rows
+
+
+def _zeros(m: int, n: int, p: int | None) -> np.ndarray:
+    if p:
+        return np.zeros((m, n), dtype=np.int64)
+    out = np.empty((m, n), dtype=object)
+    out[...] = Fraction(0)
+    return out
+
+
+def rref_matrix(a: np.ndarray, p: int | None) -> tuple[np.ndarray, list[int]]:
+    """RREF of a matrix, as a matrix of the same shape and dtype, and its
+    pivot columns."""
+    m, n = a.shape
+    out = _zeros(m, n, p)
+    reduced = rref_rows(_sparse(a, p), p)
+    for i, (_, row) in enumerate(reduced):
+        for j, x in row.items():
+            out[i, j] = x
+    return out, [c for c, _ in reduced]
+
+
+def nullspace_matrix(a: np.ndarray, p: int | None) -> np.ndarray:
+    """Columns form a basis of the right kernel of a: one per free column
+    c, with entry 1 at c and minus the reduced rows' entries at the pivots."""
+    n = a.shape[1]
+    reduced = rref_rows(_sparse(a, p), p)
+    pivots = {c for c, _ in reduced}
+    free = {c: k for k, c in enumerate(j for j in range(n) if j not in pivots)}
+    basis = _zeros(n, len(free), p)
+    for c, k in free.items():
+        basis[c, k] = 1 if p else Fraction(1)
+    for c, row in reduced:
+        for j, x in row.items():
+            if j != c:
+                basis[c, free[j]] = -x % p if p else -x
+    return basis
 
 
 class Field:
@@ -74,9 +177,9 @@ class Field:
 
 class GF(Field):
     def __init__(self, p: int):
-        if p >= _modp.PRIME_BOUND:
+        if p >= PRIME_BOUND:
             raise FieldError(f"GF({p}): the prime must be below "
-                             f"{_modp.PRIME_BOUND} for int64 arithmetic")
+                             f"{PRIME_BOUND} for int64 arithmetic")
         if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
             raise FieldError(f"{p} is not prime")
         self.p = p
@@ -126,9 +229,7 @@ class QQ(Field):
         return out
 
     def zeros(self, m, n):
-        out = np.empty((m, n), dtype=object)
-        out[...] = Fraction(0)
-        return out
+        return _zeros(m, n, None)
 
     def eye(self, n):
         out = self.zeros(n, n)
@@ -137,39 +238,10 @@ class QQ(Field):
         return out
 
     def rref(self, a):
-        mat = a.copy()
-        m, n = mat.shape
-        pivots = []
-        r = 0
-        for c in range(n):
-            if r >= m:
-                break
-            piv = next((i for i in range(r, m) if mat[i, c] != 0), None)
-            if piv is None:
-                continue
-            if piv != r:
-                mat[[r, piv]] = mat[[piv, r]]
-            inv = 1 / mat[r, c]
-            if inv != 1:
-                mat[r] = mat[r] * inv
-            for i in range(m):
-                if i != r and mat[i, c] != 0:
-                    mat[i] = mat[i] - mat[i, c] * mat[r]
-            pivots.append(c)
-            r += 1
-        return mat, pivots
+        return rref_matrix(a, None)
 
     def nullspace(self, a):
-        m, n = a.shape
-        r, pivots = self.rref(a)
-        pivset = set(pivots)
-        free = [c for c in range(n) if c not in pivset]
-        basis = self.zeros(n, len(free))
-        for k, c in enumerate(free):
-            basis[c, k] = Fraction(1)
-            for i, pc in enumerate(pivots):
-                basis[pc, k] = -r[i, c]
-        return basis
+        return nullspace_matrix(a, None)
 
     def matmul(self, a, b):
         if a.shape[1] != b.shape[0]:

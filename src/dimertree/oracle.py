@@ -16,6 +16,7 @@ that no relation product reaching past the cap could change the answer.
 """
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 from .linalg import DEFAULT_PRIME, Field, parse_field_spec
@@ -57,10 +58,15 @@ class ModulePresentation:
     entries[(l, k)] is the component mapping summand P(p1[k]) into summand
     P(p0[l]): a list of (coefficient, class id) with every class a
     non-constant path class from p0[l] to p1[k].
+
+    A presentation is not mutated after construction: `resolve_step` keeps
+    its result in `_next`, which `dataclasses.replace` does not copy.
     """
     p1: list
     p0: list
     entries: dict[tuple[int, int], list[tuple[object, int]]]
+    _next: ModulePresentation | None = dataclasses.field(
+        default=None, init=False, repr=False, compare=False)
 
     def summand_multisets(self):
         return (tuple(sorted(self.p1, key=_vkey)),
@@ -113,6 +119,7 @@ class AlgebraBasis:
         self._word_class: dict[Word, int | None] = {}
         self._rep_cache: dict[object, "Rep"] = {}
         self._pres_cache: dict[object, ModulePresentation] = {}
+        self._vanishing_report: CheckReport | None = None
 
     # -- construction -------------------------------------------------------
 
@@ -262,6 +269,7 @@ class AlgebraBasis:
         self._word_class = {}
         self._rep_cache = {}
         self._pres_cache = {}
+        self._vanishing_report = None
         for v in self.q.sorted_vertices():
             cid = len(self.classes)
             self.classes.append(PathClass(cid, v, v, ()))
@@ -683,13 +691,17 @@ def _assert_minimal(ab: AlgebraBasis, pres: ModulePresentation) -> None:
 
 def resolve_step(ab: AlgebraBasis, pres: ModulePresentation) -> ModulePresentation:
     """Next presentation in the minimal resolution: its cokernel is the syzygy
-    of coker(pres)."""
-    F = ab.field
-    t1, _, mats = presentation_matrices(ab, pres)
-    ker = kernel_subspaces(F, t1, mats)
-    p2, gen_list = submodule_cover(ab, t1, ker)
-    entries = tower_entries_of_generators(ab, t1, gen_list)
-    return ModulePresentation(p1=p2, p0=list(pres.p1), entries=entries)
+    of coker(pres).  It is computed on the first call and kept on `pres`, so
+    later calls return the same object; `pres` belongs to `ab`, whose class
+    ids its entries use."""
+    if pres._next is None:
+        F = ab.field
+        t1, _, mats = presentation_matrices(ab, pres)
+        ker = kernel_subspaces(F, t1, mats)
+        p2, gen_list = submodule_cover(ab, t1, ker)
+        entries = tower_entries_of_generators(ab, t1, gen_list)
+        pres._next = ModulePresentation(p1=p2, p0=list(pres.p1), entries=entries)
+    return pres._next
 
 
 def cokernel_rep(ab: AlgebraBasis, pres: ModulePresentation) -> Rep:
@@ -909,29 +921,12 @@ def ext1_dim(ab: AlgebraBasis, M: ModulePresentation, N: ModulePresentation) -> 
     return ext1_dim_pres(ab, M, cokernel_rep(ab, N))
 
 
-def stable_hom_dim(ab: AlgebraBasis, M: ModulePresentation,
-                   N: ModulePresentation) -> int:
-    return stable_hom_dim_reps(cokernel_rep(ab, M), cokernel_rep(ab, N))
-
-
-@dataclass
-class HomExtReport:
-    hom: int
-    stable_hom: int
-    ext1: int
-
-
-def hom_ext_report(ab: AlgebraBasis, M: ModulePresentation,
-                   N: ModulePresentation) -> HomExtReport:
-    Mr, Nr = cokernel_rep(ab, M), cokernel_rep(ab, N)
-    return HomExtReport(hom=hom_dim(Mr, Nr),
-                        stable_hom=stable_hom_dim_reps(Mr, Nr),
-                        ext1=ext1_dim_pres(ab, M, Nr))
-
-
 def boundary_vanishing_check(ab: AlgebraBasis) -> CheckReport:
     """For every arrow i->j: Ext^1(syzygy of rad P(i), rad P(j)) = 0.
-    For boundary arrows additionally: stable Hom(rad P(j), rad P(i)) = 0."""
+    For boundary arrows additionally: stable Hom(rad P(j), rad P(i)) = 0.
+    The report is computed once per algebra; callers must not mutate it."""
+    if ab._vanishing_report is not None:
+        return ab._vanishing_report
     items = []
     for a in ab.q.arrows:
         omega_pres = resolve_step(ab, radical_presentation(ab, a.source))
@@ -947,7 +942,8 @@ def boundary_vanishing_check(ab: AlgebraBasis) -> CheckReport:
         items.append(CheckItem(
             f"stable_hom_rad_vanishes[{a.id}]", d == 0,
             "" if d == 0 else f"dim {d}"))
-    return CheckReport(items)
+    ab._vanishing_report = CheckReport(items)
+    return ab._vanishing_report
 
 
 def radical_cover_arrows(ab: AlgebraBasis, x) -> tuple[tuple, tuple]:

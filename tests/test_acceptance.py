@@ -1,16 +1,11 @@
 """Acceptance suite: one test per gate criterion, each printing a pass line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines and timings.  Budgets are wall-clock seconds from the gate definition;
-the prime-field kernels are warmed up once so jit compilation does not count
-against any criterion.
+lines and timings.  Budgets are wall-clock seconds from the gate definition.
 """
 import json
 import time
 from contextlib import contextmanager
-
-import numpy as np
-import pytest
 
 from dimertree import checkerboard as cb
 from dimertree import diagonals as dg
@@ -18,14 +13,8 @@ from dimertree import mutation as mu
 from dimertree import oracle as orc
 from dimertree import syzygy as sy
 from dimertree.quiver import weight_report
-from dimertree import _modp
 
 from conftest import cycle_quiver, load_fixture
-
-
-@pytest.fixture(scope="module", autouse=True)
-def warm_kernels():
-    _modp.rref_modp(np.array([[1, 2], [3, 4]], dtype=np.int64), 32003)
 
 
 @contextmanager

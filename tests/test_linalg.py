@@ -1,6 +1,4 @@
-import os
-import subprocess
-import sys
+import random
 import time
 from fractions import Fraction
 
@@ -11,21 +9,89 @@ from dimertree import _modp
 from dimertree.linalg import GF, QQ, FieldError, parse_field_spec
 
 
+# Dense references: the row reductions the sparse elimination replaced.
+
+def dense_rref_modp(a, p):
+    a = np.mod(a, p).astype(np.int64)
+    m, n = a.shape
+    pivots = []
+    r = 0
+    for c in range(n):
+        if r >= m:
+            break
+        hits = np.nonzero(a[r:, c])[0]
+        if hits.size == 0:
+            continue
+        i = r + int(hits[0])
+        if i != r:
+            a[[r, i]] = a[[i, r]]
+        inv = pow(int(a[r, c]), p - 2, p)
+        a[r] = (a[r] * inv) % p
+        rows = np.nonzero(a[:, c])[0]
+        rows = rows[rows != r]
+        if rows.size:
+            a[rows] = (a[rows] - np.outer(a[rows, c], a[r])) % p
+        pivots.append(c)
+        r += 1
+    return a, np.array(pivots, dtype=np.int64)
+
+
+def dense_rref_qq(a):
+    mat = a.copy()
+    m, n = mat.shape
+    pivots = []
+    r = 0
+    for c in range(n):
+        if r >= m:
+            break
+        piv = next((i for i in range(r, m) if mat[i, c] != 0), None)
+        if piv is None:
+            continue
+        if piv != r:
+            mat[[r, piv]] = mat[[piv, r]]
+        inv = 1 / mat[r, c]
+        if inv != 1:
+            mat[r] = mat[r] * inv
+        for i in range(m):
+            if i != r and mat[i, c] != 0:
+                mat[i] = mat[i] - mat[i, c] * mat[r]
+        pivots.append(c)
+        r += 1
+    return mat, pivots
+
+
+def dense_nullspace(f, a):
+    n = a.shape[1]
+    if isinstance(f, GF):
+        r, pivots = dense_rref_modp(a, f.p)
+        pivots = [int(c) for c in pivots]
+    else:
+        r, pivots = dense_rref_qq(a)
+    free = [c for c in range(n) if c not in pivots]
+    basis = f.zeros(n, len(free))
+    for k, c in enumerate(free):
+        basis[c, k] = f.scalar(1)
+        for i, pc in enumerate(pivots):
+            basis[pc, k] = f.neg(r[i, c])
+    return basis
+
+
+def sparse_random_rows(rng, m, n, values):
+    """Mostly-zero rows, some of them zero or repeated, as in the oracle."""
+    rows = []
+    for _ in range(m):
+        if rows and rng.random() < 0.2:
+            rows.append(list(rng.choice(rows)))
+        elif rng.random() < 0.1:
+            rows.append([0] * n)
+        else:
+            rows.append([rng.choice(values) if rng.random() < 0.4 else 0
+                         for _ in range(n)])
+    return rows
+
+
 def random_matrix(rng, m, n, p):
     return rng.integers(0, p, size=(m, n), dtype=np.int64)
-
-
-def test_both_kernels_agree_on_random_instances():
-    if not _modp.HAVE_NUMBA:
-        pytest.skip("numba unavailable")
-    rng = np.random.default_rng(7)
-    for p in (2, 101, 32003):
-        for m, n in ((1, 1), (4, 7), (7, 4), (12, 12), (20, 5)):
-            a = random_matrix(rng, m, n, p)
-            r1, p1 = _modp._rref_numpy(a.copy(), p)
-            r2, p2 = _modp._rref_numba(a.copy(), p)
-            assert np.array_equal(r1, r2)
-            assert list(p1) == list(p2)
 
 
 def test_rref_reproduces_row_space():
@@ -88,19 +154,6 @@ def test_parse_field_spec():
         parse_field_spec("six")
 
 
-def test_env_flag_selects_numpy_fallback():
-    code = ("import numpy as np\n"
-            "from dimertree import _modp\n"
-            "assert not _modp.use_numba()\n"
-            "r, piv = _modp.rref_modp(np.array([[2, 4], [1, 3]]), 101)\n"
-            "print(len(piv))\n")
-    env = dict(os.environ, DIMERTREE_NUMBA="0")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "2"
-
-
 def test_rank_agrees_across_fields():
     rng = np.random.default_rng(11)
     a_int = rng.integers(-3, 4, size=(8, 10))
@@ -128,3 +181,46 @@ def test_gf_matmul_refuses_sums_that_overflow_int64():
     g = GF(32003)
     big = g.matrix([[g.p - 1] * 64])
     assert g.matmul(big, big.T)[0, 0] == 64
+
+
+SHAPES = [(0, 0), (0, 3), (4, 0), (1, 1), (2, 5), (5, 2), (6, 6), (9, 12), (14, 7)]
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(101), GF(32003), QQ()],
+                         ids=lambda f: f.name)
+def test_sparse_elimination_matches_the_dense_reference(field):
+    rng = random.Random(17)
+    values = ([1, 2, -1, -2, 3, 5, 7] if isinstance(field, QQ)
+              else [1, 2, field.p - 1, field.p // 2 + 1, 12345])
+    shapes = SHAPES + [(rng.randint(1, 10), rng.randint(1, 10)) for _ in range(60)]
+    for m, n in shapes:
+        a = field.matrix(sparse_random_rows(rng, m, n, values), ncols=n)
+        assert a.shape == (m, n)
+        r, piv = field.rref(a)
+        ns = field.nullspace(a)
+        want_ns = dense_nullspace(field, a)
+        if isinstance(field, GF):
+            want_r, want_piv = dense_rref_modp(a, field.p)
+            want_piv = [int(c) for c in want_piv]
+            r2, piv2 = _modp.rref_modp(a, field.p)
+            assert r2.dtype == np.int64 and piv2.dtype == np.int64
+            assert np.array_equal(r2, want_r) and list(piv2) == want_piv
+            assert r.dtype == ns.dtype == np.int64
+        else:
+            want_r, want_piv = dense_rref_qq(a)
+            assert r.dtype == ns.dtype == object
+            assert all(type(x) is Fraction for x in (*r.flat, *ns.flat))
+        assert all(type(c) is int for c in piv)
+        assert piv == want_piv
+        assert r.shape == want_r.shape and np.array_equal(r, want_r)
+        assert ns.shape == want_ns.shape and np.array_equal(ns, want_ns)
+        if ns.shape[1] and m:
+            assert field.is_zero_matrix(field.matmul(a, ns))
+
+
+def test_zero_matrices_reduce_to_themselves():
+    for f in (GF(101), QQ()):
+        z = f.zeros(3, 4)
+        r, piv = f.rref(z)
+        assert piv == [] and f.is_zero_matrix(r) and r.shape == (3, 4)
+        assert np.array_equal(f.nullspace(z), f.eye(4))

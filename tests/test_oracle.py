@@ -1,3 +1,6 @@
+import dataclasses
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -224,6 +227,49 @@ def test_full_report_over_rationals(q7):
     ab = orc.build_algebra(q7, "Q")
     rep = orc.full_oracle_report(ab)
     assert rep.ok, [i.name for i in rep.failed()]
+
+
+def glued_up_to_four():
+    rng = random.Random(9)
+    return [glued_dimer_tree([rng.randint(3, 5) for _ in range(k)],
+                             [rng.randint(0, 100) for _ in range(k - 1)])
+            for k in (2, 3, 4)]
+
+
+@pytest.mark.parametrize("q", ["q9", "q7", "c3", *glued_up_to_four()],
+                         ids=["q9", "q7", "c3", "glued2", "glued3", "glued4"])
+def test_full_report_agrees_between_fields(q, request):
+    if isinstance(q, str):
+        q = request.getfixturevalue(q)
+    verdicts = []
+    for field in (GF(32003), QQ()):
+        rep = orc.full_oracle_report(orc.build_algebra(q, field))
+        verdicts.append([(i.name, i.passed) for i in rep.items])
+    assert verdicts[0] == verdicts[1]
+    assert all(passed for _, passed in verdicts[0])
+
+
+# -- results computed once ------------------------------------------------------------
+
+def test_resolve_step_is_computed_once_and_equals_a_fresh_resolve(ab9):
+    for x in ab9.q.sorted_vertices():
+        pres = orc.radical_presentation(ab9, x)
+        for _ in range(2):
+            nxt = orc.resolve_step(ab9, pres)
+            assert orc.resolve_step(ab9, pres) is nxt
+            copy = dataclasses.replace(pres)
+            assert copy._next is None
+            fresh = orc.resolve_step(ab9, copy)
+            assert fresh is not nxt and fresh == nxt
+            pres = nxt
+
+
+def test_boundary_vanishing_report_is_computed_once_per_algebra(q7):
+    ab = orc.build_algebra(q7, 32003)
+    first = orc.boundary_vanishing_check(ab)
+    assert orc.boundary_vanishing_check(ab) is first
+    other = orc.boundary_vanishing_check(orc.build_algebra(q7, 32003))
+    assert other is not first and other.items == first.items
 
 
 # -- base-cycle tie-break independence ---------------------------------------------------
