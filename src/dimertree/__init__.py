@@ -2,11 +2,13 @@
 
 from .quiver import (
     Arrow,
+    Check,
     ChordlessCycle,
     CyclePath,
     Potential,
     Quiver,
     QuiverError,
+    Report,
     StructureReport,
     ValidationReport,
     WeightReport,
@@ -24,11 +26,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Arrow",
+    "Check",
     "ChordlessCycle",
     "CyclePath",
     "Potential",
     "Quiver",
     "QuiverError",
+    "Report",
     "StructureReport",
     "ValidationReport",
     "WeightReport",

@@ -30,10 +30,9 @@ def nullspace_modp(a: np.ndarray, p: int) -> np.ndarray:
 
 
 def matmul_modp(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """a @ b mod p for entries reduced mod p; raises FieldError when a sum
-    of inner products of residues could overflow int64."""
-    inner = a.shape[1]
-    if inner * (p - 1) ** 2 > INT64_MAX:
-        raise linalg.FieldError(
-            f"GF({p}) product with inner dimension {inner} overflows int64")
+    """a @ b mod p for entries reduced mod p.  When a sum of inner products
+    of residues could overflow int64, it is added in Python ints."""
+    if a.shape[1] * (p - 1) ** 2 > INT64_MAX:
+        wide = np.mod(a.astype(object) @ b.astype(object), p)
+        return wide.astype(np.int64)
     return np.mod(a.astype(np.int64) @ b.astype(np.int64), p)

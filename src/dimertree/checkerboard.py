@@ -27,7 +27,9 @@ from functools import cached_property
 from . import diagonals
 from .diagonals import TwoDiagonal
 from .quiver import (
+    Check,
     Quiver,
+    Report,
     StructureReport,
     WeightReport,
     _vkey,
@@ -351,35 +353,16 @@ def _fan_order(q: Quiver, structure: StructureReport, v, first_boundary: str) ->
 # validation
 # ---------------------------------------------------------------------------
 
-@dataclass
-class PolygonCheck:
-    name: str
-    passed: bool
-    detail: str = ""
-
-
-@dataclass
-class PolygonReport:
-    checks: list[PolygonCheck]
-
-    @property
-    def ok(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def failed(self) -> list[PolygonCheck]:
-        return [c for c in self.checks if not c.passed]
-
-
 def validate_checkerboard(cp: CheckerboardPolygon, q: Quiver | None = None,
-                          structure: StructureReport | None = None) -> PolygonReport:
+                          structure: StructureReport | None = None) -> Report:
     q = q or cp.q
     if structure is None:
         structure = validate_dimer_tree(q).structure
     n = cp.half
-    checks: list[PolygonCheck] = []
+    checks: list[Check] = []
 
     def add(name, passed, detail=""):
-        checks.append(PolygonCheck(name, bool(passed), detail))
+        checks.append(Check(name, bool(passed), detail))
 
     add("boundary_edge_count_equals_total_weight",
         cp.size == cp.weights.total_weight,
@@ -517,7 +500,7 @@ def validate_checkerboard(cp: CheckerboardPolygon, q: Quiver | None = None,
     except CheckerboardError as exc:
         add("faces_match_regions", False, str(exc))
 
-    return PolygonReport(checks)
+    return Report(checks)
 
 
 def _stored_region_multiset(cp: CheckerboardPolygon):

@@ -156,23 +156,8 @@ class Field:
     def rank(self, a) -> int:
         return len(self.rref(a)[1])
 
-    def vstack(self, mats):
-        mats = list(mats)
-        if not mats:
-            return self.zeros(0, 0)
-        return np.vstack(mats)
-
-    def hstack(self, mats):
-        mats = list(mats)
-        if not mats:
-            return self.zeros(0, 0)
-        return np.hstack(mats)
-
     def is_zero_matrix(self, a) -> bool:
         return all(self.is_zero(x) for x in a.flat)
-
-    def spec_string(self) -> str:
-        return self.name
 
 
 class GF(Field):

@@ -21,9 +21,11 @@ from dataclasses import dataclass
 
 from .linalg import DEFAULT_PRIME, Field, parse_field_spec
 from .quiver import (
+    Check,
     Potential,
     Quiver,
     QuiverError,
+    Report,
     StructureReport,
     WeightReport,
     _vkey,
@@ -73,25 +75,6 @@ class ModulePresentation:
                 tuple(sorted(self.p0, key=_vkey)))
 
 
-@dataclass
-class CheckItem:
-    name: str
-    passed: bool
-    detail: str = ""
-
-
-@dataclass
-class CheckReport:
-    items: list[CheckItem]
-
-    @property
-    def ok(self) -> bool:
-        return all(i.passed for i in self.items)
-
-    def failed(self) -> list[CheckItem]:
-        return [i for i in self.items if not i.passed]
-
-
 def _cycle_word_without(cycle, arrow_id: str) -> Word:
     i = cycle.arrows.index(arrow_id)
     return tuple(cycle.arrows[i + 1:]) + tuple(cycle.arrows[:i])
@@ -119,7 +102,7 @@ class AlgebraBasis:
         self._word_class: dict[Word, int | None] = {}
         self._rep_cache: dict[object, "Rep"] = {}
         self._pres_cache: dict[object, ModulePresentation] = {}
-        self._vanishing_report: CheckReport | None = None
+        self._vanishing_report: Report | None = None
 
     # -- construction -------------------------------------------------------
 
@@ -394,12 +377,6 @@ class Rep:
         self.act = act
         self.labels = labels or {}
         self._word_cache: dict[tuple, object] = {}
-
-    def dim_total(self) -> int:
-        return sum(self.dims.values())
-
-    def dim_vector(self) -> dict:
-        return dict(self.dims)
 
     def word_matrix(self, word: Word, source):
         """Matrix of the right action of a composable word starting at source."""
@@ -777,15 +754,15 @@ def hom_space(M: Rep, N: Rep):
     return out
 
 
-def hom_dim(M: Rep, N: Rep) -> int:
-    return len(hom_space(M, N))
-
-
 def stable_hom_dim_reps(M: Rep, N: Rep) -> int:
     """dim Hom(M,N) minus the maps that factor through the cover of N."""
+    return _stable_hom_dim(M, N, hom_space(M, N))
+
+
+def _stable_hom_dim(M: Rep, N: Rep, homs: list) -> int:
+    """`stable_hom_dim_reps` given homs = hom_space(M, N)."""
     F = M.field
     ab = M.ab
-    homs = hom_space(M, N)
     if not homs:
         return 0
     _, pi_mats, towerN, _ = cover_map(ab, N)
@@ -910,6 +887,19 @@ def extension_lemma_check(ab: AlgebraBasis, arrow_id: str, side: str) -> bool:
     raise OracleError(f"unknown side {side!r}")
 
 
+def schurian_report(ab: AlgebraBasis) -> Report:
+    """`schurian_check` as one item that lists the counterexamples."""
+    ok, counter = schurian_check(ab)
+    return Report([Check("schurian", ok, "; ".join(counter))])
+
+
+def extension_report(ab: AlgebraBasis) -> Report:
+    """`extension_lemma_check` on both sides of every boundary arrow."""
+    return Report([Check(f"extension_{side}[{e.arrow}]",
+                         extension_lemma_check(ab, e.arrow, side))
+                   for e in ab.weights.entries for side in ("right", "left")])
+
+
 def radical_presentation(ab: AlgebraBasis, x) -> ModulePresentation:
     """Minimal presentation of rad P(x), computed from covers and kernels."""
     if x not in ab._pres_cache:
@@ -921,7 +911,7 @@ def ext1_dim(ab: AlgebraBasis, M: ModulePresentation, N: ModulePresentation) -> 
     return ext1_dim_pres(ab, M, cokernel_rep(ab, N))
 
 
-def boundary_vanishing_check(ab: AlgebraBasis) -> CheckReport:
+def boundary_vanishing_check(ab: AlgebraBasis) -> Report:
     """For every arrow i->j: Ext^1(syzygy of rad P(i), rad P(j)) = 0.
     For boundary arrows additionally: stable Hom(rad P(j), rad P(i)) = 0.
     The report is computed once per algebra; callers must not mutate it."""
@@ -931,7 +921,7 @@ def boundary_vanishing_check(ab: AlgebraBasis) -> CheckReport:
     for a in ab.q.arrows:
         omega_pres = resolve_step(ab, radical_presentation(ab, a.source))
         d = ext1_dim_pres(ab, omega_pres, ab.radical_rep(a.target))
-        items.append(CheckItem(
+        items.append(Check(
             f"ext1_syzygy_rad_vanishes[{a.id}]", d == 0,
             "" if d == 0 else f"dim {d}"))
     boundary = set(ab.structure.boundary_arrows)
@@ -939,10 +929,10 @@ def boundary_vanishing_check(ab: AlgebraBasis) -> CheckReport:
         if a.id not in boundary:
             continue
         d = stable_hom_dim_reps(ab.radical_rep(a.target), ab.radical_rep(a.source))
-        items.append(CheckItem(
+        items.append(Check(
             f"stable_hom_rad_vanishes[{a.id}]", d == 0,
             "" if d == 0 else f"dim {d}"))
-    ab._vanishing_report = CheckReport(items)
+    ab._vanishing_report = Report(items)
     return ab._vanishing_report
 
 
@@ -953,20 +943,20 @@ def radical_cover_arrows(ab: AlgebraBasis, x) -> tuple[tuple, tuple]:
     return ins, outs
 
 
-def radical_presentation_check(ab: AlgebraBasis) -> CheckReport:
+def radical_presentation_check(ab: AlgebraBasis) -> Report:
     """Presentation of rad P(x) must have P1 = in-neighbours, P0 = out-neighbours."""
     items = []
     for x in ab.q.sorted_vertices():
         pres = radical_presentation(ab, x)
         got = pres.summand_multisets()
         want = radical_cover_arrows(ab, x)
-        items.append(CheckItem(
+        items.append(Check(
             f"radical_presentation[{x}]", got == want,
             "" if got == want else f"got {got}, predicted {want}"))
-    return CheckReport(items)
+    return Report(items)
 
 
-def radical_ext_arrow_check(ab: AlgebraBasis) -> CheckReport:
+def radical_ext_arrow_check(ab: AlgebraBasis) -> Report:
     """Ext^1(rad P(j), rad P(x)) is nonzero exactly when the arrow j->x exists."""
     items = []
     for j in ab.q.sorted_vertices():
@@ -975,42 +965,32 @@ def radical_ext_arrow_check(ab: AlgebraBasis) -> CheckReport:
             d = ext1_dim_pres(ab, pres_j, ab.radical_rep(x))
             has_arrow = ab.q.arrow_between(j, x) is not None
             ok = (d != 0) == has_arrow
-            items.append(CheckItem(
+            items.append(Check(
                 f"ext_iff_arrow[{j}->{x}]", ok,
                 "" if ok else f"ext1 dim {d}, arrow present: {has_arrow}"))
-    return CheckReport(items)
+    return Report(items)
 
 
-def radical_indecomposability_check(ab: AlgebraBasis) -> CheckReport:
+def radical_indecomposability_check(ab: AlgebraBasis) -> Report:
     """Each rad P(x) is indecomposable (scalar endomorphism ring) and
     non-projective (its identity does not factor through a projective)."""
     items = []
     for x in ab.q.sorted_vertices():
         M = ab.radical_rep(x)
-        end = hom_dim(M, M)
-        stable_end = stable_hom_dim_reps(M, M)
-        items.append(CheckItem(
+        homs = hom_space(M, M)
+        end = len(homs)
+        stable_end = _stable_hom_dim(M, M, homs)
+        items.append(Check(
             f"radical_indecomposable[{x}]", end == 1,
             "" if end == 1 else f"End dim {end}"))
-        items.append(CheckItem(
+        items.append(Check(
             f"radical_non_projective[{x}]", stable_end > 0,
             "" if stable_end else "identity factors through a projective"))
-    return CheckReport(items)
+    return Report(items)
 
 
-def full_oracle_report(ab: AlgebraBasis) -> CheckReport:
-    items: list[CheckItem] = []
-    ok, counter = schurian_check(ab)
-    items.append(CheckItem("schurian", ok, "; ".join(counter)))
-    for e in ab.weights.entries:
-        items.append(CheckItem(
-            f"extension_right[{e.arrow}]",
-            extension_lemma_check(ab, e.arrow, "right")))
-        items.append(CheckItem(
-            f"extension_left[{e.arrow}]",
-            extension_lemma_check(ab, e.arrow, "left")))
-    items.extend(radical_presentation_check(ab).items)
-    items.extend(radical_ext_arrow_check(ab).items)
-    items.extend(boundary_vanishing_check(ab).items)
-    items.extend(radical_indecomposability_check(ab).items)
-    return CheckReport(items)
+def full_oracle_report(ab: AlgebraBasis) -> Report:
+    sections = (schurian_report, extension_report, radical_presentation_check,
+                radical_ext_arrow_check, boundary_vanishing_check,
+                radical_indecomposability_check)
+    return Report([c for section in sections for c in section(ab).items])

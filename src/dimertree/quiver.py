@@ -203,15 +203,6 @@ def load_quiver(path: str) -> Quiver:
         return parse_quiver(fh.read())
 
 
-def quiver_to_dict(q: Quiver) -> dict:
-    return {
-        "name": q.name,
-        "vertices": list(q.vertices),
-        "arrows": [{"id": a.id, "source": a.source, "target": a.target}
-                   for a in q.arrows],
-    }
-
-
 # -- chordless cycles ----------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -372,7 +363,7 @@ class StructureReport:
     # arrow id -> indices of the cycles through it, in cycle order
     owners: dict[str, list[int]] = field(repr=False)
     problems: list[str] = field(default_factory=list)
-    _path_weights: dict[str, dict[str, int]] = field(
+    _cycle_paths: dict[str, dict[str, CyclePath]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -386,16 +377,22 @@ class StructureReport:
     def cycles_of_arrow(self, arrow_id: str) -> list[ChordlessCycle]:
         return [self.cycles[i] for i in self.owners.get(arrow_id, ())]
 
+    def cycle_paths(self, direction: str) -> dict[str, CyclePath]:
+        """Boundary arrow -> its cycle ('cycle') or cocycle ('cocycle') path,
+        in quiver arrow order.  Walked once per direction; arrows outside all
+        cycles are ignored."""
+        if direction not in self._cycle_paths:
+            # the walk reads only the structure, never the quiver
+            self._cycle_paths[direction] = {
+                a: cycle_path(None, self, a, direction)
+                for a, kind in self.classification.items() if kind == "boundary"}
+        return self._cycle_paths[direction]
+
     def path_weights(self, direction: str) -> dict[str, int]:
         """Boundary arrow -> weight ('cycle') or coweight ('cocycle'): 1 when
-        its (co)cycle path has odd length, else 2.  Computed once per
-        direction; arrows outside all cycles are ignored."""
-        if direction not in self._path_weights:
-            # the walk reads only the structure, never the quiver
-            self._path_weights[direction] = {
-                a: 1 if cycle_path(None, self, a, direction).length % 2 == 1 else 2
-                for a, kind in self.classification.items() if kind == "boundary"}
-        return self._path_weights[direction]
+        its (co)cycle path has odd length, else 2."""
+        return {a: 1 if path.length % 2 == 1 else 2
+                for a, path in self.cycle_paths(direction).items()}
 
 
 def analyze_structure(q: Quiver) -> StructureReport:
@@ -441,37 +438,43 @@ def _analyze_structure(q: Quiver) -> StructureReport:
 
 
 @dataclass
-class ValidationCheck:
+class Check:
+    """One named verdict of a validator; `detail` is its witness."""
     name: str
     passed: bool
     detail: str = ""
 
 
 @dataclass
-class ValidationReport:
-    checks: list[ValidationCheck]
-    structure: StructureReport
+class Report:
+    """The checks a validator ran, in order."""
+    items: list[Check]
 
     @property
     def ok(self) -> bool:
-        return all(c.passed for c in self.checks)
+        return all(c.passed for c in self.items)
 
-    def failed(self) -> list[ValidationCheck]:
-        return [c for c in self.checks if not c.passed]
+    def failed(self) -> list[Check]:
+        return [c for c in self.items if not c.passed]
+
+
+@dataclass
+class ValidationReport(Report):
+    structure: StructureReport
 
 
 def validate_dimer_tree(q: Quiver) -> ValidationReport:
     """Check the defining axioms and their structural consequences."""
-    checks: list[ValidationCheck] = []
+    checks: list[Check] = []
     structure = analyze_structure(q)
 
     bad_q1 = [a for a, k in structure.classification.items() if k == "none"]
-    checks.append(ValidationCheck(
+    checks.append(Check(
         "every_arrow_on_a_cycle", not bad_q1,
         "" if not bad_q1 else f"arrows in no cycle: {sorted(bad_q1)}"))
 
     tree = structure.dual.is_tree()
-    checks.append(ValidationCheck(
+    checks.append(Check(
         "dual_graph_is_tree", tree,
         "" if tree else f"dual graph has {structure.dual.node_count()} nodes "
                         f"and {structure.dual.edge_count()} edges"))
@@ -482,11 +485,11 @@ def validate_dimer_tree(q: Quiver) -> ValidationReport:
         if (a.source, a.target) in pairs:
             parallel_ok = False
         pairs[(a.source, a.target)] = a.id
-    checks.append(ValidationCheck("no_parallel_arrows", parallel_ok))
+    checks.append(Check("no_parallel_arrows", parallel_ok))
 
     overloaded = [a for a, k in structure.classification.items()
                   if k == "overloaded"]
-    checks.append(ValidationCheck(
+    checks.append(Check(
         "every_arrow_in_at_most_two_cycles", not overloaded,
         "" if not overloaded else f"arrows: {sorted(overloaded)}"))
 
@@ -499,7 +502,7 @@ def validate_dimer_tree(q: Quiver) -> ValidationReport:
                 share_ok = False
                 detail = (f"cycles {structure.cycles[i]} and {structure.cycles[j]} "
                           f"share {sorted(shared)}")
-    checks.append(ValidationCheck("cycles_share_at_most_one_arrow", share_ok, detail))
+    checks.append(Check("cycles_share_at_most_one_arrow", share_ok, detail))
 
     vertex_ok = True
     detail = ""
@@ -515,7 +518,7 @@ def validate_dimer_tree(q: Quiver) -> ValidationReport:
     else:
         vertex_ok = False
         detail = "skipped: arrow classification failed"
-    checks.append(ValidationCheck("vertex_has_two_boundary_arrows", vertex_ok, detail))
+    checks.append(Check("vertex_has_two_boundary_arrows", vertex_ok, detail))
 
     return ValidationReport(checks, structure)
 
@@ -647,19 +650,13 @@ def weight_report(q: Quiver, structure: StructureReport | None = None) -> Weight
                 "weights require a valid dimer tree quiver: "
                 + "; ".join(c.name for c in report.failed()))
         structure = report.structure
-    entries = []
-    total = 0
-    cototal = 0
-    for a in q.arrows:
-        if structure.classification[a.id] != "boundary":
-            continue
-        cp = cycle_path(q, structure, a.id, "cycle")
-        ccp = cycle_path(q, structure, a.id, "cocycle")
-        w = 1 if cp.length % 2 == 1 else 2
-        cw = 1 if ccp.length % 2 == 1 else 2
-        entries.append(WeightEntry(a.id, w, cw, cp, ccp))
-        total += w
-        cototal += cw
+    paths = structure.cycle_paths("cycle")
+    copaths = structure.cycle_paths("cocycle")
+    w = structure.path_weights("cycle")
+    cw = structure.path_weights("cocycle")
+    entries = [WeightEntry(a, w[a], cw[a], paths[a], copaths[a]) for a in paths]
+    total = sum(w.values())
+    cototal = sum(cw.values())
     if total != cototal:
         raise QuiverError(
             f"weight/coweight totals disagree: {total} vs {cototal}")

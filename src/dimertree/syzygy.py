@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from . import diagonals
 from .checkerboard import CheckerboardPolygon
 from .diagonals import TwoDiagonal
-from .quiver import _vkey
+from .quiver import Check, Report, _vkey
 
 
 class SyzygyError(ValueError):
@@ -40,10 +40,6 @@ class ResolutionTrace:
     steps: list[ResolutionStep]
     minimal_period: int
     gluing_ok: bool
-
-
-def radical_line_of(cp: CheckerboardPolygon, vertex) -> TwoDiagonal:
-    return cp.radical_line_of(vertex)
 
 
 def presentation_of(cp: CheckerboardPolygon, diagonal: TwoDiagonal) -> SyzygyObject:
@@ -95,32 +91,13 @@ def resolution(cp: CheckerboardPolygon, diagonal: TwoDiagonal,
     return ResolutionTrace(d0, trace, period, gluing_ok)
 
 
-@dataclass
-class ConsistencyItem:
-    name: str
-    passed: bool
-    detail: str = ""
-
-
-@dataclass
-class ConsistencyReport:
-    items: list[ConsistencyItem]
-
-    @property
-    def ok(self) -> bool:
-        return all(i.passed for i in self.items)
-
-    def failed(self):
-        return [i for i in self.items if not i.passed]
-
-
-def radical_consistency_check(cp: CheckerboardPolygon, algebra) -> ConsistencyReport:
+def radical_consistency_check(cp: CheckerboardPolygon, algebra) -> Report:
     """Crossing-derived presentations of the radical lines must agree with the
     oracle's from-scratch radical presentations; rotated source lines must
     miss target lines for boundary arrows, matching the oracle's vanishing."""
     from . import oracle as oracle_mod
 
-    items: list[ConsistencyItem] = []
+    items: list[Check] = []
     q = cp.q
     n = cp.half
     for x in q.sorted_vertices():
@@ -129,17 +106,16 @@ def radical_consistency_check(cp: CheckerboardPolygon, algebra) -> ConsistencyRe
         want_p1, want_p0 = pres.summand_multisets()
         got = (tuple(sorted(model.p1, key=_vkey)), tuple(sorted(model.p0, key=_vkey)))
         ok = got == (want_p1, want_p0)
-        items.append(ConsistencyItem(
+        items.append(Check(
             f"radical_presentation_matches_oracle[{x}]", ok,
             "" if ok else f"model {got}, oracle {(want_p1, want_p0)}"))
     boundary = set(cp.weights.by_arrow())
     vanish = oracle_mod.boundary_vanishing_check(algebra)
-    items.append(ConsistencyItem("oracle_boundary_vanishing", vanish.ok,
-                                 "; ".join(i.name for i in vanish.failed())[:200]))
+    items.append(Check("oracle_boundary_vanishing", vanish.ok,
+                       "; ".join(i.name for i in vanish.failed())[:200]))
     for aid in sorted(boundary):
         a = q.arrow_by_id[aid]
         rot = diagonals.rotate(cp.radical_line_of(a.source), 1, n)
         ok = not diagonals.crosses(rot, cp.radical_line_of(a.target), n)
-        items.append(ConsistencyItem(
-            f"rotated_line_misses_target[{aid}]", ok))
-    return ConsistencyReport(items)
+        items.append(Check(f"rotated_line_misses_target[{aid}]", ok))
+    return Report(items)

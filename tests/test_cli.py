@@ -3,9 +3,10 @@ import time
 
 import pytest
 
+from dimertree import oracle as orc
 from dimertree.cli import main
 
-from conftest import fixture_path
+from conftest import fixture_path, load_fixture
 
 
 def run(capsys, *argv):
@@ -159,6 +160,24 @@ def test_oracle_all_checks(capsys):
     assert "FAIL" not in out
 
 
+@pytest.mark.parametrize("fixture", ["q9", "c3"])
+def test_oracle_all_is_the_four_sections_in_order(capsys, fixture):
+    def check_lines(section):
+        code, out, _ = run(capsys, "oracle", fixture_path(fixture),
+                           "--check", section)
+        assert code == 0
+        return [line for line in out.splitlines()
+                if line.startswith(("pass ", "FAIL "))]
+
+    whole = check_lines("all")
+    assert whole == [line for section in ("schurian", "extension", "radicals",
+                                          "boundary-ext")
+                     for line in check_lines(section)]
+    report = orc.full_oracle_report(orc.build_algebra(load_fixture(fixture)))
+    assert (sorted(line.split()[1] for line in whole)
+            == sorted(c.name for c in report.items))
+
+
 def test_oracle_field_flag(capsys):
     code, out, _ = run(capsys, "oracle", fixture_path("c3"),
                        "--check", "schurian", "--field", "Q")
@@ -187,6 +206,15 @@ def test_oracle_field_too_large_for_int64(capsys, prime):
     assert time.monotonic() - start < 1.0
     assert code == 2
     assert "3037000499" in err and "internal error" not in err
+
+
+def test_oracle_over_the_largest_prime_matches_the_default_field(capsys):
+    code, out, err = run(capsys, "oracle", fixture_path("q9"),
+                         "--field", "3037000493")
+    assert code == 0 and err == ""
+    _, default_out, _ = run(capsys, "oracle", fixture_path("q9"))
+    assert out.splitlines()[1:] == default_out.splitlines()[1:]
+    assert out.splitlines()[-1] == "148/148 oracle checks passed"
 
 
 def test_all_pipeline_q7(capsys):

@@ -17,6 +17,7 @@ from dimertree.quiver import (
     QuiverError,
     _vkey,
     analyze_structure,
+    cycle_path,
     weight_report,
 )
 
@@ -130,6 +131,13 @@ def test_structure_is_computed_once_and_equals_a_fresh_analysis(name, q):
     assert first.path_weights("cycle") == {e.arrow: e.weight for e in wr.entries}
     assert first.path_weights("cocycle") == {
         e.arrow: e.coweight for e in wr.entries}
+    # each direction is walked once; weight_report hands out those walks
+    boundary = [a.id for a in q.arrows if first.classification[a.id] == "boundary"]
+    for direction, attr in (("cycle", "cycle_path"), ("cocycle", "cocycle_path")):
+        paths = first.cycle_paths(direction)
+        assert first.cycle_paths(direction) is paths
+        assert paths == {a: cycle_path(q, first, a, direction) for a in boundary}
+        assert all(getattr(e, attr) is paths[e.arrow] for e in wr.entries)
 
 
 def test_arrow_between_returns_the_first_parallel_arrow():

@@ -171,13 +171,13 @@ def test_gf_rejects_primes_too_large_for_int64_before_testing_primality():
     assert GF(3037000493).p == 3037000493  # the largest prime below the bound
 
 
-def test_gf_matmul_refuses_sums_that_overflow_int64():
+def test_gf_matmul_adds_sums_that_would_overflow_int64_exactly():
     f = GF(3037000493)
     a = f.matrix([[f.p - 1]])
     assert f.matmul(a, a)[0, 0] == 1  # (p-1)^2 fits: (-1)(-1) = 1
     wide = f.matrix([[f.p - 1, f.p - 1]])
-    with pytest.raises(FieldError, match="overflows int64"):
-        f.matmul(wide, wide.T)
+    prod = f.matmul(wide, wide.T)  # 2(p-1)^2 does not fit in int64
+    assert prod.dtype == np.int64 and prod.tolist() == [[2]]
     g = GF(32003)
     big = g.matrix([[g.p - 1] * 64])
     assert g.matmul(big, big.T)[0, 0] == 64

@@ -4,8 +4,9 @@ from dimertree import checkerboard as cb
 from dimertree import diagonals as dg
 from dimertree import oracle as orc
 from dimertree import syzygy as sy
+from dimertree.quiver import Check, Report, validate_dimer_tree
 
-from conftest import cycle_quiver
+from conftest import cycle_quiver, quiver_from_arrows
 
 
 @pytest.fixture(scope="module")
@@ -23,14 +24,14 @@ def model3(c3):
 def test_radical_lines_are_two_diagonals(model9):
     cp, _ = model9
     for v in cp.q.vertices:
-        d = sy.radical_line_of(cp, v)
+        d = cp.radical_line_of(v)
         assert d.tail % 2 == 1 and d.head % 2 == 0
-    assert len({sy.radical_line_of(cp, v) for v in cp.q.vertices}) == 9
+    assert len({cp.radical_line_of(v) for v in cp.q.vertices}) == 9
 
 
 def test_c3_radical_presentations(model3):
     cp, _ = model3
-    obj = sy.presentation_of(cp, sy.radical_line_of(cp, 1))
+    obj = sy.presentation_of(cp, cp.radical_line_of(1))
     assert obj.p1 == (3,) and obj.p0 == (2,)
 
 
@@ -74,7 +75,7 @@ def test_gluing_and_periods_q9(model9):
 
 def test_gluing_c3_six_steps(model3):
     cp, _ = model3
-    tr = sy.resolution(cp, sy.radical_line_of(cp, 1), steps=6)
+    tr = sy.resolution(cp, cp.radical_line_of(1), steps=6)
     assert tr.gluing_ok
     assert len(tr.steps) == 7
     assert tr.minimal_period in (3, 6)
@@ -94,7 +95,7 @@ def test_rotation_steps_chain_presentations(model9):
 def test_radical_count_among_syzygies(model9):
     cp, _ = model9
     all_diagonals = set(dg.enumerate_diagonals(7))
-    radicals = {sy.radical_line_of(cp, v) for v in cp.q.vertices}
+    radicals = {cp.radical_line_of(v) for v in cp.q.vertices}
     assert radicals <= all_diagonals
     assert len(all_diagonals) == 7 * 5
     assert len(radicals) == 9
@@ -110,8 +111,8 @@ def test_ext_direction_matches_oracle_for_radicals(model9):
             if i == j:
                 continue
             ext = orc.ext1_dim_pres(ab, pres_i, ab.radical_rep(j))
-            cross = dg.crossing(sy.radical_line_of(cp, i),
-                                sy.radical_line_of(cp, j), n)
+            cross = dg.crossing(cp.radical_line_of(i),
+                                cp.radical_line_of(j), n)
             assert (ext != 0) == (cross == "right_to_left"), (i, j)
 
 
@@ -129,3 +130,16 @@ def test_presentation_rejects_bad_diagonal(model9):
     cp, _ = model9
     with pytest.raises(dg.DiagonalError):
         sy.presentation_of(cp, dg.TwoDiagonal(1, 2))
+
+
+def test_every_validator_returns_a_report_of_checks(model9, q9):
+    cp, ab = model9
+    reports = [validate_dimer_tree(q9), cb.validate_checkerboard(cp),
+               orc.full_oracle_report(ab), sy.radical_consistency_check(cp, ab)]
+    for report in reports:
+        assert isinstance(report, Report) and report.items
+        assert all(type(c) is Check for c in report.items)
+        assert report.ok and report.failed() == []
+    bad = validate_dimer_tree(quiver_from_arrows([(1, 2), (2, 3), (3, 1), (3, 4)]))
+    assert not bad.ok
+    assert bad.failed() == [c for c in bad.items if not c.passed] != []
