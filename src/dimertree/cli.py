@@ -299,6 +299,20 @@ def cmd_all(args) -> int:
     return status
 
 
+def _int_at_least(low: int):
+    """An argparse `type=` that accepts integers >= low, so a bad count exits
+    2 with a reason instead of being reinterpreted."""
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if n < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {n}")
+        return n
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="dimertree",
@@ -335,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("resolve", help="periodic projective resolution of a diagonal")
     sp.add_argument("quiver")
     sp.add_argument("--diagonal", required=True, metavar="A,B")
-    sp.add_argument("--steps", type=int, default=None)
+    sp.add_argument("--steps", type=_int_at_least(0), default=None)
     sp.add_argument("--format", choices=("text", "structured"), default="text")
     sp.add_argument("--out")
     sp.set_defaults(fn=cmd_resolve)
@@ -350,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--check", choices=ORACLE_CHECKS, default="all")
     sp.add_argument("--field", default=_default_field(),
                     help="prime p or Q (default from DIMERTREE_FIELD)")
-    sp.add_argument("--cap", type=int, default=None,
+    sp.add_argument("--cap", type=_int_at_least(1), default=None,
                     help="path-length cap for the basis build (default 4x arrows)")
     sp.set_defaults(fn=cmd_oracle)
 

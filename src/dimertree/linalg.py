@@ -1,12 +1,14 @@
 """Field abstraction for the oracle's linear algebra.
 
 Two fields share one small matrix API: GF(p) on numpy int64 arrays of
-residues, and the exact rationals on numpy object arrays of Fractions.  Row
-reduction and kernels are computed by one exact elimination routine on sparse
-rows, `rref_rows`, over Python ints mod p or over Fractions; the oracle's
-matrices are tiny and mostly zero, so only nonzero entries are touched.
-Relations in the algebras at hand have unit coefficients, so the rational
-path stays cheap and certifies the prime-field results.
+residues, and the exact rationals on numpy object arrays whose entries are
+Python ints or Fractions, never floats.  Row reduction and kernels are
+computed by one exact elimination routine on sparse rows, `rref_rows`, over
+Python ints mod p or over the rationals; the oracle's matrices are tiny and
+mostly zero, so only nonzero entries are touched.  Relations in the algebras
+at hand have unit coefficients, so almost every rational entry stays an int,
+a Fraction is made only when a non-unit is inverted, and the rational path
+stays cheap and certifies the prime-field results.
 """
 from __future__ import annotations
 
@@ -41,7 +43,7 @@ def parse_field_spec(spec: str | int) -> "Field":
 # -- exact elimination on sparse rows --------------------------------------------
 #
 # `p` is the prime of GF(p), with entries Python ints in [0, p), or None for
-# the rationals, with entries Fractions.
+# the rationals, with entries Python ints or Fractions.
 
 def rref_rows(rows: list[dict[int, object]], p: int | None) -> list[tuple[int, dict]]:
     """Reduced row echelon form of rows given as {column: nonzero entry}.
@@ -56,7 +58,7 @@ def rref_rows(rows: list[dict[int, object]], p: int | None) -> list[tuple[int, d
             c = min(row)
             prow = pivot_rows.get(c)
             if prow is None:
-                inv = pow(row[c], -1, p) if p else 1 / row[c]
+                inv = pow(row[c], -1, p) if p else _qq_inverse(row[c])
                 pivot_rows[c] = {j: x * inv % p if p else x * inv
                                  for j, x in row.items()}
                 break
@@ -69,6 +71,18 @@ def rref_rows(rows: list[dict[int, object]], p: int | None) -> list[tuple[int, d
         for j in [j for j in row if j > c and j in pivot_rows]:
             _eliminate(row, row[j], pivot_rows[j], p)
     return [(c, pivot_rows[c]) for c in order]
+
+
+def _qq_inverse(x):
+    """Exact rational inverse: ±1 is its own, anything else becomes a
+    Fraction (a bare `1 / x` of an int would be a float)."""
+    return x if x == 1 or x == -1 else Fraction(1) / x
+
+
+def _qq_exact(x):
+    """An int or Fraction entry as it is; any other number (a numpy integer,
+    a bool) through Fraction, so no numpy scalar enters an object array."""
+    return x if type(x) is int or type(x) is Fraction else Fraction(x)
 
 
 def _eliminate(row: dict, f, prow: dict, p: int | None) -> None:
@@ -97,11 +111,7 @@ def _sparse(a: np.ndarray, p: int | None) -> list[dict[int, object]]:
 
 
 def _zeros(m: int, n: int, p: int | None) -> np.ndarray:
-    if p:
-        return np.zeros((m, n), dtype=np.int64)
-    out = np.empty((m, n), dtype=object)
-    out[...] = Fraction(0)
-    return out
+    return np.zeros((m, n), dtype=np.int64 if p else object)
 
 
 def rref_matrix(a: np.ndarray, p: int | None) -> tuple[np.ndarray, list[int]]:
@@ -125,7 +135,7 @@ def nullspace_matrix(a: np.ndarray, p: int | None) -> np.ndarray:
     free = {c: k for k, c in enumerate(j for j in range(n) if j not in pivots)}
     basis = _zeros(n, len(free), p)
     for c, k in free.items():
-        basis[c, k] = 1 if p else Fraction(1)
+        basis[c, k] = 1
     for c, row in reduced:
         for j, x in row.items():
             if j != c:
@@ -210,17 +220,14 @@ class QQ(Field):
         out = np.empty((len(rows), len(rows[0])), dtype=object)
         for i, row in enumerate(rows):
             for j, x in enumerate(row):
-                out[i, j] = Fraction(x)
+                out[i, j] = _qq_exact(x)
         return out
 
     def zeros(self, m, n):
         return _zeros(m, n, None)
 
     def eye(self, n):
-        out = self.zeros(n, n)
-        for i in range(n):
-            out[i, i] = Fraction(1)
-        return out
+        return np.eye(n, dtype=object)
 
     def rref(self, a):
         return rref_matrix(a, None)
@@ -238,6 +245,6 @@ class QQ(Field):
     def neg(self, x): return -x
     def add(self, x, y): return x + y
     def mul(self, x, y): return x * y
-    def inv(self, x): return 1 / x
-    def scalar(self, n): return Fraction(n)
+    def inv(self, x): return _qq_inverse(x)
+    def scalar(self, n): return _qq_exact(n)
     def is_zero(self, x): return x == 0

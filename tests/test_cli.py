@@ -142,6 +142,20 @@ def test_resolve_bad_diagonal(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv, reason", [
+    (("oracle", "c3", "--cap", "0"), "--cap: must be at least 1, got 0"),
+    (("oracle", "c3", "--cap", "-3"), "--cap: must be at least 1, got -3"),
+    (("resolve", "q9", "--diagonal", "5,12", "--steps", "-2"),
+     "--steps: must be at least 0, got -2"),
+])
+def test_out_of_range_counts_are_bad_input(capsys, argv, reason):
+    cmd, fixture, *rest = argv
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, cmd, fixture_path(fixture), *rest)
+    assert exc.value.code == 2
+    assert reason in capsys.readouterr().err
+
+
 def test_reduce_with_trace(tmp_path, capsys):
     trace_file = tmp_path / "trace.json"
     code, out, _ = run(capsys, "reduce", fixture_path("q7"),

@@ -49,7 +49,7 @@ def dense_rref_qq(a):
             continue
         if piv != r:
             mat[[r, piv]] = mat[[piv, r]]
-        inv = 1 / mat[r, c]
+        inv = Fraction(1) / mat[r, c]  # exact: entries may be ints
         if inv != 1:
             mat[r] = mat[r] * inv
         for i in range(m):
@@ -138,6 +138,50 @@ def test_qq_rref_and_nullspace():
     assert ns[0, 0] == Fraction(-1)  # exact arithmetic, no rounding
 
 
+def exact(a):
+    """Every entry is a Python int or a Fraction: no float, no numpy scalar."""
+    return all(type(x) in (int, Fraction) for x in a.flat)
+
+
+def test_qq_inverse_is_exact():
+    f = QQ()
+    half = f.inv(2)
+    assert type(half) is Fraction and half == Fraction(1, 2)
+    minus_one = f.inv(-1)
+    assert type(minus_one) is int and minus_one == -1
+
+
+def test_qq_non_unit_pivots_stay_exact():
+    f = QQ()
+    r, piv = f.rref(f.matrix([[2, 1], [0, 3]]))
+    assert piv == [0, 1] and r.tolist() == [[1, 0], [0, 1]] and exact(r)
+    ns = f.nullspace(f.matrix([[2, 3]]))
+    assert ns.tolist() == [[Fraction(-3, 2)], [1]] and exact(ns)
+    assert type(ns[0, 0]) is Fraction
+
+
+def test_qq_outputs_on_non_unit_matrices_are_exact():
+    f = QQ()
+    rng = random.Random(23)
+    for _ in range(40):
+        m, n = rng.randint(1, 8), rng.randint(1, 8)
+        a = f.matrix(sparse_random_rows(rng, m, n, [2, -3, 5, 7, -1]), ncols=n)
+        r, _ = f.rref(a)
+        ns = f.nullspace(a)
+        assert exact(r) and exact(ns)
+        assert exact(f.matmul(a, ns)) and exact(f.matmul(a, a.T))
+
+
+def test_qq_matrix_turns_numpy_and_bool_entries_into_exact_ones():
+    f = QQ()
+    a = f.matrix([[np.int64(3), True], [np.int64(-1), False]])
+    assert exact(a) and a.tolist() == [[3, 1], [-1, 0]]
+    b = f.matrix(np.array([[2, 0], [0, 5]], dtype=np.int64))
+    assert exact(b) and b.tolist() == [[2, 0], [0, 5]]
+    assert type(f.scalar(np.int64(4))) in (int, Fraction)
+    assert type(f.scalar(True)) in (int, Fraction)
+
+
 def test_qq_empty_shapes():
     f = QQ()
     z = f.zeros(0, 4)
@@ -209,7 +253,7 @@ def test_sparse_elimination_matches_the_dense_reference(field):
         else:
             want_r, want_piv = dense_rref_qq(a)
             assert r.dtype == ns.dtype == object
-            assert all(type(x) is Fraction for x in (*r.flat, *ns.flat))
+            assert all(type(x) in (int, Fraction) for x in (*r.flat, *ns.flat))
         assert all(type(c) is int for c in piv)
         assert piv == want_piv
         assert r.shape == want_r.shape and np.array_equal(r, want_r)
