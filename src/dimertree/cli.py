@@ -365,7 +365,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--field", default=_default_field(),
                     help="prime p or Q (default from DIMERTREE_FIELD)")
     sp.add_argument("--cap", type=_int_at_least(1), default=None,
-                    help="path-length cap for the basis build (default 4x arrows)")
+                    help="largest path-length cap the basis build may grow to "
+                         "(default 4x arrows); a value below the initial cap, "
+                         "max(3x longest cycle, 12), is raised to it")
     sp.set_defaults(fn=cmd_oracle)
 
     sp = sub.add_parser("all", help="full pipeline and consistency suite")

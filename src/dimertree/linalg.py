@@ -1,30 +1,30 @@
 """Field abstraction for the oracle's linear algebra.
 
-Two fields share one small matrix API: GF(p) on numpy int64 arrays of
-residues, and the exact rationals on numpy object arrays whose entries are
-Python ints or Fractions, never floats.  Row reduction and kernels are
-computed by one exact elimination routine on sparse rows, `rref_rows`, over
-Python ints mod p or over the rationals; the oracle's matrices are tiny and
-mostly zero, so only nonzero entries are touched.  Relations in the algebras
-at hand have unit coefficients, so almost every rational entry stays an int,
-a Fraction is made only when a non-unit is inverted, and the rational path
-stays cheap and certifies the prime-field results.
+Two fields share one small matrix type, `Matrix`: a list of sparse rows
+{column: nonzero entry} and a column count.  Over GF(p) the entries are
+Python ints in [0, p); over the exact rationals they are Python ints or
+Fractions, never floats.  Row reduction and kernels are computed by one
+exact elimination routine on sparse rows, `rref_rows`, over Python ints mod
+p or over the rationals, and products by one sparse `matmul_matrix`; the
+oracle's matrices are tiny and mostly zero, so only nonzero entries are
+touched.  Relations in the algebras at hand have unit coefficients, so
+almost every rational entry stays an int, a Fraction is made only when a
+non-unit is inverted, and the rational path stays cheap and certifies the
+prime-field results.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 
-import numpy as np
-
 from . import _modp
 
 DEFAULT_PRIME = 32003
-# a product of two residues must fit in int64: p < isqrt(INT64_MAX)
+# primality is tested by trial division, which the bound keeps quick
 PRIME_BOUND = 3037000499
 
 
 class FieldError(ValueError):
-    """A field spec that is unknown, not prime, or too large for int64."""
+    """A field spec that is unknown, not prime, or above `PRIME_BOUND`."""
 
 
 def parse_field_spec(spec: str | int) -> "Field":
@@ -38,6 +38,33 @@ def parse_field_spec(spec: str | int) -> "Field":
     except ValueError:
         raise FieldError(f"unknown field spec {spec!r}") from None
     return GF(p)
+
+
+class Matrix:
+    """An m x n matrix as m sparse rows {column: nonzero entry}.
+
+    No row stores a zero: reading an absent entry gives 0, and writing a
+    zero deletes the entry."""
+    __slots__ = ("rows", "ncols")
+
+    def __init__(self, rows: list[dict[int, object]], ncols: int):
+        self.rows = rows
+        self.ncols = ncols
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return len(self.rows), self.ncols
+
+    def __getitem__(self, ij):
+        i, j = ij
+        return self.rows[i].get(j, 0)
+
+    def __setitem__(self, ij, x) -> None:
+        i, j = ij
+        if x:
+            self.rows[i][j] = x
+        else:
+            self.rows[i].pop(j, None)
 
 
 # -- exact elimination on sparse rows --------------------------------------------
@@ -80,8 +107,9 @@ def _qq_inverse(x):
 
 
 def _qq_exact(x):
-    """An int or Fraction entry as it is; any other number (a numpy integer,
-    a bool) through Fraction, so no numpy scalar enters an object array."""
+    """An int or Fraction entry as it is; any other number (a bool, another
+    library's integer) through Fraction, so every stored entry is an int or
+    Fraction."""
     return x if type(x) is int or type(x) is Fraction else Fraction(x)
 
 
@@ -97,59 +125,52 @@ def _eliminate(row: dict, f, prow: dict, p: int | None) -> None:
             del row[j]
 
 
-def _sparse(a: np.ndarray, p: int | None) -> list[dict[int, object]]:
-    rows = []
-    for r in a.tolist():
-        row = {}
-        for j, x in enumerate(r):
-            if p:
-                x %= p
-            if x:
-                row[j] = x
-        rows.append(row)
-    return rows
-
-
-def _zeros(m: int, n: int, p: int | None) -> np.ndarray:
-    return np.zeros((m, n), dtype=np.int64 if p else object)
-
-
-def rref_matrix(a: np.ndarray, p: int | None) -> tuple[np.ndarray, list[int]]:
-    """RREF of a matrix, as a matrix of the same shape and dtype, and its
-    pivot columns."""
+def rref_matrix(a: Matrix, p: int | None) -> tuple[Matrix, list[int]]:
+    """RREF of a matrix, as a matrix of the same shape, and its pivot
+    columns."""
     m, n = a.shape
-    out = _zeros(m, n, p)
-    reduced = rref_rows(_sparse(a, p), p)
-    for i, (_, row) in enumerate(reduced):
-        for j, x in row.items():
-            out[i, j] = x
-    return out, [c for c, _ in reduced]
+    reduced = rref_rows(a.rows, p)
+    rows = [row for _, row in reduced] + [{} for _ in range(m - len(reduced))]
+    return Matrix(rows, n), [c for c, _ in reduced]
 
 
-def nullspace_matrix(a: np.ndarray, p: int | None) -> np.ndarray:
+def nullspace_matrix(a: Matrix, p: int | None) -> Matrix:
     """Columns form a basis of the right kernel of a: one per free column
     c, with entry 1 at c and minus the reduced rows' entries at the pivots."""
-    n = a.shape[1]
-    reduced = rref_rows(_sparse(a, p), p)
+    n = a.ncols
+    reduced = rref_rows(a.rows, p)
     pivots = {c for c, _ in reduced}
     free = {c: k for k, c in enumerate(j for j in range(n) if j not in pivots)}
-    basis = _zeros(n, len(free), p)
+    rows: list[dict] = [{} for _ in range(n)]
     for c, k in free.items():
-        basis[c, k] = 1
+        rows[c][k] = 1
     for c, row in reduced:
         for j, x in row.items():
             if j != c:
-                basis[c, free[j]] = -x % p if p else -x
-    return basis
+                rows[c][free[j]] = -x % p if p else -x
+    return Matrix(rows, len(free))
+
+
+def matmul_matrix(a: Matrix, b: Matrix, p: int | None) -> Matrix:
+    """a @ b, mod p over GF(p), summing only products of nonzero entries."""
+    if a.ncols != len(b.rows):
+        raise FieldError(f"shape mismatch {a.shape} @ {b.shape}")
+    rows = []
+    for arow in a.rows:
+        acc: dict[int, object] = {}
+        for k, x in arow.items():
+            for j, y in b.rows[k].items():
+                acc[j] = acc.get(j, 0) + x * y
+        rows.append({j: y for j, x in acc.items() if (y := x % p if p else x)})
+    return Matrix(rows, b.ncols)
 
 
 class Field:
-    """Matrices are 2-D numpy arrays; scalars are field elements."""
+    """Matrices are `Matrix`es; scalars are field elements.  `p` is the
+    prime of GF(p), or None for the rationals."""
     name: str
+    p: int | None
 
-    def matrix(self, rows, ncols: int | None = None): raise NotImplementedError
-    def zeros(self, m, n): raise NotImplementedError
-    def eye(self, n): raise NotImplementedError
     def rref(self, a): raise NotImplementedError
     def nullspace(self, a): raise NotImplementedError
     def matmul(self, a, b): raise NotImplementedError
@@ -160,6 +181,21 @@ class Field:
     def scalar(self, n): raise NotImplementedError
     def is_zero(self, x): raise NotImplementedError
 
+    def matrix(self, rows, ncols: int | None = None) -> Matrix:
+        """A matrix from dense rows of numbers, each made a field element;
+        `ncols` gives the width when there are no rows."""
+        rows = [list(r) for r in rows]
+        scalar = self.scalar
+        return Matrix([{j: y for j, x in enumerate(r) if x and (y := scalar(x))}
+                       for r in rows],
+                      len(rows[0]) if rows else ncols or 0)
+
+    def zeros(self, m, n) -> Matrix:
+        return Matrix([{} for _ in range(m)], n)
+
+    def eye(self, n) -> Matrix:
+        return Matrix([{i: 1} for i in range(n)], n)
+
     def shape(self, a):
         return a.shape
 
@@ -167,34 +203,20 @@ class Field:
         return len(self.rref(a)[1])
 
     def is_zero_matrix(self, a) -> bool:
-        return all(self.is_zero(x) for x in a.flat)
+        return not any(a.rows)
 
 
 class GF(Field):
     def __init__(self, p: int):
         if p >= PRIME_BOUND:
-            raise FieldError(f"GF({p}): the prime must be below "
-                             f"{PRIME_BOUND} for int64 arithmetic")
+            raise FieldError(f"GF({p}): the prime must be below {PRIME_BOUND}")
         if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
             raise FieldError(f"{p} is not prime")
         self.p = p
         self.name = f"GF({p})"
 
-    def matrix(self, rows, ncols: int | None = None):
-        rows = list(rows)
-        if not rows:
-            return self.zeros(0, ncols or 0)
-        return np.mod(np.array(rows, dtype=np.int64), self.p)
-
-    def zeros(self, m, n):
-        return np.zeros((m, n), dtype=np.int64)
-
-    def eye(self, n):
-        return np.eye(n, dtype=np.int64)
-
     def rref(self, a):
-        r, piv = _modp.rref_modp(a, self.p)
-        return r, [int(c) for c in piv]
+        return _modp.rref_modp(a, self.p)
 
     def nullspace(self, a):
         return _modp.nullspace_modp(a, self.p)
@@ -212,22 +234,7 @@ class GF(Field):
 
 class QQ(Field):
     name = "QQ"
-
-    def matrix(self, rows, ncols: int | None = None):
-        rows = [list(r) for r in rows]
-        if not rows:
-            return self.zeros(0, ncols or 0)
-        out = np.empty((len(rows), len(rows[0])), dtype=object)
-        for i, row in enumerate(rows):
-            for j, x in enumerate(row):
-                out[i, j] = _qq_exact(x)
-        return out
-
-    def zeros(self, m, n):
-        return _zeros(m, n, None)
-
-    def eye(self, n):
-        return np.eye(n, dtype=object)
+    p = None
 
     def rref(self, a):
         return rref_matrix(a, None)
@@ -236,11 +243,7 @@ class QQ(Field):
         return nullspace_matrix(a, None)
 
     def matmul(self, a, b):
-        if a.shape[1] != b.shape[0]:
-            raise FieldError(f"shape mismatch {a.shape} @ {b.shape}")
-        if a.shape[0] == 0 or b.shape[1] == 0 or a.shape[1] == 0:
-            return self.zeros(a.shape[0], b.shape[1])
-        return a @ b
+        return matmul_matrix(a, b, None)
 
     def neg(self, x): return -x
     def add(self, x, y): return x + y

@@ -19,7 +19,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-from .linalg import DEFAULT_PRIME, Field, parse_field_spec
+from .linalg import DEFAULT_PRIME, Field, parse_field_spec, rref_rows
 from .quiver import (
     Check,
     Potential,
@@ -167,25 +167,12 @@ class AlgebraBasis:
         F = self.field
         words, index, by_source, by_target = self._enumerate_paths(forbidden, cap)
 
-        pivot_rows: dict[int, dict[int, object]] = {}
+        # columns count down from the last word, so each row's pivot is its
+        # longest word and each reduced row gives the normal form of its pivot
+        last = len(words) - 1
         zero = F.scalar(0)
         one = F.scalar(1)
-
-        def insert(row: dict[int, object]):
-            while row:
-                m = max(row)
-                if m not in pivot_rows:
-                    inv = F.inv(row[m])
-                    pivot_rows[m] = {j: F.mul(c, inv) for j, c in row.items()}
-                    return
-                c = row[m]
-                for j, pc in pivot_rows[m].items():
-                    val = F.add(row.get(j, zero), F.neg(F.mul(c, pc)))
-                    if F.is_zero(val):
-                        row.pop(j, None)
-                    else:
-                        row[j] = val
-
+        rows = []
         for u, v, su, sv, src, tgt in relations:
             xs = [()] + by_target[src]
             ys = [()] + by_source[tgt]
@@ -200,34 +187,20 @@ class AlgebraBasis:
                     t1 = index.get(x + u + y)
                     t2 = index.get(x + v + y)
                     if t1 is not None:
-                        row[t1] = F.scalar(su)
+                        row[last - t1] = F.scalar(su)
                     if t2 is not None:
-                        val = F.add(row.get(t2, zero), F.scalar(sv))
+                        val = F.add(row.get(last - t2, zero), F.scalar(sv))
                         if F.is_zero(val):
-                            row.pop(t2, None)
+                            row.pop(last - t2, None)
                         else:
-                            row[t2] = val
+                            row[last - t2] = val
                     if row:
-                        insert(row)
+                        rows.append(row)
 
-        # reduced class of every unit vector, in increasing pivot order
-        memo: list[dict[int, object]] = [None] * len(words)  # type: ignore
-        for idx in range(len(words)):
-            prow = pivot_rows.get(idx)
-            if prow is None:
-                memo[idx] = {idx: one}
-                continue
-            acc: dict[int, object] = {}
-            for j, c in prow.items():
-                if j == idx:
-                    continue
-                for b, cb in memo[j].items():
-                    val = F.add(acc.get(b, zero), F.neg(F.mul(c, cb)))
-                    if F.is_zero(val):
-                        acc.pop(b, None)
-                    else:
-                        acc[b] = val
-            memo[idx] = acc
+        # reduced class of every word: itself, or minus the rest of its row
+        memo: list[dict[int, object]] = [{idx: one} for idx in range(len(words))]
+        for c, row in rref_rows(rows, F.p):
+            memo[last - c] = {last - j: F.neg(x) for j, x in row.items() if j != c}
 
         longest = 0
         for idx, m in enumerate(memo):

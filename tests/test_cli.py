@@ -222,6 +222,12 @@ def test_oracle_field_too_large_for_int64(capsys, prime):
     assert "3037000499" in err and "internal error" not in err
 
 
+def test_oracle_cap_below_the_initial_cap_is_raised_to_it(capsys):
+    code, out, err = run(capsys, "oracle", fixture_path("q9"), "--cap", "1")
+    _, default_out, default_err = run(capsys, "oracle", fixture_path("q9"))
+    assert code == 0 and out == default_out and err == default_err
+
+
 def test_oracle_over_the_largest_prime_matches_the_default_field(capsys):
     code, out, err = run(capsys, "oracle", fixture_path("q9"),
                          "--field", "3037000493")

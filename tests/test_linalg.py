@@ -1,10 +1,15 @@
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dimertree
 from dimertree import _modp
 from dimertree.linalg import GF, QQ, FieldError, parse_field_spec
 
@@ -76,6 +81,24 @@ def dense_nullspace(f, a):
     return basis
 
 
+def dense(a):
+    """A dense numpy copy of a `Matrix`, for the references and comparisons."""
+    out = np.zeros(a.shape, dtype=object)
+    for i, row in enumerate(a.rows):
+        for j, x in row.items():
+            out[i, j] = x
+    return out
+
+
+def transpose(f, a):
+    return f.matrix(dense(a).T.tolist(), ncols=a.shape[0])
+
+
+def entries(a):
+    """The stored entries of a `Matrix`."""
+    return [x for row in a.rows for x in row.values()]
+
+
 def sparse_random_rows(rng, m, n, values):
     """Mostly-zero rows, some of them zero or repeated, as in the oracle."""
     rows = []
@@ -91,7 +114,7 @@ def sparse_random_rows(rng, m, n, values):
 
 
 def random_matrix(rng, m, n, p):
-    return rng.integers(0, p, size=(m, n), dtype=np.int64)
+    return GF(p).matrix(rng.integers(0, p, size=(m, n), dtype=np.int64), ncols=n)
 
 
 def test_rref_reproduces_row_space():
@@ -99,7 +122,7 @@ def test_rref_reproduces_row_space():
     p = 101
     a = random_matrix(rng, 6, 9, p)
     r, piv = _modp.rref_modp(a, p)
-    assert _modp.rank_modp(np.vstack([a, r]), p) == len(piv)
+    assert GF(p).rank(GF(p).matrix(np.vstack([dense(a), dense(r)]))) == len(piv)
 
 
 def test_nullspace_is_kernel():
@@ -108,9 +131,9 @@ def test_nullspace_is_kernel():
     for m, n in ((3, 6), (6, 3), (5, 5)):
         a = random_matrix(rng, m, n, p)
         ns = _modp.nullspace_modp(a, p)
-        assert _modp.rank_modp(a, p) + ns.shape[1] == n
+        assert GF(p).rank(a) + ns.shape[1] == n
         if ns.shape[1]:
-            assert not np.any(_modp.matmul_modp(a, ns, p))
+            assert not any(_modp.matmul_modp(a, ns, p).rows)
 
 
 def test_gf_field_ops():
@@ -140,7 +163,7 @@ def test_qq_rref_and_nullspace():
 
 def exact(a):
     """Every entry is a Python int or a Fraction: no float, no numpy scalar."""
-    return all(type(x) in (int, Fraction) for x in a.flat)
+    return all(type(x) in (int, Fraction) for x in entries(a))
 
 
 def test_qq_inverse_is_exact():
@@ -154,9 +177,9 @@ def test_qq_inverse_is_exact():
 def test_qq_non_unit_pivots_stay_exact():
     f = QQ()
     r, piv = f.rref(f.matrix([[2, 1], [0, 3]]))
-    assert piv == [0, 1] and r.tolist() == [[1, 0], [0, 1]] and exact(r)
+    assert piv == [0, 1] and dense(r).tolist() == [[1, 0], [0, 1]] and exact(r)
     ns = f.nullspace(f.matrix([[2, 3]]))
-    assert ns.tolist() == [[Fraction(-3, 2)], [1]] and exact(ns)
+    assert dense(ns).tolist() == [[Fraction(-3, 2)], [1]] and exact(ns)
     assert type(ns[0, 0]) is Fraction
 
 
@@ -169,15 +192,15 @@ def test_qq_outputs_on_non_unit_matrices_are_exact():
         r, _ = f.rref(a)
         ns = f.nullspace(a)
         assert exact(r) and exact(ns)
-        assert exact(f.matmul(a, ns)) and exact(f.matmul(a, a.T))
+        assert exact(f.matmul(a, ns)) and exact(f.matmul(a, transpose(f, a)))
 
 
 def test_qq_matrix_turns_numpy_and_bool_entries_into_exact_ones():
     f = QQ()
     a = f.matrix([[np.int64(3), True], [np.int64(-1), False]])
-    assert exact(a) and a.tolist() == [[3, 1], [-1, 0]]
+    assert exact(a) and dense(a).tolist() == [[3, 1], [-1, 0]]
     b = f.matrix(np.array([[2, 0], [0, 5]], dtype=np.int64))
-    assert exact(b) and b.tolist() == [[2, 0], [0, 5]]
+    assert exact(b) and dense(b).tolist() == [[2, 0], [0, 5]]
     assert type(f.scalar(np.int64(4))) in (int, Fraction)
     assert type(f.scalar(True)) in (int, Fraction)
 
@@ -220,11 +243,11 @@ def test_gf_matmul_adds_sums_that_would_overflow_int64_exactly():
     a = f.matrix([[f.p - 1]])
     assert f.matmul(a, a)[0, 0] == 1  # (p-1)^2 fits: (-1)(-1) = 1
     wide = f.matrix([[f.p - 1, f.p - 1]])
-    prod = f.matmul(wide, wide.T)  # 2(p-1)^2 does not fit in int64
-    assert prod.dtype == np.int64 and prod.tolist() == [[2]]
+    prod = f.matmul(wide, transpose(f, wide))  # 2(p-1)^2 does not fit in int64
+    assert type(prod[0, 0]) is int and dense(prod).tolist() == [[2]]
     g = GF(32003)
     big = g.matrix([[g.p - 1] * 64])
-    assert g.matmul(big, big.T)[0, 0] == 64
+    assert g.matmul(big, transpose(g, big))[0, 0] == 64
 
 
 SHAPES = [(0, 0), (0, 3), (4, 0), (1, 1), (2, 5), (5, 2), (6, 6), (9, 12), (14, 7)]
@@ -242,22 +265,23 @@ def test_sparse_elimination_matches_the_dense_reference(field):
         assert a.shape == (m, n)
         r, piv = field.rref(a)
         ns = field.nullspace(a)
-        want_ns = dense_nullspace(field, a)
+        want_ns = dense_nullspace(field, dense(a))
         if isinstance(field, GF):
-            want_r, want_piv = dense_rref_modp(a, field.p)
+            want_r, want_piv = dense_rref_modp(dense(a), field.p)
             want_piv = [int(c) for c in want_piv]
             r2, piv2 = _modp.rref_modp(a, field.p)
-            assert r2.dtype == np.int64 and piv2.dtype == np.int64
-            assert np.array_equal(r2, want_r) and list(piv2) == want_piv
-            assert r.dtype == ns.dtype == np.int64
+            assert all(type(c) is int for c in piv2)
+            assert all(type(x) is int and 0 <= x < field.p for x in entries(r2))
+            assert np.array_equal(dense(r2), want_r) and list(piv2) == want_piv
+            assert all(type(x) is int and 0 <= x < field.p
+                       for x in (*entries(r), *entries(ns)))
         else:
-            want_r, want_piv = dense_rref_qq(a)
-            assert r.dtype == ns.dtype == object
-            assert all(type(x) in (int, Fraction) for x in (*r.flat, *ns.flat))
+            want_r, want_piv = dense_rref_qq(dense(a))
+            assert all(type(x) in (int, Fraction) for x in (*entries(r), *entries(ns)))
         assert all(type(c) is int for c in piv)
         assert piv == want_piv
-        assert r.shape == want_r.shape and np.array_equal(r, want_r)
-        assert ns.shape == want_ns.shape and np.array_equal(ns, want_ns)
+        assert r.shape == want_r.shape and np.array_equal(dense(r), want_r)
+        assert ns.shape == want_ns.shape and np.array_equal(dense(ns), dense(want_ns))
         if ns.shape[1] and m:
             assert field.is_zero_matrix(field.matmul(a, ns))
 
@@ -267,4 +291,43 @@ def test_zero_matrices_reduce_to_themselves():
         z = f.zeros(3, 4)
         r, piv = f.rref(z)
         assert piv == [] and f.is_zero_matrix(r) and r.shape == (3, 4)
-        assert np.array_equal(f.nullspace(z), f.eye(4))
+        assert np.array_equal(dense(f.nullspace(z)), dense(f.eye(4)))
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(101), GF(32003), QQ()],
+                         ids=lambda f: f.name)
+def test_matrices_never_store_a_zero(field):
+    """After `matrix`, `rref`, `nullspace`, `matmul` and a write of zero, no
+    row stores a zero, and every GF(p) entry is an int in [0, p)."""
+    rng = random.Random(29)
+    values = ([1, 2, -1, -2, 3, 5, 7] if isinstance(field, QQ)
+              else [1, 2, -1, field.p, field.p // 2 + 1, 12345])
+
+    def check(a):
+        for x in entries(a):
+            assert x != 0
+            if isinstance(field, GF):
+                assert type(x) is int and 0 <= x < field.p
+            else:
+                assert type(x) in (int, Fraction)
+
+    for m, n in SHAPES + [(rng.randint(1, 10), rng.randint(1, 10)) for _ in range(40)]:
+        a = field.matrix(sparse_random_rows(rng, m, n, values), ncols=n)
+        check(a)
+        check(field.rref(a)[0])
+        ns = field.nullspace(a)
+        check(ns)
+        check(field.matmul(a, ns))
+        check(field.matmul(transpose(field, a), a))
+        for i in range(m):
+            for j in range(n):
+                a[i, j] = 0
+        assert a.shape == (m, n) and not any(a.rows)
+
+
+def test_the_program_imports_without_numpy():
+    src = str(Path(dimertree.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = ("import sys, dimertree.cli, dimertree.oracle; "
+            "sys.exit('numpy' in sys.modules)")
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
