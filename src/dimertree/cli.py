@@ -47,6 +47,17 @@ def _require_valid(q):
     return report
 
 
+def _checkerboard(q, structure, seed=None):
+    """The checkerboard polygon of a quiver that passed validation.  A failure
+    here is the program's, not the input's: exit 3, naming the stage."""
+    try:
+        return cb.build_checkerboard(q, seed_arrow=seed, structure=structure)
+    except cb.CheckerboardError as exc:
+        print(f"internal error: checkerboard construction failed: {exc}",
+              file=sys.stderr)
+        raise SystemExit(EXIT_INTERNAL)
+
+
 def _print_check(c: Check, file=None) -> None:
     print(f"{'pass' if c.passed else 'FAIL'}  {c.name}"
           + (f"  ({c.detail})" if c.detail else ""), file=file)
@@ -103,12 +114,11 @@ def cmd_weights(args) -> int:
 def cmd_polygon(args) -> int:
     q = _load(args.quiver)
     report = _require_valid(q)
-    try:
-        cp = cb.build_checkerboard(q, seed_arrow=args.seed,
-                                   structure=report.structure)
-    except cb.CheckerboardError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+    if args.seed is not None and args.seed not in report.structure.boundary_arrows:
+        print(f"error: --seed {args.seed!r} is not a boundary arrow",
+              file=sys.stderr)
+        return EXIT_BAD_INPUT
+    cp = _checkerboard(q, report.structure, args.seed)
     val = cb.validate_checkerboard(cp, q, report.structure)
     for c in val.items:
         _print_check(c, sys.stdout if c.passed else sys.stderr)
@@ -178,7 +188,7 @@ def _parse_diagonal(spec: str, n: int) -> dg.TwoDiagonal:
 def cmd_resolve(args) -> int:
     q = _load(args.quiver)
     report = _require_valid(q)
-    cp = cb.build_checkerboard(q, structure=report.structure)
+    cp = _checkerboard(q, report.structure)
     d = _parse_diagonal(args.diagonal, cp.half)
     trace = sy.resolution(cp, d, steps=args.steps)
     if args.format == "structured":
@@ -269,7 +279,7 @@ def cmd_all(args) -> int:
     wr = weight_report(q, report.structure)
     note("total_weight_even", wr.total_weight % 2 == 0,
          f"total {wr.total_weight}")
-    cp = cb.build_checkerboard(q, structure=report.structure)
+    cp = _checkerboard(q, report.structure)
     val = cb.validate_checkerboard(cp, q, report.structure)
     note("checkerboard", val.ok, "; ".join(c.name for c in val.failed()))
     tq = dg.ar_quiver(cp.half)

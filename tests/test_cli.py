@@ -99,6 +99,33 @@ def test_polygon_seed_flag_equivalent(capsys, tmp_path):
     assert f1.read_text() == f2.read_text()
 
 
+def test_polygon_seed_that_is_no_boundary_arrow_is_bad_input(capsys):
+    code, _, err = run(capsys, "polygon", fixture_path("q9"), "--seed", "2->3")
+    assert code == 2
+    assert "--seed '2->3' is not a boundary arrow" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("polygon", "q9"),
+    ("resolve", "q9", "--diagonal", "5,12"),
+    ("all", "q9"),
+])
+def test_checkerboard_failure_is_an_internal_error_in_every_command(
+        capsys, monkeypatch, argv):
+    from dimertree import checkerboard as cb
+
+    def fail(*args, **kwargs):
+        raise cb.CheckerboardError("triangle walk closed early")
+
+    monkeypatch.setattr(cb, "build_checkerboard", fail)
+    cmd, fixture, *rest = argv
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, cmd, fixture_path(fixture), *rest)
+    assert exc.value.code == 3
+    err = capsys.readouterr().err
+    assert "checkerboard" in err and "triangle walk closed early" in err
+
+
 def test_diag_by_size(capsys):
     code, out, _ = run(capsys, "diag", "--size", "10")
     assert code == 0
