@@ -229,31 +229,18 @@ def cmd_reduce(args) -> int:
     return EXIT_OK
 
 
-ORACLE_CHECKS = ("schurian", "extension", "radicals", "boundary-ext", "all")
+ORACLE_CHECKS = (*orc.SECTIONS, "all")
 
 
 def cmd_oracle(args) -> int:
     q = _load(args.quiver)
     _require_valid(q)
-    try:
-        field = parse_field_spec(args.field)
-    except FieldError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    field = parse_field_spec(args.field)
     ab = orc.build_algebra(q, field, max_cap=args.cap)
     print(f"algebra over {field.name}: dimension {ab.dimension}, "
           f"stabilization length {ab.stabilization_length}")
-    # looked up through `orc` on each call, so that wrappers patched over
-    # the module's functions (perfbench's tracer) are the ones called
-    sections = {
-        "schurian": (orc.schurian_report,),
-        "extension": (orc.extension_report,),
-        "radicals": (orc.radical_presentation_check, orc.radical_ext_arrow_check,
-                     orc.radical_indecomposability_check),
-        "boundary-ext": (orc.boundary_vanishing_check,),
-    }
-    names = sections if args.check == "all" else (args.check,)
-    items = [c for name in names for fn in sections[name] for c in fn(ab).items]
+    items = orc.section_items(
+        ab, orc.SECTIONS if args.check == "all" else (args.check,))
     failed = [c for c in items if not c.passed]
     for c in items:
         _print_check(c)

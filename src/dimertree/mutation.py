@@ -15,11 +15,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import partial
 
 from .quiver import (
     Arrow,
     Quiver,
     QuiverError,
+    StructureReport,
     analyze_structure,
     build_potential,
     leaf_cycles,
@@ -56,16 +58,16 @@ def _canonical_word(word: tuple[str, ...]) -> tuple[str, ...]:
 class QP:
     quiver: Quiver
     terms: list[PotentialTerm]
-    names: dict[str, str] = field(default_factory=dict)
-
-    def display(self, arrow_id: str) -> str:
-        return self.names.get(arrow_id, arrow_id)
 
     def term_words(self) -> set[tuple[str, ...]]:
         return {_canonical_word(t.word) for t in self.terms}
 
-    def copy(self) -> "QP":
-        return QP(self.quiver, list(self.terms), dict(self.names))
+
+def _dimer_tree_terms(q: Quiver,
+                      structure: StructureReport) -> list[PotentialTerm]:
+    """The chordless cycles of q, signed by the tree-distance convention."""
+    return [PotentialTerm(s, _canonical_word(c.arrows))
+            for s, c in build_potential(q, structure).terms]
 
 
 def qp_from_quiver(q: Quiver) -> QP:
@@ -75,15 +77,25 @@ def qp_from_quiver(q: Quiver) -> QP:
         raise MutationError(
             "not a dimer tree quiver: failed "
             + ", ".join(c.name for c in report.failed()))
-    pot = build_potential(q, report.structure)
-    terms = [PotentialTerm(s, _canonical_word(c.arrows)) for s, c in pot.terms]
-    return QP(q, terms)
+    return QP(q, _dimer_tree_terms(q, report.structure))
 
 
-def _fresh_vertex(qp: QP, base) -> str:
+def _fresh_vertex(q: Quiver, base) -> str:
+    """base', base'', ...: the first that is not a vertex of q."""
     cand = f"{base}'"
-    while cand in set(qp.quiver.vertices):
+    while cand in q.vertices:
         cand += "'"
+    return cand
+
+
+def _fresh_id(used: set[str], base: str) -> str:
+    """base, base#2, base#3, ...: the first not in used, which it joins."""
+    cand = base
+    n = 1
+    while cand in used:
+        n += 1
+        cand = f"{base}#{n}"
+    used.add(cand)
     return cand
 
 
@@ -102,10 +114,9 @@ def qp_mutate(qp: QP, k) -> QP:
     """Mutation at k: composite arrows for the paths through k, arrows at k
     reversed, potential substituted, then reducible 2-cycle terms eliminated."""
     q = qp.quiver
-    if k not in set(q.vertices):
+    if k not in q.vertices:
         raise MutationError(f"unknown vertex {k!r}")
-    ins = [a for a in q.arrows if a.target == k]
-    outs = [a for a in q.arrows if a.source == k]
+    ins, outs = q.in_arrows[k], q.out_arrows[k]
     for a in ins:
         if q.arrow_between(k, a.source) is not None:
             raise MutationError(f"2-cycle through {k!r}; mutation undefined")
@@ -114,29 +125,16 @@ def qp_mutate(qp: QP, k) -> QP:
     reverse: dict[str, str] = {}
     arrows: list[Arrow] = [a for a in q.arrows
                            if a.source != k and a.target != k]
-    names = dict(qp.names)
-    used = {a.id for a in q.arrows}
-
-    def fresh(base: str) -> str:
-        cand = base
-        n = 1
-        while cand in used:
-            n += 1
-            cand = f"{base}#{n}"
-        used.add(cand)
-        return cand
-
+    used = set(q.arrow_by_id)
     for a in ins:
         for b in outs:
-            cid = fresh(f"[{qp.display(a.id)}.{qp.display(b.id)}]")
+            cid = _fresh_id(used, f"[{a.id}.{b.id}]")
             composite[(a.id, b.id)] = cid
             arrows.append(Arrow(cid, a.source, b.target))
-            names[cid] = cid
     for a in ins + outs:
-        rid = fresh(f"{qp.display(a.id)}~")
+        rid = _fresh_id(used, f"{a.id}~")
         reverse[a.id] = rid
         arrows.append(Arrow(rid, a.target, a.source))
-        names[rid] = rid
 
     in_ids = {a.id for a in ins}
     out_ids = {a.id for a in outs}
@@ -172,9 +170,8 @@ def qp_mutate(qp: QP, k) -> QP:
             new_terms.append(PotentialTerm(
                 1, (composite[(a.id, b.id)], reverse[b.id], reverse[a.id])))
 
-    out_q = Quiver([v for v in q.vertices], arrows, name=q.name)
-    result = QP(out_q, new_terms, names)
-    return _reduce_two_cycles(result)
+    out_q = Quiver(q.vertices, arrows, name=q.name)
+    return _reduce_two_cycles(QP(out_q, new_terms))
 
 
 def _reduce_two_cycles(qp: QP) -> QP:
@@ -201,7 +198,7 @@ def _reduce_two_cycles(qp: QP) -> QP:
         if any(c > 1 for _, c in occ_x) or len(occ_x) > 1 \
                 or any(c > 1 for _, c in occ_y) or len(occ_y) > 1:
             raise MutationError(
-                f"irreducible 2-cycle ({qp.display(x)}, {qp.display(y)}): "
+                f"irreducible 2-cycle ({x}, {y}): "
                 "member arrow occurs in more than one further term")
         new_term = None
         if occ_x and occ_y:
@@ -226,7 +223,7 @@ def _reduce_two_cycles(qp: QP) -> QP:
     for t in terms:
         if not _word_is_cyclic_path(out_q, t.word):
             raise MutationError(f"potential term {t.word} is not a cycle")
-    return QP(out_q, terms, dict(qp.names))
+    return QP(out_q, terms)
 
 
 def normalize_signs(qp: QP) -> tuple[QP, list[str]]:
@@ -245,36 +242,14 @@ def normalize_signs(qp: QP) -> tuple[QP, list[str]]:
     for t in qp.terms:
         w = _canonical_word(t.word)
         if want[w] != t.coeff:
-            flips.append("flip sign of cycle "
-                         + "->".join(qp.display(a) for a in w))
+            flips.append("flip sign of cycle " + "->".join(w))
         new_terms.append(PotentialTerm(want[w], w))
-    return QP(qp.quiver, new_terms, dict(qp.names)), flips
-
-
-# ---------------------------------------------------------------------------
-# weight bookkeeping on possibly non-tree intermediates
-# ---------------------------------------------------------------------------
-
-def total_weight_lenient(q: Quiver) -> int:
-    """Total weight from cycle paths; arrows outside all cycles (coextension
-    sockets) are ignored."""
-    return sum(analyze_structure(q).path_weights("cycle").values())
-
-
-def _weights(q: Quiver):
-    structure = analyze_structure(q)
-    w = structure.path_weights("cycle")
-    cw = structure.path_weights("cocycle")
-    return structure, {a: (w[a], cw[a]) for a in w}
+    return QP(qp.quiver, new_terms), flips
 
 
 # ---------------------------------------------------------------------------
 # moves
 # ---------------------------------------------------------------------------
-
-MOVE_KINDS = ("mutate_in_out", "mutate_out_out", "mutate_coextended",
-              "triangle_slide", "remove_3cycle", "one_point_ext",
-              "one_point_coext")
 
 DERIVED = "derived"
 SINGULAR = "singular"
@@ -291,74 +266,66 @@ class Move:
     notes: list[str] = field(default_factory=list)
 
 
+def total_weight_lenient(q: Quiver) -> int:
+    """Total weight from cycle paths; arrows outside all cycles (coextension
+    sockets) are ignored."""
+    return sum(analyze_structure(q).path_weights("cycle").values())
+
+
 def apply_move(qp: QP, kind: str, site: dict) -> tuple[QP, Move]:
     """Apply a named move after checking its weight preconditions; the total
     weight is recomputed and asserted unchanged."""
-    if kind not in MOVE_KINDS:
+    if kind not in _MOVES:
         raise MutationError(f"unknown move kind {kind!r}")
+    move_fn, equivalence = _MOVES[kind]
+    if "vertex" in site and site["vertex"] not in qp.quiver.in_arrows:
+        raise MutationError(f"unknown vertex {site['vertex']!r}")
     before = total_weight_lenient(qp.quiver)
     notes: list[str] = []
-    if kind == "mutate_in_out":
-        out = _move_mutate_in_out(qp, site, notes)
-        equivalence = DERIVED
-    elif kind == "mutate_out_out":
-        out = _move_mutate_out_out(qp, site, notes)
-        equivalence = DERIVED
-    elif kind == "mutate_coextended":
-        out = _move_mutate_coextended(qp, site, notes)
-        equivalence = DERIVED
-    elif kind == "triangle_slide":
-        out = _move_triangle_slide(qp, site, notes)
-        equivalence = SINGULAR
-    elif kind == "remove_3cycle":
-        out = _move_remove_3cycle(qp, site, notes)
-        equivalence = SINGULAR
-    elif kind == "one_point_ext":
-        out = _move_one_point(qp, site, notes, co=False)
-        equivalence = SINGULAR
-    else:
-        out = _move_one_point(qp, site, notes, co=True)
-        equivalence = SINGULAR
+    out = move_fn(qp, site, notes)
     after = total_weight_lenient(out.quiver)
     if after != before:
         raise MutationError(
             f"move {kind} at {site} changed the total weight {before}->{after}")
+    # a one-point (co)extension adds an arrow on no cycle; every other move
+    # must leave a dimer tree quiver
     claims_tree = kind not in ("one_point_ext", "one_point_coext")
-    tree_ok = False
     if claims_tree:
         report = validate_dimer_tree(out.quiver)
-        tree_ok = report.ok
-        if not tree_ok:
+        if not report.ok:
             raise MutationError(
                 f"move {kind} at {site} left an invalid quiver: failed "
                 + ", ".join(c.name for c in report.failed()))
         out, flips = normalize_signs(out)
         notes.extend(flips)
-    move = Move(kind, site, equivalence, before, after, tree_ok, notes)
-    return out, move
+    return out, Move(kind, site, equivalence, before, after, claims_tree, notes)
+
+
+def _check_weights(structure: StructureReport, alpha: str, beta: str,
+                   beta_weight: int) -> None:
+    """alpha and beta must be boundary arrows, alpha of coweight 1 and beta
+    of weight beta_weight."""
+    for a in (alpha, beta):
+        if structure.classification[a] != "boundary":
+            raise MutationError(f"{a} must be a boundary arrow")
+    coweight = structure.path_weights("cocycle")[alpha]
+    if coweight != 1:
+        raise MutationError(f"coweight of {alpha} is {coweight}, need 1")
+    weight = structure.path_weights("cycle")[beta]
+    if weight != beta_weight:
+        raise MutationError(
+            f"weight of {beta} is {weight}, need {beta_weight}")
 
 
 def _move_mutate_in_out(qp: QP, site: dict, notes: list[str]) -> QP:
     """Mutation at a two-valent vertex: the unique in-arrow has coweight 1 and
     the unique out-arrow has weight 2."""
     k = site["vertex"]
-    q = qp.quiver
-    ins = [a for a in q.arrows if a.target == k]
-    outs = [a for a in q.arrows if a.source == k]
+    ins, outs = qp.quiver.in_arrows[k], qp.quiver.out_arrows[k]
     if len(ins) != 1 or len(outs) != 1:
         raise MutationError(
             f"vertex {k!r} is not two-valent (in {len(ins)}, out {len(outs)})")
-    structure, w = _weights(q)
-    alpha, beta = ins[0], outs[0]
-    for a in (alpha, beta):
-        if a.id not in w:
-            raise MutationError(f"arrow {qp.display(a.id)} is not boundary")
-    if w[alpha.id][1] != 1:
-        raise MutationError(
-            f"coweight of {qp.display(alpha.id)} is {w[alpha.id][1]}, need 1")
-    if w[beta.id][0] != 2:
-        raise MutationError(
-            f"weight of {qp.display(beta.id)} is {w[beta.id][0]}, need 2")
+    _check_weights(analyze_structure(qp.quiver), ins[0].id, outs[0].id, 2)
     return qp_mutate(qp, k)
 
 
@@ -367,43 +334,32 @@ def _move_mutate_out_out(qp: QP, site: dict, notes: list[str]) -> QP:
     where one out-cycle closes through a non-boundary path and the other
     continues into an all-boundary cycle."""
     k = site["vertex"]
-    q = qp.quiver
-    ins = [a for a in q.arrows if a.target == k]
-    outs = [a for a in q.arrows if a.source == k]
+    ins, outs = qp.quiver.in_arrows[k], qp.quiver.out_arrows[k]
     if len(ins) != 1 or len(outs) != 2:
         raise MutationError(
             f"vertex {k!r} has in {len(ins)}, out {len(outs)}; need 1 and 2")
-    structure, w = _weights(q)
-    gamma = ins[0]
-    if not all(o.id in w for o in outs):
+    structure = analyze_structure(qp.quiver)
+    kind = structure.classification
+    if not all(kind[o.id] == "boundary" for o in outs):
         raise MutationError(f"out-arrows at {k!r} must be boundary arrows")
-    ok_assignment = False
+    through_gamma = structure.cycles_of_arrow(ins[0].id)
     for alpha, beta in (outs, outs[::-1]):
-        ca = [c for c in structure.cycles
-              if gamma.id in c.arrows and alpha.id in c.arrows]
-        cb = [c for c in structure.cycles
-              if gamma.id in c.arrows and beta.id in c.arrows]
+        ca = [c for c in through_gamma if alpha.id in c.arrows]
+        cb = [c for c in through_gamma if beta.id in c.arrows]
         if len(ca) != 1 or len(cb) != 1:
             continue
         # v completes gamma*alpha; it must not be a single boundary arrow
-        va = [a for a in ca[0].arrows if a not in (gamma.id, alpha.id)]
-        if len(va) == 1 and structure.classification[va[0]] == "boundary":
+        va = [a for a in ca[0].arrows if a not in (ins[0].id, alpha.id)]
+        if len(va) == 1 and kind[va[0]] == "boundary":
             continue
         # sigma follows beta in its cycle; sigma's other cycle is all boundary
         sigma = cb[0].successor_in(beta.id)
-        osig = [c for c in structure.cycles
-                if sigma in c.arrows and c is not cb[0]]
-        if len(osig) != 1:
-            continue
-        rest = [a for a in osig[0].arrows if a != sigma]
-        if not all(structure.classification[a] == "boundary" for a in rest):
-            continue
-        ok_assignment = True
-        break
-    if not ok_assignment:
-        raise MutationError(
-            f"pattern for the double-out mutation not found at {k!r}")
-    return qp_mutate(qp, k)
+        osig = [c for c in structure.cycles_of_arrow(sigma) if c is not cb[0]]
+        if len(osig) == 1 and all(kind[a] == "boundary"
+                                  for a in osig[0].arrows if a != sigma):
+            return qp_mutate(qp, k)
+    raise MutationError(
+        f"pattern for the double-out mutation not found at {k!r}")
 
 
 def _move_mutate_coextended(qp: QP, site: dict, notes: list[str]) -> QP:
@@ -411,15 +367,11 @@ def _move_mutate_coextended(qp: QP, site: dict, notes: list[str]) -> QP:
     socket arrow extends every path, the reversed companion needs coweight 1."""
     k = site["vertex"]
     socket = site["socket"]
-    q = qp.quiver
-    ins = [a for a in q.arrows if a.target == k]
-    outs = [a for a in q.arrows if a.source == k]
-    if len(ins) != 1:
+    if len(qp.quiver.in_arrows[k]) != 1:
         raise MutationError(f"vertex {k!r} must have a single in-arrow")
-    if socket not in {a.id for a in outs}:
+    if socket not in {a.id for a in qp.quiver.out_arrows[k]}:
         raise MutationError(f"socket {socket!r} does not leave {k!r}")
-    structure = analyze_structure(q)
-    if structure.classification[socket] != "none":
+    if analyze_structure(qp.quiver).classification[socket] != "none":
         raise MutationError(f"socket {socket!r} lies on a cycle")
     return qp_mutate(qp, k)
 
@@ -430,81 +382,52 @@ def _move_triangle_slide(qp: QP, site: dict, notes: list[str]) -> QP:
     side, on a fresh vertex.  Singular equivalence; the interior path u of the
     outer cycle may be empty."""
     q = qp.quiver
-    rho = q.arrow_by_id[site["rho"]]
-    sigma = q.arrow_by_id[site["sigma"]]
-    alpha = q.arrow_by_id[site["alpha"]]
-    beta = q.arrow_by_id[site["beta"]]
-    gamma = q.arrow_by_id[site["gamma"]]
-    v1, v2 = rho.source, rho.target
-    v4 = sigma.target
-    v3 = beta.target
-    v5 = gamma.target
+    rho, sigma, alpha, beta, gamma = (
+        q.arrow_by_id[site[key]]
+        for key in ("rho", "sigma", "alpha", "beta", "gamma"))
+    v2, v3, v4, v5 = rho.target, beta.target, sigma.target, gamma.target
     if sigma.source != v2 or alpha.source != v3 or alpha.target != v2 \
             or beta.source != v4 or gamma.source != v4:
         raise MutationError("triangle-slide arrows do not close up")
-    structure, w = _weights(q)
+    structure = analyze_structure(q)
     for a in (alpha, beta, gamma):
         if structure.classification[a.id] != "boundary":
-            raise MutationError(
-                f"{qp.display(a.id)} must be a boundary arrow")
+            raise MutationError(f"{a.id} must be a boundary arrow")
     for a in (rho, sigma):
         if structure.classification[a.id] != "interior":
-            raise MutationError(
-                f"{qp.display(a.id)} must be an interior arrow")
-    tri = next((c for c in structure.cycles
-                if set(c.arrows) == {sigma.id, beta.id, alpha.id}), None)
-    if tri is None:
+            raise MutationError(f"{a.id} must be an interior arrow")
+    if not any(set(c.arrows) == {sigma.id, beta.id, alpha.id}
+               for c in structure.cycles_of_arrow(sigma.id)):
         raise MutationError("no triangle on sigma, beta, alpha")
-    outer = next((c for c in structure.cycles
-                  if rho.id in c.arrows and sigma.id in c.arrows
-                  and gamma.id in c.arrows), None)
+    outer = next((c for c in structure.cycles_of_arrow(rho.id)
+                  if sigma.id in c.arrows and gamma.id in c.arrows), None)
     if outer is None:
         raise MutationError("no outer cycle on rho, sigma, gamma")
     # path u completes the outer cycle after gamma and before rho
     word = outer.arrows
     i = word.index(gamma.id)
     rest = word[i + 1:] + word[:i + 1]
-    j = rest.index(rho.id)
-    u_ids = rest[:j]
+    u_ids = rest[:rest.index(rho.id)]
 
-    names = dict(qp.names)
-    used = set(q.arrow_by_id) | set(names)
-
-    def fresh(base):
-        cand = base
-        n = 1
-        while cand in used:
-            n += 1
-            cand = f"{base}#{n}"
-        used.add(cand)
-        return cand
-
-    v3p = _fresh_vertex(qp, v3)
-    sigma_r = fresh(f"{qp.display(sigma.id)}~")
-    eps = fresh(f"[{qp.display(sigma.id)}.{qp.display(v3p)}]")
-    delta_r = fresh(f"{v3p}>{qp.display(beta.id)}~")
-    gamma_r = fresh(f"{qp.display(gamma.id)}~")
+    used = set(q.arrow_by_id)
+    v3p = _fresh_vertex(q, v3)
+    sigma_r = _fresh_id(used, f"{sigma.id}~")
+    eps = _fresh_id(used, f"[{sigma.id}.{v3p}]")
+    delta_r = _fresh_id(used, f"{v3p}>{beta.id}~")
+    gamma_r = _fresh_id(used, f"{gamma.id}~")
     removed = {sigma.id, alpha.id, beta.id, gamma.id}
-    arrows = [a for a in q.arrows if a.id not in removed]
-    arrows.append(Arrow(sigma_r, v4, v2))
-    arrows.append(Arrow(eps, v2, v3p))
-    arrows.append(Arrow(delta_r, v3p, v4))
-    arrows.append(Arrow(gamma_r, v5, v4))
     if not u_ids:
         # the outer cycle was a triangle: rho is consumed and gamma reversed
         # closes through the old rho cycle
-        arrows = [a for a in arrows if a.id != rho.id]
-    else:
-        comp = fresh(f"[{qp.display(sigma.id)}.{qp.display(gamma.id)}]")
-        arrows.append(Arrow(comp, v2, v5))
-    vertices = [v for v in q.vertices if v != v3] + [v3p]
-    out_q = Quiver(vertices, arrows, name=q.name)
-    for nid in (sigma_r, eps, delta_r, gamma_r):
-        names[nid] = nid
-    out = QP(out_q, [], names)
-    structure2 = analyze_structure(out_q)
-    out.terms = [PotentialTerm(s, _canonical_word(c.arrows))
-                 for s, c in build_potential(out_q, structure2).terms]
+        removed.add(rho.id)
+    arrows = [a for a in q.arrows if a.id not in removed]
+    arrows += [Arrow(sigma_r, v4, v2), Arrow(eps, v2, v3p),
+               Arrow(delta_r, v3p, v4), Arrow(gamma_r, v5, v4)]
+    if u_ids:
+        arrows.append(Arrow(_fresh_id(used, f"[{sigma.id}.{gamma.id}]"), v2, v5))
+    out_q = Quiver([v for v in q.vertices if v != v3] + [v3p], arrows,
+                   name=q.name)
+    out = QP(out_q, _dimer_tree_terms(out_q, analyze_structure(out_q)))
     notes.append(f"replaced vertex {v3!r} by {v3p!r}")
     site["new_vertex"] = v3p
     return out
@@ -522,26 +445,16 @@ def _move_remove_3cycle(qp: QP, site: dict, notes: list[str]) -> QP:
     closing = q.arrow_between(beta.target, alpha.source)
     if closing is None:
         raise MutationError("no closing arrow for the 3-cycle")
-    structure, w = _weights(q)
-    for a in (alpha, beta):
-        if structure.classification[a.id] != "boundary":
-            raise MutationError(f"{qp.display(a.id)} must be boundary")
-    if w[alpha.id][1] != 1:
-        raise MutationError(
-            f"coweight of {qp.display(alpha.id)} is {w[alpha.id][1]}, need 1")
-    if w[beta.id][0] != 1:
-        raise MutationError(
-            f"weight of {qp.display(beta.id)} is {w[beta.id][0]}, need 1")
-    if len([c for c in structure.cycles
-            if set(c.arrows) == {alpha.id, beta.id, closing.id}]) != 1:
+    structure = analyze_structure(q)
+    _check_weights(structure, alpha.id, beta.id, 1)
+    triangle = {alpha.id, beta.id, closing.id}
+    if sum(1 for c in structure.cycles_of_arrow(alpha.id)
+           if set(c.arrows) == triangle) != 1:
         raise MutationError("alpha, beta do not bound a 3-cycle")
-    arrows = [a for a in q.arrows if a.id not in (alpha.id, beta.id)]
-    vertices = [v for v in q.vertices if v != k]
-    out_q = Quiver(vertices, arrows, name=q.name)
-    out = QP(out_q, [], dict(qp.names))
-    structure2 = analyze_structure(out_q)
-    out.terms = [PotentialTerm(s, _canonical_word(c.arrows))
-                 for s, c in build_potential(out_q, structure2).terms]
+    out_q = Quiver([v for v in q.vertices if v != k],
+                   [a for a in q.arrows if a.id not in (alpha.id, beta.id)],
+                   name=q.name)
+    out = QP(out_q, _dimer_tree_terms(out_q, analyze_structure(out_q)))
     notes.append(f"removed vertex {k!r}")
     return out
 
@@ -551,22 +464,35 @@ def _move_one_point(qp: QP, site: dict, notes: list[str], co: bool) -> QP:
     relation-free arrow; the potential is untouched."""
     v = site["vertex"]
     q = qp.quiver
-    if v not in set(q.vertices):
-        raise MutationError(f"unknown vertex {v!r}")
-    vp = _fresh_vertex(qp, v)
+    vp = _fresh_vertex(q, v)
     aid = f"{v}->{vp}" if co else f"{vp}->{v}"
     arrow = Arrow(aid, v, vp) if co else Arrow(aid, vp, v)
-    out_q = Quiver(list(q.vertices) + [vp], list(q.arrows) + [arrow],
-                   name=q.name)
+    out_q = Quiver(q.vertices + (vp,), q.arrows + (arrow,), name=q.name)
     notes.append(f"new vertex {vp!r}, socket {aid}")
     site["new_vertex"] = vp
     site["socket"] = aid
-    return QP(out_q, list(qp.terms), dict(qp.names))
+    return QP(out_q, list(qp.terms))
+
+
+# kind -> (move, equivalence); derived equivalences are the mutations
+_MOVES = {
+    "mutate_in_out": (_move_mutate_in_out, DERIVED),
+    "mutate_out_out": (_move_mutate_out_out, DERIVED),
+    "mutate_coextended": (_move_mutate_coextended, DERIVED),
+    "triangle_slide": (_move_triangle_slide, SINGULAR),
+    "remove_3cycle": (_move_remove_3cycle, SINGULAR),
+    "one_point_ext": (partial(_move_one_point, co=False), SINGULAR),
+    "one_point_coext": (partial(_move_one_point, co=True), SINGULAR),
+}
+MOVE_KINDS = tuple(_MOVES)
 
 
 # ---------------------------------------------------------------------------
 # reduction driver
 # ---------------------------------------------------------------------------
+
+MAX_STEPS = 10000       # moves before a reduction is abandoned
+
 
 @dataclass
 class TraceStep:
@@ -586,7 +512,7 @@ class ReductionTrace:
             "initial": self.initial,
             "steps": [{
                 "move": s.move.kind,
-                "site": {k: v for k, v in s.move.site.items()},
+                "site": dict(s.move.site),
                 "equivalence": s.move.equivalence,
                 "total_weight_before": s.move.weight_before,
                 "total_weight_after": s.move.weight_after,
@@ -606,24 +532,20 @@ def _quiver_doc(q: Quiver) -> dict:
     }
 
 
-def _leaf_vseq(qp: QP):
-    """Pick the working leaf cycle and list its vertices starting with the
-    interior arrow's source."""
-    structure = analyze_structure(qp.quiver)
-    interior = set(structure.interior_arrows)
+def _leaf_vseq(q: Quiver) -> list:
+    """The vertices of the working leaf cycle of a quiver with more than one
+    cycle, starting with the source of the leaf's interior arrow."""
+    structure = analyze_structure(q)
     leaves = leaf_cycles(structure)
     if not leaves:
         raise MutationError("no leaf cycle available")
     leaf = min(leaves, key=lambda c: c.key)
-    if len(structure.cycles) == 1:
-        return structure, leaf, list(leaf.vertices)
-    gam = next(a for a in leaf.arrows if a in interior)
-    i = leaf.arrows.index(gam)
-    verts = list(leaf.vertices[i:]) + list(leaf.vertices[:i])
-    return structure, leaf, verts
+    interior = set(structure.interior_arrows)
+    i = next(i for i, a in enumerate(leaf.arrows) if a in interior)
+    return list(leaf.vertices[i:]) + list(leaf.vertices[:i])
 
 
-def reduce_to_cycle(q: Quiver, max_steps: int = 10000) -> ReductionTrace:
+def reduce_to_cycle(q: Quiver) -> ReductionTrace:
     """Shrink a dimer tree quiver to a single chordless cycle by derived and
     singular equivalences, recording every move and auditing the weight."""
     qp = qp_from_quiver(q)
@@ -633,7 +555,7 @@ def reduce_to_cycle(q: Quiver, max_steps: int = 10000) -> ReductionTrace:
 
     def do(kind, site):
         nonlocal qp
-        if len(steps) >= max_steps:
+        if len(steps) >= MAX_STEPS:
             raise ReductionError("reduction exceeded the step budget", trace)
         try:
             qp, move = apply_move(qp, kind, site)
@@ -641,14 +563,11 @@ def reduce_to_cycle(q: Quiver, max_steps: int = 10000) -> ReductionTrace:
             raise ReductionError(str(exc), trace) from exc
         steps.append(TraceStep(move, _quiver_doc(qp.quiver)))
 
-    while True:
-        structure = analyze_structure(qp.quiver)
-        if len(structure.cycles) == 1:
-            break
-        _, leaf, vseq = _leaf_vseq(qp)
+    while len(analyze_structure(qp.quiver).cycles) > 1:
+        vseq = _leaf_vseq(qp.quiver)
         # phase: process this leaf until the cycle count drops
         while True:
-            structure, w = _weights(qp.quiver)
+            structure = analyze_structure(qp.quiver)
             m = len(vseq)
             v1, v2, v3 = vseq[0], vseq[1], vseq[2]
             gamma = qp.quiver.arrow_between(v1, v2)
@@ -656,25 +575,24 @@ def reduce_to_cycle(q: Quiver, max_steps: int = 10000) -> ReductionTrace:
             if gamma is None or alpha is None:
                 raise ReductionError(
                     f"leaf bookkeeping lost arrows at {vseq}", trace)
-            if w.get(alpha.id, (0, 0))[1] == 2:
+            if structure.path_weights("cocycle").get(alpha.id) == 2:
                 # coextension socket, then mutation at v3 turns the coweight
                 site = {"vertex": v3}
                 do("one_point_coext", site)
-                socket = site["socket"]
-                do("mutate_coextended", {"vertex": v3, "socket": socket})
+                do("mutate_coextended", {"vertex": v3, "socket": site["socket"]})
                 if m >= 4:
                     for v in vseq[3:]:
                         do("mutate_out_out", {"vertex": v})
                     vseq = [vseq[-1], v2, site["new_vertex"], v3] + vseq[3:-1]
                 else:
                     vseq = [v3, v2, site["new_vertex"]]
-                structure, w = _weights(qp.quiver)
                 alpha2 = qp.quiver.arrow_between(vseq[1], vseq[2])
-                if alpha2 is None or w.get(alpha2.id, (0, 0))[1] != 1:
+                if alpha2 is None or analyze_structure(qp.quiver).path_weights(
+                        "cocycle").get(alpha2.id) != 1:
                     raise ReductionError(
                         "coweight still 2 after the coextension detour", trace)
                 continue
-            if m > 4:
+            if m >= 4:
                 do("mutate_in_out", {"vertex": v3})
                 site = _slide_site_after_mutation(qp, v1, v2, vseq[3])
                 do("triangle_slide", site)
@@ -682,26 +600,18 @@ def reduce_to_cycle(q: Quiver, max_steps: int = 10000) -> ReductionTrace:
                     do("mutate_out_out", {"vertex": v})
                 vseq = [vseq[-1], v2, site["new_vertex"]] + vseq[3:-1]
                 continue
-            if m == 4:
-                do("mutate_in_out", {"vertex": v3})
-                site = _slide_site_after_mutation(qp, v1, v2, vseq[3])
-                do("triangle_slide", site)
-                vseq = [vseq[3], v2, site["new_vertex"]]
-                continue
             # m == 3 endgame: delete or absorb the triangle
             beta = qp.quiver.arrow_between(v3, v1)
             if beta is None:
                 raise ReductionError(f"no closing arrow at {vseq}", trace)
-            if w.get(beta.id, (0, 0))[0] == 1:
+            if structure.path_weights("cycle").get(beta.id) == 1:
                 do("remove_3cycle", {"alpha": alpha.id, "beta": beta.id})
             else:
                 do("mutate_in_out", {"vertex": v3})
             break
 
-    structure = analyze_structure(qp.quiver)
-    final_cycle = structure.cycles[0]
     trace.final = _quiver_doc(qp.quiver)
-    trace.final_cycle_length = len(final_cycle)
+    trace.final_cycle_length = len(analyze_structure(qp.quiver).cycles[0])
     return trace
 
 
@@ -713,15 +623,14 @@ def _slide_site_after_mutation(qp: QP, v1, v2, v4) -> dict:
     if rho is None or sigma is None:
         raise MutationError("slide pattern: rho or sigma missing")
     structure = analyze_structure(q)
-    tri = next((c for c in structure.cycles
-                if sigma.id in c.arrows and len(c) == 3
-                and rho.id not in c.arrows), None)
+    tri = next((c for c in structure.cycles_of_arrow(sigma.id)
+                if len(c) == 3 and rho.id not in c.arrows), None)
     if tri is None:
         raise MutationError("slide pattern: no triangle at sigma")
     beta = tri.successor_in(sigma.id)
     alpha = tri.successor_in(beta)
-    outer = next((c for c in structure.cycles
-                  if rho.id in c.arrows and sigma.id in c.arrows), None)
+    outer = next((c for c in structure.cycles_of_arrow(rho.id)
+                  if sigma.id in c.arrows), None)
     if outer is None:
         raise MutationError("slide pattern: no outer cycle")
     gamma = outer.successor_in(sigma.id)

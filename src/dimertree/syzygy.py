@@ -28,16 +28,9 @@ class SyzygyObject:
 
 
 @dataclass
-class ResolutionStep:
-    diagonal: TwoDiagonal
-    p0: tuple
-    p1: tuple
-
-
-@dataclass
 class ResolutionTrace:
     start: TwoDiagonal
-    steps: list[ResolutionStep]
+    steps: list[SyzygyObject]       # the cached presentations; do not mutate
     minimal_period: int
     gluing_ok: bool
 
@@ -79,12 +72,12 @@ def resolution(cp: CheckerboardPolygon, diagonal: TwoDiagonal,
     period = len(orbit)
     count = steps if steps is not None else period
     prev_obj = presentation_of(cp, d0)
-    trace = [ResolutionStep(d0, prev_obj.p0, prev_obj.p1)]
+    trace = [prev_obj]
     gluing_ok = True
     for i in range(1, count + 1):
         cur = orbit[i % period]
         obj = presentation_of(cp, cur)
-        trace.append(ResolutionStep(cur, obj.p0, obj.p1))
+        trace.append(obj)
         if obj.p0 != prev_obj.p1:
             gluing_ok = False
         prev_obj = obj

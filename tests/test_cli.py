@@ -215,8 +215,7 @@ def test_oracle_all_is_the_four_sections_in_order(capsys, fixture):
                                           "boundary-ext")
                      for line in check_lines(section)]
     report = orc.full_oracle_report(orc.build_algebra(load_fixture(fixture)))
-    assert (sorted(line.split()[1] for line in whole)
-            == sorted(c.name for c in report.items))
+    assert [line.split()[1] for line in whole] == [c.name for c in report.items]
 
 
 def test_oracle_field_flag(capsys):

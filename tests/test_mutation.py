@@ -1,9 +1,12 @@
+import hashlib
+import random
+
 import pytest
 
 from dimertree import mutation as mu
 from dimertree.quiver import analyze_structure, validate_dimer_tree, weight_report
 
-from conftest import cycle_quiver, glued_dimer_tree, parse_json_quiver
+from conftest import cycle_quiver, glued_dimer_tree, load_fixture, parse_json_quiver
 
 
 def case2_m3_quiver():
@@ -263,3 +266,48 @@ def test_reduce_glued_trees_randomized():
         wr = weight_report(q)
         tr = mu.reduce_to_cycle(q)
         assert tr.final_cycle_length == wr.half, (lengths, attach)
+
+
+# sha256 of `trace_to_json(reduce_to_cycle(q))`, recorded before the move
+# engine was flattened.  Any change to an arrow or vertex id, a site, a note,
+# an equivalence or the order of the moves changes a digest.
+TRACE_SHA256 = {
+    "q9": "ea0258c273d6fc2dedc0fa4e1a50c7f503f55c3877bee8866d996ba874354973",
+    "q7": "bd249f7701468dbc160ba7f667bdd9d157be524d79eb649f45e2c24e3f24b877",
+    "c3": "cfd56040d2eb6a10fd946fbe47dd2289bcf901679047d7590e1e041bdd17008a",
+    "c4": "c7e23d0bb5b94ec0483573f6ad56b6f9e158acb98accd5afd5ca7eef6de0a577",
+    "c5": "cdd0fa24626bb7f040ca0f94f9bd086c52dac0874f5e92aab2475aae31df2a3e",
+    "c6": "a02b969d2a61882e4bf7a57136d03b035d291cd07a4396dcf72ee7a4213ab629",
+    "c7": "48981889662871a9311a2702000ce2640b09729c9029471f8b595efd4834cbb6",
+    "c8": "d76e2f729d7ca0f4148d455e59943ca9bdca41ebf48532dab9c3c731f4c25e2e",
+    "glued_k2": "6233c779eed2d89b62558513137c5005a14263a2d5ece6848dfcb8d62dd001ce",
+    "glued_k3": "f89de60427e5b0f707b35574d597091a00de7c19f0139767401ed896633601f9",
+    "glued_k4": "10aa2d0e9151a16a876adeeef4e24c84d4b9a73e4b4ba7e0fe09c780a83dadef",
+    "glued_k5": "abbe0720c6ff5ee582fb49ac30fe700b54ca8e376d1565f58ca6badc0278126a",
+    "glued_k6": "4ff8fbc60e886df0bf5a1367b407d6e33dc51f236f7b13f5e3981a970fc9ea6c",
+    "glued_k7": "0f94ec11db5506acc57c1d3adc4a472791b056548646a49ee579b7af0907829c",
+    "glued_k8": "13b8aea581d50c124a30c2b43d10c23b362313d226746426f5a70475059493cd",
+}
+
+
+def pinned_quivers():
+    """The 8 fixtures, then seeded glued trees with k = 2, ..., 8 cycles of
+    lengths 3 to 6."""
+    for name in ("q9", "q7", "c3", "c4", "c5", "c6", "c7", "c8"):
+        yield name, load_fixture(name)
+    rng = random.Random(2021)
+    for k in range(2, 9):
+        lengths = [rng.randint(3, 6) for _ in range(k)]
+        attach = [rng.randint(0, 100) for _ in range(k - 1)]
+        yield f"glued_k{k}", glued_dimer_tree(lengths, attach)
+
+
+def test_reduce_traces_are_byte_identical_to_the_pinned_ones():
+    digests, kinds = {}, set()
+    for name, q in pinned_quivers():
+        tr = mu.reduce_to_cycle(q)
+        digests[name] = hashlib.sha256(mu.trace_to_json(tr).encode()).hexdigest()
+        kinds.update(s.move.kind for s in tr.steps)
+    assert digests == TRACE_SHA256
+    # every kind of move reduce_to_cycle makes is pinned; it makes no one_point_ext
+    assert kinds == set(mu.MOVE_KINDS) - {"one_point_ext"}
