@@ -121,6 +121,10 @@ class CheckerboardPolygon:
     # must not change once a presentation has been read
     presentations: dict = field(default_factory=dict, init=False,
                                 repr=False, compare=False)
+    # diagonal -> (its rotation orbit, its position there), filled by
+    # syzygy.resolution under the same condition
+    orbits: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     @property
     def half(self) -> int:

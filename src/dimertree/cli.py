@@ -64,11 +64,16 @@ def _print_check(c: Check, file=None) -> None:
 
 
 def _emit(text: str, out: str | None):
-    if out:
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        print(f"error: cannot write {out}: {exc.strerror or exc}",
+              file=sys.stderr)
+        raise SystemExit(EXIT_BAD_INPUT)
 
 
 def cmd_validate(args) -> int:
@@ -177,8 +182,14 @@ def cmd_diag(args) -> int:
 
 
 def _parse_diagonal(spec: str, n: int) -> dg.TwoDiagonal:
+    """A diagonal of the 2n-gon from "a,b"; labels run 1..2n, and
+    `make_diagonal` would otherwise read any other label modulo 2n."""
     try:
         a, b = (int(x) for x in spec.split(","))
+        for label in (a, b):
+            if not 1 <= label <= 2 * n:
+                raise dg.DiagonalError(
+                    f"label {label} is outside 1..{2 * n}")
         return dg.make_diagonal(a, b, n)
     except (ValueError, dg.DiagonalError) as exc:
         print(f"error: bad diagonal {spec!r}: {exc}", file=sys.stderr)

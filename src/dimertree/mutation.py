@@ -50,8 +50,9 @@ class PotentialTerm:
 
 
 def _canonical_word(word: tuple[str, ...]) -> tuple[str, ...]:
-    best = min(range(len(word)), key=lambda i: word[i:] + word[:i])
-    return word[best:] + word[:best]
+    """The least rotation of a cyclic word; it starts at the least id."""
+    first = min(word)
+    return min(word[i:] + word[:i] for i, a in enumerate(word) if a == first)
 
 
 @dataclass
@@ -170,7 +171,7 @@ def qp_mutate(qp: QP, k) -> QP:
             new_terms.append(PotentialTerm(
                 1, (composite[(a.id, b.id)], reverse[b.id], reverse[a.id])))
 
-    out_q = Quiver(q.vertices, arrows, name=q.name)
+    out_q = Quiver(q.vertices, arrows, name=q.name, parent=q)
     return _reduce_two_cycles(QP(out_q, new_terms))
 
 
@@ -219,7 +220,7 @@ def _reduce_two_cycles(qp: QP) -> QP:
             terms.append(new_term)
     q = qp.quiver
     out_q = Quiver(q.vertices, [arrows[a.id] for a in q.arrows
-                                if a.id in arrows], name=q.name)
+                                if a.id in arrows], name=q.name, parent=q)
     for t in terms:
         if not _word_is_cyclic_path(out_q, t.word):
             raise MutationError(f"potential term {t.word} is not a cycle")
@@ -230,17 +231,17 @@ def normalize_signs(qp: QP) -> tuple[QP, list[str]]:
     """Renormalize term signs to the alternating tree-distance convention.
     Requires the term words to be exactly the chordless cycles."""
     structure = analyze_structure(qp.quiver)
-    cycles = {_canonical_word(c.arrows): c for c in structure.cycles}
-    if set(cycles) != qp.term_words():
+    words = [_canonical_word(t.word) for t in qp.terms]
+    cycle_words = [_canonical_word(c.arrows) for c in structure.cycles]
+    if set(words) != set(cycle_words):
         raise MutationError(
             "potential terms do not match the chordless cycles; "
             "cannot renormalize")
     pot = build_potential(qp.quiver, structure)
-    want = {_canonical_word(c.arrows): s for s, c in pot.terms}
+    want = {w: pot.sign_of(c) for w, c in zip(cycle_words, structure.cycles)}
     flips = []
     new_terms = []
-    for t in qp.terms:
-        w = _canonical_word(t.word)
+    for t, w in zip(qp.terms, words):
         if want[w] != t.coeff:
             flips.append("flip sign of cycle " + "->".join(w))
         new_terms.append(PotentialTerm(want[w], w))
@@ -426,7 +427,7 @@ def _move_triangle_slide(qp: QP, site: dict, notes: list[str]) -> QP:
     if u_ids:
         arrows.append(Arrow(_fresh_id(used, f"[{sigma.id}.{gamma.id}]"), v2, v5))
     out_q = Quiver([v for v in q.vertices if v != v3] + [v3p], arrows,
-                   name=q.name)
+                   name=q.name, parent=q)
     out = QP(out_q, _dimer_tree_terms(out_q, analyze_structure(out_q)))
     notes.append(f"replaced vertex {v3!r} by {v3p!r}")
     site["new_vertex"] = v3p
@@ -453,7 +454,7 @@ def _move_remove_3cycle(qp: QP, site: dict, notes: list[str]) -> QP:
         raise MutationError("alpha, beta do not bound a 3-cycle")
     out_q = Quiver([v for v in q.vertices if v != k],
                    [a for a in q.arrows if a.id not in (alpha.id, beta.id)],
-                   name=q.name)
+                   name=q.name, parent=q)
     out = QP(out_q, _dimer_tree_terms(out_q, analyze_structure(out_q)))
     notes.append(f"removed vertex {k!r}")
     return out
@@ -467,7 +468,8 @@ def _move_one_point(qp: QP, site: dict, notes: list[str], co: bool) -> QP:
     vp = _fresh_vertex(q, v)
     aid = f"{v}->{vp}" if co else f"{vp}->{v}"
     arrow = Arrow(aid, v, vp) if co else Arrow(aid, vp, v)
-    out_q = Quiver(q.vertices + (vp,), q.arrows + (arrow,), name=q.name)
+    out_q = Quiver(q.vertices + (vp,), q.arrows + (arrow,), name=q.name,
+                   parent=q)
     notes.append(f"new vertex {vp!r}, socket {aid}")
     site["new_vertex"] = vp
     site["socket"] = aid

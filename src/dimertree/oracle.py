@@ -10,7 +10,8 @@ Everything the oracle builds from an algebra is built once and kept on its
 `AlgebraBasis`: the projectives and radicals of projectives, the towers
 (direct sums of projectives, one per summand list), the minimal
 presentations of the radicals with the next resolution step of each
-(`ModulePresentation._next`), and the boundary vanishing report.  Callers
+(`ModulePresentation._next`), and the boundary vanishing report.  Each
+`Rep` keeps its projective cover (`cover_map`) once computed.  Callers
 must not mutate a cached object.  A `Rep` refers to its algebra weakly, so
 the caches go with the algebra; a `Rep` is usable only while its algebra is
 alive, and raises `OracleError` after.
@@ -366,6 +367,7 @@ class Rep:
         self.act = act
         self.labels = labels or {}
         self._word_cache: dict[tuple, object] = {}
+        self._cover: tuple | None = None
 
     @property
     def ab(self) -> AlgebraBasis:
@@ -575,9 +577,17 @@ def top_generators(rep: Rep) -> dict[object, list]:
 
 
 def cover_map(ab: AlgebraBasis, rep: Rep):
-    """Projective cover tower -> rep.
+    """Projective cover tower -> rep, where rep is a module over ab.
 
-    Returns (summand vertices, vertex-wise matrices, tower rep, generators)."""
+    Returns (summand vertices, vertex-wise matrices, tower rep, generators).
+    It is computed on the first call and kept on `rep`, so callers must not
+    mutate it."""
+    if rep._cover is None:
+        rep._cover = _cover_map(ab, rep)
+    return rep._cover
+
+
+def _cover_map(ab: AlgebraBasis, rep: Rep):
     F = ab.field
     gens = top_generators(rep)
     summands: list = []

@@ -35,10 +35,15 @@ class Arrow:
 
 class Quiver:
     """Immutable quiver with ordered vertices and arrows; derived structure
-    (see `analyze_structure`) is computed once and cached on it."""
+    (see `analyze_structure`) is computed once and cached on it.
+
+    `parent` is the quiver this one was edited from, if any.  The nearest
+    analysed one of it and its own kept parent is kept while this quiver is
+    unanalysed; the analysis then derives this quiver's cycles from that
+    parent's (see `chordless_cycles`) and drops the reference."""
 
     def __init__(self, vertices: Iterable[VertexId], arrows: Iterable[Arrow],
-                 name: str = ""):
+                 name: str = "", parent: Quiver | None = None):
         self.name = name
         self.vertices: tuple[VertexId, ...] = tuple(vertices)
         self.arrows: tuple[Arrow, ...] = tuple(arrows)
@@ -49,6 +54,9 @@ class Quiver:
         # by check_well_formed, not here
         self._arrow_index: dict[tuple[VertexId, VertexId], Arrow] = {}
         self._structure: StructureReport | None = None
+        if parent is not None and parent._structure is None:
+            parent = parent._parent
+        self._parent: Quiver | None = parent
         vset = set(self.vertices)
         if len(vset) != len(self.vertices):
             raise QuiverError("duplicate vertex ids")
@@ -210,86 +218,120 @@ class ChordlessCycle:
     """Oriented cycle whose induced subquiver is the cycle itself."""
     arrows: tuple[str, ...]           # arrow ids in cycle order
     vertices: tuple[VertexId, ...]    # induced vertex cycle, same order
+    # the sorted vertex keys, comparable across int and string vertex ids
+    key: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "key",
+                           tuple(sorted(_vkey(v) for v in self.vertices)))
 
     def __len__(self) -> int:
         return len(self.arrows)
-
-    @property
-    def key(self) -> tuple:
-        # comparable across int and string vertex ids
-        return tuple(sorted(_vkey(v) for v in self.vertices))
 
     def successor_in(self, arrow_id: str) -> str:
         i = self.arrows.index(arrow_id)
         return self.arrows[(i + 1) % len(self.arrows)]
 
-    def predecessor_in(self, arrow_id: str) -> str:
-        i = self.arrows.index(arrow_id)
-        return self.arrows[(i - 1) % len(self.arrows)]
-
     def __repr__(self) -> str:
         return "Cycle(" + "->".join(str(v) for v in self.vertices) + ")"
 
 
-def _canonical_cycle(q: Quiver, arrow_ids: Sequence[str]) -> ChordlessCycle:
-    verts = [q.arrow_by_id[a].source for a in arrow_ids]
-    start = min(range(len(verts)), key=lambda i: _vkey(verts[i]))
-    rot = lambda xs: tuple(xs[start:]) + tuple(xs[:start])
-    return ChordlessCycle(rot(list(arrow_ids)), rot(verts))
+def _canonical_cycle(arrows: Sequence[Arrow]) -> ChordlessCycle:
+    verts = [a.source for a in arrows]
+    keys = [_vkey(v) for v in verts]
+    start = keys.index(min(keys))
+    ids = [a.id for a in arrows]
+    return ChordlessCycle(tuple(ids[start:] + ids[:start]),
+                          tuple(verts[start:] + verts[:start]))
+
+
+def _touched_vertices(q: Quiver, parent: Quiver) -> set[VertexId]:
+    """The vertices of q that are new, or an endpoint of an arrow added,
+    removed or re-pointed since parent."""
+    touched = {v for v in q.vertices if v not in parent.out_arrows}
+    for x, y in ((q, parent), (parent, q)):
+        by_id = y.arrow_by_id
+        for a in x.arrows:
+            b = by_id.get(a.id)
+            # an edit keeps the Arrow objects it does not change
+            if b is not a and b != a:
+                touched.update((a.source, a.target))
+    return {v for v in touched if v in q.out_arrows}
 
 
 def chordless_cycles(q: Quiver) -> list[ChordlessCycle]:
     """All oriented chordless cycles, by DFS with on-the-fly chord pruning.
 
-    Each cycle is found once, rooted at its minimal vertex.  A partial path is
+    The search starts at each touched vertex and finds each cycle through a
+    touched vertex once, rooted at the least one.  A partial path is
     abandoned as soon as an arrow joins the new endpoint to a non-neighbouring
     path vertex, so only chord-free paths are ever extended.
-    """
-    order = {v: i for i, v in enumerate(q.sorted_vertices())}
-    succ = {v: sorted(q.out_arrows[v], key=lambda a: _vkey(a.target))
-            for v in q.vertices}
-    neighbours: dict[VertexId, set[VertexId]] = {v: set() for v in q.vertices}
-    for a in q.arrows:
-        neighbours[a.source].add(a.target)
-        neighbours[a.target].add(a.source)
-    found: list[ChordlessCycle] = []
 
-    def extend(v0: VertexId, tip: VertexId, on_path: set[VertexId],
-               path_arrows: list[Arrow]):
-        for a in succ[tip]:
+    Every vertex is touched unless q keeps an analysed parent (see `Quiver`).
+    Then only the vertices of the edit are: new vertices and the endpoints of
+    the arrows added, removed or re-pointed.  A cycle through no touched
+    vertex has the same arrows and the same non-chords in both quivers, so it
+    is chordless in q exactly when it is in the parent: those cycles are taken
+    from the parent's structure.  Every other chordless cycle of q, such as
+    one that contains an added arrow or both ends of a removed chord, passes
+    through a touched vertex and is found by the search.
+    """
+    parent = q._parent
+    if parent is None:
+        touched, kept = q.vertices, []
+    else:
+        touched = _touched_vertices(q, parent)
+        kept = [c for c in parent._structure.cycles
+                if touched.isdisjoint(c.vertices)]
+    roots = sorted(touched, key=_vkey)
+    rank = {v: i for i, v in enumerate(roots)}
+    out_arrows, in_arrows = q.out_arrows, q.in_arrows
+    found: dict[tuple[str, ...], ChordlessCycle] = {}
+    on_path: set[VertexId] = set()
+    path: list[Arrow] = []
+
+    def extend(v0: VertexId, r0: int, tip: VertexId):
+        for a in out_arrows[tip]:
             w = a.target
-            if w == v0:
-                if len(path_arrows) >= 2:
-                    found.append(_canonical_cycle(
-                        q, [x.id for x in path_arrows] + [a.id]))
+            # cycles through a touched vertex below v0 are rooted there
+            if w in on_path or rank.get(w, r0 + 1) <= r0:
                 continue
-            if order[w] <= order[v0] or w in on_path:
+            # an arrow joining w to the path is a chord unless it is the step
+            # tip->w or a closure w->v0
+            closing = None
+            chord = False
+            for b in out_arrows[w]:
+                if b.target in on_path:
+                    if b.target != v0:
+                        chord = True
+                        break
+                    if closing is None:
+                        closing = b
+            if not chord:
+                for b in in_arrows[w]:
+                    if b.source in on_path and b.source != tip:
+                        chord = True
+                        break
+            if chord:
                 continue
-            # any arrow joining w to the path, other than the step tip->w and
-            # a potential closure w->v0, is a chord: abandon this branch
-            if any(u != tip and u != v0 for u in neighbours[w] & on_path):
-                continue
-            # at tip and v0 only w->tip and v0->w are chords
-            if tip != v0 and (q.arrow_between(w, tip) is not None
-                              or q.arrow_between(v0, w) is not None):
-                continue
-            closing = q.arrow_between(w, v0)
             if closing is not None:
                 # w->v0 closes the cycle now and forbids any longer cycle
-                if len(path_arrows) >= 1:
-                    found.append(_canonical_cycle(
-                        q, [x.id for x in path_arrows] + [a.id, closing.id]))
+                if path:
+                    c = _canonical_cycle(path + [a, closing])
+                    found[c.arrows] = c
                 continue
             on_path.add(w)
-            path_arrows.append(a)
-            extend(v0, w, on_path, path_arrows)
+            path.append(a)
+            extend(v0, r0, w)
             on_path.discard(w)
-            path_arrows.pop()
+            path.pop()
 
-    for v0 in q.sorted_vertices():
-        extend(v0, v0, {v0}, [])
-    uniq = {c.arrows: c for c in found}
-    return sorted(uniq.values(), key=lambda c: (len(c), c.key))
+    for r0, v0 in enumerate(roots):
+        on_path.add(v0)
+        extend(v0, r0, v0)
+        on_path.discard(v0)
+    return sorted(kept + list(found.values()),
+                  key=lambda c: (len(c), c.key, c.arrows))
 
 
 # -- dual graph and structural analysis ---------------------------------------
@@ -313,24 +355,19 @@ class DualGraph:
         n = self.node_count()
         if n == 0 or self.edge_count() != n - 1:
             return False
-        # connectivity over cycle indices 0..k-1 and boundary ids
-        adj: dict[object, list[object]] = {}
-        for i in range(len(self.cycle_nodes)):
-            adj.setdefault(("c", i), [])
-        for b in self.boundary_nodes:
-            adj.setdefault(("b", b), [])
-        for i, j, _ in self.trunk_edges:
-            adj[("c", i)].append(("c", j)); adj[("c", j)].append(("c", i))
-        for i, b in self.leaf_branches:
-            adj[("c", i)].append(("b", b)); adj[("b", b)].append(("c", i))
-        start = next(iter(adj))
-        seen = {start}
-        stack = [start]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w); stack.append(w)
-        return len(seen) == n
+        # n - 1 edges make a tree exactly when none of them closes a cycle;
+        # cycle nodes are their int indices, boundary nodes their str ids
+        root: dict[object, object] = {}
+        edges = [(i, j) for i, j, _ in self.trunk_edges] + self.leaf_branches
+        for x, y in edges:
+            while x in root:
+                x = root[x]
+            while y in root:
+                y = root[y]
+            if x == y:
+                return False
+            root[y] = x
+        return True
 
     def cycle_distances_from(self, idx: int) -> dict[int, int]:
         """Trunk-edge distance between cycle nodes (leaf branches dead-end)."""
@@ -365,6 +402,10 @@ class StructureReport:
     problems: list[str] = field(default_factory=list)
     _cycle_paths: dict[str, dict[str, CyclePath]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
+    _path_weights: dict[str, dict[str, int]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    _next_arrows: dict[str, list[dict[str, str]]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def boundary_arrows(self) -> list[str]:
@@ -376,6 +417,16 @@ class StructureReport:
 
     def cycles_of_arrow(self, arrow_id: str) -> list[ChordlessCycle]:
         return [self.cycles[i] for i in self.owners.get(arrow_id, ())]
+
+    def next_arrows(self, direction: str) -> list[dict[str, str]]:
+        """Per cycle, arrow -> the arrow after it ('cycle') or before it
+        ('cocycle') on that cycle; built once per direction."""
+        if direction not in self._next_arrows:
+            shift = 1 if direction == "cycle" else -1
+            self._next_arrows[direction] = [
+                dict(zip(c.arrows, c.arrows[shift:] + c.arrows[:shift]))
+                for c in self.cycles]
+        return self._next_arrows[direction]
 
     def cycle_paths(self, direction: str) -> dict[str, CyclePath]:
         """Boundary arrow -> its cycle ('cycle') or cocycle ('cocycle') path,
@@ -390,15 +441,20 @@ class StructureReport:
 
     def path_weights(self, direction: str) -> dict[str, int]:
         """Boundary arrow -> weight ('cycle') or coweight ('cocycle'): 1 when
-        its (co)cycle path has odd length, else 2."""
-        return {a: 1 if path.length % 2 == 1 else 2
+        its (co)cycle path has odd length, else 2.  Computed once per
+        direction; callers must not mutate it."""
+        if direction not in self._path_weights:
+            self._path_weights[direction] = {
+                a: 1 if path.length % 2 == 1 else 2
                 for a, path in self.cycle_paths(direction).items()}
+        return self._path_weights[direction]
 
 
 def analyze_structure(q: Quiver) -> StructureReport:
     """The structure of q, computed on the first call and cached on q."""
     if q._structure is None:
         q._structure = _analyze_structure(q)
+        q._parent = None
     return q._structure
 
 
@@ -479,13 +535,9 @@ def validate_dimer_tree(q: Quiver) -> ValidationReport:
         "" if tree else f"dual graph has {structure.dual.node_count()} nodes "
                         f"and {structure.dual.edge_count()} edges"))
 
-    pairs = {}
-    parallel_ok = True
-    for a in q.arrows:
-        if (a.source, a.target) in pairs:
-            parallel_ok = False
-        pairs[(a.source, a.target)] = a.id
-    checks.append(Check("no_parallel_arrows", parallel_ok))
+    # the quiver indexes the first arrow of each (source, target) pair
+    checks.append(Check("no_parallel_arrows",
+                        len(q._arrow_index) == len(q.arrows)))
 
     overloaded = [a for a, k in structure.classification.items()
                   if k == "overloaded"]
@@ -493,24 +545,28 @@ def validate_dimer_tree(q: Quiver) -> ValidationReport:
         "every_arrow_in_at_most_two_cycles", not overloaded,
         "" if not overloaded else f"arrows: {sorted(overloaded)}"))
 
-    share_ok = True
+    # two cycles share exactly the arrows of the trunk edges between them
+    shared: dict[tuple[int, int], list[str]] = {}
+    for i, j, aid in structure.dual.trunk_edges:
+        shared.setdefault((i, j), []).append(aid)
+    overshared = [(pair, ids) for pair, ids in shared.items() if len(ids) > 1]
+    share_ok = not overshared
     detail = ""
-    for i in range(len(structure.cycles)):
-        for j in range(i + 1, len(structure.cycles)):
-            shared = set(structure.cycles[i].arrows) & set(structure.cycles[j].arrows)
-            if len(shared) > 1:
-                share_ok = False
-                detail = (f"cycles {structure.cycles[i]} and {structure.cycles[j]} "
-                          f"share {sorted(shared)}")
+    if overshared:
+        (i, j), ids = max(overshared)
+        detail = (f"cycles {structure.cycles[i]} and {structure.cycles[j]} "
+                  f"share {sorted(ids)}")
     checks.append(Check("cycles_share_at_most_one_arrow", share_ok, detail))
 
     vertex_ok = True
     detail = ""
     if not bad_q1 and not overloaded:
-        bset = set(structure.boundary_arrows)
-        for v in q.vertices:
-            n = sum(1 for a in q.out_arrows[v] if a.id in bset)
-            n += sum(1 for a in q.in_arrows[v] if a.id in bset)
+        incident = dict.fromkeys(q.vertices, 0)
+        for a in q.arrows:
+            if structure.classification[a.id] == "boundary":
+                incident[a.source] += 1
+                incident[a.target] += 1
+        for v, n in incident.items():
             if n != 2:
                 vertex_ok = False
                 detail = f"vertex {v!r} is incident to {n} boundary arrows"
@@ -599,24 +655,21 @@ def cycle_path(q: Quiver, structure: StructureReport, arrow_id: str,
     if structure.classification.get(arrow_id) != "boundary":
         raise QuiverError(f"arrow {arrow_id} is not a boundary arrow")
 
-    step = (lambda c, a: c.successor_in(a)) if direction == "cycle" \
-        else (lambda c, a: c.predecessor_in(a))
-
+    step = structure.next_arrows(direction)
+    kind, owners = structure.classification, structure.owners
     current = arrow_id
-    cyc = structure.cycles_of_arrow(arrow_id)[0]
+    ci = owners[arrow_id][0]
     arrows = [arrow_id]
     witnesses = []
     while True:
-        nxt = step(cyc, current)
-        arrows.append(nxt)
-        witnesses.append(cyc)
-        if structure.classification[nxt] == "boundary":
+        current = step[ci][current]
+        arrows.append(current)
+        witnesses.append(structure.cycles[ci])
+        if kind[current] == "boundary":
             break
-        owners = structure.cycles_of_arrow(nxt)
-        cyc = owners[0] if owners[1] is cyc else owners[1]
-        if owners[0] is not cyc and owners[1] is not cyc:
-            raise QuiverError(f"inconsistent cycle structure at arrow {nxt}")
-        current = nxt
+        # current lies on cycle ci and on at least one more: hop over
+        own = owners[current]
+        ci = own[0] if own[1] == ci else own[1]
     if direction == "cocycle":
         arrows.reverse()
         witnesses.reverse()

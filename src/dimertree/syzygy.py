@@ -58,29 +58,60 @@ def presentation_of(cp: CheckerboardPolygon, diagonal: TwoDiagonal) -> SyzygyObj
     return obj
 
 
+@dataclass
+class _Orbit:
+    """The diagonals of one rotation orbit in clockwise order, with the
+    presentations read along it and the gluing of the whole orbit, each
+    computed once."""
+    diagonals: list[TwoDiagonal]
+    presentations: list[SyzygyObject | None]
+    glued: bool | None = None
+
+
+def _orbit_of(cp: CheckerboardPolygon, d0: TwoDiagonal) -> tuple[_Orbit, int]:
+    """The rotation orbit of d0 and the position of d0 in it; the orbit is
+    walked on the first call for any of its diagonals and kept in
+    `cp.orbits`."""
+    hit = cp.orbits.get(d0)
+    if hit is None:
+        n = cp.half
+        diags = [d0]
+        cur = diagonals.rotate(d0, 1, n)
+        while cur != d0:
+            diags.append(cur)
+            cur = diagonals.rotate(cur, 1, n)
+        orbit = _Orbit(diags, [None] * len(diags))
+        for i, d in enumerate(diags):
+            cp.orbits[d] = (orbit, i)
+        hit = (orbit, 0)
+    return hit
+
+
 def resolution(cp: CheckerboardPolygon, diagonal: TwoDiagonal,
                steps: int | None = None) -> ResolutionTrace:
     """Iterate the clockwise rotation, checking the gluing of consecutive
-    presentations, and report the minimal rotation period."""
+    presentations, and report the minimal rotation period.  Only the
+    presentations of the steps asked for are read; a full period's gluing is
+    checked once per orbit."""
     n = cp.half
     d0 = diagonals.make_diagonal(diagonal.tail, diagonal.head, n)
-    orbit = [d0]
-    cur = diagonals.rotate(d0, 1, n)
-    while cur != d0:
-        orbit.append(cur)
-        cur = diagonals.rotate(cur, 1, n)
-    period = len(orbit)
+    orbit, start = _orbit_of(cp, d0)
+    period = len(orbit.diagonals)
     count = steps if steps is not None else period
-    prev_obj = presentation_of(cp, d0)
-    trace = [prev_obj]
-    gluing_ok = True
-    for i in range(1, count + 1):
-        cur = orbit[i % period]
-        obj = presentation_of(cp, cur)
-        trace.append(obj)
-        if obj.p0 != prev_obj.p1:
-            gluing_ok = False
-        prev_obj = obj
+    pres = orbit.presentations
+    for i in range(min(count + 1, period)):
+        j = (start + i) % period
+        if pres[j] is None:
+            pres[j] = presentation_of(cp, orbit.diagonals[j])
+    trace = [pres[(start + i) % period] for i in range(count + 1)]
+    if count < period:
+        gluing_ok = all(b.p0 == a.p1 for a, b in zip(trace, trace[1:]))
+    else:
+        # count >= period steps glue every consecutive pair of the orbit
+        if orbit.glued is None:
+            orbit.glued = all(pres[i].p0 == pres[i - 1].p1
+                              for i in range(period))
+        gluing_ok = orbit.glued
     return ResolutionTrace(d0, trace, period, gluing_ok)
 
 

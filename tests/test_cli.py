@@ -267,3 +267,25 @@ def test_all_pipeline_q7(capsys):
     code, out, _ = run(capsys, "all", fixture_path("q7"))
     assert code == 0
     assert out.count("pass") >= 8 and "FAIL" not in out
+
+
+@pytest.mark.parametrize("spec", ["17,20", "0,3", "3,15"])
+def test_resolve_label_outside_the_polygon_is_bad_input(capsys, spec):
+    # q9's polygon is a 14-gon: 17,20 would otherwise be read as 3,6
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "resolve", fixture_path("q9"), "--diagonal", spec)
+    assert exc.value.code == 2
+    assert "outside 1..14" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("reduce", "q7", "--trace", "{missing}/t.json"),
+    ("weights", "q9", "--format", "structured", "--out", "{missing}/x"),
+])
+def test_unwritable_output_is_bad_input(tmp_path, capsys, argv):
+    cmd, fixture, *rest = argv
+    rest = [a.format(missing=tmp_path / "no-such-dir") for a in rest]
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, cmd, fixture_path(fixture), *rest)
+    assert exc.value.code == 2
+    assert "cannot write" in capsys.readouterr().err

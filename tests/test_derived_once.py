@@ -44,8 +44,9 @@ def rebuilt(q: Quiver) -> Quiver:
     return Quiver(q.vertices, q.arrows, name=q.name)
 
 
-def reference_resolution(cp, d0):
-    """Rotate and read every presentation off the crossings, with no table."""
+def reference_resolution(cp, d0, steps=None):
+    """Rotate and read every presentation off the crossings, with no table:
+    `steps` rotations, one full period by default."""
     n = cp.half
     lines = sorted(cp.lines.items(), key=lambda kv: _vkey(kv[0]))
 
@@ -56,14 +57,14 @@ def reference_resolution(cp, d0):
                    if dg.crossing(d, line.diagonal(), n) == "left_to_right")
         return p0, p1
 
-    steps = [(d0, *present(d0))]
-    cur = dg.rotate(d0, 1, n)
-    while cur != d0:
-        steps.append((cur, *present(cur)))
-        cur = dg.rotate(cur, 1, n)
-    steps.append((d0, *present(d0)))
-    gluing = all(b[1] == a[2] for a, b in zip(steps, steps[1:]))
-    return steps, len(steps) - 1, gluing
+    period = 1
+    while dg.rotate(d0, period, n) != d0:
+        period += 1
+    count = period if steps is None else steps
+    out = [(d, *present(d)) for d in (dg.rotate(d0, i, n)
+                                       for i in range(count + 1))]
+    gluing = all(b[1] == a[2] for a, b in zip(out, out[1:]))
+    return out, period, gluing
 
 
 @pytest.mark.parametrize("name,q", QUIVERS, ids=[n for n, _ in QUIVERS])
@@ -78,6 +79,19 @@ def test_resolution_matches_fresh_polygon_reference(name, q):
     # every diagonal is now in the table, each under its own key
     assert set(shared.presentations) == set(dg.enumerate_diagonals(shared.half))
     assert all(k == v.diagonal for k, v in shared.presentations.items())
+
+
+@pytest.mark.parametrize("name", ["q9", "glued4"])
+def test_partial_resolutions_read_the_orbit_table(name):
+    # short prefixes first, so that later calls meet half-filled orbits
+    q = dict(QUIVERS)[name]
+    cp = cb.build_checkerboard(q)
+    for steps in (0, 1, 3, None, 2 * cp.half + 3):
+        for d in dg.enumerate_diagonals(cp.half):
+            got = sy.resolution(cp, d, steps=steps)
+            want, period, gluing = reference_resolution(cp, d, steps)
+            assert [(s.diagonal, s.p0, s.p1) for s in got.steps] == want
+            assert (got.minimal_period, got.gluing_ok) == (period, gluing)
 
 
 def test_presentation_errors_are_not_cached():
