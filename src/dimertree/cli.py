@@ -26,7 +26,11 @@ EXIT_BAD_INPUT = 2
 EXIT_INTERNAL = 3
 
 
-def _default_field() -> str:
+def _field(args) -> str:
+    """--field if given, else DIMERTREE_FIELD as it is when the command runs,
+    else the default prime."""
+    if args.field is not None:
+        return args.field
     return os.environ.get("DIMERTREE_FIELD", str(DEFAULT_PRIME))
 
 
@@ -246,7 +250,7 @@ ORACLE_CHECKS = (*orc.SECTIONS, "all")
 def cmd_oracle(args) -> int:
     q = _load(args.quiver)
     _require_valid(q)
-    field = parse_field_spec(args.field)
+    field = parse_field_spec(_field(args))
     ab = orc.build_algebra(q, field, max_cap=args.cap)
     print(f"algebra over {field.name}: dimension {ab.dimension}, "
           f"stabilization length {ab.stabilization_length}")
@@ -282,7 +286,7 @@ def cmd_all(args) -> int:
     note("checkerboard", val.ok, "; ".join(c.name for c in val.failed()))
     tq = dg.ar_quiver(cp.half)
     note("translation_quiver", tq.check_translation_axiom())
-    field = parse_field_spec(args.field)
+    field = parse_field_spec(_field(args))
     ab = orc.build_algebra(q, field)
     rep = orc.full_oracle_report(ab)
     note(f"oracle[{field.name}]", rep.ok,
@@ -330,13 +334,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("validate", help="structural axioms of the input quiver")
     sp.add_argument("quiver")
-    sp.set_defaults(fn=cmd_validate)
 
     sp = sub.add_parser("weights", help="cycle paths, weights and total weight")
     sp.add_argument("quiver")
     sp.add_argument("--format", choices=("text", "structured"), default="text")
     sp.add_argument("--out")
-    sp.set_defaults(fn=cmd_weights)
 
     sp = sub.add_parser("polygon", help="build and validate the checkerboard polygon")
     sp.add_argument("quiver")
@@ -344,7 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
                     default="text")
     sp.add_argument("--seed", help="boundary arrow to start the construction")
     sp.add_argument("--out")
-    sp.set_defaults(fn=cmd_polygon)
 
     sp = sub.add_parser("diag", help="2-diagonals and their translation quiver")
     sp.add_argument("quiver", nargs="?")
@@ -352,7 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--format", choices=("text", "structured", "dot"),
                     default="text")
     sp.add_argument("--out")
-    sp.set_defaults(fn=cmd_diag)
 
     sp = sub.add_parser("resolve", help="periodic projective resolution of a diagonal")
     sp.add_argument("quiver")
@@ -360,36 +360,42 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--steps", type=_int_at_least(0), default=None)
     sp.add_argument("--format", choices=("text", "structured"), default="text")
     sp.add_argument("--out")
-    sp.set_defaults(fn=cmd_resolve)
 
     sp = sub.add_parser("reduce", help="reduce to a single cycle by equivalences")
     sp.add_argument("quiver")
     sp.add_argument("--trace", help="write the move trace to this file")
-    sp.set_defaults(fn=cmd_reduce)
 
     sp = sub.add_parser("oracle", help="path-algebra checks over a chosen field")
     sp.add_argument("quiver")
     sp.add_argument("--check", choices=ORACLE_CHECKS, default="all")
-    sp.add_argument("--field", default=_default_field(),
+    sp.add_argument("--field",
                     help="prime p or Q (default from DIMERTREE_FIELD)")
     sp.add_argument("--cap", type=_int_at_least(1), default=None,
                     help="largest path-length cap the basis build may grow to "
                          "(default 4x arrows); a value below the initial cap, "
                          "max(3x longest cycle, 12), is raised to it")
-    sp.set_defaults(fn=cmd_oracle)
 
     sp = sub.add_parser("all", help="full pipeline and consistency suite")
     sp.add_argument("quiver")
-    sp.add_argument("--field", default=_default_field())
-    sp.set_defaults(fn=cmd_all)
+    sp.add_argument("--field")
 
     return p
 
 
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    # the parser is built on the first call and kept for the process
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
+    # the command function is looked up when it runs, not when the parser
+    # was built, so a name rebound since (by a tracer, say) is honoured
+    fn = globals()[f"cmd_{args.command}"]
     try:
-        return args.fn(args)
+        return fn(args)
     except SystemExit:
         raise
     except (QuiverError, cb.CheckerboardError, dg.DiagonalError,

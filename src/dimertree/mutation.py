@@ -100,9 +100,10 @@ def _fresh_id(used: set[str], base: str) -> str:
     return cand
 
 
-def _word_is_cyclic_path(q: Quiver, word: tuple[str, ...]) -> bool:
+def _word_is_cyclic_path(arrows: dict[str, Arrow],
+                         word: tuple[str, ...]) -> bool:
     for a, b in zip(word, word[1:] + word[:1]):
-        if q.arrow_by_id[a].target != q.arrow_by_id[b].source:
+        if arrows[a].target != arrows[b].source:
             return False
     return True
 
@@ -113,7 +114,10 @@ def _word_is_cyclic_path(q: Quiver, word: tuple[str, ...]) -> bool:
 
 def qp_mutate(qp: QP, k) -> QP:
     """Mutation at k: composite arrows for the paths through k, arrows at k
-    reversed, potential substituted, then reducible 2-cycle terms eliminated."""
+    reversed, potential substituted, then reducible 2-cycle terms eliminated.
+
+    The elimination works on the arrow table and the term list, so the
+    mutated `Quiver` is built once, with q as its parent."""
     q = qp.quiver
     if k not in q.vertices:
         raise MutationError(f"unknown vertex {k!r}")
@@ -171,19 +175,26 @@ def qp_mutate(qp: QP, k) -> QP:
             new_terms.append(PotentialTerm(
                 1, (composite[(a.id, b.id)], reverse[b.id], reverse[a.id])))
 
-    out_q = Quiver(q.vertices, arrows, name=q.name, parent=q)
-    return _reduce_two_cycles(QP(out_q, new_terms))
+    table = {a.id: a for a in arrows}
+    new_terms = _eliminate_two_cycles(table, new_terms)
+    for t in new_terms:
+        if not _word_is_cyclic_path(table, t.word):
+            raise MutationError(f"potential term {t.word} is not a cycle")
+    return QP(Quiver(q.vertices, table.values(), name=q.name, parent=q),
+              new_terms)
 
 
-def _reduce_two_cycles(qp: QP) -> QP:
+def _eliminate_two_cycles(arrows: dict[str, Arrow],
+                          terms: list[PotentialTerm]) -> list[PotentialTerm]:
     """Eliminate 2-cycle potential terms by the linear substitutions their
-    cyclic derivatives dictate."""
-    terms = list(qp.terms)
-    arrows = {a.id: a for a in qp.quiver.arrows}
+    cyclic derivatives dictate.  The arrows of each eliminated 2-cycle are
+    deleted from the table `arrows` (id -> arrow); the remaining terms are
+    returned."""
+    terms = list(terms)
     while True:
         two = next((t for t in terms if len(t.word) == 2), None)
         if two is None:
-            break
+            return terms
         x, y = two.word
         terms.remove(two)
 
@@ -218,13 +229,6 @@ def _reduce_two_cycles(qp: QP) -> QP:
         del arrows[y]
         if new_term is not None:
             terms.append(new_term)
-    q = qp.quiver
-    out_q = Quiver(q.vertices, [arrows[a.id] for a in q.arrows
-                                if a.id in arrows], name=q.name, parent=q)
-    for t in terms:
-        if not _word_is_cyclic_path(out_q, t.word):
-            raise MutationError(f"potential term {t.word} is not a cycle")
-    return QP(out_q, terms)
 
 
 def normalize_signs(qp: QP) -> tuple[QP, list[str]]:

@@ -215,15 +215,19 @@ def load_quiver(path: str) -> Quiver:
 
 @dataclass(frozen=True)
 class ChordlessCycle:
-    """Oriented cycle whose induced subquiver is the cycle itself."""
+    """Oriented cycle whose induced subquiver is the cycle itself.
+
+    `key` is the sorted vertex keys, comparable across int and string vertex
+    ids.  The cycle search passes the keys it has already computed; a cycle
+    built without them computes them here."""
     arrows: tuple[str, ...]           # arrow ids in cycle order
     vertices: tuple[VertexId, ...]    # induced vertex cycle, same order
-    # the sorted vertex keys, comparable across int and string vertex ids
-    key: tuple = field(init=False, repr=False, compare=False)
+    key: tuple = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "key",
-                           tuple(sorted(_vkey(v) for v in self.vertices)))
+        if self.key is None:
+            object.__setattr__(self, "key",
+                               tuple(sorted(_vkey(v) for v in self.vertices)))
 
     def __len__(self) -> int:
         return len(self.arrows)
@@ -241,8 +245,9 @@ def _canonical_cycle(arrows: Sequence[Arrow]) -> ChordlessCycle:
     keys = [_vkey(v) for v in verts]
     start = keys.index(min(keys))
     ids = [a.id for a in arrows]
+    keys.sort()
     return ChordlessCycle(tuple(ids[start:] + ids[:start]),
-                          tuple(verts[start:] + verts[:start]))
+                          tuple(verts[start:] + verts[:start]), tuple(keys))
 
 
 def _touched_vertices(q: Quiver, parent: Quiver) -> set[VertexId]:
@@ -391,6 +396,10 @@ class DualGraph:
 class StructureReport:
     """Chordless cycles, arrow classification and dual graph of a quiver.
 
+    The weights (`path_weights`) and the cycle paths (`cycle_paths`, read by
+    `weight_report` and the checkerboard) are computed on demand, once per
+    direction, by the same walk (`_walk`); the weights only count each
+    path's arrows and build no `CyclePath`.
     `analyze_structure` returns the same report for every call on the same
     quiver, so callers must not mutate it."""
     cycles: list[ChordlessCycle]
@@ -422,6 +431,8 @@ class StructureReport:
         """Per cycle, arrow -> the arrow after it ('cycle') or before it
         ('cocycle') on that cycle; built once per direction."""
         if direction not in self._next_arrows:
+            if direction not in ("cycle", "cocycle"):
+                raise QuiverError(f"unknown direction {direction!r}")
             shift = 1 if direction == "cycle" else -1
             self._next_arrows[direction] = [
                 dict(zip(c.arrows, c.arrows[shift:] + c.arrows[:shift]))
@@ -442,11 +453,13 @@ class StructureReport:
     def path_weights(self, direction: str) -> dict[str, int]:
         """Boundary arrow -> weight ('cycle') or coweight ('cocycle'): 1 when
         its (co)cycle path has odd length, else 2.  Computed once per
-        direction; callers must not mutate it."""
+        direction by a walk that counts the path's arrows and builds no
+        `CyclePath`; callers must not mutate it."""
         if direction not in self._path_weights:
+            step = self.next_arrows(direction)
             self._path_weights[direction] = {
-                a: 1 if path.length % 2 == 1 else 2
-                for a, path in self.cycle_paths(direction).items()}
+                a: 1 if _walk(self, step, a) % 2 == 1 else 2
+                for a, kind in self.classification.items() if kind == "boundary"}
         return self._path_weights[direction]
 
 
@@ -536,8 +549,13 @@ def validate_dimer_tree(q: Quiver) -> ValidationReport:
                         f"and {structure.dual.edge_count()} edges"))
 
     # the quiver indexes the first arrow of each (source, target) pair
-    checks.append(Check("no_parallel_arrows",
-                        len(q._arrow_index) == len(q.arrows)))
+    parallel = ""
+    if len(q._arrow_index) != len(q.arrows):
+        a = next(a for a in q.arrows if q._arrow_index[a.source, a.target] is not a)
+        first = q._arrow_index[a.source, a.target]
+        parallel = (f"arrows {first.id} and {a.id} both run "
+                    f"{a.source!r}->{a.target!r}")
+    checks.append(Check("no_parallel_arrows", not parallel, parallel))
 
     overloaded = [a for a, k in structure.classification.items()
                   if k == "overloaded"]
@@ -645,31 +663,39 @@ class CyclePath:
         return "->".join(str(v) for v in self.vertex_route(q))
 
 
-def cycle_path(q: Quiver, structure: StructureReport, arrow_id: str,
-               direction: str = "cycle") -> CyclePath:
+def _walk(structure: StructureReport, step: list[dict[str, str]],
+          arrow_id: str, trail: list[tuple[str, int]] | None = None) -> int:
     """Walk from a boundary arrow through successor (or predecessor) arrows,
     hopping to the other cycle at each interior arrow, until the next
-    boundary arrow closes the path."""
-    if direction not in ("cycle", "cocycle"):
-        raise QuiverError(f"unknown direction {direction!r}")
-    if structure.classification.get(arrow_id) != "boundary":
-        raise QuiverError(f"arrow {arrow_id} is not a boundary arrow")
-
-    step = structure.next_arrows(direction)
+    boundary arrow closes the path; `step` is `next_arrows` of the direction.
+    Returns the number of arrows on the path.  Each step's arrow and the
+    index of the cycle it was reached on are appended to `trail`, if given."""
     kind, owners = structure.classification, structure.owners
     current = arrow_id
     ci = owners[arrow_id][0]
-    arrows = [arrow_id]
-    witnesses = []
+    length = 1
     while True:
         current = step[ci][current]
-        arrows.append(current)
-        witnesses.append(structure.cycles[ci])
+        length += 1
+        if trail is not None:
+            trail.append((current, ci))
         if kind[current] == "boundary":
-            break
+            return length
         # current lies on cycle ci and on at least one more: hop over
         own = owners[current]
         ci = own[0] if own[1] == ci else own[1]
+
+
+def cycle_path(q: Quiver, structure: StructureReport, arrow_id: str,
+               direction: str = "cycle") -> CyclePath:
+    """The (co)cycle path of a boundary arrow (see `_walk`)."""
+    step = structure.next_arrows(direction)
+    if structure.classification.get(arrow_id) != "boundary":
+        raise QuiverError(f"arrow {arrow_id} is not a boundary arrow")
+    trail: list[tuple[str, int]] = []
+    _walk(structure, step, arrow_id, trail)
+    arrows = [arrow_id] + [a for a, _ in trail]
+    witnesses = [structure.cycles[ci] for _, ci in trail]
     if direction == "cocycle":
         arrows.reverse()
         witnesses.reverse()

@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from dimertree import cli
 from dimertree import oracle as orc
 from dimertree.cli import main
 
@@ -231,6 +232,41 @@ def test_oracle_env_field(capsys, monkeypatch):
                        "--check", "schurian")
     assert code == 0
     assert "GF(101)" in out
+
+
+def test_env_field_read_on_every_call_of_one_process(capsys, monkeypatch):
+    # the parser is built on the first call and kept; its --field default
+    # must not freeze the DIMERTREE_FIELD of that first call
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setenv("DIMERTREE_FIELD", "101")
+    code, out, _ = run(capsys, "oracle", fixture_path("c3"),
+                       "--check", "schurian")
+    assert code == 0 and "GF(101)" in out
+    parser = cli._parser
+    monkeypatch.setenv("DIMERTREE_FIELD", "Q")
+    code, out, _ = run(capsys, "oracle", fixture_path("c3"),
+                       "--check", "schurian")
+    assert code == 0 and "QQ" in out
+    assert cli._parser is parser
+    code, out, _ = run(capsys, "oracle", fixture_path("c3"),
+                       "--check", "schurian", "--field", "7")
+    assert code == 0 and "GF(7)" in out
+
+
+def test_command_rebound_after_the_parser_is_built_is_called(capsys,
+                                                             monkeypatch):
+    run(capsys, "validate", fixture_path("c3"))
+    calls = []
+    validate = cli.cmd_validate
+
+    def wrapped(args):
+        calls.append(args.quiver)
+        return validate(args)
+
+    monkeypatch.setattr(cli, "cmd_validate", wrapped)
+    code, _, _ = run(capsys, "validate", fixture_path("c3"))
+    assert code == 0
+    assert calls == [fixture_path("c3")]
 
 
 def test_oracle_bad_field(capsys):

@@ -4,7 +4,8 @@ import random
 import pytest
 
 from dimertree import mutation as mu
-from dimertree.quiver import analyze_structure, validate_dimer_tree, weight_report
+from dimertree.quiver import (Quiver, analyze_structure, validate_dimer_tree,
+                              weight_report)
 
 from conftest import cycle_quiver, glued_dimer_tree, load_fixture, parse_json_quiver
 
@@ -89,13 +90,13 @@ def test_mutated_potential_signs_normalizable(q7):
 
 def test_irreducible_two_cycle_reported():
     # an artificial potential with a 2-cycle term whose member occurs twice
-    from dimertree.quiver import Arrow, Quiver
-    q = Quiver([1, 2, 3], [Arrow("x", 1, 2), Arrow("y", 2, 1),
-                           Arrow("u", 2, 3), Arrow("v", 3, 1)], name="bad")
+    from dimertree.quiver import Arrow
+    arrows = {a.id: a for a in (Arrow("x", 1, 2), Arrow("y", 2, 1),
+                                Arrow("u", 2, 3), Arrow("v", 3, 1))}
     terms = [mu.PotentialTerm(1, ("x", "y")),
              mu.PotentialTerm(1, ("y", "u", "v", "x", "y", "u", "v", "x"))]
     with pytest.raises(mu.MutationError, match="irreducible 2-cycle"):
-        mu._reduce_two_cycles(mu.QP(q, terms))
+        mu._eliminate_two_cycles(arrows, terms)
 
 
 # -- moves -------------------------------------------------------------------------
@@ -266,6 +267,25 @@ def test_reduce_glued_trees_randomized():
         wr = weight_report(q)
         tr = mu.reduce_to_cycle(q)
         assert tr.final_cycle_length == wr.half, (lengths, attach)
+
+
+def test_reduction_builds_one_quiver_per_move(monkeypatch):
+    rng = random.Random(2)
+    q = glued_dimer_tree([rng.randint(3, 6) for _ in range(8)],
+                         [rng.randint(0, 100) for _ in range(7)])
+    builds = 0
+    init = Quiver.__init__
+
+    def counting_init(self, *args, **kwargs):
+        nonlocal builds
+        builds += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Quiver, "__init__", counting_init)
+    tr = mu.reduce_to_cycle(q)
+    # every kind of move reduce_to_cycle makes is among them
+    assert {s.move.kind for s in tr.steps} == set(mu.MOVE_KINDS) - {"one_point_ext"}
+    assert builds == len(tr.steps)
 
 
 # sha256 of `trace_to_json(reduce_to_cycle(q))`, recorded before the move

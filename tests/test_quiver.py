@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dimertree.quiver import (
+    Arrow,
+    Quiver,
     QuiverError,
     analyze_structure,
     build_potential,
@@ -157,6 +159,19 @@ def test_validate_non_tree_dual_fails():
     rep = validate_dimer_tree(q)
     assert not rep.ok
     assert "dual_graph_is_tree" in {c.name for c in rep.failed()}
+
+
+def test_parallel_arrows_named_with_their_endpoints():
+    # the parser rejects parallel arrows at load, so build the Quiver directly
+    q = Quiver([1, 2, 3], [Arrow("a", 1, 2), Arrow("b", 2, 3), Arrow("c", 3, 1),
+                           Arrow("d", 2, 3), Arrow("e", 1, 2)])
+    check = next(c for c in validate_dimer_tree(q).items
+                 if c.name == "no_parallel_arrows")
+    assert not check.passed
+    assert check.detail == "arrows b and d both run 2->3"
+    ok = next(c for c in validate_dimer_tree(quiver_from_arrows(
+        [(1, 2), (2, 3), (3, 1)])).items if c.name == "no_parallel_arrows")
+    assert ok.passed and ok.detail == ""
 
 
 def test_arrow_in_three_cycles_reported():

@@ -47,9 +47,13 @@ def reduction_quivers():
         yield f"glued_k{k}", glued_dimer_tree(lengths, attach)
 
 
-@pytest.mark.parametrize("name,q", list(reduction_quivers()),
-                         ids=[n for n, _ in reduction_quivers()])
-def test_every_reduction_step_derives_the_full_structure(name, q, monkeypatch):
+REDUCTION_QUIVERS = list(reduction_quivers())
+REDUCTION_IDS = [n for n, _ in REDUCTION_QUIVERS]
+
+
+def record_reduction(q, monkeypatch):
+    """Reduce q; return the trace, the quiver every move returned, and every
+    quiver whose structure was derived from a parent's."""
     outputs = []
     derivations = []
     apply_move, touched = mu.apply_move, qv._touched_vertices
@@ -67,11 +71,34 @@ def test_every_reduction_step_derives_the_full_structure(name, q, monkeypatch):
     monkeypatch.setattr(qv, "_touched_vertices", counting_touched)
     trace = mu.reduce_to_cycle(q)
     assert len(outputs) == len(trace.steps)
+    return trace, outputs, derivations
+
+
+@pytest.mark.parametrize("name,q", REDUCTION_QUIVERS, ids=REDUCTION_IDS)
+def test_every_reduction_step_derives_the_full_structure(name, q, monkeypatch):
+    _, outputs, derivations = record_reduction(q, monkeypatch)
     # every quiver a move returns was analysed from its parent's structure
     assert {id(x) for x in outputs} <= {id(x) for x in derivations}
     for out in outputs:
         assert out._parent is None
         assert_same_structure(analyze_structure(out), analyze_structure(fresh(out)))
+
+
+@pytest.mark.parametrize("name,q", REDUCTION_QUIVERS, ids=REDUCTION_IDS)
+def test_length_only_walk_matches_the_cycle_paths(name, q, monkeypatch):
+    """The weights count each path's arrows without building it; the paths
+    `cycle_path` builds must give the same parities."""
+    _, outputs, _ = record_reduction(q, monkeypatch)
+    for out in outputs:
+        s = analyze_structure(out)
+        boundary = [a for a, kind in s.classification.items()
+                    if kind == "boundary"]
+        for d in ("cycle", "cocycle"):
+            weights = s.path_weights(d)
+            assert list(weights) == boundary
+            for a in boundary:
+                length = len(qv.cycle_path(None, s, a, d).arrows)
+                assert weights[a] == (1 if length % 2 == 1 else 2), (a, d)
 
 
 def test_deleting_a_chord_exposes_the_cycle_it_cut():
