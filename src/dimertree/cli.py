@@ -17,8 +17,8 @@ from . import mutation as mu
 from . import oracle as orc
 from . import syzygy as sy
 from .linalg import DEFAULT_PRIME, FieldError, parse_field_spec
-from .quiver import (Check, QuiverError, load_quiver, validate_dimer_tree,
-                     weight_report)
+from .quiver import (Check, QuiverError, _vkey, load_quiver,
+                     validate_dimer_tree, weight_report)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -135,7 +135,7 @@ def cmd_polygon(args) -> int:
         _emit(cb.render(cp, args.format), args.out)
     else:
         print(f"polygon size: {cp.size}")
-        for v, line in sorted(cp.lines.items(), key=lambda kv: str(kv[0])):
+        for v, line in sorted(cp.lines.items(), key=lambda kv: _vkey(kv[0])):
             print(f"  line {v}: ({line.tail},{line.head})  "
                   f"crossings {', '.join(line.crossings)}")
     return EXIT_OK if val.ok else EXIT_CHECK_FAILED

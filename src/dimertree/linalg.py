@@ -136,7 +136,11 @@ def rref_matrix(a: Matrix, p: int | None) -> tuple[Matrix, list[int]]:
 
 def nullspace_matrix(a: Matrix, p: int | None) -> Matrix:
     """Columns form a basis of the right kernel of a: one per free column
-    c, with entry 1 at c and minus the reduced rows' entries at the pivots."""
+    c, with entry 1 at c and minus the reduced rows' entries at the pivots.
+
+    Each column has a lead: c is its largest nonzero coordinate (a reduced
+    row has entries only right of its pivot, so the pivots it reaches from
+    c are smaller), and every other column is zero at c."""
     n = a.ncols
     reduced = rref_rows(a.rows, p)
     pivots = {c for c, _ in reduced}

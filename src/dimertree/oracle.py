@@ -16,6 +16,13 @@ must not mutate a cached object.  A `Rep` refers to its algebra weakly, so
 the caches go with the algebra; a `Rep` is usable only while its algebra is
 alive, and raises `OracleError` after.
 
+Covers, kernels and presentations share one vector format: a sparse dict
+{coordinate: nonzero entry}, the shape of a `Matrix` row.  One routine,
+`submodule_cover`, covers both a whole module (given the unit vectors) and
+the kernel of a map out of a tower (given the columns of its nullspace);
+both bases have leads, so a vector's coordinates are read off without
+another row reduction.
+
 Relation structure: a boundary arrow contributes a single vanishing word (the
 rest of its cycle); an interior arrow equates the complementary words of its
 two cycles, with signs taken from the potential.  Path spaces are spanned
@@ -30,7 +37,8 @@ import dataclasses
 import weakref
 from dataclasses import dataclass
 
-from .linalg import DEFAULT_PRIME, Field, Matrix, parse_field_spec, rref_rows
+from .linalg import (DEFAULT_PRIME, Field, Matrix, _eliminate, parse_field_spec,
+                     rref_rows)
 from .quiver import (
     Check,
     Potential,
@@ -232,14 +240,6 @@ class AlgebraBasis:
 
         self.cap = cap
         self.stabilization_length = n0
-        self.classes = []
-        self.constant_class = {}
-        self.by_pair = {}
-        self._word_class = {}
-        self._rep_cache = {}
-        self._tower_cache = {}
-        self._pres_cache = {}
-        self._vanishing_report = None
         for v in self.vertices:
             cid = len(self.classes)
             self.classes.append(PathClass(cid, v, v, ()))
@@ -450,228 +450,140 @@ def presentation_matrices(ab: AlgebraBasis, pres: ModulePresentation):
     return t1, t0, mats
 
 
-# -- subspace utilities ---------------------------------------------------------
+# -- sparse vectors ---------------------------------------------------------------
+#
+# A vector is a sparse dict {coordinate: nonzero entry}, the shape of a
+# `Matrix` row.
 
-def _columns(F: Field, mat) -> list[list]:
-    m, n = F.shape(mat)
-    cols = [[0] * m for _ in range(n)]
+def _cols(mat: Matrix) -> list[dict]:
+    """The nonzero columns of mat, as sparse vectors, in column order."""
+    cols: dict[int, dict] = {}
     for i, row in enumerate(mat.rows):
         for j, x in row.items():
-            cols[j][i] = x
-    return cols
-
-
-def _nonzero_cols(F: Field, mat) -> list[list]:
-    """The nonzero columns of mat, dense, in column order."""
-    m = len(mat.rows)
-    cols: dict[int, list] = {}
-    for i, row in enumerate(mat.rows):
-        for j, x in row.items():
-            cols.setdefault(j, [0] * m)[i] = x
+            cols.setdefault(j, {})[i] = x
     return [cols[j] for j in sorted(cols)]
 
 
-def _from_columns(F: Field, nrows: int, cols: list) -> Matrix:
+def _from_columns(nrows: int, cols: list[dict]) -> Matrix:
     rows: list[dict] = [{} for _ in range(nrows)]
     for j, col in enumerate(cols):
-        for i, x in enumerate(col):
-            if x:
-                rows[i][j] = x
+        for i, x in col.items():
+            rows[i][j] = x
     return Matrix(rows, len(cols))
 
 
-def _apply(F: Field, mat, vec: list) -> list:
-    """mat times the dense vector vec, over the nonzero entries of mat."""
+def _apply(F: Field, mat: Matrix, vec: dict) -> dict:
+    """mat times vec, over the nonzero entries of both."""
     add, mul = F.add, F.mul
-    out = []
-    for row in mat.rows:
+    out = {}
+    for i, row in enumerate(mat.rows):
         acc = 0
         for j, v in row.items():
-            x = vec[j]
+            x = vec.get(j)
             if x:
                 acc = add(acc, mul(v, x))
-        out.append(acc)
+        if acc:
+            out[i] = acc
     return out
 
 
-class _Quotient:
-    """Coordinates for F^n modulo the span of the given column vectors."""
-
-    def __init__(self, F: Field, n: int, cols: list):
-        self.F = F
-        self.n = n
-        if cols:
-            red, piv = F.rref(F.matrix([list(c) for c in cols], ncols=n))
-            self.rows = [[red[i, j] for j in range(n)] for i in range(len(piv))]
-            self.pivots = list(piv)
-        else:
-            self.rows, self.pivots = [], []
-        pivset = set(self.pivots)
-        self.free = [c for c in range(n) if c not in pivset]
-
-    def dim(self) -> int:
-        return len(self.free)
-
-    def project(self, vec: list) -> list:
-        F = self.F
-        v = list(vec)
-        for row, p in zip(self.rows, self.pivots):
-            c = v[p]
-            if not F.is_zero(c):
-                v = [F.add(x, F.neg(F.mul(c, r))) for x, r in zip(v, row)]
-        return [v[c] for c in self.free]
-
-    def lift(self, k: int) -> list:
-        v = [self.F.scalar(0)] * self.n
-        v[self.free[k]] = self.F.scalar(1)
-        return v
-
-
-def _coords_in_columns(F: Field, bas_cols: list, n: int, targets: list) -> list[list]:
-    """Coordinates of each target vector in the span of the basis columns
-    (columns assumed independent, targets assumed inside the span)."""
-    k = len(bas_cols)
-    aug = _from_columns(F, n, bas_cols + targets)
-    red, piv = F.rref(aug)
-    for pc in piv:
-        if pc >= k:
-            raise OracleError("vector not inside the subspace")
-    out = []
-    for j in range(len(targets)):
-        out.append([red[i, k + j] for i in range(k)])
-    return out
+def _combine(F: Field, basis: list[dict], coeffs: dict) -> dict:
+    """The sum of coeffs[k] * basis[k]."""
+    out: dict = {}
+    for k, c in coeffs.items():
+        for j, x in basis[k].items():
+            out[j] = F.add(out.get(j, 0), F.mul(c, x))
+    return {j: x for j, x in out.items() if x}
 
 
 # -- covers, kernels, presentations ---------------------------------------------
 
-def radical_columns(rep: Rep) -> dict[object, list]:
-    cols: dict[object, list] = {w: [] for w in rep.dims}
-    F = rep.field
-    for a in rep.ab.q.arrows:
-        cols[a.target].extend(_nonzero_cols(F, rep.act[a.id]))
-    return cols
+def submodule_cover(ab: AlgebraBasis, ambient: Rep, sub: dict[object, list]):
+    """Projective cover of a submodule of ambient: summand vertices, and one
+    generator (w, vector) per summand, the vector in ambient coordinates.
 
-
-def top_generators(rep: Rep) -> dict[object, list]:
-    """Unit-vector lifts of a basis of top M = M / rad M, per vertex."""
-    F = rep.field
-    rad = radical_columns(rep)
-    gens: dict[object, list] = {}
-    for w, n in rep.dims.items():
-        if n == 0:
-            gens[w] = []
-            continue
-        if rad[w]:
-            _, piv = F.rref(F.matrix([list(c) for c in rad[w]], ncols=n))
-            pivset = set(piv)
-        else:
-            pivset = set()
-        out = []
-        for c in range(n):
-            if c not in pivset:
-                v = [F.scalar(0)] * n
-                v[c] = F.scalar(1)
-                out.append(v)
-        gens[w] = out
-    return gens
+    sub[w] is a basis of the submodule at w.  Each basis vector must have a
+    lead: entry 1 at its largest coordinate, where every other basis vector
+    at w is zero.  Unit vectors have one, which covers a whole module, and
+    so do the columns of `nullspace_matrix`.  The coordinates of a vector of
+    the submodule are then its entries at the leads.  The generators are
+    the basis vectors outside the span of the radical, the images of the
+    basis under the arrows."""
+    F = ab.field
+    radical: dict[object, list] = {w: [] for w in ambient.dims}
+    for a in ab.q.arrows:
+        for vec in sub[a.source]:
+            moved = _apply(F, ambient.act[a.id], vec)
+            if moved:
+                radical[a.target].append(moved)
+    summands: list = []
+    gens: list[tuple[object, dict]] = []
+    for w in ab.vertices:
+        basis = sub[w]
+        pivots = set()
+        if radical[w]:
+            lead = {max(b): k for k, b in enumerate(basis)}
+            coords = []
+            for vec in radical[w]:
+                c = {lead[j]: x for j, x in vec.items() if j in lead}
+                if _combine(F, basis, c) != vec:
+                    raise OracleError("vector not inside the subspace")
+                coords.append(c)
+            pivots = set(F.rref(Matrix(coords, len(basis)))[1])
+        for k, b in enumerate(basis):
+            if k not in pivots:
+                summands.append(w)
+                gens.append((w, b))
+    return summands, gens
 
 
 def cover_map(ab: AlgebraBasis, rep: Rep):
     """Projective cover tower -> rep, where rep is a module over ab.
 
-    Returns (summand vertices, vertex-wise matrices, tower rep, generators).
-    It is computed on the first call and kept on `rep`, so callers must not
+    Returns (summand vertices, vertex-wise matrices, tower rep).  It is
+    computed on the first call and kept on `rep`, so callers must not
     mutate it."""
     if rep._cover is None:
-        rep._cover = _cover_map(ab, rep)
+        F = ab.field
+        units = {w: [{c: 1} for c in range(n)] for w, n in rep.dims.items()}
+        summands, gens = submodule_cover(ab, rep, units)
+        tower, _ = tower_rep(ab, summands)
+        mats = {}
+        for w in ab.vertices:
+            cols = []
+            for li, c in tower.labels[w]:
+                gw, g = gens[li]
+                cols.append(_apply(F, rep.word_matrix(ab.classes[c].word, gw), g))
+            mats[w] = _from_columns(rep.dims[w], cols)
+        rep._cover = summands, mats, tower
     return rep._cover
 
 
-def _cover_map(ab: AlgebraBasis, rep: Rep):
+def _kernel_cover(ab: AlgebraBasis, tower: Rep, mats):
+    """Cover of the kernel of the vertex-wise matrices mats out of a tower
+    of projectives: the summand vertices, and the presentation entries of
+    each generator, read off its tower coordinates."""
     F = ab.field
-    gens = top_generators(rep)
-    summands: list = []
-    gen_list: list[tuple[object, list]] = []
-    for w in ab.vertices:
-        for g in gens[w]:
-            summands.append(w)
-            gen_list.append((w, g))
-    tower, _ = tower_rep(ab, summands)
-    mats = {}
-    for w in ab.vertices:
-        cols = []
-        for (li, c) in tower.labels[w]:
-            gv, gvec = gen_list[li]
-            mat = rep.word_matrix(ab.classes[c].word, gv)
-            cols.append(_apply(F, mat, gvec))
-        mats[w] = _from_columns(F, rep.dims[w], cols)
-    return summands, mats, tower, gen_list
-
-
-def kernel_subspaces(F: Field, tower: Rep, mats) -> dict[object, list]:
-    out = {}
-    for w, n in tower.dims.items():
-        out[w] = _columns(F, F.nullspace(mats[w])) if n else []
-    return out
-
-
-def submodule_cover(ab: AlgebraBasis, ambient: Rep, sub: dict[object, list]):
-    """Cover of a submodule of a tower/rep: summand vertices plus generator
-    vectors (in ambient coordinates)."""
-    F = ab.field
-    radcols: dict[object, list] = {w: [] for w in ambient.dims}
-    for a in ab.q.arrows:
-        for col in sub[a.source]:
-            moved = _apply(F, ambient.act[a.id], col)
-            if any(not F.is_zero(x) for x in moved):
-                radcols[a.target].append(moved)
-    summands: list = []
-    gen_list: list[tuple[object, list]] = []
-    for w in ab.vertices:
-        basis = sub[w]
-        if not basis:
-            continue
-        if radcols[w]:
-            coords = _coords_in_columns(F, basis, ambient.dims[w], radcols[w])
-            _, piv = F.rref(F.matrix(coords, ncols=len(basis)))
-            pivset = set(piv)
-        else:
-            pivset = set()
-        for ci in range(len(basis)):
-            if ci not in pivset:
-                summands.append(w)
-                gen_list.append((w, basis[ci]))
-    return summands, gen_list
-
-
-def tower_entries_of_generators(ab: AlgebraBasis, tower: Rep, gen_list):
-    """Presentation entries of generators living inside a tower of projectives."""
-    F = ab.field
+    kernel = {w: _cols(F.nullspace(mats[w])) if n else []
+              for w, n in tower.dims.items()}
+    summands, gens = submodule_cover(ab, tower, kernel)
     entries: dict[tuple[int, int], list[tuple[object, int]]] = {}
-    for k, (w, gvec) in enumerate(gen_list):
-        for pos_idx, (li, cls) in enumerate(tower.labels[w]):
-            coeff = gvec[pos_idx]
-            if not F.is_zero(coeff):
-                entries.setdefault((li, k), []).append((coeff, cls))
-    return entries
+    for k, (w, g) in enumerate(gens):
+        labels = tower.labels[w]
+        for i in sorted(g):
+            li, cls = labels[i]
+            entries.setdefault((li, k), []).append((g[i], cls))
+    return summands, entries
 
 
 def minimal_presentation(ab: AlgebraBasis, rep: Rep) -> ModulePresentation:
     """Projective cover of rep, then cover of the kernel of the cover."""
-    summands, mats, tower, _ = cover_map(ab, rep)
-    ker = kernel_subspaces(ab.field, tower, mats)
-    p1, gen_list = submodule_cover(ab, tower, ker)
-    entries = tower_entries_of_generators(ab, tower, gen_list)
-    pres = ModulePresentation(p1=p1, p0=list(summands), entries=entries)
-    _assert_minimal(ab, pres)
-    return pres
-
-
-def _assert_minimal(ab: AlgebraBasis, pres: ModulePresentation) -> None:
-    for combo in pres.entries.values():
-        for _, cls in combo:
-            if ab.classes[cls].is_constant:
-                raise OracleError("presentation is not minimal: constant entry")
+    summands, mats, tower = cover_map(ab, rep)
+    p1, entries = _kernel_cover(ab, tower, mats)
+    if any(ab.classes[cls].is_constant
+           for combo in entries.values() for _, cls in combo):
+        raise OracleError("presentation is not minimal: constant entry")
+    return ModulePresentation(p1=p1, p0=list(summands), entries=entries)
 
 
 def resolve_step(ab: AlgebraBasis, pres: ModulePresentation) -> ModulePresentation:
@@ -680,30 +592,41 @@ def resolve_step(ab: AlgebraBasis, pres: ModulePresentation) -> ModulePresentati
     later calls return the same object; `pres` belongs to `ab`, whose class
     ids its entries use."""
     if pres._next is None:
-        F = ab.field
         t1, _, mats = presentation_matrices(ab, pres)
-        ker = kernel_subspaces(F, t1, mats)
-        p2, gen_list = submodule_cover(ab, t1, ker)
-        entries = tower_entries_of_generators(ab, t1, gen_list)
+        p2, entries = _kernel_cover(ab, t1, mats)
         pres._next = ModulePresentation(p1=p2, p0=list(pres.p1), entries=entries)
     return pres._next
 
 
 def cokernel_rep(ab: AlgebraBasis, pres: ModulePresentation) -> Rep:
-    """Materialize coker(tower(p1) -> tower(p0)) as a representation."""
+    """Materialize coker(tower(p1) -> tower(p0)) as a representation.
+
+    At each vertex the quotient's basis is the unit vectors at the
+    coordinates that are not pivots of the image's RREF; a vector is
+    reduced against the RREF rows and read at those coordinates."""
     F = ab.field
-    t1, t0, mats = presentation_matrices(ab, pres)
-    quots = {w: _Quotient(F, t0.dims[w], _nonzero_cols(F, mats[w]))
-             for w in ab.vertices}
-    dims = {w: q.dim() for w, q in quots.items()}
+    _, t0, mats = presentation_matrices(ab, pres)
+    pivot_rows, free = {}, {}
+    for w in ab.vertices:
+        image = _cols(mats[w])
+        pivot_rows[w] = {}
+        if image:
+            red, piv = F.rref(Matrix(image, t0.dims[w]))
+            pivot_rows[w] = dict(zip(piv, red.rows))
+        free[w] = {c: k for k, c in enumerate(
+            c for c in range(t0.dims[w]) if c not in pivot_rows[w])}
     act = {}
     for a in ab.q.arrows:
+        s, t = a.source, a.target
         cols = []
-        for k in range(dims[a.source]):
-            moved = _apply(F, t0.act[a.id], quots[a.source].lift(k))
-            cols.append(quots[a.target].project(moved))
-        act[a.id] = _from_columns(F, dims[a.target], cols)
-    return Rep(ab, dims, act)
+        for c in free[s]:
+            vec = _apply(F, t0.act[a.id], {c: 1})
+            for p, x in list(vec.items()):
+                if p in pivot_rows[t]:
+                    _eliminate(vec, x, pivot_rows[t][p], F.p)
+            cols.append({free[t][j]: x for j, x in vec.items()})
+        act[a.id] = _from_columns(len(free[t]), cols)
+    return Rep(ab, {w: len(f) for w, f in free.items()}, act)
 
 
 # ---------------------------------------------------------------------------
@@ -769,7 +692,7 @@ def _stable_hom_dim(M: Rep, N: Rep, homs: list) -> int:
     ab = M.ab
     if not homs:
         return 0
-    _, pi_mats, towerN, _ = cover_map(ab, N)
+    _, pi_mats, towerN = cover_map(ab, N)
     lifts = hom_space(M, towerN)
     if not lifts:
         return len(homs)

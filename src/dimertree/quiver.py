@@ -158,20 +158,24 @@ def quiver_from_dict(doc: object) -> Quiver:
     for i, spec in enumerate(raw_arrows):
         loc = f"arrows[{i}]"
         if isinstance(spec, list):
-            if len(spec) != 2:
-                raise QuiverError(f"{loc}: expected [source, target]")
-            s, t = spec
-            aid = _default_arrow_id(s, t)
+            if len(spec) == 2:
+                s, t = spec
+                aid = _default_arrow_id(s, t)
+            elif len(spec) == 3:
+                aid, s, t = spec
+            else:
+                raise QuiverError(
+                    f"{loc}: expected [source, target] or [id, source, target]")
         elif isinstance(spec, dict):
             try:
                 s, t = spec["source"], spec["target"]
             except KeyError as exc:
                 raise QuiverError(f"{loc}: missing {exc}") from exc
             aid = spec.get("id", _default_arrow_id(s, t))
-            if not isinstance(aid, str):
-                raise QuiverError(f"{loc}: arrow id must be a string")
         else:
             raise QuiverError(f"{loc}: expected array or object")
+        if not isinstance(aid, str):
+            raise QuiverError(f"{loc}: arrow id must be a string")
         for v in (s, t):
             if not isinstance(v, (int, str)) or isinstance(v, bool):
                 raise QuiverError(f"{loc}: vertex id must be an integer or string")
@@ -237,7 +241,8 @@ class ChordlessCycle:
         return self.arrows[(i + 1) % len(self.arrows)]
 
     def __repr__(self) -> str:
-        return "Cycle(" + "->".join(str(v) for v in self.vertices) + ")"
+        return ("Cycle(" + "->".join(str(v) for v in self.vertices)
+                + " via " + ", ".join(self.arrows) + ")")
 
 
 def _canonical_cycle(arrows: Sequence[Arrow]) -> ChordlessCycle:

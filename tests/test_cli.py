@@ -7,7 +7,9 @@ from dimertree import cli
 from dimertree import oracle as orc
 from dimertree.cli import main
 
-from conftest import fixture_path, load_fixture
+from dimertree.quiver import load_quiver
+
+from conftest import fixture_path, glued_dimer_tree, load_fixture
 
 
 def run(capsys, *argv):
@@ -325,3 +327,54 @@ def test_unwritable_output_is_bad_input(tmp_path, capsys, argv):
         run(capsys, cmd, fixture_path(fixture), *rest)
     assert exc.value.code == 2
     assert "cannot write" in capsys.readouterr().err
+
+
+FIXTURES = ["c3", "c4", "c5", "c6", "c7", "c8", "q7", "q9"]
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_trace_steps_load_and_validate(name, tmp_path, capsys):
+    """Each `quiver_after` of a reduce trace is a quiver file: its arrows are
+    [id, source, target] triples, and the loader keeps the ids."""
+    trace = tmp_path / "trace.json"
+    code, _, _ = run(capsys, "reduce", fixture_path(name), "--trace", str(trace))
+    assert code == 0
+    steps = [s for s in json.loads(trace.read_text())["steps"]
+             if s["dimer_tree_after"]]
+    assert steps or name.startswith("c")
+    for i, step in enumerate(steps):
+        doc = step["quiver_after"]
+        path = tmp_path / f"step{i}.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "validate", str(path))
+        assert code == 0, (name, i, err)
+        q = load_quiver(str(path))
+        assert [[a.id, a.source, a.target] for a in q.arrows] == doc["arrows"]
+
+
+@pytest.mark.parametrize("arrow,reason", [
+    (["a", 1, 2, 3], "arrows[0]: expected [source, target] or [id, source, target]"),
+    ([7, 1, 2], "arrows[0]: arrow id must be a string"),
+], ids=["list-of-four", "triple-int-id"])
+def test_bad_arrow_lists_are_bad_input(arrow, reason, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"vertices": [1, 2, 3],
+                               "arrows": [arrow, [2, 3], [3, 1]]}))
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "validate", str(bad))
+    assert exc.value.code == 2
+    assert reason in capsys.readouterr().err
+
+
+def test_polygon_text_lists_lines_in_vertex_order(tmp_path, capsys):
+    q = glued_dimer_tree((5, 3, 4, 4), (0, 3, 11))
+    assert len(q.vertices) >= 10
+    path = tmp_path / "glued.json"
+    path.write_text(json.dumps({
+        "vertices": list(q.vertices),
+        "arrows": [[a.source, a.target] for a in q.arrows]}))
+    code, out, _ = run(capsys, "polygon", str(path))
+    assert code == 0
+    lines = [int(l.split()[1].rstrip(":")) for l in out.splitlines()
+             if l.startswith("  line ")]
+    assert lines == sorted(q.vertices)

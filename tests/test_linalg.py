@@ -286,6 +286,27 @@ def test_sparse_elimination_matches_the_dense_reference(field):
             assert field.is_zero_matrix(field.matmul(a, ns))
 
 
+@pytest.mark.parametrize("field", [GF(2), GF(101), GF(32003), QQ()],
+                         ids=lambda f: f.name)
+def test_nullspace_columns_have_leads(field):
+    """Each kernel column has entry 1 at its largest nonzero coordinate, the
+    leads increase with the column, and every other column is zero there:
+    the oracle's `submodule_cover` reads coordinates off these leads."""
+    rng = random.Random(23)
+    values = ([1, 2, -1, -2, 3, Fraction(1, 3)] if isinstance(field, QQ)
+              else [1, 2, field.p - 1, field.p // 2 + 1])
+    for m, n in SHAPES + [(rng.randint(1, 10), rng.randint(1, 10)) for _ in range(60)]:
+        ns = field.nullspace(field.matrix(sparse_random_rows(rng, m, n, values),
+                                          ncols=n))
+        cols = [{i: row[k] for i, row in enumerate(ns.rows) if k in row}
+                for k in range(ns.ncols)]
+        leads = [max(col) for col in cols]
+        assert leads == sorted(set(leads))
+        for k, (col, lead) in enumerate(zip(cols, leads)):
+            assert col[lead] == 1
+            assert all(lead not in other for other in cols[:k] + cols[k + 1:])
+
+
 def test_zero_matrices_reduce_to_themselves():
     for f in (GF(101), QQ()):
         z = f.zeros(3, 4)

@@ -18,6 +18,7 @@ from dimertree.linalg import GF, QQ
 from conftest import fixture_path, glued_dimer_tree, load_fixture
 
 FIELDS = {"GF": GF(32003), "Q": QQ()}
+FIXTURES = ["c3", "c4", "c5", "c6", "c7", "c8", "q7", "q9"]
 # glued trees of two to four cycles
 GLUED = {
     "k2": ((3, 5), (1,)),
@@ -174,6 +175,133 @@ def dense_hom_tower_matrix(ab, pres, N):
     return mat
 
 
+def dense_from_columns(F, nrows, cols):
+    return F.matrix([[col[i] for col in cols] for i in range(nrows)],
+                    ncols=len(cols))
+
+
+def dense_coords_in_columns(F, bas_cols, n, targets):
+    k = len(bas_cols)
+    red, piv = F.rref(dense_from_columns(F, n, bas_cols + targets))
+    assert all(pc < k for pc in piv), "vector not inside the subspace"
+    return [[red[i, k + j] for i in range(k)] for j in range(len(targets))]
+
+
+def dense_top_generators(rep):
+    F = rep.field
+    rad = {w: [] for w in rep.dims}
+    for a in rep.ab.q.arrows:
+        rad[a.target].extend(c for c in dense_columns(F, rep.act[a.id]) if any(c))
+    gens = {}
+    for w, n in rep.dims.items():
+        pivset = set(F.rref(F.matrix(rad[w], ncols=n))[1]) if rad[w] else set()
+        gens[w] = [[F.scalar(int(i == c)) for i in range(n)]
+                   for c in range(n) if c not in pivset]
+    return gens
+
+
+def dense_cover_map(ab, rep):
+    F = ab.field
+    gens = dense_top_generators(rep)
+    gen_list = [(w, g) for w in ab.vertices for g in gens[w]]
+    summands = [w for w, _ in gen_list]
+    tower, _ = orc.tower_rep(ab, summands)
+    mats = {}
+    for w in ab.vertices:
+        cols = []
+        for li, c in tower.labels[w]:
+            gv, gvec = gen_list[li]
+            cols.append(dense_apply(F, rep.word_matrix(ab.classes[c].word, gv), gvec))
+        mats[w] = dense_from_columns(F, rep.dims[w], cols)
+    return summands, mats, tower
+
+
+def dense_submodule_cover(ab, ambient, sub):
+    F = ab.field
+    radcols = {w: [] for w in ambient.dims}
+    for a in ab.q.arrows:
+        for col in sub[a.source]:
+            moved = dense_apply(F, ambient.act[a.id], col)
+            if any(not F.is_zero(x) for x in moved):
+                radcols[a.target].append(moved)
+    gen_list = []
+    for w in ab.vertices:
+        basis = sub[w]
+        if not basis:
+            continue
+        pivset = set()
+        if radcols[w]:
+            coords = dense_coords_in_columns(F, basis, ambient.dims[w], radcols[w])
+            pivset = set(F.rref(F.matrix(coords, ncols=len(basis)))[1])
+        gen_list += [(w, b) for ci, b in enumerate(basis) if ci not in pivset]
+    return gen_list
+
+
+def dense_kernel_cover(ab, tower, mats):
+    F = ab.field
+    ker = {w: dense_columns(F, F.nullspace(mats[w])) if n else []
+           for w, n in tower.dims.items()}
+    gen_list = dense_submodule_cover(ab, tower, ker)
+    entries = {}
+    for k, (w, gvec) in enumerate(gen_list):
+        for i, (li, cls) in enumerate(tower.labels[w]):
+            if not F.is_zero(gvec[i]):
+                entries.setdefault((li, k), []).append((gvec[i], cls))
+    return [w for w, _ in gen_list], entries
+
+
+def dense_minimal_presentation(ab, rep):
+    summands, mats, tower = dense_cover_map(ab, rep)
+    p1, entries = dense_kernel_cover(ab, tower, mats)
+    return orc.ModulePresentation(p1=p1, p0=summands, entries=entries)
+
+
+def dense_resolve_step(ab, pres):
+    t1, _, mats = orc.presentation_matrices(ab, pres)
+    p2, entries = dense_kernel_cover(ab, t1, mats)
+    return orc.ModulePresentation(p1=p2, p0=list(pres.p1), entries=entries)
+
+
+class DenseQuotient:
+    """Coordinates for F^n modulo the span of the given dense columns."""
+
+    def __init__(self, F, n, cols):
+        self.F, self.n = F, n
+        self.rows, self.pivots = [], []
+        if cols:
+            red, piv = F.rref(F.matrix(cols, ncols=n))
+            self.rows = [[red[i, j] for j in range(n)] for i in range(len(piv))]
+            self.pivots = list(piv)
+        self.free = [c for c in range(n) if c not in self.pivots]
+
+    def project(self, vec):
+        F, v = self.F, list(vec)
+        for row, p in zip(self.rows, self.pivots):
+            c = v[p]
+            if not F.is_zero(c):
+                v = [F.add(x, F.neg(F.mul(c, r))) for x, r in zip(v, row)]
+        return [v[c] for c in self.free]
+
+    def lift(self, k):
+        return [self.F.scalar(int(i == self.free[k])) for i in range(self.n)]
+
+
+def dense_cokernel_rep(ab, pres):
+    F = ab.field
+    _, t0, mats = orc.presentation_matrices(ab, pres)
+    quots = {w: DenseQuotient(F, t0.dims[w],
+                              [c for c in dense_columns(F, mats[w]) if any(c)])
+             for w in ab.vertices}
+    dims = {w: len(q.free) for w, q in quots.items()}
+    act = {}
+    for a in ab.q.arrows:
+        cols = [quots[a.target].project(dense_apply(F, t0.act[a.id],
+                                                    quots[a.source].lift(k)))
+                for k in range(dims[a.source])]
+        act[a.id] = dense_from_columns(F, dims[a.target], cols)
+    return orc.Rep(ab, dims, act)
+
+
 # -- random mostly-zero data ------------------------------------------------------------
 
 def _entry(F, rng):
@@ -250,6 +378,10 @@ def test_mult_equals_class_of_the_concatenated_word():
 
 # -- sparse helpers against the dense loops ----------------------------------------------
 
+def sparse(vec):
+    return {i: x for i, x in enumerate(vec) if x}
+
+
 @pytest.mark.parametrize("field", FIELDS)
 def test_column_helpers_and_apply_match_dense_loops(field):
     F = FIELDS[field]
@@ -257,13 +389,11 @@ def test_column_helpers_and_apply_match_dense_loops(field):
     for _ in range(200):
         m, n = rng.randint(0, 6), rng.randint(0, 6)
         mat = random_matrix(F, rng, m, n)
-        assert orc._columns(F, mat) == dense_columns(F, mat)
-        assert orc._nonzero_cols(F, mat) == [c for c in dense_columns(F, mat)
-                                             if any(c)]
-        vec = [_entry(F, rng) for _ in range(n)]
-        assert orc._apply(F, mat, vec) == dense_apply(F, mat, vec)
         cols = dense_columns(F, mat)
-        assert orc._from_columns(F, m, cols).rows == mat.rows
+        assert orc._cols(mat) == [sparse(c) for c in cols if any(c)]
+        vec = [_entry(F, rng) for _ in range(n)]
+        assert orc._apply(F, mat, sparse(vec)) == sparse(dense_apply(F, mat, vec))
+        assert orc._from_columns(m, [sparse(c) for c in cols]).rows == mat.rows
 
 
 @pytest.mark.parametrize("field", FIELDS)
@@ -295,6 +425,46 @@ def test_hom_tower_matrix_matches_dense_loops(field, name):
                 want = dense_hom_tower_matrix(ab, p, N)
                 assert got.shape == want.shape
                 assert got.rows == want.rows
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("name", [*FIXTURES, *GLUED])
+def test_resolutions_and_cokernels_match_the_dense_cover_path(field, name):
+    """2N resolve steps from every radical, and the cokernel of each
+    presentation, equal the dense top-generator and quotient path."""
+    ab = orc.build_algebra(_quiver(name), FIELDS[field])
+    for x in ab.vertices:
+        pres = orc.radical_presentation(ab, x)
+        ref = dense_minimal_presentation(ab, ab.radical_rep(x))
+        for step in range(2 * ab.weights.half + 1):
+            if step:
+                pres, ref = orc.resolve_step(ab, pres), dense_resolve_step(ab, ref)
+            assert pres == ref, (x, step)
+            got, want = orc.cokernel_rep(ab, pres), dense_cokernel_rep(ab, ref)
+            assert got.dims == want.dims, (x, step)
+            for aid, mat in got.act.items():
+                assert mat.shape == want.act[aid].shape
+                assert mat.rows == want.act[aid].rows, (x, step, aid)
+
+
+def test_submodule_cover_rejects_a_subspace_that_is_not_a_submodule(c3):
+    """The radical of a subspace that is not closed under the arrows is not
+    inside it, whether the subspace is zero at the arrow's target or not."""
+    ab = orc.build_algebra(c3, 32003)
+    tower, pos = orc.tower_rep(ab, [1, 2])
+    const = {v: ab.constant_class[v] for v in ab.vertices}
+    sub = {w: [] for w in tower.dims}
+    sub[1] = [{pos[1][(0, const[1])]: 1}]
+    with pytest.raises(orc.OracleError, match="not inside the subspace"):
+        orc.submodule_cover(ab, tower, sub)
+    sub[2] = [{pos[2][(1, const[2])]: 1}]
+    with pytest.raises(orc.OracleError, match="not inside the subspace"):
+        orc.submodule_cover(ab, tower, sub)
+    # the whole tower is covered by its two tops
+    units = {w: [{c: 1} for c in range(n)] for w, n in tower.dims.items()}
+    summands, gens = orc.submodule_cover(ab, tower, units)
+    assert summands == [1, 2]
+    assert gens == [(1, {pos[1][(0, const[1])]: 1}), (2, {pos[2][(1, const[2])]: 1})]
 
 
 # -- lifetimes ----------------------------------------------------------------------------

@@ -39,9 +39,10 @@ def test_parse_object_arrows_and_ids():
     q = parse_quiver(json.dumps({
         "name": "t", "vertices": ["a", "b", "c"],
         "arrows": [{"id": "x", "source": "a", "target": "b"},
-                   ["b", "c"], ["c", "a"]]}))
+                   ["b", "c"], ["y", "c", "a"]]}))
     assert q.arrow_by_id["x"].source == "a"
     assert "b->c" in q.arrow_by_id
+    assert (q.arrow_by_id["y"].source, q.arrow_by_id["y"].target) == ("c", "a")
 
 
 @pytest.mark.parametrize("doc,fragment", [
@@ -51,6 +52,13 @@ def test_parse_object_arrows_and_ids():
     ('{"name": "p", "vertices": [1, 2], "arrows": [[1, 2], [1, 2]]}', "parallel"),
     ('{"name": "t", "vertices": [1, 2], "arrows": [[1, 2], [2, 1]]}', "2-cycle"),
     ('{"name": "d", "vertices": [1, 2], "arrows": [[1, 3]]}', "unknown"),
+    pytest.param('{"vertices": [1, 2], "arrows": [["a", 1, 2, 3]]}',
+                 "arrows[0]: expected [source, target] or [id, source, target]",
+                 id="arrow-list-of-four"),
+    pytest.param('{"vertices": [1, 2], "arrows": [[7, 1, 2]]}',
+                 "arrows[0]: arrow id must be a string", id="triple-int-id"),
+    pytest.param('{"vertices": [1, 2], "arrows": [{"id": 7, "source": 1, "target": 2}]}',
+                 "arrows[0]: arrow id must be a string", id="object-int-id"),
 ])
 def test_parse_errors(doc, fragment):
     with pytest.raises(QuiverError) as err:
@@ -172,6 +180,21 @@ def test_parallel_arrows_named_with_their_endpoints():
     ok = next(c for c in validate_dimer_tree(quiver_from_arrows(
         [(1, 2), (2, 3), (3, 1)])).items if c.name == "no_parallel_arrows")
     assert ok.passed and ok.detail == ""
+
+
+def test_cycles_on_parallel_arrows_print_differently():
+    # a and d both run 1->2, so two cycles have the same vertex route
+    q = Quiver([1, 2, 3], [Arrow("a", 1, 2), Arrow("b", 2, 3), Arrow("c", 3, 1),
+                           Arrow("d", 1, 2)])
+    cycles = analyze_structure(q).cycles
+    assert len(cycles) == 2
+    assert len({repr(c) for c in cycles}) == 2
+    assert repr(cycles[0]) == "Cycle(1->2->3 via a, b, c)"
+    check = next(c for c in validate_dimer_tree(q).items
+                 if c.name == "cycles_share_at_most_one_arrow")
+    assert not check.passed
+    assert check.detail == ("cycles Cycle(1->2->3 via a, b, c) and "
+                            "Cycle(1->2->3 via d, b, c) share ['b', 'c']")
 
 
 def test_arrow_in_three_cycles_reported():
