@@ -16,6 +16,14 @@ must not mutate a cached object.  A `Rep` refers to its algebra weakly, so
 the caches go with the algebra; a `Rep` is usable only while its algebra is
 alive, and raises `OracleError` after.
 
+The report reuses these modules rather than rebuilding them.  A tower of
+several summands is the direct sum of the cached single projectives, its
+blocks copied, not multiplied out.  The Ext check runs one complex per
+vertex j against rad B, the direct sum of all the rad P(x), and reads each
+Ext^1(rad P(j), rad P(x)) off the blocks of its ranks; rad B is built per
+check, not kept.  Stable Hom dimensions are read off the flattened Hom
+nullspace, with the lifts through a cover projected on its rows.
+
 Covers, kernels and presentations share one vector format: a sparse dict
 {coordinate: nonzero entry}, the shape of a `Matrix` row.  One routine,
 `submodule_cover`, covers both a whole module (given the unit vectors) and
@@ -35,6 +43,7 @@ from __future__ import annotations
 
 import dataclasses
 import weakref
+from collections import Counter
 from dataclasses import dataclass
 
 from .linalg import (DEFAULT_PRIME, Field, Matrix, _eliminate, parse_field_spec,
@@ -156,6 +165,9 @@ class AlgebraBasis:
         """All composable arrow words of length <= cap avoiding the vanishing
         words, in (length, lex) order."""
         q = self.q
+        ending: dict[str, list[Word]] = {}
+        for f in forbidden:
+            ending.setdefault(f[-1], []).append(f)
         words: list[Word] = []
         index: dict[Word, int] = {}
         frontier: list[tuple[Word, object]] = []
@@ -170,7 +182,7 @@ class AlgebraBasis:
             for w, tv in frontier:
                 for a in sorted(q.out_arrows[tv], key=lambda a: a.id):
                     new = w + (a.id,)
-                    if any(new[-len(f):] == f for f in forbidden):
+                    if any(new[-len(f):] == f for f in ending.get(a.id, ())):
                         continue
                     index[new] = len(words)
                     words.append(new)
@@ -413,18 +425,43 @@ def _class_rep(ab: AlgebraBasis, labels: dict) -> tuple[Rep, dict]:
     return Rep(ab, dims, act, labels=labels), pos
 
 
+def _direct_sum(ab: AlgebraBasis, parts) -> tuple[Rep, dict]:
+    """Direct sum of the reps in parts, a list of (tag, rep) whose labels
+    are pairs (tag, class): block by block, each label retagged with its
+    part's tag.  Returns the rep and pos[w][label], as `_class_rep` does."""
+    labels = {w: [(tag, c) for tag, rep in parts for _, c in rep.labels[w]]
+              for w in ab.vertices}
+    act = {}
+    for a in ab.q.arrows:
+        rows: list[dict] = []
+        off = 0
+        for _, rep in parts:
+            rows.extend({off + j: x for j, x in row.items()}
+                        for row in rep.act[a.id].rows)
+            off += rep.dims[a.source]
+        act[a.id] = Matrix(rows, off)
+    pos = {w: {t: i for i, t in enumerate(lab)} for w, lab in labels.items()}
+    dims = {w: len(lab) for w, lab in labels.items()}
+    return Rep(ab, dims, act, labels=labels), pos
+
+
 def tower_rep(ab: AlgebraBasis, summands) -> tuple[Rep, dict]:
     """Direct sum of projectives P(v); coordinates are (summand index, class).
 
-    Built once per summand list and kept on `ab`: callers must not mutate
-    the rep or `pos`."""
+    A single projective is built from its classes, a longer list is the
+    direct sum of the single ones.  Built once per summand list and kept on
+    `ab`: callers must not mutate the rep or `pos`."""
     key = tuple(summands)
     tower = ab._tower_cache.get(key)
     if tower is None:
-        labels = {w: [(li, c) for li, sv in enumerate(key)
-                      for c in ab.by_pair.get((sv, w), ())]
-                  for w in ab.vertices}
-        tower = ab._tower_cache[key] = _class_rep(ab, labels)
+        if len(key) == 1:
+            labels = {w: [(0, c) for c in ab.by_pair.get((key[0], w), ())]
+                      for w in ab.vertices}
+            tower = _class_rep(ab, labels)
+        else:
+            tower = _direct_sum(ab, [(li, tower_rep(ab, (v,))[0])
+                                     for li, v in enumerate(key)])
+        ab._tower_cache[key] = tower
     return tower
 
 
@@ -633,19 +670,22 @@ def cokernel_rep(ab: AlgebraBasis, pres: ModulePresentation) -> Rep:
 # Hom and Ext
 # ---------------------------------------------------------------------------
 
-def hom_space(M: Rep, N: Rep):
-    """Basis of Hom(M, N): list of {vertex: matrix} commuting families.
+def _hom_null(M: Rep, N: Rep) -> tuple[Matrix, dict]:
+    """Hom(M, N), flattened: a matrix whose columns are a basis, with the
+    entry f_v[i, j] of a map in row offsets[v] + i * M.dims[v] + j; and
+    the offsets.
 
     The unknowns are the entries f_v[i, j], vertex by vertex; there is one
     relation f_t Ma = Na f_s per arrow a: s -> t and entry (i, j)."""
     F = M.field
     ab = M.ab
-    verts = ab.vertices
     offsets = {}
     total = 0
-    for v in verts:
+    for v in ab.vertices:
         offsets[v] = total
         total += M.dims[v] * N.dims[v]
+    if total == 0:
+        return Matrix([], 0), offsets
     rows = []
     for a in ab.q.arrows:
         s, t = a.source, a.target
@@ -667,9 +707,14 @@ def hom_space(M: Rep, N: Rep):
                 for k, x in na_row.items():
                     row[os_ + k * ms + j] = F.neg(x)
                 rows.append(row)
-    if total == 0:
-        return []
-    null = F.nullspace(Matrix(rows, total))
+    return F.nullspace(Matrix(rows, total)), offsets
+
+
+def hom_space(M: Rep, N: Rep):
+    """Basis of Hom(M, N): list of {vertex: matrix} commuting families."""
+    F = M.field
+    null, offsets = _hom_null(M, N)
+    verts = M.ab.vertices
     out = [{v: F.zeros(N.dims[v], M.dims[v]) for v in verts}
            for _ in range(null.ncols)]
     for v in verts:
@@ -683,34 +728,33 @@ def hom_space(M: Rep, N: Rep):
 
 def stable_hom_dim_reps(M: Rep, N: Rep) -> int:
     """dim Hom(M,N) minus the maps that factor through the cover of N."""
-    return _stable_hom_dim(M, N, hom_space(M, N))
+    return _stable_hom_dim(M, N, _hom_null(M, N)[0].ncols)
 
 
-def _stable_hom_dim(M: Rep, N: Rep, homs: list) -> int:
-    """`stable_hom_dim_reps` given homs = hom_space(M, N)."""
+def _stable_hom_dim(M: Rep, N: Rep, dim_hom: int) -> int:
+    """`stable_hom_dim_reps` given dim_hom = dim Hom(M, N).
+
+    The maps that factor through a projective are the lifts Hom(M, tower)
+    composed with the cover pi: tower -> N.  pi_v f_v is read off the
+    flattened lifts with one product: its entry (i, j) is the sum over k of
+    pi_v[i, k] f_v[k, j]."""
+    if not dim_hom:
+        return 0
     F = M.field
     ab = M.ab
-    if not homs:
-        return 0
     _, pi_mats, towerN = cover_map(ab, N)
-    lifts = hom_space(M, towerN)
-    if not lifts:
-        return len(homs)
-    verts = ab.vertices
-    # each projected family flattened as in hom_space, one sparse row each
-    projected = []
-    for g in lifts:
-        row = {}
-        base = 0
-        for v in verts:
-            m = F.matmul(pi_mats[v], g[v])
-            for i, mrow in enumerate(m.rows):
-                for j, x in mrow.items():
-                    row[base + i * m.ncols + j] = x
-            base += len(m.rows) * m.ncols
-        projected.append(row)
-    rank = F.rank(Matrix(projected, base))
-    return len(homs) - rank
+    lifts, offsets = _hom_null(M, towerN)
+    if not lifts.ncols:
+        return dim_hom
+    # pi on the flat coordinates: row (v, i, j) takes pi_v[i, k] times row
+    # (v, k, j) of the lifts
+    proj = []
+    for v in ab.vertices:
+        base, mv = offsets[v], M.dims[v]
+        for pi_row in pi_mats[v].rows:
+            for j in range(mv):
+                proj.append({base + k * mv + j: x for k, x in pi_row.items()})
+    return dim_hom - F.rank(F.matmul(Matrix(proj, len(lifts.rows)), lifts))
 
 
 def hom_tower_matrix(ab: AlgebraBasis, pres: ModulePresentation, N: Rep):
@@ -741,18 +785,39 @@ def hom_tower_matrix(ab: AlgebraBasis, pres: ModulePresentation, N: Rep):
                   total_cols)
 
 
+def _ext1_complex(ab: AlgebraBasis, pres: ModulePresentation, N: Rep):
+    """Hom(-, N) of the three-term resolution of coker pres: the matrices
+    d0: Hom(T0,N) -> Hom(T1,N) and d1: Hom(T1,N) -> Hom(T2,N), checked to
+    compose to zero."""
+    F = ab.field
+    d0 = hom_tower_matrix(ab, pres, N)
+    d1 = hom_tower_matrix(ab, resolve_step(ab, pres), N)
+    if not F.is_zero_matrix(F.matmul(d1, d0)):
+        raise OracleError("resolution differentials do not compose to zero")
+    return d0, d1
+
+
 def ext1_dim_pres(ab: AlgebraBasis, Mpres: ModulePresentation, N: Rep) -> int:
     """dim Ext^1(coker Mpres, N) from the three-term resolution."""
     F = ab.field
-    pres2 = resolve_step(ab, Mpres)
-    d0 = hom_tower_matrix(ab, Mpres, N)    # Hom(T0,N) -> Hom(T1,N)
-    d1 = hom_tower_matrix(ab, pres2, N)    # Hom(T1,N) -> Hom(T2,N)
-    comp = F.matmul(d1, d0)
-    if not F.is_zero_matrix(comp):
-        raise OracleError("resolution differentials do not compose to zero")
-    hom_t1 = F.shape(d0)[0]
-    ker = hom_t1 - F.rank(d1)
-    return ker - F.rank(d0)
+    d0, d1 = _ext1_complex(ab, Mpres, N)
+    return F.shape(d0)[0] - F.rank(d1) - F.rank(d0)
+
+
+def _ext1_by_tag(ab: AlgebraBasis, pres: ModulePresentation, N: Rep) -> Counter:
+    """dim Ext^1(coker pres, N_x) for every tag x of a direct sum N of the
+    N_x from `_direct_sum`, from one complex against N.
+
+    Both differentials are block-diagonal in x, so their RREFs are too:
+    the rank of block x is the number of pivot columns tagged x."""
+    F = ab.field
+    d0, d1 = _ext1_complex(ab, pres, N)
+    t0, t1 = ([x for v in p for x, _ in N.labels[v]] for p in (pres.p0, pres.p1))
+    ext = Counter(t1)                      # dim Hom(T1, N_x)
+    for d, tags in ((d0, t0), (d1, t1)):
+        for c in F.rref(d)[1]:
+            ext[tags[c]] -= 1
+    return ext
 
 
 # ---------------------------------------------------------------------------
@@ -874,12 +939,15 @@ def radical_presentation_check(ab: AlgebraBasis) -> Report:
 
 
 def radical_ext_arrow_check(ab: AlgebraBasis) -> Report:
-    """Ext^1(rad P(j), rad P(x)) is nonzero exactly when the arrow j->x exists."""
+    """Ext^1(rad P(j), rad P(x)) is nonzero exactly when the arrow j->x exists.
+
+    Each j runs one complex against rad B, the direct sum of the rad P(x)."""
+    rad_b = _direct_sum(ab, [(x, ab.radical_rep(x)) for x in ab.vertices])[0]
     items = []
     for j in ab.vertices:
-        pres_j = radical_presentation(ab, j)
+        ext = _ext1_by_tag(ab, radical_presentation(ab, j), rad_b)
         for x in ab.vertices:
-            d = ext1_dim_pres(ab, pres_j, ab.radical_rep(x))
+            d = ext[x]
             has_arrow = ab.q.arrow_between(j, x) is not None
             ok = (d != 0) == has_arrow
             items.append(Check(
@@ -894,9 +962,8 @@ def radical_indecomposability_check(ab: AlgebraBasis) -> Report:
     items = []
     for x in ab.vertices:
         M = ab.radical_rep(x)
-        homs = hom_space(M, M)
-        end = len(homs)
-        stable_end = _stable_hom_dim(M, M, homs)
+        end = _hom_null(M, M)[0].ncols
+        stable_end = _stable_hom_dim(M, M, end)
         items.append(Check(
             f"radical_indecomposable[{x}]", end == 1,
             "" if end == 1 else f"End dim {end}"))

@@ -13,7 +13,7 @@ import pytest
 
 from dimertree import cli
 from dimertree import oracle as orc
-from dimertree.linalg import GF, QQ
+from dimertree.linalg import GF, QQ, Matrix
 
 from conftest import fixture_path, glued_dimer_tree, load_fixture
 
@@ -302,6 +302,50 @@ def dense_cokernel_rep(ab, pres):
     return orc.Rep(ab, dims, act)
 
 
+def family_stable_hom_dim(M, N):
+    """Stable Hom as the oracle computed it before: every lift a family of
+    matrices, projected through the cover one vertex at a time."""
+    F, ab = M.field, M.ab
+    homs = orc.hom_space(M, N)
+    if not homs:
+        return 0
+    _, pi_mats, towerN = orc.cover_map(ab, N)
+    lifts = orc.hom_space(M, towerN)
+    if not lifts:
+        return len(homs)
+    projected = []
+    for g in lifts:
+        row, base = {}, 0
+        for v in ab.vertices:
+            m = F.matmul(pi_mats[v], g[v])
+            for i, mrow in enumerate(m.rows):
+                for j, x in mrow.items():
+                    row[base + i * m.ncols + j] = x
+            base += len(m.rows) * m.ncols
+        projected.append(row)
+    return len(homs) - F.rank(Matrix(projected, base))
+
+
+def filtered_paths(ab, cap):
+    """Composable words of length <= cap, in (length, lex) order, each new
+    word tested against every vanishing word."""
+    q = ab.q
+    forbidden = [orc._cycle_word_without(owners[0], a.id) for a in q.arrows
+                 if len(owners := ab.structure.cycles_of_arrow(a.id)) == 1]
+    frontier = [((a.id,), a.target) for a in sorted(q.arrows, key=lambda a: a.id)]
+    words = [w for w, _ in frontier]
+    for _ in range(cap - 1):
+        nxt = []
+        for w, tv in frontier:
+            for a in sorted(q.out_arrows[tv], key=lambda a: a.id):
+                new = w + (a.id,)
+                if not any(new[-len(f):] == f for f in forbidden):
+                    nxt.append((new, a.target))
+        words += [w for w, _ in nxt]
+        frontier = nxt
+    return forbidden, words
+
+
 # -- random mostly-zero data ------------------------------------------------------------
 
 def _entry(F, rng):
@@ -374,6 +418,83 @@ def test_mult_equals_class_of_the_concatenated_word():
             k1, k2 = ab.classes[c1], ab.classes[c2]
             want = ab.class_of_word(k1.word + k2.word, at_vertex=k1.source)
             assert prod == want, (name, c1, c2)
+
+
+@pytest.mark.parametrize("name", [*FIXTURES, *GLUED])
+def test_path_words_equal_the_unindexed_filter(name):
+    ab = orc.build_algebra(_quiver(name), 32003)
+    forbidden, want = filtered_paths(ab, ab.cap)
+    words, index, _, _ = ab._enumerate_paths(forbidden, ab.cap)
+    assert words == want
+    assert index == {w: i for i, w in enumerate(want)}
+
+
+# -- the report against per-pair references ----------------------------------------------
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("name", [*FIXTURES, *GLUED])
+def test_ext_against_rad_b_equals_the_per_pair_complexes(field, name):
+    """One complex per vertex j against rad B gives, block by block, the
+    Ext^1(rad P(j), rad P(x)) of the complex against each rad P(x)."""
+    ab = orc.build_algebra(_quiver(name), FIELDS[field])
+    parts = [(x, ab.radical_rep(x)) for x in ab.vertices]
+    rad_b, pos = orc._direct_sum(ab, parts)
+    for w in ab.vertices:
+        assert rad_b.labels[w] == [(x, c) for x, rep in parts
+                                   for _, c in rep.labels[w]]
+        assert pos[w] == {t: i for i, t in enumerate(rad_b.labels[w])}
+    for j in ab.vertices:
+        pres = orc.radical_presentation(ab, j)
+        row = orc._ext1_by_tag(ab, pres, rad_b)
+        want = {x: orc.ext1_dim_pres(ab, pres, ab.radical_rep(x))
+                for x in ab.vertices}
+        assert {x: row[x] for x in ab.vertices} == want, j
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("name", [*FIXTURES, *GLUED])
+def test_flat_stable_hom_equals_the_family_reference(field, name):
+    """Stable Hom read off the Hom nullspace equals the family-based count
+    on every boundary pair and every End(rad P(x))."""
+    ab = orc.build_algebra(_quiver(name), FIELDS[field])
+    rad = ab.radical_rep
+    boundary = set(ab.structure.boundary_arrows)
+    pairs = [(rad(a.target), rad(a.source)) for a in ab.q.arrows
+             if a.id in boundary]
+    pairs += [(rad(x), rad(x)) for x in ab.vertices]
+    for M, N in pairs:
+        want = family_stable_hom_dim(M, N)
+        assert orc.stable_hom_dim_reps(M, N) == want
+        assert orc._stable_hom_dim(M, N, len(orc.hom_space(M, N))) == want
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_flat_stable_hom_equals_the_family_reference_on_random_reps(field):
+    rng = random.Random(17)
+    for name in ("c3", "q7"):
+        ab = orc.build_algebra(load_fixture(name), FIELDS[field])
+        for _ in range(20):
+            M, N = random_rep(ab, rng), random_rep(ab, rng)
+            assert orc.stable_hom_dim_reps(M, N) == family_stable_hom_dim(M, N)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_ext_check_raises_when_the_differentials_do_not_compose(q9, field):
+    """A resolution step with one entry doubled no longer composes with its
+    parent: the per-pair complex and the complex against rad B both say so."""
+    ab = orc.build_algebra(q9, FIELDS[field])
+    F = ab.field
+    pres = orc.radical_presentation(ab, 2)
+    good = orc.resolve_step(ab, pres)
+    entries = dict(good.entries)
+    entries[(0, 0)] = [(F.add(c, c), cls) for c, cls in entries[(0, 0)]]
+    pres._next = orc.ModulePresentation(p1=list(good.p1), p0=list(good.p0),
+                                        entries=entries)
+    message = "resolution differentials do not compose to zero"
+    with pytest.raises(orc.OracleError, match=message):
+        orc.ext1_dim_pres(ab, pres, ab.radical_rep(6))
+    with pytest.raises(orc.OracleError, match=message):
+        orc.radical_ext_arrow_check(ab)
 
 
 # -- sparse helpers against the dense loops ----------------------------------------------
