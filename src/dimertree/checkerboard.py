@@ -33,6 +33,7 @@ from .quiver import (
     StructureReport,
     WeightReport,
     _vkey,
+    dimer_tree_structure,
     validate_dimer_tree,
     weight_report,
 )
@@ -117,12 +118,9 @@ class CheckerboardPolygon:
     shaded: list[ShadedRegion]
     whites: list[WhiteRegion]
     triangle_order: list[str]          # boundary arrows clockwise
-    # diagonal -> SyzygyObject, filled by syzygy.presentation_of; the lines
-    # must not change once a presentation has been read
-    presentations: dict = field(default_factory=dict, init=False,
-                                repr=False, compare=False)
     # diagonal -> (its rotation orbit, its position there), filled by
-    # syzygy.resolution under the same condition
+    # syzygy.resolution, which keeps the presentations read along each orbit
+    # there; the lines must not change once a resolution has been read
     orbits: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
 
@@ -158,39 +156,28 @@ def _cocycle_first(wr: WeightReport) -> dict[str, str]:
     return {e.arrow: e.cocycle_path.arrows[0] for e in wr.entries}
 
 
-def build_checkerboard(q: Quiver, seed_arrow: str | None = None,
+def build_checkerboard(q: Quiver,
                        structure: StructureReport | None = None) -> CheckerboardPolygon:
     if structure is None:
-        report = validate_dimer_tree(q)
-        if not report.ok:
-            raise CheckerboardError(
-                "checkerboard requires a valid dimer tree quiver: failed "
-                + ", ".join(c.name for c in report.failed()))
-        structure = report.structure
+        structure = dimer_tree_structure(q, "checkerboard")
     wr = weight_report(q, structure)
     entries = wr.by_arrow()
-    boundary = sorted(entries)
-    if seed_arrow is None:
-        seed_arrow = boundary[0]
-    if seed_arrow not in entries:
-        raise CheckerboardError(f"{seed_arrow!r} is not a boundary arrow")
 
+    # the triangle walk starts at the least boundary arrow
     nxt = _cocycle_first(wr)
-    order = [seed_arrow]
+    first = min(entries)
+    order = [first]
     while True:
         b = nxt[order[-1]]
-        if b == seed_arrow:
+        if b == first:
             break
         if b in order:
             raise CheckerboardError(
                 "arrangement inconsistency: triangle walk closed early")
         order.append(b)
-    if len(order) != len(boundary):
+    if len(order) != len(entries):
         raise CheckerboardError(
             "arrangement inconsistency: triangle walk misses boundary arrows")
-    # the walk is cyclic; list it from a seed-independent starting point
-    start = order.index(min(order))
-    order = order[start:] + order[:start]
 
     # slots clockwise: (triangle arrow, role); positions merge across a gap
     # whenever the white region there has an odd cycle path

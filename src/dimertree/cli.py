@@ -51,11 +51,11 @@ def _require_valid(q):
     return report
 
 
-def _checkerboard(q, structure, seed=None):
+def _checkerboard(q, structure):
     """The checkerboard polygon of a quiver that passed validation.  A failure
     here is the program's, not the input's: exit 3, naming the stage."""
     try:
-        return cb.build_checkerboard(q, seed_arrow=seed, structure=structure)
+        return cb.build_checkerboard(q, structure=structure)
     except cb.CheckerboardError as exc:
         print(f"internal error: checkerboard construction failed: {exc}",
               file=sys.stderr)
@@ -123,11 +123,7 @@ def cmd_weights(args) -> int:
 def cmd_polygon(args) -> int:
     q = _load(args.quiver)
     report = _require_valid(q)
-    if args.seed is not None and args.seed not in report.structure.boundary_arrows:
-        print(f"error: --seed {args.seed!r} is not a boundary arrow",
-              file=sys.stderr)
-        return EXIT_BAD_INPUT
-    cp = _checkerboard(q, report.structure, args.seed)
+    cp = _checkerboard(q, report.structure)
     val = cb.validate_checkerboard(cp, q, report.structure)
     for c in val.items:
         _print_check(c, sys.stdout if c.passed else sys.stderr)
@@ -344,7 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("quiver")
     sp.add_argument("--format", choices=("text", "structured", "svg", "dot"),
                     default="text")
-    sp.add_argument("--seed", help="boundary arrow to start the construction")
     sp.add_argument("--out")
 
     sp = sub.add_parser("diag", help="2-diagonals and their translation quiver")

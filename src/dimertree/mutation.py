@@ -24,6 +24,7 @@ from .quiver import (
     StructureReport,
     analyze_structure,
     build_potential,
+    dimer_tree_structure,
     leaf_cycles,
     validate_dimer_tree,
 )
@@ -73,12 +74,7 @@ def _dimer_tree_terms(q: Quiver,
 
 def qp_from_quiver(q: Quiver) -> QP:
     """Canonical quiver-with-potential: signed sum of the chordless cycles."""
-    report = validate_dimer_tree(q)
-    if not report.ok:
-        raise MutationError(
-            "not a dimer tree quiver: failed "
-            + ", ".join(c.name for c in report.failed()))
-    return QP(q, _dimer_tree_terms(q, report.structure))
+    return QP(q, _dimer_tree_terms(q, dimer_tree_structure(q, "mutation")))
 
 
 def _fresh_vertex(q: Quiver, base) -> str:

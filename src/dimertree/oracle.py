@@ -12,9 +12,9 @@ Everything the oracle builds from an algebra is built once and kept on its
 presentations of the radicals with the next resolution step of each
 (`ModulePresentation._next`), and the boundary vanishing report.  Each
 `Rep` keeps its projective cover (`cover_map`) once computed.  Callers
-must not mutate a cached object.  A `Rep` refers to its algebra weakly, so
-the caches go with the algebra; a `Rep` is usable only while its algebra is
-alive, and raises `OracleError` after.
+must not mutate a cached object.  A `Rep` is plain data: its field, its
+dimensions, its arrow matrices and its basis labels, with no reference to
+the algebra, so every function that needs the algebra takes it first.
 
 The report reuses these modules rather than rebuilding them.  A tower of
 several summands is the direct sum of the cached single projectives, its
@@ -42,7 +42,6 @@ that no relation product reaching past the cap could change the answer.
 from __future__ import annotations
 
 import dataclasses
-import weakref
 from collections import Counter
 from dataclasses import dataclass
 
@@ -52,13 +51,12 @@ from .quiver import (
     Check,
     Potential,
     Quiver,
-    QuiverError,
     Report,
     StructureReport,
     WeightReport,
     _vkey,
     build_potential,
-    validate_dimer_tree,
+    dimer_tree_structure,
     weight_report,
 )
 
@@ -347,11 +345,7 @@ class AlgebraBasis:
 def build_algebra(q: Quiver, field: str | int | Field = DEFAULT_PRIME,
                   potential: Potential | None = None,
                   max_cap: int | None = None) -> AlgebraBasis:
-    report = validate_dimer_tree(q)
-    if not report.ok:
-        raise QuiverError("oracle requires a valid dimer tree quiver: failed "
-                          + ", ".join(c.name for c in report.failed()))
-    structure = report.structure
+    structure = dimer_tree_structure(q, "oracle")
     if potential is None:
         potential = build_potential(q, structure)
     weights = weight_report(q, structure)
@@ -367,42 +361,23 @@ def build_algebra(q: Quiver, field: str | int | Field = DEFAULT_PRIME,
 
 class Rep:
     """dims[v] is the dimension at v; act[arrow] maps the space at the arrow's
-    source to the space at its target (columns index the source basis).
+    source to the space at its target (columns index the source basis)."""
 
-    The algebra is held weakly, so that an algebra and its cached reps are
-    freed together as soon as the algebra is dropped."""
-
-    def __init__(self, ab: AlgebraBasis, dims, act, labels=None):
-        self._ab = weakref.ref(ab)
-        self.field = ab.field
+    def __init__(self, field: Field, dims, act, labels=None):
+        self.field = field
         self.dims = dims
         self.act = act
         self.labels = labels or {}
-        self._word_cache: dict[tuple, object] = {}
         self._cover: tuple | None = None
-
-    @property
-    def ab(self) -> AlgebraBasis:
-        ab = self._ab()
-        if ab is None:
-            raise OracleError("the algebra of this representation is gone")
-        return ab
 
     def word_matrix(self, word: Word, source):
         """Matrix of the right action of a composable word starting at source."""
         if not word:
             return self.field.eye(self.dims[source])
-        key = (word, source)
-        if key not in self._word_cache:
-            m = self.act[word[0]]
-            for aid in word[1:]:
-                m = self.field.matmul(self.act[aid], m)
-            self._word_cache[key] = m
-        return self._word_cache[key]
-
-    def class_matrix(self, cid: int):
-        k = self.ab.classes[cid]
-        return self.word_matrix(k.word, k.source)
+        m = self.act[word[0]]
+        for aid in word[1:]:
+            m = self.field.matmul(self.act[aid], m)
+        return m
 
 
 def _class_rep(ab: AlgebraBasis, labels: dict) -> tuple[Rep, dict]:
@@ -422,7 +397,7 @@ def _class_rep(ab: AlgebraBasis, labels: dict) -> tuple[Rep, dict]:
                 rows[r][i] = 1
         act[a.id] = Matrix(rows, len(labels[a.source]))
     dims = {w: len(lab) for w, lab in labels.items()}
-    return Rep(ab, dims, act, labels=labels), pos
+    return Rep(ab.field, dims, act, labels=labels), pos
 
 
 def _direct_sum(ab: AlgebraBasis, parts) -> tuple[Rep, dict]:
@@ -442,7 +417,7 @@ def _direct_sum(ab: AlgebraBasis, parts) -> tuple[Rep, dict]:
         act[a.id] = Matrix(rows, off)
     pos = {w: {t: i for i, t in enumerate(lab)} for w, lab in labels.items()}
     dims = {w: len(lab) for w, lab in labels.items()}
-    return Rep(ab, dims, act, labels=labels), pos
+    return Rep(ab.field, dims, act, labels=labels), pos
 
 
 def tower_rep(ab: AlgebraBasis, summands) -> tuple[Rep, dict]:
@@ -589,8 +564,10 @@ def cover_map(ab: AlgebraBasis, rep: Rep):
         for w in ab.vertices:
             cols = []
             for li, c in tower.labels[w]:
-                gw, g = gens[li]
-                cols.append(_apply(F, rep.word_matrix(ab.classes[c].word, gw), g))
+                g = gens[li][1]
+                for aid in ab.classes[c].word:
+                    g = _apply(F, rep.act[aid], g)
+                cols.append(g)
             mats[w] = _from_columns(rep.dims[w], cols)
         rep._cover = summands, mats, tower
     return rep._cover
@@ -663,22 +640,21 @@ def cokernel_rep(ab: AlgebraBasis, pres: ModulePresentation) -> Rep:
                     _eliminate(vec, x, pivot_rows[t][p], F.p)
             cols.append({free[t][j]: x for j, x in vec.items()})
         act[a.id] = _from_columns(len(free[t]), cols)
-    return Rep(ab, {w: len(f) for w, f in free.items()}, act)
+    return Rep(F, {w: len(f) for w, f in free.items()}, act)
 
 
 # ---------------------------------------------------------------------------
 # Hom and Ext
 # ---------------------------------------------------------------------------
 
-def _hom_null(M: Rep, N: Rep) -> tuple[Matrix, dict]:
+def _hom_null(ab: AlgebraBasis, M: Rep, N: Rep) -> tuple[Matrix, dict]:
     """Hom(M, N), flattened: a matrix whose columns are a basis, with the
     entry f_v[i, j] of a map in row offsets[v] + i * M.dims[v] + j; and
     the offsets.
 
     The unknowns are the entries f_v[i, j], vertex by vertex; there is one
     relation f_t Ma = Na f_s per arrow a: s -> t and entry (i, j)."""
-    F = M.field
-    ab = M.ab
+    F = ab.field
     offsets = {}
     total = 0
     for v in ab.vertices:
@@ -710,11 +686,11 @@ def _hom_null(M: Rep, N: Rep) -> tuple[Matrix, dict]:
     return F.nullspace(Matrix(rows, total)), offsets
 
 
-def hom_space(M: Rep, N: Rep):
+def hom_space(ab: AlgebraBasis, M: Rep, N: Rep):
     """Basis of Hom(M, N): list of {vertex: matrix} commuting families."""
-    F = M.field
-    null, offsets = _hom_null(M, N)
-    verts = M.ab.vertices
+    F = ab.field
+    null, offsets = _hom_null(ab, M, N)
+    verts = ab.vertices
     out = [{v: F.zeros(N.dims[v], M.dims[v]) for v in verts}
            for _ in range(null.ncols)]
     for v in verts:
@@ -726,12 +702,12 @@ def hom_space(M: Rep, N: Rep):
     return out
 
 
-def stable_hom_dim_reps(M: Rep, N: Rep) -> int:
+def stable_hom_dim_reps(ab: AlgebraBasis, M: Rep, N: Rep) -> int:
     """dim Hom(M,N) minus the maps that factor through the cover of N."""
-    return _stable_hom_dim(M, N, _hom_null(M, N)[0].ncols)
+    return _stable_hom_dim(ab, M, N, _hom_null(ab, M, N)[0].ncols)
 
 
-def _stable_hom_dim(M: Rep, N: Rep, dim_hom: int) -> int:
+def _stable_hom_dim(ab: AlgebraBasis, M: Rep, N: Rep, dim_hom: int) -> int:
     """`stable_hom_dim_reps` given dim_hom = dim Hom(M, N).
 
     The maps that factor through a projective are the lifts Hom(M, tower)
@@ -740,10 +716,9 @@ def _stable_hom_dim(M: Rep, N: Rep, dim_hom: int) -> int:
     pi_v[i, k] f_v[k, j]."""
     if not dim_hom:
         return 0
-    F = M.field
-    ab = M.ab
+    F = ab.field
     _, pi_mats, towerN = cover_map(ab, N)
-    lifts, offsets = _hom_null(M, towerN)
+    lifts, offsets = _hom_null(ab, M, towerN)
     if not lifts.ncols:
         return dim_hom
     # pi on the flat coordinates: row (v, i, j) takes pi_v[i, k] times row
@@ -774,10 +749,11 @@ def hom_tower_matrix(ab: AlgebraBasis, pres: ModulePresentation, N: Rep):
     rows: list[dict] = [{} for _ in range(total_rows)]
     for (l, k), combo in pres.entries.items():
         r0, c0 = row_offsets[k], col_offsets[l]
-        for coeff, cls in combo:
+        for coeff, cid in combo:
             c = F.scalar(coeff)
+            cls = ab.classes[cid]
             # N_{p0[l]} -> N_{p1[k]}
-            for i, mrow in enumerate(N.class_matrix(cls).rows):
+            for i, mrow in enumerate(N.word_matrix(cls.word, cls.source).rows):
                 out = rows[r0 + i]
                 for j, x in mrow.items():
                     out[c0 + j] = F.add(out.get(c0 + j, 0), F.mul(c, x))
@@ -910,7 +886,8 @@ def boundary_vanishing_check(ab: AlgebraBasis) -> Report:
     for a in ab.q.arrows:
         if a.id not in boundary:
             continue
-        d = stable_hom_dim_reps(ab.radical_rep(a.target), ab.radical_rep(a.source))
+        d = stable_hom_dim_reps(ab, ab.radical_rep(a.target),
+                                ab.radical_rep(a.source))
         items.append(Check(
             f"stable_hom_rad_vanishes[{a.id}]", d == 0,
             "" if d == 0 else f"dim {d}"))
@@ -962,8 +939,8 @@ def radical_indecomposability_check(ab: AlgebraBasis) -> Report:
     items = []
     for x in ab.vertices:
         M = ab.radical_rep(x)
-        end = _hom_null(M, M)[0].ncols
-        stable_end = _stable_hom_dim(M, M, end)
+        end = _hom_null(ab, M, M)[0].ncols
+        stable_end = _stable_hom_dim(ab, M, M, end)
         items.append(Check(
             f"radical_indecomposable[{x}]", end == 1,
             "" if end == 1 else f"End dim {end}"))

@@ -449,9 +449,8 @@ class StructureReport:
         in quiver arrow order.  Walked once per direction; arrows outside all
         cycles are ignored."""
         if direction not in self._cycle_paths:
-            # the walk reads only the structure, never the quiver
             self._cycle_paths[direction] = {
-                a: cycle_path(None, self, a, direction)
+                a: cycle_path(self, a, direction)
                 for a, kind in self.classification.items() if kind == "boundary"}
         return self._cycle_paths[direction]
 
@@ -602,6 +601,16 @@ def validate_dimer_tree(q: Quiver) -> ValidationReport:
     return ValidationReport(checks, structure)
 
 
+def dimer_tree_structure(q: Quiver, stage: str) -> StructureReport:
+    """The structure of q, validated once; a quiver that fails validation
+    raises `QuiverError` naming the stage that needed it."""
+    report = validate_dimer_tree(q)
+    if not report.ok:
+        raise QuiverError(f"{stage} requires a valid dimer tree quiver: failed "
+                          + ", ".join(c.name for c in report.failed()))
+    return report.structure
+
+
 # -- potential -----------------------------------------------------------------
 
 @dataclass
@@ -629,12 +638,7 @@ def leaf_cycles(structure: StructureReport) -> list[ChordlessCycle]:
 
 def build_potential(q: Quiver, structure: StructureReport | None = None) -> Potential:
     if structure is None:
-        report = validate_dimer_tree(q)
-        if not report.ok:
-            raise QuiverError(
-                "potential requires a valid dimer tree quiver: "
-                + "; ".join(c.name for c in report.failed()))
-        structure = report.structure
+        structure = dimer_tree_structure(q, "potential")
     candidates = leaf_cycles(structure)
     if not candidates:
         raise QuiverError("no chordless cycle with exactly one interior arrow")
@@ -691,7 +695,7 @@ def _walk(structure: StructureReport, step: list[dict[str, str]],
         ci = own[0] if own[1] == ci else own[1]
 
 
-def cycle_path(q: Quiver, structure: StructureReport, arrow_id: str,
+def cycle_path(structure: StructureReport, arrow_id: str,
                direction: str = "cycle") -> CyclePath:
     """The (co)cycle path of a boundary arrow (see `_walk`)."""
     step = structure.next_arrows(direction)
@@ -728,12 +732,7 @@ class WeightReport:
 
 def weight_report(q: Quiver, structure: StructureReport | None = None) -> WeightReport:
     if structure is None:
-        report = validate_dimer_tree(q)
-        if not report.ok:
-            raise QuiverError(
-                "weights require a valid dimer tree quiver: "
-                + "; ".join(c.name for c in report.failed()))
-        structure = report.structure
+        structure = dimer_tree_structure(q, "weight report")
     paths = structure.cycle_paths("cycle")
     copaths = structure.cycle_paths("cocycle")
     w = structure.path_weights("cycle")

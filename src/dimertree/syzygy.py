@@ -36,12 +36,7 @@ class ResolutionTrace:
 
 
 def presentation_of(cp: CheckerboardPolygon, diagonal: TwoDiagonal) -> SyzygyObject:
-    """The presentation read off the crossings of a diagonal.  It is computed
-    once per polygon and kept in `cp.presentations`; callers must not mutate
-    it."""
-    obj = cp.presentations.get(diagonal)
-    if obj is not None:
-        return obj
+    """The presentation read off the crossings of a diagonal."""
     n = cp.half
     d = diagonals.make_diagonal(diagonal.tail, diagonal.head, n)
     p0, p1 = [], []
@@ -54,8 +49,7 @@ def presentation_of(cp: CheckerboardPolygon, diagonal: TwoDiagonal) -> SyzygyObj
     if not p0 or not p1:
         raise SyzygyError(
             f"diagonal {d} has a one-sided crossing pattern: p0={p0}, p1={p1}")
-    obj = cp.presentations[diagonal] = SyzygyObject(d, tuple(p0), tuple(p1))
-    return obj
+    return SyzygyObject(d, tuple(p0), tuple(p1))
 
 
 @dataclass

@@ -93,21 +93,6 @@ def test_polygon_svg(tmp_path, capsys):
     assert out_file.read_text().startswith("<svg")
 
 
-def test_polygon_seed_flag_equivalent(capsys, tmp_path):
-    f1, f2 = tmp_path / "a.json", tmp_path / "b.json"
-    run(capsys, "polygon", fixture_path("q9"), "--format", "structured",
-        "--out", str(f1))
-    run(capsys, "polygon", fixture_path("q9"), "--format", "structured",
-        "--seed", "8->3", "--out", str(f2))
-    assert f1.read_text() == f2.read_text()
-
-
-def test_polygon_seed_that_is_no_boundary_arrow_is_bad_input(capsys):
-    code, _, err = run(capsys, "polygon", fixture_path("q9"), "--seed", "2->3")
-    assert code == 2
-    assert "--seed '2->3' is not a boundary arrow" in err
-
-
 @pytest.mark.parametrize("argv", [
     ("polygon", "q9"),
     ("resolve", "q9", "--diagonal", "5,12"),

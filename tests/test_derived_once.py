@@ -1,6 +1,7 @@
 """Derived data computed once must equal the same data computed afresh.
 
-Quiver structure is cached on the quiver, presentations on the polygon, and
+Quiver structure is cached on the quiver, presentations on the polygon's
+rotation orbits, and
 `ar_quiver` builds its meshes from pivots grouped by target.  Each test here
 compares a cached or indexed result with an independent reference.
 """
@@ -76,9 +77,11 @@ def test_resolution_matches_fresh_polygon_reference(name, q):
         steps, period, gluing = reference_resolution(fresh, d)
         assert [(s.diagonal, s.p0, s.p1) for s in got.steps] == steps
         assert (got.start, got.minimal_period, got.gluing_ok) == (d, period, gluing)
-    # every diagonal is now in the table, each under its own key
-    assert set(shared.presentations) == set(dg.enumerate_diagonals(shared.half))
-    assert all(k == v.diagonal for k, v in shared.presentations.items())
+    # every diagonal is now in the orbit table, and every orbit is read
+    assert set(shared.orbits) == set(dg.enumerate_diagonals(shared.half))
+    for d, (orbit, i) in shared.orbits.items():
+        assert orbit.diagonals[i] == d
+        assert [p.diagonal for p in orbit.presentations] == orbit.diagonals
 
 
 @pytest.mark.parametrize("name", ["q9", "glued4"])
@@ -99,9 +102,8 @@ def test_presentation_errors_are_not_cached():
     for _ in range(2):
         with pytest.raises(dg.DiagonalError):
             sy.presentation_of(cp, dg.TwoDiagonal(1, 2))
-    assert dg.TwoDiagonal(1, 2) not in cp.presentations
     d = dg.enumerate_diagonals(cp.half)[0]
-    assert sy.presentation_of(cp, d) is sy.presentation_of(cp, d)
+    assert sy.presentation_of(cp, d) == sy.presentation_of(cp, d)
 
 
 def all_pivots_ar_quiver(n):
@@ -150,7 +152,7 @@ def test_structure_is_computed_once_and_equals_a_fresh_analysis(name, q):
     for direction, attr in (("cycle", "cycle_path"), ("cocycle", "cocycle_path")):
         paths = first.cycle_paths(direction)
         assert first.cycle_paths(direction) is paths
-        assert paths == {a: cycle_path(q, first, a, direction) for a in boundary}
+        assert paths == {a: cycle_path(first, a, direction) for a in boundary}
         assert all(getattr(e, attr) is paths[e.arrow] for e in wr.entries)
 
 

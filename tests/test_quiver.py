@@ -6,6 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dimertree import checkerboard as cb
+from dimertree import mutation as mu
+from dimertree import oracle as orc
+from dimertree import quiver as quiver_mod
 from dimertree.quiver import (
     Arrow,
     Quiver,
@@ -238,6 +242,32 @@ def test_potential_requires_valid_quiver():
         build_potential(q)
 
 
+@pytest.mark.parametrize("stage,entry", [
+    ("potential", build_potential),
+    ("weight report", weight_report),
+    ("checkerboard", cb.build_checkerboard),
+    ("oracle", orc.build_algebra),
+    ("mutation", mu.qp_from_quiver),
+])
+def test_entry_points_share_one_validity_gate(stage, entry, c3, monkeypatch):
+    """Each entry point validates its input once and rejects an invalid one
+    with a QuiverError naming its stage."""
+    calls = []
+    original = quiver_mod.validate_dimer_tree
+
+    def counted(q):
+        calls.append(q)
+        return original(q)
+
+    monkeypatch.setattr(quiver_mod, "validate_dimer_tree", counted)
+    with pytest.raises(QuiverError, match=(
+            f"^{stage} requires a valid dimer tree quiver: failed "
+            "every_arrow_on_a_cycle")):
+        entry(quiver_from_arrows([(1, 2)]))
+    entry(c3)
+    assert len(calls) == 2
+
+
 # -- cycle paths and weights ------------------------------------------------------
 
 PAPER_TABLE = {
@@ -263,19 +293,19 @@ def test_q9_cycle_paths_and_weights(q9):
 
 def test_cycle_path_examples(q9, q7):
     st9 = analyze_structure(q9)
-    cp = cycle_path(q9, st9, "1->2")
+    cp = cycle_path(st9, "1->2")
     assert cp.arrows == ("1->2", "2->3", "3->4", "4->6", "6->9")
     assert len(cp.cycles) == cp.length - 1
     assert len(set(id(c) for c in cp.cycles)) == len(cp.cycles)
-    assert cycle_path(q9, st9, "3->1").arrows == ("3->1", "1->2")
+    assert cycle_path(st9, "3->1").arrows == ("3->1", "1->2")
     st7 = analyze_structure(q7)
-    assert cycle_path(q7, st7, "1->4").arrows == ("1->4", "4->5", "5->6")
+    assert cycle_path(st7, "1->4").arrows == ("1->4", "4->5", "5->6")
 
 
 def test_cycle_path_rejects_interior(q9):
     st9 = analyze_structure(q9)
     with pytest.raises(QuiverError, match="not a boundary arrow"):
-        cycle_path(q9, st9, "2->3")
+        cycle_path(st9, "2->3")
 
 
 def test_cocycle_recovers_cycle_path(q9):
@@ -283,7 +313,7 @@ def test_cocycle_recovers_cycle_path(q9):
     wr = weight_report(q9, st9)
     for e in wr.entries:
         last = e.cycle_path.arrows[-1]
-        back = cycle_path(q9, st9, last, "cocycle")
+        back = cycle_path(st9, last, "cocycle")
         assert back.arrows == e.cycle_path.arrows
 
 
@@ -339,5 +369,5 @@ def test_random_cocycle_duality(spec):
     st_ = analyze_structure(q)
     wr = weight_report(q, st_)
     for e in wr.entries:
-        back = cycle_path(q, st_, e.cycle_path.arrows[-1], "cocycle")
+        back = cycle_path(st_, e.cycle_path.arrows[-1], "cocycle")
         assert back.arrows == e.cycle_path.arrows

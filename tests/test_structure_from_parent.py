@@ -97,7 +97,7 @@ def test_length_only_walk_matches_the_cycle_paths(name, q, monkeypatch):
             weights = s.path_weights(d)
             assert list(weights) == boundary
             for a in boundary:
-                length = len(qv.cycle_path(None, s, a, d).arrows)
+                length = len(qv.cycle_path(s, a, d).arrows)
                 assert weights[a] == (1 if length % 2 == 1 else 2), (a, d)
 
 
