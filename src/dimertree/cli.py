@@ -247,7 +247,7 @@ def cmd_oracle(args) -> int:
     q = _load(args.quiver)
     _require_valid(q)
     field = parse_field_spec(_field(args))
-    ab = orc.build_algebra(q, field, max_cap=args.cap)
+    ab = orc.build_algebra(q, field)
     print(f"algebra over {field.name}: dimension {ab.dimension}, "
           f"stabilization length {ab.stabilization_length}")
     items = orc.section_items(
@@ -365,10 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--check", choices=ORACLE_CHECKS, default="all")
     sp.add_argument("--field",
                     help="prime p or Q (default from DIMERTREE_FIELD)")
-    sp.add_argument("--cap", type=_int_at_least(1), default=None,
-                    help="largest path-length cap the basis build may grow to "
-                         "(default 4x arrows); a value below the initial cap, "
-                         "max(3x longest cycle, 12), is raised to it")
 
     sp = sub.add_parser("all", help="full pipeline and consistency suite")
     sp.add_argument("quiver")

@@ -1,8 +1,8 @@
 """Brute-force path-algebra oracle.
 
 Models the quotient of the path algebra by the cyclic-derivative relations of
-the potential, by explicit linear algebra on paths over GF(p) or the exact
-rationals.  On top of the resulting basis of path classes it computes minimal
+the potential, over GF(p) or the exact rationals, with a basis of path
+classes found by rewriting words.  On top of that basis it computes minimal
 projective presentations, Hom/Ext spaces and stable Hom spaces of modules,
 which serve as ground truth for the geometric model.
 
@@ -33,20 +33,21 @@ another row reduction.
 
 Relation structure: a boundary arrow contributes a single vanishing word (the
 rest of its cycle); an interior arrow equates the complementary words of its
-two cycles, with signs taken from the potential.  Path spaces are spanned
-lengthwise up to an adaptive cap and quotiented by all products
-x * (relation) * y whose terms fit under the cap; a build is accepted only
-once every class above a stabilization length is zero, with enough margin
-that no relation product reaching past the cap could change the answer.
+two cycles, with signs from the potential that must make it u = +v.  Each is a
+rule word -> smaller word or word -> 0, and Knuth-Bendix completion resolves
+every overlap of two left sides, keeping them free of one another.  By
+Bergman's diamond lemma each word then has one normal form, so the normal
+words, those with no left side as a factor, are a basis: the path classes.
 """
 from __future__ import annotations
 
 import dataclasses
+import heapq
+import itertools
 from collections import Counter
 from dataclasses import dataclass
 
-from .linalg import (DEFAULT_PRIME, Field, Matrix, _eliminate, parse_field_spec,
-                     rref_rows)
+from .linalg import DEFAULT_PRIME, Field, Matrix, _eliminate, parse_field_spec
 from .quiver import (
     Check,
     Potential,
@@ -106,6 +107,77 @@ def _cycle_word_without(cycle, arrow_id: str) -> Word:
     return tuple(cycle.arrows[i + 1:]) + tuple(cycle.arrows[:i])
 
 
+# -- rewriting --------------------------------------------------------------------
+#
+# A rule lhs -> rhs rewrites a word to a smaller one in the (length, arrow ids)
+# order, or to None, the zero.  `lengths` lists the left sides' lengths, ascending.
+
+def _has_factor(w: Word, f: Word) -> bool:
+    n = len(f)
+    return f[0] in w and any(w[i:i + n] == f for i in range(len(w) - n + 1))
+
+
+def _reduce(rules: dict, lengths: list[int], word: Word,
+            normal: int = 0) -> Word | None:
+    """Normal form of word, or None when it is zero, given that its first
+    `normal` letters are normal.  Letters move onto `out` one at a time, and
+    `out` never holds a left side, so only its suffixes are tested."""
+    out, todo = word[:normal], list(reversed(word[normal:]))
+    while todo:
+        out += (todo.pop(),)
+        for k in lengths:
+            if k > len(out):
+                break
+            if out[-k:] in rules:
+                rhs = rules[out[-k:]]
+                if rhs is None:
+                    return None
+                out = out[:-k]
+                todo.extend(reversed(rhs))
+                break
+    return out
+
+
+def _complete(pairs) -> dict[Word, Word | None]:
+    """Knuth-Bendix completion of the word equations u = v (v None for zero),
+    smallest first: a pair whose normal forms differ becomes a rule, larger to
+    smaller.  It takes out the rules whose left side contains it (back into the
+    heap), rewrites right sides, and queues its overlaps with every rule: where
+    a left side a ends in what b begins with, a + b[k:] rewrites two ways."""
+    rules: dict[Word, Word | None] = {}
+    lengths: list[int] = []
+    heap: list = []
+    seq = itertools.count()
+
+    def push(w, u, v):
+        heapq.heappush(heap, (len(w), w, next(seq), u, v))
+
+    for u, v in pairs:
+        push(u, u, v)
+    while heap:
+        *_, u, v = heapq.heappop(heap)
+        u, v = (None if w is None else _reduce(rules, lengths, w) for w in (u, v))
+        if u == v:
+            continue
+        if u is None or (v is not None and (len(u), u) < (len(v), v)):
+            u, v = v, u
+        lengths = sorted({*lengths, len(u)})
+        rules[u] = v
+        for lhs, rhs in list(rules.items()):
+            if len(lhs) > len(u) and _has_factor(lhs, u):
+                del rules[lhs]
+                push(lhs, lhs, rhs)
+                continue
+            if rhs is not None and _has_factor(rhs, u):
+                rhs = rules[lhs] = _reduce(rules, lengths, rhs)
+            for (a, ra), (b, rb) in (((u, v), (lhs, rhs)), ((lhs, rhs), (u, v))):
+                for k in range(1, min(len(a), len(b)) if b[0] in a else 0):
+                    if a[-k:] == b[:k]:
+                        push(a + b[k:], None if ra is None else ra + b[k:],
+                             None if rb is None else a[:-k] + rb)
+    return rules
+
+
 # ---------------------------------------------------------------------------
 # algebra basis
 # ---------------------------------------------------------------------------
@@ -126,7 +198,8 @@ class AlgebraBasis:
         self.by_pair: dict[tuple[object, object], list[int]] = {}
         self.stabilization_length = 0
         self.cap = 0
-        self._word_class: dict[Word, int | None] = {}
+        # (class, arrow) -> class of their product, or None when it vanishes
+        self._act: dict[tuple[int, str], int | None] = {}
         self._rep_cache: dict[object, "Rep"] = {}
         self._tower_cache: dict[tuple, tuple["Rep", dict]] = {}
         self._pres_cache: dict[object, ModulePresentation] = {}
@@ -134,140 +207,68 @@ class AlgebraBasis:
 
     # -- construction -------------------------------------------------------
 
-    def _build(self, max_cap: int | None) -> None:
-        q = self.q
-        sign_of = {c.key: s for s, c in self.potential.terms}
-        forbidden: list[Word] = []
-        relations = []
-        for a in q.arrows:
-            owners = self.structure.cycles_of_arrow(a.id)
-            if len(owners) == 1:
-                forbidden.append(_cycle_word_without(owners[0], a.id))
-            elif len(owners) == 2:
-                u = _cycle_word_without(owners[0], a.id)
-                v = _cycle_word_without(owners[1], a.id)
-                relations.append((u, v, sign_of[owners[0].key],
-                                  sign_of[owners[1].key], a.target, a.source))
-        max_cycle = max(len(c) for c in self.structure.cycles)
-        delta = max((abs(len(u) - len(v)) for u, v, *_ in relations), default=0)
-        cap = max(3 * max_cycle, 12)
-        hard_cap = max(max_cap or 4 * len(q.arrows), cap)
-        while True:
-            if self._try_build(forbidden, relations, cap, delta):
-                return
-            if cap >= hard_cap:
-                raise OracleError(f"algebra not finite-dimensional at cap {cap}")
-            cap = min(hard_cap, cap + delta + 4)
-
-    def _enumerate_paths(self, forbidden: list[Word], cap: int):
-        """All composable arrow words of length <= cap avoiding the vanishing
-        words, in (length, lex) order."""
-        q = self.q
-        ending: dict[str, list[Word]] = {}
-        for f in forbidden:
-            ending.setdefault(f[-1], []).append(f)
-        words: list[Word] = []
-        index: dict[Word, int] = {}
-        frontier: list[tuple[Word, object]] = []
-        for a in sorted(q.arrows, key=lambda a: a.id):
-            w = (a.id,)
-            index[w] = len(words)
-            words.append(w)
-            frontier.append((w, a.target))
-        length = 1
-        while frontier and length < cap:
-            nxt = []
-            for w, tv in frontier:
-                for a in sorted(q.out_arrows[tv], key=lambda a: a.id):
-                    new = w + (a.id,)
-                    if any(new[-len(f):] == f for f in ending.get(a.id, ())):
-                        continue
-                    index[new] = len(words)
-                    words.append(new)
-                    nxt.append((new, a.target))
-            frontier = nxt
-            length += 1
-        by_source: dict[object, list[Word]] = {v: [] for v in q.vertices}
-        by_target: dict[object, list[Word]] = {v: [] for v in q.vertices}
-        for w in words:
-            by_source[q.arrow_by_id[w[0]].source].append(w)
-            by_target[q.arrow_by_id[w[-1]].target].append(w)
-        return words, index, by_source, by_target
-
-    def _try_build(self, forbidden, relations, cap, delta) -> bool:
+    def _build(self) -> None:
         F = self.field
-        words, index, by_source, by_target = self._enumerate_paths(forbidden, cap)
+        sign_of = {c.key: s for s, c in self.potential.terms}
+        pairs: list[tuple[Word, Word | None]] = []
+        for a in self.q.arrows:
+            # one cycle through a boundary arrow, two through an interior one
+            owners = self.structure.cycles_of_arrow(a.id)
+            u, *v = (_cycle_word_without(c, a.id) for c in owners)
+            # su u + sv v = 0 makes u = +v only when su + sv = 0; any other
+            # coefficient would make a class a multiple of a word
+            if v and not F.is_zero(F.add(*(F.scalar(sign_of[c.key]) for c in owners))):
+                raise OracleError(f"class of path {u} is not a single path class; "
+                                  "input is not a dimer tree quiver")
+            pairs.append((u, v[0] if v else None))
+        self._classes(_complete(pairs))
 
-        # columns count down from the last word, so each row's pivot is its
-        # longest word and each reduced row gives the normal form of its pivot
-        last = len(words) - 1
-        zero = F.scalar(0)
-        one = F.scalar(1)
-        rows = []
-        for u, v, su, sv, src, tgt in relations:
-            xs = [()] + by_target[src]
-            ys = [()] + by_source[tgt]
-            for x in xs:
-                lu, lv = len(x) + len(u), len(x) + len(v)
-                if min(lu, lv) > cap:
-                    continue
-                for y in ys:
-                    if max(lu, lv) + len(y) > cap:
-                        continue
-                    row: dict[int, object] = {}
-                    t1 = index.get(x + u + y)
-                    t2 = index.get(x + v + y)
-                    if t1 is not None:
-                        row[last - t1] = F.scalar(su)
-                    if t2 is not None:
-                        val = F.add(row.get(last - t2, zero), F.scalar(sv))
-                        if F.is_zero(val):
-                            row.pop(last - t2, None)
-                        else:
-                            row[last - t2] = val
-                    if row:
-                        rows.append(row)
+    def _classes(self, rules: dict) -> None:
+        """Classes and action table from completed rules, in (length, arrow
+        ids) order: constants, arrows, then each class times each arrow where
+        that is a new normal word.  With m the longest left side, a normal
+        word longer than m - 1 plus the number of normal words of length m - 1
+        repeats a window of length m - 1, and pumping the stretch between the
+        two gives normal words of every length: the algebra is infinite."""
+        lengths = sorted({len(lhs) for lhs in rules})
+        m = self.cap = lengths[-1]
+        sizes: Counter = Counter()
+        cid_of: dict[Word, int] = {}
 
-        # reduced class of every word: itself, or minus the rest of its row
-        memo: list[dict[int, object]] = [{idx: one} for idx in range(len(words))]
-        for c, row in rref_rows(rows, F.p):
-            memo[last - c] = {last - j: F.neg(x) for j, x in row.items() if j != c}
-
-        longest = 0
-        for idx, m in enumerate(memo):
-            if m:
-                longest = max(longest, len(words[idx]))
-        n0 = longest + 1
-        if n0 + delta > cap:
-            return False
-
-        for idx, m in enumerate(memo):
-            if len(m) > 1 or (m and not F.is_zero(F.add(next(iter(m.values())),
-                                                        F.neg(one)))):
+        def add(src, tgt, w):
+            if len(w) > sizes[m - 1] + m - 1:
+                windows = [w[i:i + m - 1] for i in range(len(w) - m + 2)]
                 raise OracleError(
-                    f"class of path {words[idx]} is not a single path class; "
-                    "input is not a dimer tree quiver")
+                    f"algebra not finite-dimensional: the normal word {w} is "
+                    f"longer than {sizes[m - 1] + m - 1} and repeats the window "
+                    f"{next(x for i, x in enumerate(windows) if x in windows[:i])}")
+            sizes[len(w)] += 1
+            cid = cid_of[w] = len(self.classes)
+            self.classes.append(PathClass(cid, src, tgt, w))
+            self.by_pair.setdefault((src, tgt), []).append(cid)
+            return cid
 
-        self.cap = cap
-        self.stabilization_length = n0
         for v in self.vertices:
-            cid = len(self.classes)
-            self.classes.append(PathClass(cid, v, v, ()))
-            self.constant_class[v] = cid
-            self.by_pair.setdefault((v, v), []).append(cid)
-        basis_of_idx: dict[int, int] = {}
-        for idx, w in enumerate(words):
-            if memo[idx] == {idx: one}:
-                cid = len(self.classes)
-                src = self.q.arrow_by_id[w[0]].source
-                tgt = self.q.arrow_by_id[w[-1]].target
-                self.classes.append(PathClass(cid, src, tgt, w))
-                self.by_pair.setdefault((src, tgt), []).append(cid)
-                basis_of_idx[idx] = cid
-        for idx, w in enumerate(words):
-            m = memo[idx]
-            self._word_class[w] = basis_of_idx[next(iter(m))] if m else None
-        return True
+            self.constant_class[v] = add(v, v, ())
+        out = {v: sorted(self.q.out_arrows[v], key=lambda a: a.id)
+               for v in self.vertices}
+        for a in sorted(self.q.arrows, key=lambda a: a.id):
+            if (a.id,) not in rules:
+                add(a.source, a.target, (a.id,))
+        for c in self.classes:                 # the list grows as it is read
+            for a in out[c.target]:
+                w = c.word + (a.id,)
+                nf = _reduce(rules, lengths, w, len(c.word))
+                if nf == w and c.word:
+                    add(c.source, a.target, w)
+                self._act[c.cid, a.id] = None if nf is None else cid_of[nf]
+        # 1 + the longest nonzero path, walked one arrow per level; the walk
+        # ends, since the arrow ideal of a finite algebra is nilpotent
+        level = set(self.constant_class.values())
+        while level:
+            level = {n for c in level for a in out[self.classes[c].target]
+                     if (n := self._act[c, a.id]) is not None}
+            self.stabilization_length += 1
 
     # -- queries ------------------------------------------------------------
 
@@ -281,10 +282,8 @@ class AlgebraBasis:
     def class_of_word(self, word, at_vertex=None) -> int | None:
         """Class id of a composable arrow word, or None if zero in the algebra."""
         word = tuple(word)
-        if not word:
-            if at_vertex is None:
-                raise OracleError("constant path needs a vertex")
-            return self.constant_class[at_vertex]
+        if not word and at_vertex is None:
+            raise OracleError("constant path needs a vertex")
         prev = None
         for aid in word:
             a = self.q.arrow_by_id.get(aid)
@@ -293,19 +292,21 @@ class AlgebraBasis:
             if prev is not None and prev != a.source:
                 raise OracleError(f"word {word} is not composable at {aid}")
             prev = a.target
-        return self._word_class.get(word)
+        start = self.q.arrow_by_id[word[0]].source if word else at_vertex
+        return self._walk(self.constant_class[start], word)
 
     def mult(self, c1: int, c2: int) -> int | None:
         """Product of classes, c1 then c2; None when the product vanishes."""
         k1, k2 = self.classes[c1], self.classes[c2]
         if k1.target != k2.source:
             raise OracleError(f"classes {c1} and {c2} are not composable")
-        if k1.is_constant:
-            return c2
-        if k2.is_constant:
-            return c1
-        # both words are composable and they meet, so no need to check again
-        return self._word_class.get(k1.word + k2.word)
+        return self._walk(c1, k2.word)
+
+    def _walk(self, cid: int | None, word: Word) -> int | None:
+        """The class cid times a word composable with it, arrow by arrow."""
+        for aid in word:
+            cid = None if cid is None else self._act[cid, aid]
+        return cid
 
     def arrow_class(self, arrow_id: str) -> int:
         cid = self.class_of_word((arrow_id,))
@@ -343,15 +344,14 @@ class AlgebraBasis:
 
 
 def build_algebra(q: Quiver, field: str | int | Field = DEFAULT_PRIME,
-                  potential: Potential | None = None,
-                  max_cap: int | None = None) -> AlgebraBasis:
+                  potential: Potential | None = None) -> AlgebraBasis:
     structure = dimer_tree_structure(q, "oracle")
     if potential is None:
         potential = build_potential(q, structure)
     weights = weight_report(q, structure)
     fld = field if isinstance(field, Field) else parse_field_spec(field)
     ab = AlgebraBasis(q, structure, potential, weights, fld)
-    ab._build(max_cap)
+    ab._build()
     return ab
 
 
@@ -388,11 +388,10 @@ def _class_rep(ab: AlgebraBasis, labels: dict) -> tuple[Rep, dict]:
     pos = {w: {t: i for i, t in enumerate(lab)} for w, lab in labels.items()}
     act = {}
     for a in ab.q.arrows:
-        ac = ab.arrow_class(a.id)
         into = pos[a.target]
         rows: list[dict] = [{} for _ in labels[a.target]]
         for i, (tag, c) in enumerate(labels[a.source]):
-            r = into.get((tag, ab.mult(c, ac)))
+            r = into.get((tag, ab._act[c, a.id]))
             if r is not None:
                 rows[r][i] = 1
         act[a.id] = Matrix(rows, len(labels[a.source]))

@@ -158,8 +158,6 @@ def test_resolve_bad_diagonal(capsys):
 
 
 @pytest.mark.parametrize("argv, reason", [
-    (("oracle", "c3", "--cap", "0"), "--cap: must be at least 1, got 0"),
-    (("oracle", "c3", "--cap", "-3"), "--cap: must be at least 1, got -3"),
     (("resolve", "q9", "--diagonal", "5,12", "--steps", "-2"),
      "--steps: must be at least 0, got -2"),
 ])
@@ -271,10 +269,12 @@ def test_oracle_field_too_large_for_int64(capsys, prime):
     assert "3037000499" in err and "internal error" not in err
 
 
-def test_oracle_cap_below_the_initial_cap_is_raised_to_it(capsys):
-    code, out, err = run(capsys, "oracle", fixture_path("q9"), "--cap", "1")
-    _, default_out, default_err = run(capsys, "oracle", fixture_path("q9"))
-    assert code == 0 and out == default_out and err == default_err
+def test_oracle_has_no_cap_option(capsys):
+    # the basis build has no path-length cap to set
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "oracle", fixture_path("q9"), "--cap", "30")
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --cap 30" in capsys.readouterr().err
 
 
 def test_oracle_over_the_largest_prime_matches_the_default_field(capsys):

@@ -15,6 +15,7 @@ from dimertree import cli
 from dimertree import oracle as orc
 from dimertree.linalg import GF, QQ, Matrix
 
+from cap_build import build_reference
 from conftest import fixture_path, glued_dimer_tree, load_fixture
 
 FIELDS = {"GF": GF(32003), "Q": QQ()}
@@ -423,7 +424,7 @@ def test_mult_equals_class_of_the_concatenated_word():
 
 @pytest.mark.parametrize("name", [*FIXTURES, *GLUED])
 def test_path_words_equal_the_unindexed_filter(name):
-    ab = orc.build_algebra(_quiver(name), 32003)
+    ab = build_reference(_quiver(name), 32003)
     forbidden, want = filtered_paths(ab, ab.cap)
     words, index, _, _ = ab._enumerate_paths(forbidden, ab.cap)
     assert words == want
