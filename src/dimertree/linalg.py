@@ -231,7 +231,11 @@ class GF(Field):
     def neg(self, x): return (-x) % self.p
     def add(self, x, y): return (x + y) % self.p
     def mul(self, x, y): return (x * y) % self.p
-    def inv(self, x): return pow(int(x) % self.p, self.p - 2, self.p)
+    def inv(self, x):
+        x = int(x) % self.p
+        if not x:
+            raise ZeroDivisionError(f"0 has no inverse in {self.name}")
+        return pow(x, self.p - 2, self.p)
     def scalar(self, n): return int(n) % self.p
     def is_zero(self, x): return int(x) % self.p == 0
 

@@ -21,15 +21,21 @@ several summands is the direct sum of the cached single projectives, its
 blocks copied, not multiplied out.  The Ext check runs one complex per
 vertex j against rad B, the direct sum of all the rad P(x), and reads each
 Ext^1(rad P(j), rad P(x)) off the blocks of its ranks; rad B is built per
-check, not kept.  Stable Hom dimensions are read off the flattened Hom
-nullspace, with the lifts through a cover projected on its rows.
+check, not kept.  Hom and stable Hom are read off the cached minimal
+presentations: Hom(coker f, N) is the kernel of Hom(f, N) on the tops of
+the tower, and the maps through a projective are the same kernel into the
+cover of N, projected through the cover.  The flat system, one unknown per
+pair of basis vectors at each vertex, remains for `hom_space` and
+`stable_hom_dim_reps`.
 
 Covers, kernels and presentations share one vector format: a sparse dict
 {coordinate: nonzero entry}, the shape of a `Matrix` row.  One routine,
 `submodule_cover`, covers both a whole module (given the unit vectors) and
 the kernel of a map out of a tower (given the columns of its nullspace);
 both bases have leads, so a vector's coordinates are read off without
-another row reduction.
+another row reduction.  Each kernel and each cover takes one elimination
+over the whole module: the vertex blocks make one block-diagonal matrix,
+whose RREF is that of each block.
 
 Relation structure: a boundary arrow contributes a single vanishing word (the
 rest of its cycle); an interior arrow equates the complementary words of its
@@ -41,6 +47,7 @@ words, those with no left side as a factor, are a basis: the path classes.
 """
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import heapq
 import itertools
@@ -527,25 +534,23 @@ def submodule_cover(ab: AlgebraBasis, ambient: Rep, sub: dict[object, list]):
             moved = _apply(F, ambient.act[a.id], vec)
             if moved:
                 radical[a.target].append(moved)
-    summands: list = []
-    gens: list[tuple[object, dict]] = []
+    # one RREF of all the coordinates, offset vertex by vertex: it is the
+    # RREF of each vertex's block
+    coords: list[dict] = []
+    offset = 0
     for w in ab.vertices:
         basis = sub[w]
-        pivots = set()
-        if radical[w]:
-            lead = {max(b): k for k, b in enumerate(basis)}
-            coords = []
-            for vec in radical[w]:
-                c = {lead[j]: x for j, x in vec.items() if j in lead}
-                if _combine(F, basis, c) != vec:
-                    raise OracleError("vector not inside the subspace")
-                coords.append(c)
-            pivots = set(F.rref(Matrix(coords, len(basis)))[1])
-        for k, b in enumerate(basis):
-            if k not in pivots:
-                summands.append(w)
-                gens.append((w, b))
-    return summands, gens
+        lead = {max(b): k for k, b in enumerate(basis)}
+        for vec in radical[w]:
+            c = {lead[j]: x for j, x in vec.items() if j in lead}
+            if _combine(F, basis, c) != vec:
+                raise OracleError("vector not inside the subspace")
+            coords.append({offset + k: x for k, x in c.items()})
+        offset += len(basis)
+    pivots = set(F.rref(Matrix(coords, offset))[1]) if coords else set()
+    flat = [(w, b) for w in ab.vertices for b in sub[w]]
+    gens = [g for k, g in enumerate(flat) if k not in pivots]
+    return [w for w, _ in gens], gens
 
 
 def cover_map(ab: AlgebraBasis, rep: Rep):
@@ -576,9 +581,20 @@ def _kernel_cover(ab: AlgebraBasis, tower: Rep, mats):
     """Cover of the kernel of the vertex-wise matrices mats out of a tower
     of projectives: the summand vertices, and the presentation entries of
     each generator, read off its tower coordinates."""
-    F = ab.field
-    kernel = {w: _cols(F.nullspace(mats[w])) if n else []
-              for w, n in tower.dims.items()}
+    # one nullspace of the block-diagonal matrix, columns offset vertex by
+    # vertex; its RREF is that of each block, so each kernel column lies in
+    # one block, the one its lead falls in
+    verts = ab.vertices
+    rows: list[dict] = []
+    starts, offset = [], 0
+    for w in verts:
+        starts.append(offset)
+        rows.extend({offset + j: x for j, x in row.items()} for row in mats[w].rows)
+        offset += tower.dims[w]
+    kernel: dict[object, list] = {w: [] for w in verts}
+    for col in _cols(ab.field.nullspace(Matrix(rows, offset))):
+        i = bisect.bisect_right(starts, max(col)) - 1
+        kernel[verts[i]].append({j - starts[i]: x for j, x in col.items()})
     summands, gens = submodule_cover(ab, tower, kernel)
     entries: dict[tuple[int, int], list[tuple[object, int]]] = {}
     for k, (w, g) in enumerate(gens):
@@ -702,17 +718,13 @@ def hom_space(ab: AlgebraBasis, M: Rep, N: Rep):
 
 
 def stable_hom_dim_reps(ab: AlgebraBasis, M: Rep, N: Rep) -> int:
-    """dim Hom(M,N) minus the maps that factor through the cover of N."""
-    return _stable_hom_dim(ab, M, N, _hom_null(ab, M, N)[0].ncols)
-
-
-def _stable_hom_dim(ab: AlgebraBasis, M: Rep, N: Rep, dim_hom: int) -> int:
-    """`stable_hom_dim_reps` given dim_hom = dim Hom(M, N).
+    """dim Hom(M,N) minus the maps that factor through the cover of N.
 
     The maps that factor through a projective are the lifts Hom(M, tower)
     composed with the cover pi: tower -> N.  pi_v f_v is read off the
     flattened lifts with one product: its entry (i, j) is the sum over k of
     pi_v[i, k] f_v[k, j]."""
+    dim_hom = _hom_null(ab, M, N)[0].ncols
     if not dim_hom:
         return 0
     F = ab.field
@@ -758,6 +770,32 @@ def hom_tower_matrix(ab: AlgebraBasis, pres: ModulePresentation, N: Rep):
                     out[c0 + j] = F.add(out.get(c0 + j, 0), F.mul(c, x))
     return Matrix([{j: x for j, x in row.items() if x} for row in rows],
                   total_cols)
+
+
+def _pres_hom_dims(ab: AlgebraBasis, pres: ModulePresentation,
+                   N: Rep) -> tuple[int, int]:
+    """(dim Hom(M, N), dim stable Hom(M, N)) for M = coker pres.
+
+    Hom(M, N) is the kernel of Hom(T0, N) -> Hom(T1, N), a map out of T0
+    given by its values at the tops of the summands.  A map factors through
+    a projective exactly when it lifts through the cover pi: P_N -> N; the
+    lifts are the same kernel into P_N, and pi at p0[l] takes block l of a
+    lift to block l of its composite, so one product projects them all."""
+    F = ab.field
+    dim_hom = F.nullspace(hom_tower_matrix(ab, pres, N)).ncols
+    if not dim_hom:
+        return 0, 0
+    _, pi_mats, towerN = cover_map(ab, N)
+    lifts = F.nullspace(hom_tower_matrix(ab, pres, towerN))
+    if not lifts.ncols:
+        return dim_hom, dim_hom
+    proj: list[dict] = []
+    offset = 0
+    for v in pres.p0:
+        proj.extend({offset + k: x for k, x in row.items()}
+                    for row in pi_mats[v].rows)
+        offset += towerN.dims[v]
+    return dim_hom, dim_hom - F.rank(F.matmul(Matrix(proj, offset), lifts))
 
 
 def _ext1_complex(ab: AlgebraBasis, pres: ModulePresentation, N: Rep):
@@ -885,8 +923,8 @@ def boundary_vanishing_check(ab: AlgebraBasis) -> Report:
     for a in ab.q.arrows:
         if a.id not in boundary:
             continue
-        d = stable_hom_dim_reps(ab, ab.radical_rep(a.target),
-                                ab.radical_rep(a.source))
+        d = _pres_hom_dims(ab, radical_presentation(ab, a.target),
+                           ab.radical_rep(a.source))[1]
         items.append(Check(
             f"stable_hom_rad_vanishes[{a.id}]", d == 0,
             "" if d == 0 else f"dim {d}"))
@@ -937,9 +975,8 @@ def radical_indecomposability_check(ab: AlgebraBasis) -> Report:
     non-projective (its identity does not factor through a projective)."""
     items = []
     for x in ab.vertices:
-        M = ab.radical_rep(x)
-        end = _hom_null(ab, M, M)[0].ncols
-        stable_end = _stable_hom_dim(ab, M, M, end)
+        end, stable_end = _pres_hom_dims(ab, radical_presentation(ab, x),
+                                         ab.radical_rep(x))
         items.append(Check(
             f"radical_indecomposable[{x}]", end == 1,
             "" if end == 1 else f"End dim {end}"))

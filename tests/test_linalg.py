@@ -144,6 +144,17 @@ def test_gf_field_ops():
     assert f.mul(f.inv(f.scalar(7)), f.scalar(7)) == 1
 
 
+@pytest.mark.parametrize("field", [GF(2), GF(32003), QQ()], ids=lambda f: f.name)
+def test_inverse_of_zero_raises(field):
+    """Zero has no inverse, however it is written: no field answers with a
+    silent 0."""
+    zeros = [0, field.scalar(0)] + ([field.p, -field.p] if field.p else [])
+    for z in zeros:
+        with pytest.raises(ZeroDivisionError):
+            field.inv(z)
+    assert field.mul(field.inv(field.scalar(-1)), field.scalar(-1)) == 1
+
+
 def test_gf_rejects_composite():
     with pytest.raises(FieldError):
         GF(32004)

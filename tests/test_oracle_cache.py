@@ -467,7 +467,6 @@ def test_flat_stable_hom_equals_the_family_reference(field, name):
     for M, N in pairs:
         want = family_stable_hom_dim(ab, M, N)
         assert orc.stable_hom_dim_reps(ab, M, N) == want
-        assert orc._stable_hom_dim(ab, M, N, len(orc.hom_space(ab, M, N))) == want
 
 
 @pytest.mark.parametrize("field", FIELDS)
@@ -479,6 +478,54 @@ def test_flat_stable_hom_equals_the_family_reference_on_random_reps(field):
             M, N = random_rep(ab, rng), random_rep(ab, rng)
             assert (orc.stable_hom_dim_reps(ab, M, N)
                     == family_stable_hom_dim(ab, M, N))
+
+
+def flat_hom_dims(ab, M, N):
+    return len(orc.hom_space(ab, M, N)), orc.stable_hom_dim_reps(ab, M, N)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("name", [*FIXTURES, "interior_triangle", *GLUED])
+def test_presentation_hom_equals_the_flat_reference(field, name):
+    """Hom and stable Hom read off a presentation equal the flat system's,
+    for every pair of radicals and for the syzygies of each radical."""
+    ab = orc.build_algebra(_quiver(name), FIELDS[field])
+    rad = {x: ab.radical_rep(x) for x in ab.vertices}
+    for j in ab.vertices:
+        pres = orc.radical_presentation(ab, j)
+        for x, N in rad.items():
+            assert orc._pres_hom_dims(ab, pres, N) == flat_hom_dims(ab, rad[j], N), (j, x)
+        # the first two syzygies, against themselves and every radical
+        for step in (1, 2):
+            pres = orc.resolve_step(ab, pres)
+            M = orc.cokernel_rep(ab, pres)
+            for N in (M, *rad.values()):
+                assert orc._pres_hom_dims(ab, pres, N) == flat_hom_dims(ab, M, N), (j, step)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_presentation_hom_sees_a_corrupted_entry(q9, field):
+    """Dropping one entry of a copied presentation changes its cokernel, and
+    the dims read off it then disagree with the flat reference for the
+    module the presentation was copied from."""
+    ab = orc.build_algebra(q9, FIELDS[field])
+    rad = {x: ab.radical_rep(x) for x in ab.vertices}
+    disagree = []
+    for j in ab.vertices:
+        pres = orc.radical_presentation(ab, j)
+        for key in pres.entries:
+            entries = {k: e for k, e in pres.entries.items() if k != key}
+            bad = orc.ModulePresentation(p1=list(pres.p1), p0=list(pres.p0),
+                                         entries=entries)
+            disagree += [(j, key, x) for x, N in rad.items()
+                         if orc._pres_hom_dims(ab, bad, N)
+                         != flat_hom_dims(ab, rad[j], N)]
+    assert disagree
+    # and the cached presentations themselves agree
+    for j in ab.vertices:
+        pres = orc.radical_presentation(ab, j)
+        assert all(orc._pres_hom_dims(ab, pres, N) == flat_hom_dims(ab, rad[j], N)
+                   for N in rad.values())
 
 
 @pytest.mark.parametrize("field", FIELDS)
