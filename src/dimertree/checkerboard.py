@@ -118,9 +118,9 @@ class CheckerboardPolygon:
     shaded: list[ShadedRegion]
     whites: list[WhiteRegion]
     triangle_order: list[str]          # boundary arrows clockwise
-    # diagonal -> (its rotation orbit, its position there), filled by
-    # syzygy.resolution, which keeps the presentations read along each orbit
-    # there; the lines must not change once a resolution has been read
+    # diagonal -> (the presentations along its rotation orbit, its position
+    # there), filled one whole orbit at a time by syzygy.resolution; the
+    # lines must not change once a resolution has been read
     orbits: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
 

@@ -201,6 +201,11 @@ def cmd_resolve(args) -> int:
     report = _require_valid(q)
     cp = _checkerboard(q, report.structure)
     d = _parse_diagonal(args.diagonal, cp.half)
+    # the trace repeats after at most 2N steps, and every step is kept
+    if args.steps is not None and args.steps > 2 * cp.half:
+        print(f"error: --steps: must be at most {2 * cp.half}, got {args.steps}",
+              file=sys.stderr)
+        raise SystemExit(EXIT_BAD_INPUT)
     trace = sy.resolution(cp, d, steps=args.steps)
     if args.format == "structured":
         doc = {

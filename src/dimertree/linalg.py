@@ -200,9 +200,6 @@ class Field:
     def eye(self, n) -> Matrix:
         return Matrix([{i: 1} for i in range(n)], n)
 
-    def shape(self, a):
-        return a.shape
-
     def rank(self, a) -> int:
         return len(self.rref(a)[1])
 

@@ -8,13 +8,13 @@ which serve as ground truth for the geometric model.
 
 Everything the oracle builds from an algebra is built once and kept on its
 `AlgebraBasis`: the projectives and radicals of projectives, the towers
-(direct sums of projectives, one per summand list), the minimal
+(direct sums of projectives, one per summand list), and the minimal
 presentations of the radicals with the next resolution step of each
-(`ModulePresentation._next`), and the boundary vanishing report.  Each
-`Rep` keeps its projective cover (`cover_map`) once computed.  Callers
-must not mutate a cached object.  A `Rep` is plain data: its field, its
-dimensions, its arrow matrices and its basis labels, with no reference to
-the algebra, so every function that needs the algebra takes it first.
+(`ModulePresentation._next`).  Each `Rep` keeps its projective cover
+(`cover_map`) once computed.  Callers must not mutate a cached object.  A
+`Rep` is plain data: its field, its dimensions, its arrow matrices and its
+basis labels, with no reference to the algebra, so every function that
+needs the algebra takes it first.
 
 The report reuses these modules rather than rebuilding them.  A tower of
 several summands is the direct sum of the cached single projectives, its
@@ -210,7 +210,6 @@ class AlgebraBasis:
         self._rep_cache: dict[object, "Rep"] = {}
         self._tower_cache: dict[tuple, tuple["Rep", dict]] = {}
         self._pres_cache: dict[object, ModulePresentation] = {}
-        self._vanishing_report: Report | None = None
 
     # -- construction -------------------------------------------------------
 
@@ -814,7 +813,7 @@ def ext1_dim_pres(ab: AlgebraBasis, Mpres: ModulePresentation, N: Rep) -> int:
     """dim Ext^1(coker Mpres, N) from the three-term resolution."""
     F = ab.field
     d0, d1 = _ext1_complex(ab, Mpres, N)
-    return F.shape(d0)[0] - F.rank(d1) - F.rank(d0)
+    return d0.shape[0] - F.rank(d1) - F.rank(d0)
 
 
 def _ext1_by_tag(ab: AlgebraBasis, pres: ModulePresentation, N: Rep) -> Counter:
@@ -836,10 +835,6 @@ def _ext1_by_tag(ab: AlgebraBasis, pres: ModulePresentation, N: Rep) -> Counter:
 # ---------------------------------------------------------------------------
 # spec-level operations
 # ---------------------------------------------------------------------------
-
-def path_is_nonzero(ab: AlgebraBasis, arrows) -> bool:
-    return ab.class_of_word(tuple(arrows)) is not None
-
 
 def schurian_check(ab: AlgebraBasis):
     """True iff all pairwise class spaces are at most one-dimensional and no
@@ -902,16 +897,9 @@ def radical_presentation(ab: AlgebraBasis, x) -> ModulePresentation:
     return ab._pres_cache[x]
 
 
-def ext1_dim(ab: AlgebraBasis, M: ModulePresentation, N: ModulePresentation) -> int:
-    return ext1_dim_pres(ab, M, cokernel_rep(ab, N))
-
-
 def boundary_vanishing_check(ab: AlgebraBasis) -> Report:
     """For every arrow i->j: Ext^1(syzygy of rad P(i), rad P(j)) = 0.
-    For boundary arrows additionally: stable Hom(rad P(j), rad P(i)) = 0.
-    The report is computed once per algebra; callers must not mutate it."""
-    if ab._vanishing_report is not None:
-        return ab._vanishing_report
+    For boundary arrows additionally: stable Hom(rad P(j), rad P(i)) = 0."""
     items = []
     for a in ab.q.arrows:
         omega_pres = resolve_step(ab, radical_presentation(ab, a.source))
@@ -928,8 +916,7 @@ def boundary_vanishing_check(ab: AlgebraBasis) -> Report:
         items.append(Check(
             f"stable_hom_rad_vanishes[{a.id}]", d == 0,
             "" if d == 0 else f"dim {d}"))
-    ab._vanishing_report = Report(items)
-    return ab._vanishing_report
+    return Report(items)
 
 
 def radical_cover_arrows(ab: AlgebraBasis, x) -> tuple[tuple, tuple]:

@@ -1,4 +1,5 @@
 import json
+import sys
 import time
 
 import pytest
@@ -9,7 +10,11 @@ from dimertree.cli import main
 
 from dimertree.quiver import load_quiver
 
+from conftest import FIXTURES as FIXTURE_DIR
 from conftest import fixture_path, glued_dimer_tree, load_fixture
+
+sys.path.insert(0, str(FIXTURE_DIR.parent / "perfbench"))
+import worker  # noqa: E402
 
 
 def run(capsys, *argv):
@@ -149,6 +154,11 @@ def test_resolve(capsys):
     assert "P1=[5, 6]" in out and "P0=[3, 4]" in out
     # (5,12) is a diameter of the 14-gon, so the half turn already fixes it
     assert "minimal period: 7" in out
+    # 2N = 14 steps, the most --steps accepts (see the out-of-range cases)
+    code, out, _ = run(capsys, "resolve", fixture_path("q9"),
+                       "--diagonal", "5,12", "--steps", "14")
+    assert code == 0
+    assert "step 14:" in out and "step 15:" not in out
 
 
 def test_resolve_bad_diagonal(capsys):
@@ -160,6 +170,8 @@ def test_resolve_bad_diagonal(capsys):
 @pytest.mark.parametrize("argv, reason", [
     (("resolve", "q9", "--diagonal", "5,12", "--steps", "-2"),
      "--steps: must be at least 0, got -2"),
+    (("resolve", "q9", "--diagonal", "5,12", "--steps", "15"),
+     "--steps: must be at most 14"),
 ])
 def test_out_of_range_counts_are_bad_input(capsys, argv, reason):
     cmd, fixture, *rest = argv
@@ -287,9 +299,17 @@ def test_oracle_over_the_largest_prime_matches_the_default_field(capsys):
 
 
 def test_all_pipeline_q7(capsys):
-    code, out, _ = run(capsys, "all", fixture_path("q7"))
-    assert code == 0
-    assert out.count("pass") >= 8 and "FAIL" not in out
+    # q7 and every other fixture print exactly the checks the benchmark
+    # requires of `all` (`worker.ALL_CHECKS`), in its order, all passing
+    for path in sorted(FIXTURE_DIR.glob("*.json")):
+        for field, name in (("32003", "GF(32003)"), ("Q", "QQ")):
+            code, out, _ = run(capsys, "all", str(path), "--field", field)
+            assert code == 0, (path.name, field)
+            lines = [line.split() for line in out.splitlines()]
+            assert [w[1] for w in lines] == [
+                f"oracle[{name}]" if c == "oracle[GF(32003)]" else c
+                for c in worker.ALL_CHECKS], (path.name, field)
+            assert all(w[0] == "pass" for w in lines), (path.name, field)
 
 
 @pytest.mark.parametrize("spec", ["17,20", "0,3", "3,15"])

@@ -1,8 +1,8 @@
 """Derived data computed once must equal the same data computed afresh.
 
 Quiver structure is cached on the quiver, presentations on the polygon's
-rotation orbits, and
-`ar_quiver` builds its meshes from pivots grouped by target.  Each test here
+rotation orbits (each orbit read whole on its first use), and `ar_quiver`
+builds its meshes from pivots grouped by target.  Each test here
 compares a cached or indexed result with an independent reference.
 """
 import random
@@ -77,16 +77,18 @@ def test_resolution_matches_fresh_polygon_reference(name, q):
         steps, period, gluing = reference_resolution(fresh, d)
         assert [(s.diagonal, s.p0, s.p1) for s in got.steps] == steps
         assert (got.start, got.minimal_period, got.gluing_ok) == (d, period, gluing)
-    # every diagonal is now in the orbit table, and every orbit is read
-    assert set(shared.orbits) == set(dg.enumerate_diagonals(shared.half))
+    # every diagonal is now in the orbit table, at its place in its orbit
+    n = shared.half
+    assert set(shared.orbits) == set(dg.enumerate_diagonals(n))
     for d, (orbit, i) in shared.orbits.items():
-        assert orbit.diagonals[i] == d
-        assert [p.diagonal for p in orbit.presentations] == orbit.diagonals
+        assert orbit[i].diagonal == d
+        assert [p.diagonal for p in orbit] == [
+            dg.rotate(d, k - i, n) for k in range(len(orbit))]
 
 
 @pytest.mark.parametrize("name", ["q9", "glued4"])
 def test_partial_resolutions_read_the_orbit_table(name):
-    # short prefixes first, so that later calls meet half-filled orbits
+    # short prefixes first, so that longer ones read orbits already kept
     q = dict(QUIVERS)[name]
     cp = cb.build_checkerboard(q)
     for steps in (0, 1, 3, None, 2 * cp.half + 3):
@@ -95,6 +97,20 @@ def test_partial_resolutions_read_the_orbit_table(name):
             want, period, gluing = reference_resolution(cp, d, steps)
             assert [(s.diagonal, s.p0, s.p1) for s in got.steps] == want
             assert (got.minimal_period, got.gluing_ok) == (period, gluing)
+
+
+@pytest.mark.parametrize("name", ["q9", "glued4"])
+def test_one_resolution_reads_exactly_its_whole_orbit(name):
+    q = dict(QUIVERS)[name]
+    cp = cb.build_checkerboard(q)
+    n = cp.half
+    d = dg.TwoDiagonal(1, 4)
+    sy.resolution(cp, d, steps=0)
+    orbit = {dg.rotate(d, k, n) for k in range(2 * n)}
+    assert set(cp.orbits) == orbit
+    fresh = cb.build_checkerboard(rebuilt(q))
+    for e, (kept, i) in cp.orbits.items():
+        assert kept[i] == sy.presentation_of(fresh, e)
 
 
 def test_presentation_errors_are_not_cached():

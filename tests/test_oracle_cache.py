@@ -87,12 +87,12 @@ def dense_projective_rep(ab, v, radical):
 
 
 def dense_columns(F, mat):
-    m, n = F.shape(mat)
+    m, n = mat.shape
     return [[mat[i, j] for i in range(m)] for j in range(n)]
 
 
 def dense_apply(F, mat, vec):
-    m, n = F.shape(mat)
+    m, n = mat.shape
     out = [F.scalar(0)] * m
     for j, x in enumerate(vec):
         if F.is_zero(x):
@@ -163,13 +163,13 @@ def dense_hom_tower_matrix(ab, pres, N):
         for coeff, cls in combo:
             path = ab.classes[cls]
             m = N.word_matrix(path.word, path.source)
-            r, c = F.shape(m)
+            r, c = m.shape
             for i in range(r):
                 for j in range(c):
                     if not F.is_zero(m[i, j]):
                         block[i, j] = F.add(block[i, j],
                                             F.mul(F.scalar(coeff), m[i, j]))
-        r, c = F.shape(block)
+        r, c = block.shape
         for i in range(r):
             for j in range(c):
                 if not F.is_zero(block[i, j]):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from dimertree import checkerboard as cb
@@ -58,6 +60,23 @@ def test_radical_consistency_all_fixtures(model9, model3, q7):
     ab7 = orc.build_algebra(q7, 32003)
     rep = sy.radical_consistency_check(cp7, ab7)
     assert rep.ok, [i.name for i in rep.failed()]
+
+
+def test_radical_consistency_names_a_swapped_presentation(q9):
+    # the oracle's cover and relation terms swapped at one vertex at a time
+    cp = cb.build_checkerboard(q9)
+    ab = orc.build_algebra(q9, 32003)
+    for x in q9.sorted_vertices():
+        pres = orc.radical_presentation(ab, x)
+        ab._pres_cache[x] = dataclasses.replace(pres, p0=pres.p1, p1=pres.p0)
+        rep = sy.radical_consistency_check(cp, ab)
+        ab._pres_cache[x] = pres
+        (bad,) = rep.failed()
+        assert bad.name == f"radical_presentation_matches_oracle[{x}]"
+        p1, p0 = pres.summand_multisets()
+        assert p1 != p0
+        assert bad.detail == f"model {(p1, p0)}, oracle {(p0, p1)}"
+    assert sy.radical_consistency_check(cp, ab).ok
 
 
 def test_gluing_and_periods_q9(model9):
