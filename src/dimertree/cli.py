@@ -172,13 +172,15 @@ def cmd_diag(args) -> int:
         return EXIT_OK
     print(f"2N = {2 * n}: {len(tq.nodes)} 2-diagonals, {len(tq.arrows)} pivots, "
           f"{len(tq.tau_orbits())} rotation-square orbits")
-    print(f"translation axiom: {'pass' if tq.check_translation_axiom() else 'FAIL'}")
+    axiom = tq.check_translation_axiom()
+    print(f"translation axiom: {'pass' if axiom else 'FAIL'}")
     for m in tq.meshes:
         mids = " + ".join(str(d) for d in m.middles)
         print(f"  mesh at {m.target}: {m.tau_target} -> {mids} -> {m.target}")
     bij = dg.arc_bijection_report(n)
-    print(f"boundary-arc bijection: {'pass' if bij.ok else 'FAIL ' + bij.detail}")
-    return EXIT_OK if tq.check_translation_axiom() and bij.ok else EXIT_CHECK_FAILED
+    detail = "; ".join(c.detail for c in bij.failed())
+    print(f"boundary-arc bijection: {'pass' if bij.ok else 'FAIL ' + detail}")
+    return EXIT_OK if axiom and bij.ok else EXIT_CHECK_FAILED
 
 
 def _parse_diagonal(spec: str, n: int) -> dg.TwoDiagonal:
@@ -265,6 +267,8 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_all(args) -> int:
+    # refuse a bad field before any check prints
+    field = parse_field_spec(_field(args))
     q = _load(args.quiver)
     report = validate_dimer_tree(q)
     status = EXIT_OK
@@ -287,7 +291,6 @@ def cmd_all(args) -> int:
     note("checkerboard", val.ok, "; ".join(c.name for c in val.failed()))
     tq = dg.ar_quiver(cp.half)
     note("translation_quiver", tq.check_translation_axiom())
-    field = parse_field_spec(_field(args))
     ab = orc.build_algebra(q, field)
     rep = orc.full_oracle_report(ab)
     note(f"oracle[{field.name}]", rep.ok,

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .quiver import Check, Report
+
 
 class DiagonalError(ValueError):
     pass
@@ -272,39 +274,41 @@ def arc_pivot(arc: BoundaryArc, fix: str, n: int) -> BoundaryArc | None:
     return cand
 
 
-@dataclass
-class ArcBijectionReport:
-    n: int
-    arc_count: int
-    diagonal_count: int
-    bijective: bool
-    pivot_equivariant: bool
-    detail: str = ""
+def _unmatched(arcs, diags, n: int) -> str:
+    """The first arc or 2-diagonal not matched one to one, or ""."""
+    diag_set, source = set(diags), {}
+    for arc in arcs:
+        d = arc_to_diagonal(arc, n)
+        if d in source:
+            return f"arcs {source[d]} and {arc} both map to {d}"
+        if d not in diag_set:
+            return f"arc {arc} maps to {d}, not a 2-diagonal"
+        source[d] = arc
+    for d in diags:
+        if d not in source:
+            return f"2-diagonal {d} is the image of no arc"
+        back = diagonal_to_arc(d, n)
+        if back != source[d]:
+            return f"2-diagonal {d} maps back to {back}, not {source[d]}"
+    return ""
 
-    @property
-    def ok(self) -> bool:
-        return self.bijective and self.pivot_equivariant
 
-
-def arc_bijection_report(n: int) -> ArcBijectionReport:
-    arcs = enumerate_arcs(n)
-    diags = enumerate_diagonals(n)
-    images = [arc_to_diagonal(a, n) for a in arcs]
-    bijective = (len(set(images)) == len(arcs) == len(diags)
-                 and set(images) == set(diags)
-                 and all(diagonal_to_arc(d, n) in arcs for d in diags))
-    equivariant = True
-    detail = ""
+def _pivot_mismatch(arcs, n: int) -> str:
+    """The first arc pivot not carried to its diagonal pivot, or ""."""
     for arc in arcs:
         for fix in ("tail", "head"):
             moved = arc_pivot(arc, fix, n)
             expected = pivot(arc_to_diagonal(arc, n), fix, n)
             got = arc_to_diagonal(moved, n) if moved is not None else None
             if got != expected:
-                equivariant = False
-                detail = f"pivot mismatch at {arc} fix={fix}: {got} != {expected}"
-                break
-        if not equivariant:
-            break
-    return ArcBijectionReport(n, len(arcs), len(diags), bijective,
-                              equivariant, detail)
+                return f"pivot mismatch at {arc} fix={fix}: {got} != {expected}"
+    return ""
+
+
+def arc_bijection_report(n: int) -> Report:
+    """`arc_to_diagonal` checked as a bijection and against the pivots."""
+    arcs = enumerate_arcs(n)
+    unmatched = _unmatched(arcs, enumerate_diagonals(n), n)
+    mismatch = _pivot_mismatch(arcs, n)
+    return Report([Check("arc_bijection", not unmatched, unmatched),
+                   Check("arc_pivots_match_diagonal_pivots", not mismatch, mismatch)])

@@ -24,9 +24,7 @@ Ext^1(rad P(j), rad P(x)) off the blocks of its ranks; rad B is built per
 check, not kept.  Hom and stable Hom are read off the cached minimal
 presentations: Hom(coker f, N) is the kernel of Hom(f, N) on the tops of
 the tower, and the maps through a projective are the same kernel into the
-cover of N, projected through the cover.  The flat system, one unknown per
-pair of basis vectors at each vertex, remains for `hom_space` and
-`stable_hom_dim_reps`.
+cover of N, projected through the cover.
 
 Covers, kernels and presentations share one vector format: a sparse dict
 {coordinate: nonzero entry}, the shape of a `Matrix` row.  One routine,
@@ -660,87 +658,6 @@ def cokernel_rep(ab: AlgebraBasis, pres: ModulePresentation) -> Rep:
 # ---------------------------------------------------------------------------
 # Hom and Ext
 # ---------------------------------------------------------------------------
-
-def _hom_null(ab: AlgebraBasis, M: Rep, N: Rep) -> tuple[Matrix, dict]:
-    """Hom(M, N), flattened: a matrix whose columns are a basis, with the
-    entry f_v[i, j] of a map in row offsets[v] + i * M.dims[v] + j; and
-    the offsets.
-
-    The unknowns are the entries f_v[i, j], vertex by vertex; there is one
-    relation f_t Ma = Na f_s per arrow a: s -> t and entry (i, j)."""
-    F = ab.field
-    offsets = {}
-    total = 0
-    for v in ab.vertices:
-        offsets[v] = total
-        total += M.dims[v] * N.dims[v]
-    if total == 0:
-        return Matrix([], 0), offsets
-    rows = []
-    for a in ab.q.arrows:
-        s, t = a.source, a.target
-        ms, mt = M.dims[s], M.dims[t]
-        if N.dims[t] * ms == 0:
-            continue
-        ma_cols: list[list] = [[] for _ in range(ms)]
-        for k, row in enumerate(M.act[a.id].rows):
-            for j, x in row.items():
-                ma_cols[j].append((k, x))
-        # s != t, since a dimer tree has no loops: the f_t and f_s unknowns
-        # of a relation never coincide
-        ot, os_ = offsets[t], offsets[s]
-        for i, na_row in enumerate(N.act[a.id].rows):
-            for j in range(ms):
-                # (f_t Ma)_{ij} = sum_k f_t[i,k] Ma[k,j]
-                row = {ot + i * mt + k: x for k, x in ma_cols[j]}
-                # -(Na f_s)_{ij} = -sum_k Na[i,k] f_s[k,j]
-                for k, x in na_row.items():
-                    row[os_ + k * ms + j] = F.neg(x)
-                rows.append(row)
-    return F.nullspace(Matrix(rows, total)), offsets
-
-
-def hom_space(ab: AlgebraBasis, M: Rep, N: Rep):
-    """Basis of Hom(M, N): list of {vertex: matrix} commuting families."""
-    F = ab.field
-    null, offsets = _hom_null(ab, M, N)
-    verts = ab.vertices
-    out = [{v: F.zeros(N.dims[v], M.dims[v]) for v in verts}
-           for _ in range(null.ncols)]
-    for v in verts:
-        base, mv = offsets[v], M.dims[v]
-        for i in range(N.dims[v]):
-            for j in range(mv):
-                for b, x in null.rows[base + i * mv + j].items():
-                    out[b][v].rows[i][j] = x
-    return out
-
-
-def stable_hom_dim_reps(ab: AlgebraBasis, M: Rep, N: Rep) -> int:
-    """dim Hom(M,N) minus the maps that factor through the cover of N.
-
-    The maps that factor through a projective are the lifts Hom(M, tower)
-    composed with the cover pi: tower -> N.  pi_v f_v is read off the
-    flattened lifts with one product: its entry (i, j) is the sum over k of
-    pi_v[i, k] f_v[k, j]."""
-    dim_hom = _hom_null(ab, M, N)[0].ncols
-    if not dim_hom:
-        return 0
-    F = ab.field
-    _, pi_mats, towerN = cover_map(ab, N)
-    lifts, offsets = _hom_null(ab, M, towerN)
-    if not lifts.ncols:
-        return dim_hom
-    # pi on the flat coordinates: row (v, i, j) takes pi_v[i, k] times row
-    # (v, k, j) of the lifts
-    proj = []
-    for v in ab.vertices:
-        base, mv = offsets[v], M.dims[v]
-        for pi_row in pi_mats[v].rows:
-            for j in range(mv):
-                proj.append({base + k * mv + j: x for k, x in pi_row.items()})
-    return dim_hom - F.rank(F.matmul(Matrix(proj, len(lifts.rows)), lifts))
-
 
 def hom_tower_matrix(ab: AlgebraBasis, pres: ModulePresentation, N: Rep):
     """Matrix of Hom(tower(p0), N) -> Hom(tower(p1), N), phi -> phi o f."""

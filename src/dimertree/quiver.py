@@ -61,7 +61,15 @@ class Quiver:
         if len(vset) != len(self.vertices):
             raise QuiverError("duplicate vertex ids")
         if len(self.arrow_by_id) != len(self.arrows):
-            raise QuiverError("duplicate arrow ids")
+            first: dict[str, int] = {}
+            for i, a in enumerate(self.arrows):
+                j = first.setdefault(a.id, i)
+                if j != i and self.arrows[j] == a:  # same id and endpoints
+                    raise QuiverError(
+                        f"arrows[{i}]: parallel arrows {a.source!r}->{a.target!r} "
+                        f"(first at arrows[{j}])")
+                if j != i:
+                    raise QuiverError(f"arrows[{i}]: duplicate arrow id {a.id!r}")
         for a in self.arrows:
             if a.source not in vset:
                 raise QuiverError(f"arrow {a.id}: unknown source {a.source!r}")
@@ -74,20 +82,23 @@ class Quiver:
     # -- basic invariants ---------------------------------------------------
 
     def check_well_formed(self) -> None:
-        """No loops, no 2-cycles, no parallel arrows, connected."""
-        seen_pairs: dict[tuple[VertexId, VertexId], str] = {}
-        for a in self.arrows:
+        """No loops, no parallel arrows, no 2-cycles, connected.  A fault is
+        reported at the first arrow that completes it, as arrows[i]."""
+        first: dict[tuple[VertexId, VertexId], int] = {}
+        for i, a in enumerate(self.arrows):
+            loc = f"arrows[{i}]"
             if a.source == a.target:
-                raise QuiverError(f"arrow {a.id}: loop at {a.source!r}")
-            pair = (a.source, a.target)
-            if pair in seen_pairs:
+                raise QuiverError(f"{loc}: loop at {a.source!r}")
+            j = first.setdefault((a.source, a.target), i)
+            if j != i:
                 raise QuiverError(
-                    f"arrow {a.id}: parallel to arrow {seen_pairs[pair]}")
-            seen_pairs[pair] = a.id
-        for a in self.arrows:
-            if (a.target, a.source) in seen_pairs:
-                other = seen_pairs[(a.target, a.source)]
-                raise QuiverError(f"arrows {a.id} and {other} form a 2-cycle")
+                    f"{loc}: parallel arrows {a.source!r}->{a.target!r} "
+                    f"(first at arrows[{j}])")
+            j = first.get((a.target, a.source))
+            if j is not None:
+                raise QuiverError(
+                    f"{loc}: arrows form a 2-cycle {a.source!r}<->{a.target!r} "
+                    f"(with arrows[{j}])")
         if self.vertices and not self.is_connected():
             raise QuiverError("quiver is not connected")
 
@@ -130,7 +141,8 @@ def parse_quiver(text: str) -> Quiver:
     """Parse a quiver document (JSON with name/vertices/arrows fields)."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # bad JSON, an integer too long to convert, or nesting too deep
         raise QuiverError(f"malformed document: {exc}") from exc
     return quiver_from_dict(doc)
 
@@ -181,30 +193,6 @@ def quiver_from_dict(doc: object) -> Quiver:
                 raise QuiverError(f"{loc}: vertex id must be an integer or string")
         arrows.append(Arrow(aid, s, t))
 
-    seen_ids: dict[str, int] = {}
-    seen_pairs: dict[tuple, int] = {}
-    for i, a in enumerate(arrows):
-        loc = f"arrows[{i}]"
-        if a.source == a.target:
-            raise QuiverError(f"{loc}: loop at {a.source!r}")
-        if a.id in seen_ids:
-            prev = seen_ids[a.id]
-            if arrows[prev].source == a.source and arrows[prev].target == a.target:
-                raise QuiverError(
-                    f"{loc}: parallel arrows {a.source!r}->{a.target!r} "
-                    f"(first at arrows[{prev}])")
-            raise QuiverError(f"{loc}: duplicate arrow id {a.id!r}")
-        seen_ids[a.id] = i
-        if (a.source, a.target) in seen_pairs:
-            raise QuiverError(
-                f"{loc}: parallel arrows {a.source!r}->{a.target!r} "
-                f"(first at arrows[{seen_pairs[(a.source, a.target)]}])")
-        seen_pairs[(a.source, a.target)] = i
-        if (a.target, a.source) in seen_pairs:
-            raise QuiverError(
-                f"{loc}: arrows form a 2-cycle {a.source!r}<->{a.target!r} "
-                f"(with arrows[{seen_pairs[(a.target, a.source)]}])")
-
     q = Quiver(vertices, arrows, name=name)
     q.check_well_formed()
     return q
@@ -212,7 +200,11 @@ def quiver_from_dict(doc: object) -> Quiver:
 
 def load_quiver(path: str) -> Quiver:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_quiver(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise QuiverError(f"malformed document: {exc}") from exc
+    return parse_quiver(text)
 
 
 # -- chordless cycles ----------------------------------------------------------

@@ -82,7 +82,7 @@ def test_criterion_4_diag_counts_and_ar_structure():
         assert len(tq.arrows) == 20
         for n in range(3, 9):
             rep = dg.arc_bijection_report(n)
-            assert rep.ok, (n, rep.detail)
+            assert rep.ok, (n, rep.failed())
 
 
 def test_criterion_5_oracle_suite_two_fields():

@@ -52,6 +52,28 @@ def test_malformed_file_is_bad_input(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+def test_non_utf8_file_is_bad_input(tmp_path, capsys):
+    bad = tmp_path / "utf16.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "validate", str(bad))
+    assert exc.value.code == 2
+    assert "malformed document" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("via_env", [False, True])
+def test_all_refuses_a_bad_field_before_any_check(via_env, capsys, monkeypatch):
+    argv = ["all", fixture_path("c3")]
+    if via_env:
+        monkeypatch.setenv("DIMERTREE_FIELD", "4")
+    else:
+        argv += ["--field", "4"]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: 4 is not prime\n"
+
+
 def test_weights_table(capsys):
     code, out, _ = run(capsys, "weights", fixture_path("q9"))
     assert code == 0

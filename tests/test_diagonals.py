@@ -172,8 +172,24 @@ def test_dot_output_contains_nodes_and_tau():
 def test_arc_bijection_range():
     for n in range(3, 9):
         rep = dg.arc_bijection_report(n)
-        assert rep.ok, rep.detail
-        assert rep.arc_count == rep.diagonal_count == n * (n - 2)
+        assert [c.name for c in rep.items] == [
+            "arc_bijection", "arc_pivots_match_diagonal_pivots"]
+        assert rep.ok, rep.failed()
+        assert len(dg.enumerate_arcs(n)) == len(dg.enumerate_diagonals(n)) == n * (n - 2)
+
+
+def test_arc_bijection_failures_name_their_witness(monkeypatch):
+    # no arc pivot stays inside: the first whose diagonal pivot does is named
+    monkeypatch.setattr(dg, "arc_pivot", lambda arc, fix, n: None)
+    rep = dg.arc_bijection_report(4)
+    assert [c.name for c in rep.failed()] == ["arc_pivots_match_diagonal_pivots"]
+    assert rep.failed()[0].detail.startswith("pivot mismatch at ")
+    # every arc on one diagonal: the second arc is the witness
+    arcs = dg.enumerate_arcs(4)
+    d = dg.enumerate_diagonals(4)[0]
+    monkeypatch.setattr(dg, "arc_to_diagonal", lambda arc, n: d)
+    rep = dg.arc_bijection_report(4)
+    assert rep.items[0].detail == f"arcs {arcs[0]} and {arcs[1]} both map to {d}"
 
 
 def test_chi_example_and_inverse():

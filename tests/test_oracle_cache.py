@@ -308,11 +308,11 @@ def family_stable_hom_dim(ab, M, N):
     """Stable Hom as the oracle computed it before: every lift a family of
     matrices, projected through the cover one vertex at a time."""
     F = ab.field
-    homs = orc.hom_space(ab, M, N)
+    homs = dense_hom_space(ab, M, N)
     if not homs:
         return 0
     _, pi_mats, towerN = orc.cover_map(ab, N)
-    lifts = orc.hom_space(ab, M, towerN)
+    lifts = dense_hom_space(ab, M, towerN)
     if not lifts:
         return len(homs)
     projected = []
@@ -326,6 +326,10 @@ def family_stable_hom_dim(ab, M, N):
             base += len(m.rows) * m.ncols
         projected.append(row)
     return len(homs) - F.rank(Matrix(projected, base))
+
+
+def dense_hom_dims(ab, M, N):
+    return len(dense_hom_space(ab, M, N)), family_stable_hom_dim(ab, M, N)
 
 
 def filtered_paths(ab, cap):
@@ -368,10 +372,6 @@ def random_rep(ab, rng, max_dim=3):
     act = {a.id: random_matrix(F, rng, dims[a.target], dims[a.source])
            for a in ab.q.arrows}
     return orc.Rep(ab.field, dims, act)
-
-
-def _rows(fam):
-    return {v: m.rows for v, m in fam.items()}
 
 
 # -- the tower cache --------------------------------------------------------------------
@@ -456,57 +456,73 @@ def test_ext_against_rad_b_equals_the_per_pair_complexes(field, name):
 @pytest.mark.parametrize("field", FIELDS)
 @pytest.mark.parametrize("name", [*FIXTURES, *GLUED])
 def test_flat_stable_hom_equals_the_family_reference(field, name):
-    """Stable Hom read off the Hom nullspace equals the family-based count
-    on every boundary pair and every End(rad P(x))."""
+    """Stable Hom read off the radical presentations equals the family-based
+    count on every boundary pair and every End(rad P(x))."""
     ab = orc.build_algebra(_quiver(name), FIELDS[field])
     rad = ab.radical_rep
     boundary = set(ab.structure.boundary_arrows)
-    pairs = [(rad(a.target), rad(a.source)) for a in ab.q.arrows
-             if a.id in boundary]
-    pairs += [(rad(x), rad(x)) for x in ab.vertices]
-    for M, N in pairs:
-        want = family_stable_hom_dim(ab, M, N)
-        assert orc.stable_hom_dim_reps(ab, M, N) == want
+    pairs = [(a.target, a.source) for a in ab.q.arrows if a.id in boundary]
+    pairs += [(x, x) for x in ab.vertices]
+    for m, n in pairs:
+        pres = orc.radical_presentation(ab, m)
+        want = family_stable_hom_dim(ab, rad(m), rad(n))
+        assert orc._pres_hom_dims(ab, pres, rad(n))[1] == want, (m, n)
+
+
+def random_presentation(ab, rng, max_rank=3):
+    """A presentation whose every entry is a random combination of the
+    non-constant classes between its summands; its cokernel is a module."""
+    F = ab.field
+    p0 = [rng.choice(ab.vertices) for _ in range(rng.randint(1, max_rank))]
+    p1 = [rng.choice(ab.vertices) for _ in range(rng.randint(0, max_rank))]
+    entries = {}
+    for l, u in enumerate(p0):
+        for k, v in enumerate(p1):
+            combo = [(x, c) for c in ab.by_pair.get((u, v), ())
+                     if not ab.classes[c].is_constant
+                     and (x := _entry(F, rng))]
+            if combo:
+                entries[l, k] = combo
+    return orc.ModulePresentation(p1=p1, p0=p0, entries=entries)
 
 
 @pytest.mark.parametrize("field", FIELDS)
-def test_flat_stable_hom_equals_the_family_reference_on_random_reps(field):
+def test_presentation_hom_equals_the_dense_references_on_random_modules(field):
+    """On the cokernels of random presentations, the Hom read off a
+    presentation equals the dense Hom space, and its stable Hom the
+    family-based count."""
     rng = random.Random(17)
-    for name in ("c3", "q7"):
+    for name in ("c3", "q7", "q9"):
         ab = orc.build_algebra(load_fixture(name), FIELDS[field])
         for _ in range(20):
-            M, N = random_rep(ab, rng), random_rep(ab, rng)
-            assert (orc.stable_hom_dim_reps(ab, M, N)
-                    == family_stable_hom_dim(ab, M, N))
-
-
-def flat_hom_dims(ab, M, N):
-    return len(orc.hom_space(ab, M, N)), orc.stable_hom_dim_reps(ab, M, N)
+            pm, pn = random_presentation(ab, rng), random_presentation(ab, rng)
+            M, N = orc.cokernel_rep(ab, pm), orc.cokernel_rep(ab, pn)
+            assert orc._pres_hom_dims(ab, pm, N) == dense_hom_dims(ab, M, N)
 
 
 @pytest.mark.parametrize("field", FIELDS)
 @pytest.mark.parametrize("name", [*FIXTURES, "interior_triangle", *GLUED])
 def test_presentation_hom_equals_the_flat_reference(field, name):
-    """Hom and stable Hom read off a presentation equal the flat system's,
+    """Hom and stable Hom read off a presentation equal the dense references,
     for every pair of radicals and for the syzygies of each radical."""
     ab = orc.build_algebra(_quiver(name), FIELDS[field])
     rad = {x: ab.radical_rep(x) for x in ab.vertices}
     for j in ab.vertices:
         pres = orc.radical_presentation(ab, j)
         for x, N in rad.items():
-            assert orc._pres_hom_dims(ab, pres, N) == flat_hom_dims(ab, rad[j], N), (j, x)
+            assert orc._pres_hom_dims(ab, pres, N) == dense_hom_dims(ab, rad[j], N), (j, x)
         # the first two syzygies, against themselves and every radical
         for step in (1, 2):
             pres = orc.resolve_step(ab, pres)
             M = orc.cokernel_rep(ab, pres)
             for N in (M, *rad.values()):
-                assert orc._pres_hom_dims(ab, pres, N) == flat_hom_dims(ab, M, N), (j, step)
+                assert orc._pres_hom_dims(ab, pres, N) == dense_hom_dims(ab, M, N), (j, step)
 
 
 @pytest.mark.parametrize("field", FIELDS)
 def test_presentation_hom_sees_a_corrupted_entry(q9, field):
     """Dropping one entry of a copied presentation changes its cokernel, and
-    the dims read off it then disagree with the flat reference for the
+    the dims read off it then disagree with the dense references for the
     module the presentation was copied from."""
     ab = orc.build_algebra(q9, FIELDS[field])
     rad = {x: ab.radical_rep(x) for x in ab.vertices}
@@ -519,12 +535,12 @@ def test_presentation_hom_sees_a_corrupted_entry(q9, field):
                                          entries=entries)
             disagree += [(j, key, x) for x, N in rad.items()
                          if orc._pres_hom_dims(ab, bad, N)
-                         != flat_hom_dims(ab, rad[j], N)]
+                         != dense_hom_dims(ab, rad[j], N)]
     assert disagree
     # and the cached presentations themselves agree
     for j in ab.vertices:
         pres = orc.radical_presentation(ab, j)
-        assert all(orc._pres_hom_dims(ab, pres, N) == flat_hom_dims(ab, rad[j], N)
+        assert all(orc._pres_hom_dims(ab, pres, N) == dense_hom_dims(ab, rad[j], N)
                    for N in rad.values())
 
 
@@ -565,22 +581,6 @@ def test_column_helpers_and_apply_match_dense_loops(field):
         vec = [_entry(F, rng) for _ in range(n)]
         assert orc._apply(F, mat, sparse(vec)) == sparse(dense_apply(F, mat, vec))
         assert orc._from_columns(m, [sparse(c) for c in cols]).rows == mat.rows
-
-
-@pytest.mark.parametrize("field", FIELDS)
-@pytest.mark.parametrize("name", ["c3", "q7"])
-def test_hom_space_matches_dense_loops(field, name):
-    ab = orc.build_algebra(load_fixture(name), FIELDS[field])
-    rng = random.Random(11)
-    for _ in range(25):
-        M, N = random_rep(ab, rng), random_rep(ab, rng)
-        got = orc.hom_space(ab, M, N)
-        want = dense_hom_space(ab, M, N)
-        assert [_rows(f) for f in got] == [_rows(f) for f in want]
-    for v in ab.vertices:
-        M = ab.radical_rep(v)
-        assert ([_rows(f) for f in orc.hom_space(ab, M, M)]
-                == [_rows(f) for f in dense_hom_space(ab, M, M)])
 
 
 @pytest.mark.parametrize("field", FIELDS)
@@ -681,4 +681,4 @@ def test_rep_outlives_the_algebra_it_came_from(c3):
     works with an algebra rebuilt from the same quiver."""
     M = orc.build_algebra(c3, 32003).radical_rep(1)
     ab2 = orc.build_algebra(c3, 32003)
-    assert len(orc.hom_space(ab2, M, M)) == 1
+    assert orc._pres_hom_dims(ab2, orc.minimal_presentation(ab2, M), M) == (1, 1)

@@ -18,6 +18,7 @@ from dimertree.quiver import (
     build_potential,
     chordless_cycles,
     cycle_path,
+    load_quiver,
     parse_quiver,
     validate_dimer_tree,
     weight_report,
@@ -63,10 +64,27 @@ def test_parse_object_arrows_and_ids():
                  "arrows[0]: arrow id must be a string", id="triple-int-id"),
     pytest.param('{"vertices": [1, 2], "arrows": [{"id": 7, "source": 1, "target": 2}]}',
                  "arrows[0]: arrow id must be a string", id="object-int-id"),
+    pytest.param('{"vertices": [1, 2, 3], "arrows": [["a", 1, 2], ["a", 2, 3]]}',
+                 "arrows[1]: duplicate arrow id 'a'", id="duplicate-id"),
+    pytest.param('{"vertices": [1, 2], "arrows": [["a", 1, 2], ["b", 1, 2]]}',
+                 "arrows[1]: parallel arrows 1->2 (first at arrows[0])",
+                 id="parallel-distinct-ids"),
+    pytest.param("[" * 100_000 + "]" * 100_000, "malformed document: maximum recursion",
+                 id="nested-too-deep"),
+    pytest.param(b"\xff\xfe{}", "malformed document: 'utf-8' codec",
+                 id="not-utf-8"),
+    pytest.param('{"vertices": [' + "1" * 5000 + '], "arrows": []}',
+                 "malformed document: Exceeds the limit", id="integer-too-long"),
 ])
-def test_parse_errors(doc, fragment):
+def test_parse_errors(doc, fragment, tmp_path):
     with pytest.raises(QuiverError) as err:
-        parse_quiver(doc)
+        if isinstance(doc, bytes):
+            # bytes are read from a file, which must be UTF-8
+            path = tmp_path / "doc.json"
+            path.write_bytes(doc)
+            load_quiver(str(path))
+        else:
+            parse_quiver(doc)
     assert fragment in str(err.value)
 
 
