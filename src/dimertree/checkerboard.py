@@ -139,14 +139,6 @@ class CheckerboardPolygon:
             raise CheckerboardError(f"unknown vertex {vertex!r}")
         return self.lines[vertex].diagonal()
 
-    def vertex_lines(self) -> dict[int, list[object]]:
-        """Polygon label -> radical lines with an endpoint there."""
-        out: dict[int, list[object]] = {k: [] for k in range(1, self.size + 1)}
-        for line in self.lines.values():
-            out[line.tail].append(line.vertex)
-            out[line.head].append(line.vertex)
-        return out
-
 
 # ---------------------------------------------------------------------------
 # construction

@@ -113,10 +113,11 @@ def cmd_weights(args) -> int:
         return EXIT_OK
     rows = [(e.cycle_path.pretty(q), e.weight, e.arrow) for e in wr.entries]
     width = max(len(r[0]) for r in rows)
-    print(f"{'cycle path':<{width}}  weight  arrow")
-    for path, w, arrow in rows:
-        print(f"{path:<{width}}  {w:>6}  {arrow}")
-    print(f"total weight: {wr.total_weight}  (polygon size 2N with N={wr.half})")
+    lines = [f"{'cycle path':<{width}}  weight  arrow"]
+    lines += [f"{path:<{width}}  {w:>6}  {arrow}" for path, w, arrow in rows]
+    lines.append(f"total weight: {wr.total_weight}  "
+                 f"(polygon size 2N with N={wr.half})")
+    _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
 
@@ -130,10 +131,11 @@ def cmd_polygon(args) -> int:
     if args.format != "text":
         _emit(cb.render(cp, args.format), args.out)
     else:
-        print(f"polygon size: {cp.size}")
-        for v, line in sorted(cp.lines.items(), key=lambda kv: _vkey(kv[0])):
-            print(f"  line {v}: ({line.tail},{line.head})  "
-                  f"crossings {', '.join(line.crossings)}")
+        lines = [f"polygon size: {cp.size}"] + [
+            f"  line {v}: ({line.tail},{line.head})  "
+            f"crossings {', '.join(line.crossings)}"
+            for v, line in sorted(cp.lines.items(), key=lambda kv: _vkey(kv[0]))]
+        _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK if val.ok else EXIT_CHECK_FAILED
 
 
@@ -144,9 +146,6 @@ def cmd_diag(args) -> int:
             return EXIT_BAD_INPUT
         n = args.size // 2
     else:
-        if not args.quiver:
-            print("error: need --size 2N or a quiver file", file=sys.stderr)
-            return EXIT_BAD_INPUT
         q = _load(args.quiver)
         report = _require_valid(q)
         n = weight_report(q, report.structure).half
@@ -170,16 +169,17 @@ def cmd_diag(args) -> int:
         }
         _emit(json.dumps(doc, indent=2) + "\n", args.out)
         return EXIT_OK
-    print(f"2N = {2 * n}: {len(tq.nodes)} 2-diagonals, {len(tq.arrows)} pivots, "
-          f"{len(tq.tau_orbits())} rotation-square orbits")
     axiom = tq.check_translation_axiom()
-    print(f"translation axiom: {'pass' if axiom else 'FAIL'}")
+    lines = [f"2N = {2 * n}: {len(tq.nodes)} 2-diagonals, {len(tq.arrows)} pivots, "
+             f"{len(tq.tau_orbits())} rotation-square orbits",
+             f"translation axiom: {'pass' if axiom else 'FAIL'}"]
     for m in tq.meshes:
         mids = " + ".join(str(d) for d in m.middles)
-        print(f"  mesh at {m.target}: {m.tau_target} -> {mids} -> {m.target}")
+        lines.append(f"  mesh at {m.target}: {m.tau_target} -> {mids} -> {m.target}")
     bij = dg.arc_bijection_report(n)
     detail = "; ".join(c.detail for c in bij.failed())
-    print(f"boundary-arc bijection: {'pass' if bij.ok else 'FAIL ' + detail}")
+    lines.append(f"boundary-arc bijection: {'pass' if bij.ok else 'FAIL ' + detail}")
+    _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK if axiom and bij.ok else EXIT_CHECK_FAILED
 
 
@@ -220,10 +220,11 @@ def cmd_resolve(args) -> int:
         }
         _emit(json.dumps(doc, indent=2, default=str) + "\n", args.out)
     else:
-        for i, s in enumerate(trace.steps):
-            print(f"step {i}: {s.diagonal}  P1={list(s.p1)}  P0={list(s.p0)}")
-        print(f"minimal period: {trace.minimal_period}  "
-              f"gluing: {'pass' if trace.gluing_ok else 'FAIL'}")
+        lines = [f"step {i}: {s.diagonal}  P1={list(s.p1)}  P0={list(s.p0)}"
+                 for i, s in enumerate(trace.steps)]
+        lines.append(f"minimal period: {trace.minimal_period}  "
+                     f"gluing: {'pass' if trace.gluing_ok else 'FAIL'}")
+        _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK if trace.gluing_ok else EXIT_CHECK_FAILED
 
 
@@ -351,8 +352,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out")
 
     sp = sub.add_parser("diag", help="2-diagonals and their translation quiver")
-    sp.add_argument("quiver", nargs="?")
-    sp.add_argument("--size", type=int, help="polygon size 2N")
+    source = sp.add_mutually_exclusive_group(required=True)
+    source.add_argument("quiver", nargs="?")
+    source.add_argument("--size", type=int, help="polygon size 2N")
     sp.add_argument("--format", choices=("text", "structured", "dot"),
                     default="text")
     sp.add_argument("--out")

@@ -26,9 +26,6 @@ class TwoDiagonal:
     tail: int   # odd label
     head: int   # even label
 
-    def endpoints(self) -> frozenset[int]:
-        return frozenset((self.tail, self.head))
-
     def __repr__(self) -> str:
         return f"({self.tail},{self.head})"
 
@@ -128,7 +125,7 @@ def crosses(d1: TwoDiagonal, d2: TwoDiagonal, n: int) -> bool:
 
 @dataclass
 class Mesh:
-    """tau x -> (middle terms) -> x, with the polarization pairing arrows."""
+    """tau x -> (middle terms y) -> x, by the arrows tau x -> y -> x."""
     target: TwoDiagonal
     tau_target: TwoDiagonal
     middles: list[TwoDiagonal]
@@ -140,7 +137,6 @@ class TranslationQuiver:
     nodes: list[TwoDiagonal]
     arrows: list[tuple[TwoDiagonal, TwoDiagonal]]
     tau: dict[TwoDiagonal, TwoDiagonal]
-    sigma: dict[tuple[TwoDiagonal, TwoDiagonal], tuple[TwoDiagonal, TwoDiagonal]]
     meshes: list[Mesh]
 
     def tau_orbits(self) -> list[list[TwoDiagonal]]:
@@ -188,20 +184,16 @@ def ar_quiver(n: int) -> TranslationQuiver:
     sources_into: dict[TwoDiagonal, list[TwoDiagonal]] = {d: [] for d in nodes}
     for y, x in arrows:
         sources_into[x].append(y)
-    sigma = {}
     meshes = []
     for x in nodes:
         tx = tau[x]
-        middles = []
         for y in sources_into[x]:
-            back = (tx, y)
-            if back not in arrow_set:
+            if (tx, y) not in arrow_set:
                 raise DiagonalError(
                     f"translation axiom fails: no arrow {tx} -> {y}")
-            sigma[(y, x)] = back
-            middles.append(y)
-        meshes.append(Mesh(target=x, tau_target=tx, middles=sorted(middles)))
-    return TranslationQuiver(n, nodes, sorted(arrows), tau, sigma, meshes)
+        meshes.append(Mesh(target=x, tau_target=tx,
+                           middles=sorted(sources_into[x])))
+    return TranslationQuiver(n, nodes, sorted(arrows), tau, meshes)
 
 
 def translation_quiver_dot(tq: TranslationQuiver) -> str:

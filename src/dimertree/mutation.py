@@ -61,9 +61,6 @@ class QP:
     quiver: Quiver
     terms: list[PotentialTerm]
 
-    def term_words(self) -> set[tuple[str, ...]]:
-        return {_canonical_word(t.word) for t in self.terms}
-
 
 def _dimer_tree_terms(q: Quiver,
                       structure: StructureReport) -> list[PotentialTerm]:
@@ -493,7 +490,17 @@ MOVE_KINDS = tuple(_MOVES)
 # reduction driver
 # ---------------------------------------------------------------------------
 
-MAX_STEPS = 10000       # moves before a reduction is abandoned
+def step_budget(q: Quiver) -> int:
+    """Moves before the reduction of q is abandoned: C * V^2, for V vertices
+    and C = A - V + 1 chordless cycles (A arrows).  Each phase of
+    `reduce_to_cycle` removes one cycle, so there are C - 1 phases.  A phase
+    whose leaf has m vertices makes at most one coextension detour (m - 1
+    moves) and one slide (m - 2 moves) at each leaf length, and each slide
+    shortens the leaf by one: at most m^2 - 2m moves.  On every tree tried
+    the leaf had fewer than V vertices, and no reduction used a sixth of
+    the budget."""
+    v = len(q.vertices)
+    return (len(q.arrows) - v + 1) * v * v
 
 
 @dataclass
@@ -551,14 +558,16 @@ def reduce_to_cycle(q: Quiver) -> ReductionTrace:
     """Shrink a dimer tree quiver to a single chordless cycle by derived and
     singular equivalences, recording every move and auditing the weight."""
     qp = qp_from_quiver(q)
+    budget = step_budget(q)
     initial_doc = _quiver_doc(q)
     steps: list[TraceStep] = []
     trace = ReductionTrace(initial_doc, steps, initial_doc, 0)
 
     def do(kind, site):
         nonlocal qp
-        if len(steps) >= MAX_STEPS:
-            raise ReductionError("reduction exceeded the step budget", trace)
+        if len(steps) >= budget:
+            raise ReductionError(
+                f"reduction exceeded the step budget of {budget} moves", trace)
         try:
             qp, move = apply_move(qp, kind, site)
         except (MutationError, QuiverError) as exc:

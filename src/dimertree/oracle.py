@@ -59,11 +59,9 @@ from .quiver import (
     Quiver,
     Report,
     StructureReport,
-    WeightReport,
     _vkey,
     build_potential,
     dimer_tree_structure,
-    weight_report,
 )
 
 Word = tuple[str, ...]
@@ -188,14 +186,13 @@ def _complete(pairs) -> dict[Word, Word | None]:
 # ---------------------------------------------------------------------------
 
 class AlgebraBasis:
-    """Finite basis of nonzero path classes with a multiplication table."""
+    """Finite basis of nonzero path classes, with the action of each arrow."""
 
     def __init__(self, q: Quiver, structure: StructureReport,
-                 potential: Potential, weights: WeightReport, field: Field):
+                 potential: Potential, field: Field):
         self.q = q
         self.structure = structure
         self.potential = potential
-        self.weights = weights
         self.field = field
         self.vertices = q.sorted_vertices()
         self.classes: list[PathClass] = []
@@ -318,21 +315,6 @@ class AlgebraBasis:
             raise OracleError(f"arrow {arrow_id} vanishes in the algebra")
         return cid
 
-    def multiplication_table(self) -> dict[tuple[int, int], int | None]:
-        """Products of all composable class pairs; None marks a zero product."""
-        table = {}
-        for c1 in self.classes:
-            for c2 in self.classes:
-                if c1.target == c2.source:
-                    table[(c1.cid, c2.cid)] = self.mult(c1.cid, c2.cid)
-        return table
-
-    def weight_entry(self, arrow_id: str):
-        for e in self.weights.entries:
-            if e.arrow == arrow_id:
-                return e
-        raise OracleError(f"{arrow_id} is not a boundary arrow")
-
     # -- cached representations ----------------------------------------------
 
     def projective(self, v) -> "Rep":
@@ -352,9 +334,8 @@ def build_algebra(q: Quiver, field: str | int | Field = DEFAULT_PRIME,
     structure = dimer_tree_structure(q, "oracle")
     if potential is None:
         potential = build_potential(q, structure)
-    weights = weight_report(q, structure)
     fld = field if isinstance(field, Field) else parse_field_spec(field)
-    ab = AlgebraBasis(q, structure, potential, weights, fld)
+    ab = AlgebraBasis(q, structure, potential, fld)
     ab._build()
     return ab
 
@@ -726,16 +707,10 @@ def _ext1_complex(ab: AlgebraBasis, pres: ModulePresentation, N: Rep):
     return d0, d1
 
 
-def ext1_dim_pres(ab: AlgebraBasis, Mpres: ModulePresentation, N: Rep) -> int:
-    """dim Ext^1(coker Mpres, N) from the three-term resolution."""
-    F = ab.field
-    d0, d1 = _ext1_complex(ab, Mpres, N)
-    return d0.shape[0] - F.rank(d1) - F.rank(d0)
-
-
 def _ext1_by_tag(ab: AlgebraBasis, pres: ModulePresentation, N: Rep) -> Counter:
     """dim Ext^1(coker pres, N_x) for every tag x of a direct sum N of the
-    N_x from `_direct_sum`, from one complex against N.
+    N_x from `_direct_sum`, from one complex against N.  A module built by
+    `_class_rep`, such as a radical, has the single tag 0.
 
     Both differentials are block-diagonal in x, so their RREFs are too:
     the rank of block x is the number of pivot columns tagged x."""
@@ -776,7 +751,9 @@ def extension_lemma_check(ab: AlgebraBasis, arrow_id: str, side: str) -> bool:
     side='right': every nonzero class into the source extends iff weight 1.
     side='left': every nonzero class out of the target coextends iff coweight 1.
     """
-    entry = ab.weight_entry(arrow_id)
+    weight = ab.structure.path_weights("cycle" if side == "right" else "cocycle")
+    if arrow_id not in weight:
+        raise OracleError(f"{arrow_id} is not a boundary arrow")
     a = ab.q.arrow_by_id[arrow_id]
     ac = ab.arrow_class(arrow_id)
     if side == "right":
@@ -784,14 +761,14 @@ def extension_lemma_check(ab: AlgebraBasis, arrow_id: str, side: str) -> bool:
             ab.mult(c, ac) is not None
             for v in ab.q.vertices
             for c in ab.by_pair.get((v, a.source), []))
-        return always == (entry.weight == 1)
-    if side == "left":
+    elif side == "left":
         always = all(
             ab.mult(ac, c) is not None
             for v in ab.q.vertices
             for c in ab.by_pair.get((a.target, v), []))
-        return always == (entry.coweight == 1)
-    raise OracleError(f"unknown side {side!r}")
+    else:
+        raise OracleError(f"unknown side {side!r}")
+    return always == (weight[arrow_id] == 1)
 
 
 def schurian_report(ab: AlgebraBasis) -> Report:
@@ -802,9 +779,10 @@ def schurian_report(ab: AlgebraBasis) -> Report:
 
 def extension_report(ab: AlgebraBasis) -> Report:
     """`extension_lemma_check` on both sides of every boundary arrow."""
-    return Report([Check(f"extension_{side}[{e.arrow}]",
-                         extension_lemma_check(ab, e.arrow, side))
-                   for e in ab.weights.entries for side in ("right", "left")])
+    return Report([Check(f"extension_{side}[{a}]",
+                         extension_lemma_check(ab, a, side))
+                   for a in ab.structure.boundary_arrows
+                   for side in ("right", "left")])
 
 
 def radical_presentation(ab: AlgebraBasis, x) -> ModulePresentation:
@@ -820,7 +798,7 @@ def boundary_vanishing_check(ab: AlgebraBasis) -> Report:
     items = []
     for a in ab.q.arrows:
         omega_pres = resolve_step(ab, radical_presentation(ab, a.source))
-        d = ext1_dim_pres(ab, omega_pres, ab.radical_rep(a.target))
+        d = _ext1_by_tag(ab, omega_pres, ab.radical_rep(a.target))[0]
         items.append(Check(
             f"ext1_syzygy_rad_vanishes[{a.id}]", d == 0,
             "" if d == 0 else f"dim {d}"))

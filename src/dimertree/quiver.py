@@ -340,28 +340,22 @@ def chordless_cycles(q: Quiver) -> list[ChordlessCycle]:
 
 @dataclass
 class DualGraph:
-    """Nodes are cycles and boundary arrows; edges are shared-arrow trunk
-    edges and containment leaf branches (parallel edges kept)."""
+    """The cycle nodes of the dual graph and its trunk edges, one per arrow
+    shared by two cycles (parallel edges kept).  The dual graph's other
+    nodes, the boundary arrows, are not stored: each lies on exactly one
+    cycle, so it is a leaf hanging off that cycle's node."""
     cycle_nodes: list[ChordlessCycle]
-    boundary_nodes: list[str]                      # boundary arrow ids
     trunk_edges: list[tuple[int, int, str]]        # (cycle idx, cycle idx, arrow id)
-    leaf_branches: list[tuple[int, str]]           # (cycle idx, boundary arrow id)
-
-    def node_count(self) -> int:
-        return len(self.cycle_nodes) + len(self.boundary_nodes)
-
-    def edge_count(self) -> int:
-        return len(self.trunk_edges) + len(self.leaf_branches)
 
     def is_tree(self) -> bool:
-        n = self.node_count()
-        if n == 0 or self.edge_count() != n - 1:
+        """Whether the dual graph is a tree.  Adding leaves neither makes nor
+        breaks a tree, so this is whether the trunk is one."""
+        n = len(self.cycle_nodes)
+        if n == 0 or len(self.trunk_edges) != n - 1:
             return False
-        # n - 1 edges make a tree exactly when none of them closes a cycle;
-        # cycle nodes are their int indices, boundary nodes their str ids
-        root: dict[object, object] = {}
-        edges = [(i, j) for i, j, _ in self.trunk_edges] + self.leaf_branches
-        for x, y in edges:
+        # n - 1 edges make a tree exactly when none of them closes a cycle
+        root: dict[int, int] = {}
+        for x, y, _ in self.trunk_edges:
             while x in root:
                 x = root[x]
             while y in root:
@@ -372,7 +366,7 @@ class DualGraph:
         return True
 
     def cycle_distances_from(self, idx: int) -> dict[int, int]:
-        """Trunk-edge distance between cycle nodes (leaf branches dead-end)."""
+        """Trunk-edge distance from cycle idx to every cycle it reaches."""
         adj: dict[int, list[int]] = {i: [] for i in range(len(self.cycle_nodes))}
         for i, j, _ in self.trunk_edges:
             adj[i].append(j); adj[j].append(i)
@@ -400,7 +394,6 @@ class StructureReport:
     `analyze_structure` returns the same report for every call on the same
     quiver, so callers must not mutate it."""
     cycles: list[ChordlessCycle]
-    arrow_cycle_count: dict[str, int]
     classification: dict[str, str]      # 'boundary' | 'interior' | 'none' | 'overloaded'
     dual: DualGraph
     # arrow id -> indices of the cycles through it, in cycle order
@@ -473,11 +466,10 @@ def _analyze_structure(q: Quiver) -> StructureReport:
     for i, c in enumerate(cycles):
         for aid in c.arrows:
             owners[aid].append(i)
-    counts = {aid: len(idx) for aid, idx in owners.items()}
     classification = {}
     problems = []
     for a in q.arrows:
-        n = counts[a.id]
+        n = len(owners[a.id])
         if n == 0:
             classification[a.id] = "none"
             problems.append(f"arrow {a.id} lies in no chordless cycle")
@@ -489,17 +481,14 @@ def _analyze_structure(q: Quiver) -> StructureReport:
             classification[a.id] = "overloaded"
             problems.append(f"arrow {a.id} lies in {n} chordless cycles")
 
-    boundary = {a for a, k in classification.items() if k == "boundary"}
     trunk = []
     for a in q.arrows:
         idx = owners[a.id]
         for x in range(len(idx)):
             for y in range(x + 1, len(idx)):
                 trunk.append((idx[x], idx[y], a.id))
-    leaves = [(i, aid) for i, c in enumerate(cycles) for aid in c.arrows
-              if aid in boundary]
-    dual = DualGraph(cycles, sorted(boundary), trunk, leaves)
-    return StructureReport(cycles, counts, classification, dual, owners, problems)
+    dual = DualGraph(cycles, trunk)
+    return StructureReport(cycles, classification, dual, owners, problems)
 
 
 @dataclass
@@ -539,10 +528,13 @@ def validate_dimer_tree(q: Quiver) -> ValidationReport:
         "" if not bad_q1 else f"arrows in no cycle: {sorted(bad_q1)}"))
 
     tree = structure.dual.is_tree()
-    checks.append(Check(
-        "dual_graph_is_tree", tree,
-        "" if tree else f"dual graph has {structure.dual.node_count()} nodes "
-                        f"and {structure.dual.edge_count()} edges"))
+    detail = ""
+    if not tree:
+        # each boundary arrow is one node and one edge of the dual graph
+        b = len(structure.boundary_arrows)
+        detail = (f"dual graph has {len(structure.cycles) + b} nodes "
+                  f"and {len(structure.dual.trunk_edges) + b} edges")
+    checks.append(Check("dual_graph_is_tree", tree, detail))
 
     # the quiver indexes the first arrow of each (source, target) pair
     parallel = ""
@@ -609,8 +601,7 @@ def dimer_tree_structure(q: Quiver, stage: str) -> StructureReport:
 class Potential:
     """Signed sum of the chordless cycles; sign of C is (-1)**distance(C)."""
     terms: list[tuple[int, ChordlessCycle]]
-    base_cycle: ChordlessCycle
-    distances: dict[tuple, int]      # cycle key -> tree distance from base
+    distances: dict[tuple, int]      # cycle key -> tree distance from a base leaf
 
     def sign_of(self, cycle: ChordlessCycle) -> int:
         return (-1) ** self.distances[cycle.key]
@@ -634,12 +625,11 @@ def build_potential(q: Quiver, structure: StructureReport | None = None) -> Pote
     candidates = leaf_cycles(structure)
     if not candidates:
         raise QuiverError("no chordless cycle with exactly one interior arrow")
-    base = min(candidates, key=lambda c: c.key)
-    base_idx = structure.cycles.index(base)
+    base_idx = structure.cycles.index(min(candidates, key=lambda c: c.key))
     dist_by_idx = structure.dual.cycle_distances_from(base_idx)
     distances = {structure.cycles[i].key: d for i, d in dist_by_idx.items()}
     terms = [((-1) ** distances[c.key], c) for c in structure.cycles]
-    return Potential(terms, base, distances)
+    return Potential(terms, distances)
 
 
 # -- cycle paths and weights -----------------------------------------------------
@@ -648,8 +638,6 @@ def build_potential(q: Quiver, structure: StructureReport | None = None) -> Pote
 class CyclePath:
     """Boundary-to-boundary path threaded through successive chordless cycles."""
     arrows: tuple[str, ...]
-    cycles: tuple[ChordlessCycle, ...]   # witnessing cycles, one per length-2 subpath
-    direction: str                       # 'cycle' | 'cocycle'
 
     @property
     def length(self) -> int:
@@ -665,12 +653,12 @@ class CyclePath:
 
 
 def _walk(structure: StructureReport, step: list[dict[str, str]],
-          arrow_id: str, trail: list[tuple[str, int]] | None = None) -> int:
+          arrow_id: str, trail: list[str] | None = None) -> int:
     """Walk from a boundary arrow through successor (or predecessor) arrows,
     hopping to the other cycle at each interior arrow, until the next
     boundary arrow closes the path; `step` is `next_arrows` of the direction.
-    Returns the number of arrows on the path.  Each step's arrow and the
-    index of the cycle it was reached on are appended to `trail`, if given."""
+    Returns the number of arrows on the path.  Each step's arrow is appended
+    to `trail`, if given."""
     kind, owners = structure.classification, structure.owners
     current = arrow_id
     ci = owners[arrow_id][0]
@@ -679,7 +667,7 @@ def _walk(structure: StructureReport, step: list[dict[str, str]],
         current = step[ci][current]
         length += 1
         if trail is not None:
-            trail.append((current, ci))
+            trail.append(current)
         if kind[current] == "boundary":
             return length
         # current lies on cycle ci and on at least one more: hop over
@@ -693,14 +681,11 @@ def cycle_path(structure: StructureReport, arrow_id: str,
     step = structure.next_arrows(direction)
     if structure.classification.get(arrow_id) != "boundary":
         raise QuiverError(f"arrow {arrow_id} is not a boundary arrow")
-    trail: list[tuple[str, int]] = []
-    _walk(structure, step, arrow_id, trail)
-    arrows = [arrow_id] + [a for a, _ in trail]
-    witnesses = [structure.cycles[ci] for _, ci in trail]
+    arrows = [arrow_id]
+    _walk(structure, step, arrow_id, arrows)
     if direction == "cocycle":
         arrows.reverse()
-        witnesses.reverse()
-    return CyclePath(tuple(arrows), tuple(witnesses), direction)
+    return CyclePath(tuple(arrows))
 
 
 @dataclass

@@ -19,7 +19,7 @@ from dimertree.linalg import DEFAULT_PRIME, Field, parse_field_spec, rref_rows
 from dimertree.oracle import (AlgebraBasis, OracleError, PathClass, Word,
                               _cycle_word_without)
 from dimertree.quiver import (Potential, Quiver, build_potential,
-                              dimer_tree_structure, weight_report)
+                              dimer_tree_structure)
 
 
 class CapLoopBasis(AlgebraBasis):
@@ -201,8 +201,7 @@ def build_reference(q: Quiver, field: str | int | Field = DEFAULT_PRIME,
     structure = dimer_tree_structure(q, "oracle")
     if potential is None:
         potential = build_potential(q, structure)
-    weights = weight_report(q, structure)
     fld = field if isinstance(field, Field) else parse_field_spec(field)
-    ab = CapLoopBasis(q, structure, potential, weights, fld)
+    ab = CapLoopBasis(q, structure, potential, fld)
     ab._build(max_cap)
     return ab

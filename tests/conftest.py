@@ -70,6 +70,13 @@ def quiver_from_arrows(pairs, name="test") -> Quiver:
                   name=name)
 
 
+def multiplication_table(ab) -> dict:
+    """Products of all composable class pairs of an `AlgebraBasis`; None
+    marks a zero product."""
+    return {(c1.cid, c2.cid): ab.mult(c1.cid, c2.cid)
+            for c1 in ab.classes for c2 in ab.classes if c1.target == c2.source}
+
+
 def parse_json_quiver(doc) -> Quiver:
     from dimertree.quiver import parse_quiver
     return parse_quiver(json.dumps(doc))

@@ -93,9 +93,9 @@ def test_criterion_5_oracle_suite_two_fields():
                 ab = orc.build_algebra(q, field)
                 ok, counter = orc.schurian_check(ab)
                 assert ok, (name, field, counter)
-                for e in ab.weights.entries:
-                    assert orc.extension_lemma_check(ab, e.arrow, "right")
-                    assert orc.extension_lemma_check(ab, e.arrow, "left")
+                for a in ab.structure.boundary_arrows:
+                    assert orc.extension_lemma_check(ab, a, "right")
+                    assert orc.extension_lemma_check(ab, a, "left")
                 rep = orc.radical_presentation_check(ab)
                 assert rep.ok, (name, field, [i.detail for i in rep.failed()])
                 rep = orc.radical_ext_arrow_check(ab)

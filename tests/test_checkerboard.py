@@ -101,7 +101,10 @@ def test_white_contacts_follow_weights(cp9):
 
 
 def test_merged_vertices_host_two_lines(cp9):
-    hosts = cp9.vertex_lines()
+    hosts = {k: [] for k in range(1, cp9.size + 1)}
+    for line in cp9.lines.values():
+        hosts[line.tail].append(line.vertex)
+        hosts[line.head].append(line.vertex)
     merged = {k: v for k, v in hosts.items() if len(v) == 2}
     # one merge per weight-one boundary arrow
     ones = sum(1 for e in cp9.weights.entries if e.weight == 1)

@@ -356,6 +356,51 @@ def test_unwritable_output_is_bad_input(tmp_path, capsys, argv):
     assert "cannot write" in capsys.readouterr().err
 
 
+TEXT_COMMANDS = {
+    "weights": ("weights", "q9"),
+    "polygon": ("polygon", "q9"),
+    "diag": ("diag", "q9"),
+    "resolve": ("resolve", "q9", "--diagonal", "1,4"),
+}
+
+
+@pytest.mark.parametrize("cmd", TEXT_COMMANDS)
+def test_text_output_goes_to_out(tmp_path, capsys, cmd):
+    name, fixture, *rest = TEXT_COMMANDS[cmd]
+    argv = [name, fixture_path(fixture), *rest]
+    code, want, _ = run(capsys, *argv)
+    out = tmp_path / "out.txt"
+    code_out, stdout, _ = run(capsys, *argv, "--out", str(out))
+    assert code == code_out == 0
+    # only the polygon's check lines stay on stdout
+    assert (stdout != "") == (cmd == "polygon")
+    assert stdout + out.read_text(encoding="utf-8") == want
+
+
+@pytest.mark.parametrize("cmd", TEXT_COMMANDS)
+def test_unwritable_text_output_is_bad_input(tmp_path, capsys, cmd):
+    name, fixture, *rest = TEXT_COMMANDS[cmd]
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, name, fixture_path(fixture), *rest,
+            "--out", str(tmp_path / "no-such-dir" / "x"))
+    assert exc.value.code == 2
+    assert "cannot write" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("diag", "{q9}", "--size", "8"),
+    ("diag", "--size", "8", "{q9}"),
+    ("diag",),
+    ("diag", "--format", "structured"),
+])
+def test_diag_takes_a_quiver_or_a_size(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, *(a.format(q9=fixture_path("q9")) for a in argv))
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "usage: dimertree diag" in err
+
+
 FIXTURES = ["c3", "c4", "c5", "c6", "c7", "c8", "q7", "q9"]
 
 

@@ -23,7 +23,7 @@ def test_enumeration_matches_brute_force():
     for n in range(3, 13):
         ds = dg.enumerate_diagonals(n)
         assert len(ds) == n * (n - 2)
-        assert {d.endpoints() for d in ds} == brute_force_diagonals(n)
+        assert {frozenset((d.tail, d.head)) for d in ds} == brute_force_diagonals(n)
         for d in ds:
             assert d.tail % 2 == 1 and d.head % 2 == 0
 
@@ -155,12 +155,15 @@ def test_meshes_middle_terms_are_pivots_of_tau():
                 assert len(m.middles) >= 1
 
 
-def test_sigma_is_a_polarization():
-    tq = dg.ar_quiver(5)
-    for (y, x), (tx, y2) in tq.sigma.items():
-        assert y2 == y
-        assert tx == tq.tau[x]
-        assert (tx, y) in set(tq.arrows)
+def test_every_middle_term_has_both_mesh_arrows():
+    for n in range(3, 9):
+        tq = dg.ar_quiver(n)
+        arrows = set(tq.arrows)
+        for m in tq.meshes:
+            assert m.tau_target == tq.tau[m.target]
+            for y in m.middles:
+                assert (m.tau_target, y) in arrows
+                assert (y, m.target) in arrows
 
 
 def test_dot_output_contains_nodes_and_tau():

@@ -72,7 +72,7 @@ def test_mutate_q7_long_completing_path(q7):
     assert sorted(len(c) for c in st.cycles) == [3, 4, 4]
     comp = next(a for a in out.quiver.arrows if a.id.startswith("[5->3"))
     assert (comp.source, comp.target) == (5, 2)
-    words = out.term_words()
+    words = {mu._canonical_word(t.word) for t in out.terms}
     assert len(words) == 3
     # the composite appears in both new terms
     assert sum(1 for w in words if comp.id in w) == 2
@@ -83,7 +83,8 @@ def test_mutated_potential_signs_normalizable(q7):
     qp = mu.qp_from_quiver(q7)
     out, flips = mu.normalize_signs(mu.qp_mutate(qp, 3))
     st = analyze_structure(out.quiver)
-    assert out.term_words() == {mu._canonical_word(c.arrows) for c in st.cycles}
+    assert {mu._canonical_word(t.word) for t in out.terms} == {
+        mu._canonical_word(c.arrows) for c in st.cycles}
     signs = sorted(t.coeff for t in out.terms)
     assert signs == [-1, 1, 1]    # alternating along the three-node dual path
 
@@ -245,6 +246,24 @@ def test_reduce_endpoint_weight_matches(q9, q7):
         endq = quiver_from_arrows(final_pairs, name="final")
         assert validate_dimer_tree(endq).ok
         assert weight_report(endq).total_weight == wr.total_weight
+
+
+def test_step_budget_hit_raises_with_the_partial_trace(q9, monkeypatch):
+    full = mu.reduce_to_cycle(q9)
+    assert len(full.steps) > 5
+    monkeypatch.setattr(mu, "step_budget", lambda q: 5)
+    with pytest.raises(mu.ReductionError,
+                       match="exceeded the step budget of 5 moves") as exc:
+        mu.reduce_to_cycle(q9)
+    partial = exc.value.trace
+    assert [s.quiver_after for s in partial.steps] == [
+        s.quiver_after for s in full.steps[:5]]
+
+
+def test_step_budget_is_c_times_v_squared(q9, c3):
+    # q9: 9 vertices and 12 arrows, so 4 cycles
+    assert mu.step_budget(q9) == 4 * 9 * 9
+    assert mu.step_budget(c3) == 9
 
 
 def test_trace_document_schema(q7):

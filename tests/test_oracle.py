@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 
 from dimertree import oracle as orc
 from dimertree.linalg import GF, QQ
-from dimertree.quiver import QuiverError, analyze_structure, build_potential
+from dimertree.quiver import (QuiverError, analyze_structure, build_potential,
+                              weight_report)
 
-from conftest import cycle_quiver, glued_dimer_tree, quiver_from_arrows
+from conftest import (cycle_quiver, glued_dimer_tree, multiplication_table,
+                      quiver_from_arrows)
 
 
 @pytest.fixture(scope="module")
@@ -70,7 +72,7 @@ def test_noncomposable_rejected(ab3):
 
 
 def test_multiplication_table_c3(ab3):
-    table = ab3.multiplication_table()
+    table = multiplication_table(ab3)
     # constants act as identities; arrow pairs multiply to zero
     e1 = ab3.constant_class[1]
     a12 = ab3.arrow_class("1->2")
@@ -95,9 +97,9 @@ def test_oracle_rejects_invalid_quiver():
 
 def test_extension_lemma_all_fixtures(ab9, ab7, ab3):
     for ab in (ab9, ab7, ab3):
-        for e in ab.weights.entries:
-            assert orc.extension_lemma_check(ab, e.arrow, "right"), e.arrow
-            assert orc.extension_lemma_check(ab, e.arrow, "left"), e.arrow
+        for a in ab.structure.boundary_arrows:
+            assert orc.extension_lemma_check(ab, a, "right"), a
+            assert orc.extension_lemma_check(ab, a, "left"), a
 
 
 def test_extension_witnesses_q9(ab9):
@@ -117,7 +119,7 @@ def test_extension_witnesses_q9(ab9):
 
 def test_extension_killer_in_c3(ab3):
     # every arrow has weight 2 and a predecessor class that kills it
-    for e in ab3.weights.entries:
+    for e in weight_report(ab3.q).entries:
         assert e.weight == 2
         a = ab3.q.arrow_by_id[e.arrow]
         ac = ab3.arrow_class(e.arrow)
@@ -168,9 +170,9 @@ def test_ext_iff_arrow(ab9, ab7, ab3):
 def test_c3_simple_extension(ab3):
     # rad P(1) and rad P(2) are the simples at 2 and 3; the arrow 1->2 forces
     # a one-dimensional extension space between them
-    d = orc.ext1_dim_pres(ab3, orc.radical_presentation(ab3, 1),
-                          orc.cokernel_rep(ab3, orc.radical_presentation(ab3, 2)))
-    assert d == 1
+    ext = orc._ext1_by_tag(ab3, orc.radical_presentation(ab3, 1),
+                           ab3.radical_rep(2))
+    assert ext == {0: 1}
 
 
 def test_ext_vanishes_into_projectives(ab9):
@@ -179,7 +181,7 @@ def test_ext_vanishes_into_projectives(ab9):
         pres_rad = orc.radical_presentation(ab9, x)
         for j in (2, 3, 9):
             proj = ab9.projective(j)
-            assert orc.ext1_dim_pres(ab9, pres_rad, proj) == 0
+            assert orc._ext1_by_tag(ab9, pres_rad, proj)[0] == 0
 
 
 def test_stable_hom_examples(ab9, ab3):
@@ -277,7 +279,7 @@ def test_algebra_dimension_independent_of_base_cycle(q7, c3):
             dist = structure.dual.cycle_distances_from(base_idx)
             distances = {structure.cycles[i].key: d for i, d in dist.items()}
             pot = Potential([((-1) ** distances[c.key], c)
-                             for c in structure.cycles], base, distances)
+                             for c in structure.cycles], distances)
             ab = orc.build_algebra(q, 32003, potential=pot)
             dims.add(ab.dimension)
         assert len(dims) == 1
@@ -299,8 +301,8 @@ def test_random_schurian_and_extension(spec):
     ab = orc.build_algebra(q, 32003)
     ok, counter = orc.schurian_check(ab)
     assert ok, counter
-    for e in ab.weights.entries:
-        assert orc.extension_lemma_check(ab, e.arrow, "right")
-        assert orc.extension_lemma_check(ab, e.arrow, "left")
+    for a in ab.structure.boundary_arrows:
+        assert orc.extension_lemma_check(ab, a, "right")
+        assert orc.extension_lemma_check(ab, a, "left")
     rep = orc.radical_presentation_check(ab)
     assert rep.ok

@@ -14,9 +14,11 @@ import pytest
 from dimertree import cli
 from dimertree import oracle as orc
 from dimertree.linalg import GF, QQ, Matrix
+from dimertree.quiver import weight_report
 
 from cap_build import build_reference
-from conftest import fixture_path, glued_dimer_tree, load_fixture
+from conftest import (fixture_path, glued_dimer_tree, load_fixture,
+                      multiplication_table)
 
 FIELDS = {"GF": GF(32003), "Q": QQ()}
 FIXTURES = ["c3", "c4", "c5", "c6", "c7", "c8", "q7", "q9"]
@@ -415,7 +417,7 @@ def test_projectives_and_radicals_equal_the_dense_builder(quiver):
 def test_mult_equals_class_of_the_concatenated_word():
     for name in ("q9", "q7", "c3"):
         ab = orc.build_algebra(load_fixture(name), 32003)
-        table = ab.multiplication_table()
+        table = multiplication_table(ab)
         for (c1, c2), prod in table.items():
             k1, k2 = ab.classes[c1], ab.classes[c2]
             want = ab.class_of_word(k1.word + k2.word, at_vertex=k1.source)
@@ -437,7 +439,8 @@ def test_path_words_equal_the_unindexed_filter(name):
 @pytest.mark.parametrize("name", [*FIXTURES, *GLUED])
 def test_ext_against_rad_b_equals_the_per_pair_complexes(field, name):
     """One complex per vertex j against rad B gives, block by block, the
-    Ext^1(rad P(j), rad P(x)) of the complex against each rad P(x)."""
+    Ext^1(rad P(j), rad P(x)) of the complex against each rad P(x), read
+    off the ranks of its two differentials."""
     ab = orc.build_algebra(_quiver(name), FIELDS[field])
     parts = [(x, ab.radical_rep(x)) for x in ab.vertices]
     rad_b, pos = orc._direct_sum(ab, parts)
@@ -448,8 +451,10 @@ def test_ext_against_rad_b_equals_the_per_pair_complexes(field, name):
     for j in ab.vertices:
         pres = orc.radical_presentation(ab, j)
         row = orc._ext1_by_tag(ab, pres, rad_b)
-        want = {x: orc.ext1_dim_pres(ab, pres, ab.radical_rep(x))
-                for x in ab.vertices}
+        want = {}
+        for x in ab.vertices:
+            d0, d1 = orc._ext1_complex(ab, pres, ab.radical_rep(x))
+            want[x] = d0.shape[0] - ab.field.rank(d1) - ab.field.rank(d0)
         assert {x: row[x] for x in ab.vertices} == want, j
 
 
@@ -558,7 +563,7 @@ def test_ext_check_raises_when_the_differentials_do_not_compose(q9, field):
                                         entries=entries)
     message = "resolution differentials do not compose to zero"
     with pytest.raises(orc.OracleError, match=message):
-        orc.ext1_dim_pres(ab, pres, ab.radical_rep(6))
+        orc._ext1_by_tag(ab, pres, ab.radical_rep(6))
     with pytest.raises(orc.OracleError, match=message):
         orc.radical_ext_arrow_check(ab)
 
@@ -607,7 +612,7 @@ def test_resolutions_and_cokernels_match_the_dense_cover_path(field, name):
     for x in ab.vertices:
         pres = orc.radical_presentation(ab, x)
         ref = dense_minimal_presentation(ab, ab.radical_rep(x))
-        for step in range(2 * ab.weights.half + 1):
+        for step in range(2 * weight_report(ab.q).half + 1):
             if step:
                 pres, ref = orc.resolve_step(ab, pres), dense_resolve_step(ab, ref)
             assert pres == ref, (x, step)

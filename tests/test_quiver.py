@@ -153,9 +153,8 @@ def test_q9_arrow_classification(q9):
     st_ = analyze_structure(q9)
     assert sorted(st_.interior_arrows) == ["2->3", "3->4", "4->6"]
     assert len(st_.boundary_arrows) == 9
-    # dual graph: path of 4 cycle nodes plus 9 leaf branches
+    # dual graph: path of 4 cycle nodes, and a leaf per boundary arrow
     assert len(st_.dual.trunk_edges) == 3
-    assert len(st_.dual.leaf_branches) == 9
     assert st_.dual.is_tree()
 
 
@@ -163,7 +162,7 @@ def test_c3_structure(c3):
     st_ = analyze_structure(c3)
     assert len(st_.cycles) == 1
     assert len(st_.boundary_arrows) == 3
-    assert len(st_.dual.leaf_branches) == 3
+    assert st_.dual.trunk_edges == []
     assert st_.dual.is_tree()
 
 
@@ -189,6 +188,76 @@ def test_validate_non_tree_dual_fails():
     rep = validate_dimer_tree(q)
     assert not rep.ok
     assert "dual_graph_is_tree" in {c.name for c in rep.failed()}
+
+
+def full_dual_graph(structure):
+    """Node count, edge count and tree verdict of the whole dual graph: the
+    cycles and the boundary arrows as nodes, the trunk edges and a leaf
+    branch from each cycle to each of its boundary arrows as edges, checked
+    by union-find over all of them."""
+    boundary = set(structure.boundary_arrows)
+    edges = [(i, j) for i, j, _ in structure.dual.trunk_edges]
+    edges += [(i, a) for i, c in enumerate(structure.cycles)
+              for a in c.arrows if a in boundary]
+    n = len(structure.cycles) + len(boundary)
+    if n == 0 or len(edges) != n - 1:
+        return n, len(edges), False
+    root = {}
+    for x, y in edges:
+        while x in root:
+            x = root[x]
+        while y in root:
+            y = root[y]
+        if x == y:
+            return n, len(edges), False
+        root[y] = x
+    return n, len(edges), True
+
+
+@st.composite
+def glued_or_random_quivers(draw):
+    """A glued dimer tree with up to three extra arrows, a random digraph,
+    or a fan of triangles on the arrow 1->2 with triangles hung at single
+    vertices: valid trees, and invalid quivers whose dual graph is or is
+    not a tree.  A fan of k triangles has k(k-1)/2 trunk edges, so with
+    the hung triangles the edge count can fit a tree around a cycle."""
+    kind = draw(st.sampled_from(("glued", "random", "fan")))
+    extra = 0
+    if kind == "glued":
+        lengths = draw(st.lists(st.integers(3, 6), min_size=1, max_size=5))
+        attach = draw(st.lists(st.integers(0, 100), min_size=4, max_size=4))
+        pairs = [(a.source, a.target)
+                 for a in glued_dimer_tree(lengths, attach).arrows]
+        n, extra = max(max(p) for p in pairs), draw(st.integers(0, 3))
+    elif kind == "random":
+        pairs, n = [], draw(st.integers(2, 8))
+        extra = draw(st.integers(1, 3 * n))
+    else:
+        k = draw(st.integers(2, 4))
+        pairs = [(1, 2)] + [p for x in range(3, k + 3) for p in ((2, x), (x, 1))]
+        n = k + 2
+        for _ in range(draw(st.integers(0, 3))):
+            v = draw(st.integers(1, n))
+            pairs += [(v, n + 1), (n + 1, n + 2), (n + 2, v)]
+            n += 2
+    for _ in range(extra):
+        s, t = draw(st.integers(1, n)), draw(st.integers(1, n))
+        if s != t and (s, t) not in pairs and (t, s) not in pairs:
+            pairs.append((s, t))
+    return quiver_from_arrows(pairs)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(glued_or_random_quivers())
+def test_trunk_only_tree_test_matches_the_full_dual_graph(q):
+    structure = analyze_structure(q)
+    nodes, edges, tree = full_dual_graph(structure)
+    assert structure.dual.is_tree() == tree
+    check = next(c for c in validate_dimer_tree(q).items
+                 if c.name == "dual_graph_is_tree")
+    assert check.passed == tree
+    if not tree:
+        assert check.detail == f"dual graph has {nodes} nodes and {edges} edges"
 
 
 def test_parallel_arrows_named_with_their_endpoints():
@@ -251,7 +320,8 @@ def test_potential_q9_alternates_along_dual_path(q9):
     assert signs[(2, 3, 4, 5)] == -1
     assert signs[(3, 4, 6, 7, 8)] == 1
     assert signs[(4, 6, 9)] == -1
-    assert tuple(sorted(pot.base_cycle.vertices)) == (1, 2, 3)
+    base = [c for s, c in pot.terms if pot.distances[c.key] == 0]
+    assert [tuple(sorted(c.vertices)) for c in base] == [(1, 2, 3)]
 
 
 def test_potential_requires_valid_quiver():
@@ -313,8 +383,11 @@ def test_cycle_path_examples(q9, q7):
     st9 = analyze_structure(q9)
     cp = cycle_path(st9, "1->2")
     assert cp.arrows == ("1->2", "2->3", "3->4", "4->6", "6->9")
-    assert len(cp.cycles) == cp.length - 1
-    assert len(set(id(c) for c in cp.cycles)) == len(cp.cycles)
+    # each turn of the path follows one cycle, and no cycle twice
+    witnesses = [[c for c in st9.cycles_of_arrow(a) if c.successor_in(a) == b]
+                 for a, b in zip(cp.arrows, cp.arrows[1:])]
+    assert [len(w) for w in witnesses] == [1] * (cp.length - 1)
+    assert len({w[0].key for w in witnesses}) == cp.length - 1
     assert cycle_path(st9, "3->1").arrows == ("3->1", "1->2")
     st7 = analyze_structure(q7)
     assert cycle_path(st7, "1->4").arrows == ("1->4", "4->5", "5->6")

@@ -27,7 +27,6 @@ def fresh(q: Quiver) -> Quiver:
 def assert_same_structure(derived, full):
     assert derived.cycles == full.cycles
     assert derived.owners == full.owners
-    assert derived.arrow_cycle_count == full.arrow_cycle_count
     assert derived.classification == full.classification
     assert derived.problems == full.problems
     assert derived.dual == full.dual
@@ -99,6 +98,12 @@ def test_length_only_walk_matches_the_cycle_paths(name, q, monkeypatch):
             for a in boundary:
                 length = len(qv.cycle_path(s, a, d).arrows)
                 assert weights[a] == (1 if length % 2 == 1 else 2), (a, d)
+
+
+@pytest.mark.parametrize("name,q", REDUCTION_QUIVERS, ids=REDUCTION_IDS)
+def test_step_budget_covers_the_reduction(name, q):
+    trace = mu.reduce_to_cycle(q)
+    assert len(trace.steps) <= mu.step_budget(q)
 
 
 def test_deleting_a_chord_exposes_the_cycle_it_cut():

@@ -129,7 +129,7 @@ def test_ext_direction_matches_oracle_for_radicals(model9):
         for j in cp.q.vertices:
             if i == j:
                 continue
-            ext = orc.ext1_dim_pres(ab, pres_i, ab.radical_rep(j))
+            ext = orc._ext1_by_tag(ab, pres_i, ab.radical_rep(j))[0]
             cross = dg.crossing(cp.radical_line_of(i),
                                 cp.radical_line_of(j), n)
             assert (ext != 0) == (cross == "right_to_left"), (i, j)
