@@ -33,8 +33,9 @@ from .quiver import (
     StructureReport,
     WeightReport,
     _vkey,
+    analyze_structure,
     dimer_tree_structure,
-    validate_dimer_tree,
+    validate_dimer_tree,  # noqa: F401 -- perfbench's tracer tests read it here
     weight_report,
 )
 
@@ -171,75 +172,43 @@ def build_checkerboard(q: Quiver,
         raise CheckerboardError(
             "arrangement inconsistency: triangle walk misses boundary arrows")
 
-    # slots clockwise: (triangle arrow, role); positions merge across a gap
-    # whenever the white region there has an odd cycle path
-    slots: list[tuple[str, str]] = []
-    for a in order:
-        slots.append((a, "src"))
-        slots.append((a, "tgt"))
-    pos_of_slot: dict[tuple[str, str], int] = {}
-    pos = 0
+    # one walk of the triangles clockwise: a triangle's source end, then its
+    # target end one step on; the gap to the next triangle is that arrow's
+    # weight, since its white region adds a boundary edge (weight 2) or
+    # merges the facing ends (weight 1).  The weights add up to the size.
+    size = wr.total_weight
+    pos: dict[tuple[str, str], int] = {}
+    ends: dict[object, list[tuple[str, str]]] = {}   # vertex -> its line's ends
+    p = 0
     for i, a in enumerate(order):
-        pos_of_slot[(a, "src")] = pos
-        pos += 1
-        pos_of_slot[(a, "tgt")] = pos
-        # gap to the next triangle: the white region of the next arrow either
-        # contributes a boundary edge (weight 2) or merges the facing slots
-        if entries[order[(i + 1) % len(order)]].weight == 2:
-            pos += 1
-    # positions are 0..pos-1; a trailing merge aliases the last slot to 0
-    size = pos
-    if size != wr.total_weight:
-        raise CheckerboardError(
-            f"polygon size {size} differs from total weight {wr.total_weight}")
-
-    def slot_pos(slot):
-        p = pos_of_slot[slot]
-        return p % size
-
-    # line of each slot
-    slot_line = {}
-    for a in order:
         arr = q.arrow_by_id[a]
-        slot_line[(a, "src")] = arr.source
-        slot_line[(a, "tgt")] = arr.target
-    line_slots: dict[object, list[tuple[str, str]]] = {}
-    for s in slots:
-        line_slots.setdefault(slot_line[s], []).append(s)
-    for v, ss in line_slots.items():
+        for role, v, at in (("src", arr.source, p), ("tgt", arr.target, p + 1)):
+            pos[(a, role)] = at % size
+            ends.setdefault(v, []).append((a, role))
+        p += entries[order[(i + 1) % len(order)]].weight
+    for v, ss in ends.items():
         if len(ss) != 2:
             raise CheckerboardError(
                 f"line of vertex {v!r} has {len(ss)} endpoints")
-    if len(line_slots) != len(q.vertices):
+    if len(ends) != len(q.vertices):
         raise CheckerboardError("some vertex has no radical line")
 
-    # canonical rotation: label 1 at a deterministic slot of the minimal
-    # vertex's line, chosen so that slot becomes the line's tail (odd label)
-    vmin = q.sorted_vertices()[0]
-    origin_slot = min(line_slots[vmin],
-                      key=lambda s: (0 if s[1] == "src" else 1, s[0]))
-    origin = slot_pos(origin_slot)
+    # canonical rotation: label 1 at a deterministic end of the minimal
+    # vertex's line (a source end first), which becomes the line's tail
+    origin = pos[min(ends[q.sorted_vertices()[0]], key=lambda s: (s[1], s[0]))]
+    label = {s: (at - origin) % size + 1 for s, at in pos.items()}
 
-    def label_of(slot) -> int:
-        return (slot_pos(slot) - origin) % size + 1
-
+    # lines run from their odd end; the triangle there starts the fan of
+    # cycles that orders the line's crossings
     lines: dict[object, RadicalLine] = {}
-    for v, (s1, s2) in ((v, tuple(ss)) for v, ss in line_slots.items()):
-        l1, l2 = label_of(s1), label_of(s2)
-        if (l1 - l2) % 2 == 0:
-            raise CheckerboardError(
-                f"parity walk fails to close at vertex {v!r}: labels {l1},{l2}")
-        tail, head = (l1, l2) if l1 % 2 == 1 else (l2, l1)
-        lines[v] = RadicalLine(v, tail, head, [])
-
-    # order crossings along each line by the fan of cycles at the vertex
-    tail_triangle: dict[object, str] = {}
-    for v, ss in line_slots.items():
-        for s in ss:
-            if label_of(s) == lines[v].tail:
-                tail_triangle[v] = s[0]
-    for v in q.vertices:
-        lines[v].crossings = _fan_order(q, structure, v, tail_triangle[v])
+    for v, (s, t) in ends.items():
+        if (label[s] - label[t]) % 2 == 0:
+            raise CheckerboardError(f"parity walk fails to close at vertex "
+                                    f"{v!r}: labels {label[s]},{label[t]}")
+        if label[s] % 2 == 0:
+            s, t = t, s
+        lines[v] = RadicalLine(v, label[s], label[t],
+                               _fan_order(q, structure, v, s[0]))
 
     crossings: dict[str, Crossing] = {}
     for a in q.arrows:
@@ -259,7 +228,7 @@ def build_checkerboard(q: Quiver,
 
     for a in order:
         arr = q.arrow_by_id[a]
-        sl, tl = label_of((a, "src")), label_of((a, "tgt"))
+        sl, tl = label[(a, "src")], label[(a, "tgt")]
         shaded.append(ShadedRegion(
             "boundary_arrow", a,
             [seg(arr.source, Node("end", sl), Node("x", a)),
@@ -275,16 +244,15 @@ def build_checkerboard(q: Quiver,
     for a in order:
         cp = entries[a].cycle_path
         route = cp.vertex_route(q)
-        segs = [seg(route[0], Node("end", label_of((a, "src"))),
-                    Node("x", cp.arrows[0]))]
+        start_label = label[(a, "src")]
+        segs = [seg(route[0], Node("end", start_label), Node("x", cp.arrows[0]))]
         for k in range(1, cp.length):
             segs.append(seg(route[k], Node("x", cp.arrows[k - 1]),
                             Node("x", cp.arrows[k])))
         last_arrow = cp.arrows[-1]
-        end_label = label_of((last_arrow, "tgt"))
+        end_label = label[(last_arrow, "tgt")]
         segs.append(seg(route[-1], Node("x", last_arrow),
                         Node("end", end_label)))
-        start_label = label_of((a, "src"))
         if entries[a].weight == 1:
             if end_label != start_label:
                 raise CheckerboardError(
@@ -297,37 +265,32 @@ def build_checkerboard(q: Quiver,
             contact = ("edge", (end_label, start_label))
         whites.append(WhiteRegion(a, segs, contact))
 
-    cp = CheckerboardPolygon(q, size, wr, lines, crossings, shaded,
-                             whites, order)
-    return cp
+    return CheckerboardPolygon(q, size, wr, lines, crossings, shaded,
+                               whites, order)
 
 
 def _fan_order(q: Quiver, structure: StructureReport, v, first_boundary: str) -> list[str]:
     """Arrows at v ordered by the chain of cycles around v, starting from the
-    boundary arrow whose triangle hosts the line's tail."""
-    incident = sorted({a.id for a in q.out_arrows[v]} | {a.id for a in q.in_arrows[v]})
-    cycles_at_v = [c for c in structure.cycles if v in c.vertices]
-    pair_of = {}
-    for c in cycles_at_v:
-        i = c.vertices.index(v)
-        ain = c.arrows[(i - 1) % len(c.arrows)]
-        aout = c.arrows[i]
-        pair_of[c.key] = (ain, aout)
-    adj: dict[str, list[str]] = {a: [] for a in incident}
-    for ain, aout in pair_of.values():
-        adj[ain].append(aout)
-        adj[aout].append(ain)
+    boundary arrow whose triangle hosts the line's tail.  Each cycle through
+    v joins its out-arrow at v to the arrow before it, its in-arrow at v."""
+    before = structure.next_arrows("cocycle")
+    adj: dict[str, list[str]] = {}
+    for a in q.out_arrows[v]:
+        for ci in structure.owners[a.id]:
+            ain = before[ci][a.id]
+            adj.setdefault(a.id, []).append(ain)
+            adj.setdefault(ain, []).append(a.id)
     order = [first_boundary]
     prev = None
     while True:
-        nbrs = [x for x in adj[order[-1]] if x != prev]
+        nbrs = [x for x in adj.get(order[-1], ()) if x != prev]
         if not nbrs:
             break
         if len(nbrs) > 1:
             raise CheckerboardError(f"cycle fan at {v!r} is not a chain")
         prev = order[-1]
         order.append(nbrs[0])
-    if len(order) != len(incident):
+    if len(order) != len(q.out_arrows[v]) + len(q.in_arrows[v]):
         raise CheckerboardError(f"cycle fan at {v!r} does not reach all arrows")
     return order
 
@@ -340,7 +303,7 @@ def validate_checkerboard(cp: CheckerboardPolygon, q: Quiver | None = None,
                           structure: StructureReport | None = None) -> Report:
     q = q or cp.q
     if structure is None:
-        structure = validate_dimer_tree(q).structure
+        structure = analyze_structure(q)
     n = cp.half
     checks: list[Check] = []
 
@@ -417,36 +380,35 @@ def validate_checkerboard(cp: CheckerboardPolygon, q: Quiver | None = None,
 
     # cycle-path readout around each boundary triangle
     wr = cp.weights.by_arrow()
-    white_by_arrow = {w.arrow: w for w in cp.whites}
+    white_segments = {w.arrow: w.segments for w in cp.whites}
     bad = []
     for a in structure.boundary_arrows:
-        w = white_by_arrow.get(a)
-        if w is None:
+        segs = white_segments.get(a)
+        if segs is None:
             bad.append(f"{a}: no white region")
             continue
-        read = tuple(s2.key for s in w.segments
-                     for s2 in [s.start] if s2.kind == "x")
-        read += tuple(s.end.key for s in [w.segments[-1]]
-                      if s.end.kind == "x")
+        read = tuple(s.start.key for s in segs if s.start.kind == "x")
+        read += tuple(s.end.key for s in segs[-1:] if s.end.kind == "x")
         expected = wr[a].cycle_path.arrows
         if read != expected:
             bad.append(f"{a}: read {read}, cycle path {expected}")
     add("white_regions_spell_cycle_paths", not bad, "; ".join(bad[:3]))
 
     # the two whites adjacent to a triangle carry its cycle and cocycle paths
+    def side(segs, i):
+        """The two nodes of segment i, or none if there is no such segment."""
+        return {n for s in segs[i:][:1] for n in (s.start, s.end)}
+
     nxt = _cocycle_first(cp.weights)
+    triangle = {s.key: s.segments for s in cp.shaded if s.kind == "boundary_arrow"}
     bad = []
     for a in structure.boundary_arrows:
-        own = white_by_arrow[a].segments[0]
-        tri = next(s for s in cp.shaded
-                   if s.kind == "boundary_arrow" and s.key == a)
-        if {own.start, own.end} != {tri.segments[0].start, tri.segments[0].end}:
+        tri, other = triangle.get(a, []), white_segments.get(nxt[a], [])
+        if side(white_segments.get(a, []), 0) != side(tri, 0):
             bad.append(f"{a}: cycle-path white not adjacent to triangle")
-        other = white_by_arrow[nxt[a]]
-        last = other.segments[-1]
-        if {last.start, last.end} != {tri.segments[1].start, tri.segments[1].end}:
+        if side(other, -1) != side(tri, 1):
             bad.append(f"{a}: cocycle-path white not adjacent to triangle")
-        if other.segments and wr[nxt[a]].cycle_path.arrows != wr[a].cocycle_path.arrows:
+        if other and wr[nxt[a]].cycle_path.arrows != wr[a].cocycle_path.arrows:
             bad.append(f"{a}: cocycle readout mismatch")
     add("triangle_flanked_by_cycle_and_cocycle_whites", not bad, "; ".join(bad[:3]))
 
@@ -502,62 +464,37 @@ def _face_multiset(cp: CheckerboardPolygon):
     """Interior faces of the arrangement, traversed from the combinatorial
     rotation system determined by endpoint labels and per-line crossing order."""
     size = cp.size
-    edges: set[tuple[Node, Node]] = set()
-    for k in range(1, size + 1):
-        a, b = Node("end", k), Node("end", k % size + 1)
-        edges.add((a, b))
-        edges.add((b, a))
-    chains: dict[object, list[Node]] = {}
+    # the lines' crossing lists lay out the arrangement; the crossings must
+    # sit on exactly the lines that list them
+    listed = {(aid, v) for v, line in cp.lines.items() for aid in line.crossings}
+    for aid, cross in cp.crossings.items():
+        for v in cross.lines:
+            if (aid, v) not in listed:
+                raise CheckerboardError(f"line {v!r} does not list its crossing {aid}")
+            listed.discard((aid, v))
+    if listed:
+        aid, v = min(listed, key=repr)
+        raise CheckerboardError(f"line {v!r} lists {aid}, which is no crossing of it")
+
+    # rays out of each node: (neighbour, label of the endpoint the ray heads
+    # for, line it runs on); the boundary edges run on no line
+    rays: dict[Node, list[tuple[Node, int, object]]] = {
+        Node("end", k): [(Node("end", k % size + 1), 0, None),
+                         (Node("end", (k - 2) % size + 1), 0, None)]
+        for k in range(1, size + 1)}
     for v, line in cp.lines.items():
         chain = line.node_chain()
-        chains[v] = chain
         for x, y in zip(chain, chain[1:]):
-            edges.add((x, y))
-            edges.add((y, x))
-
-    # neighbours with outgoing ray directions (target label on the circle)
-    incident: dict[Node, list[tuple[Node, float]]] = {}
-
-    def add_ray(at: Node, to: Node, toward_label: float):
-        incident.setdefault(at, []).append((to, toward_label))
-
-    for k in range(1, size + 1):
-        here = Node("end", k)
-        add_ray(here, Node("end", k % size + 1), 1.0)
-        add_ray(here, Node("end", (k - 2) % size + 1), float(size - 1) + 0.5)
-    for v, line in cp.lines.items():
-        chain = chains[v]
-        for node in (chain[0], chain[-1]):
-            other_end = line.head if node.key == line.tail else line.tail
-            nbr = chain[1] if node.key == line.tail else chain[-2]
-            add_ray(node, nbr, float(other_end))
-    for aid, cross in cp.crossings.items():
-        node = Node("x", aid)
-        for v in cross.lines:
-            line = cp.lines[v]
-            chain = chains[v]
-            i = chain.index(node)
-            # ray toward the tail side and toward the head side
-            for nbr, toward in ((chain[i - 1], line.tail),
-                                (chain[i + 1], line.head)):
-                # direction measured as clockwise distance from an arbitrary
-                # but common origin: use the target endpoint label itself
-                add_ray(node, nbr, float(toward))
+            rays.setdefault(x, []).append((y, line.head, v))
+            rays.setdefault(y, []).append((x, line.tail, v))
 
     # lines of the shaded triangle sitting on each boundary edge, for breaking
     # ties between coincident chords at a shared endpoint
-    tri_lines: dict[tuple[int, int], set[object]] = {}
-    for s in cp.shaded:
-        if s.kind == "boundary_arrow" and s.boundary_edge:
-            tri_lines[s.boundary_edge] = set(cp.crossings[s.key].lines)
-    chord_line: dict[tuple[Node, Node], object] = {}
-    for v, chain in chains.items():
-        for node in (chain[0], chain[-1]):
-            nbr = chain[1] if node is chain[0] else chain[-2]
-            chord_line[(node, nbr)] = v
+    tri_lines = {s.boundary_edge: {seg.line for seg in s.segments}
+                 for s in cp.shaded if s.kind == "boundary_arrow" and s.boundary_edge}
 
     rotation: dict[Node, list[Node]] = {}
-    for node, rays in incident.items():
+    for node, out in rays.items():
         if node.kind == "end":
             # clockwise order at a boundary vertex: the boundary successor,
             # then chords by clockwise distance of their far endpoint, then
@@ -566,31 +503,31 @@ def _face_multiset(cp: CheckerboardPolygon):
             base = node.key
             after = tri_lines.get((base, base % size + 1), set())
 
-            def keyfun(r, base=base, after=after, node=node):
-                to, lbl = r
+            def keyfun(r, base=base, after=after):
+                to, lbl, line = r
                 if to.kind == "end" and to.key == base % size + 1:
-                    return (-1.0, 0)
+                    return (-1, 0)
                 if to.kind == "end" and to.key == (base - 2) % size + 1:
-                    return (float(size), 0)
-                line = chord_line.get((node, to))
+                    return (size, 0)
                 return ((lbl - base) % size, 0 if line in after else 1)
-            rotation[node] = [to for to, _ in sorted(rays, key=keyfun)]
+            rotation[node] = [to for to, _, _ in sorted(out, key=keyfun)]
         else:
             # four rays toward four distinct endpoint labels; since labels
             # increase clockwise, ascending label order is the clockwise
             # cyclic order around the crossing
-            rotation[node] = [to for to, lbl in
-                              sorted(rays, key=lambda r: r[1] % size)]
+            rotation[node] = [to for to, _, _ in
+                              sorted(out, key=lambda r: r[1] % size)]
 
-    next_at: dict[tuple[Node, Node], tuple[Node, Node]] = {}
+    # the rotation system's directed edges, each with the edge that follows
+    # it around its face
+    next_at: dict[tuple[Node, Node], Node] = {}
     for at, nbrs in rotation.items():
-        k = len(nbrs)
         for i, frm in enumerate(nbrs):
-            next_at[(at, frm)] = (at, nbrs[(i + 1) % k])
+            next_at[(at, frm)] = nbrs[(i + 1) % len(nbrs)]
 
     visited: set[tuple[Node, Node]] = set()
     faces = []
-    for e in sorted(edges, key=lambda e: (repr(e[0]), repr(e[1]))):
+    for e in sorted(next_at, key=lambda e: (repr(e[0]), repr(e[1]))):
         if e in visited:
             continue
         face_nodes = []
@@ -599,12 +536,11 @@ def _face_multiset(cp: CheckerboardPolygon):
             visited.add(cur)
             face_nodes.append(cur[0])
             at, to = cur
-            _, nxt = next_at[(to, at)]
-            cur = (to, nxt)
+            cur = (to, next_at[(to, at)])
         faces.append(face_nodes)
 
     v_count = size + len(cp.crossings)
-    e_count = len(edges) // 2
+    e_count = len(next_at) // 2
     f_count = len(faces)
     if v_count - e_count + f_count != 2:
         raise CheckerboardError(
@@ -744,12 +680,11 @@ def _render_svg(cp: CheckerboardPolygon) -> str:
            'refY="3" orient="auto"><path d="M0,0 L6,3 L0,6 z" fill="#444"/>'
            "</marker></defs>"]
     for s in cp.shaded:
-        corners = []
-        for segx in s.segments:
-            corners.append(pt(segx.start))
         if s.kind == "boundary_arrow":
             corners = [pt(s.segments[0].start), pt(s.segments[0].end),
                        pt(s.segments[1].end)]
+        else:
+            corners = [pt(segx.start) for segx in s.segments]
         path = " ".join(f"{x:.1f},{y:.1f}" for x, y in corners)
         out.append(f'<polygon points="{path}" fill="#b9c6e8" stroke="none"/>')
     for k in range(1, cp.size + 1):

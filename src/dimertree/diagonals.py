@@ -53,24 +53,15 @@ def make_diagonal(a: int, b: int, n: int) -> TwoDiagonal:
     return TwoDiagonal(tail, head)
 
 
-def is_two_diagonal(a: int, b: int, n: int) -> bool:
-    try:
-        make_diagonal(a, b, n)
-        return True
-    except DiagonalError:
-        return False
-
-
 def enumerate_diagonals(n: int) -> list[TwoDiagonal]:
+    """Every 2-diagonal of the 2n-gon: an odd tail and an even head that are
+    not boundary neighbours, in sorted order."""
     if n < 3:
         raise DiagonalError(f"polygon size 2N with N={n} < 3")
     size = 2 * n
-    out = []
-    for a in range(1, size + 1, 2):
-        for b in range(2, size + 1, 2):
-            if is_two_diagonal(a, b, n):
-                out.append(TwoDiagonal(a, b))
-    return sorted(out)
+    return [TwoDiagonal(a, b) for a in range(1, size + 1, 2)
+            for b in range(2, size + 1, 2)
+            if (b - a) % size not in (1, size - 1)]
 
 
 def rotate(d: TwoDiagonal, k: int, n: int) -> TwoDiagonal:

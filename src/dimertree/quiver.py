@@ -351,19 +351,9 @@ class DualGraph:
         """Whether the dual graph is a tree.  Adding leaves neither makes nor
         breaks a tree, so this is whether the trunk is one."""
         n = len(self.cycle_nodes)
-        if n == 0 or len(self.trunk_edges) != n - 1:
-            return False
-        # n - 1 edges make a tree exactly when none of them closes a cycle
-        root: dict[int, int] = {}
-        for x, y, _ in self.trunk_edges:
-            while x in root:
-                x = root[x]
-            while y in root:
-                y = root[y]
-            if x == y:
-                return False
-            root[y] = x
-        return True
+        # n - 1 edges make a tree exactly when they connect all n cycles
+        return (n > 0 and len(self.trunk_edges) == n - 1
+                and len(self.cycle_distances_from(0)) == n)
 
     def cycle_distances_from(self, idx: int) -> dict[int, int]:
         """Trunk-edge distance from cycle idx to every cycle it reaches."""

@@ -1,14 +1,15 @@
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dimertree import checkerboard as cb
 from dimertree import diagonals as dg
 from dimertree.quiver import weight_report
 
-from conftest import cycle_quiver, glued_dimer_tree
+import slot_build
+from conftest import FIXTURES, cycle_quiver, glued_dimer_tree, load_fixture
 
 
 @pytest.fixture(scope="module")
@@ -130,6 +131,23 @@ def test_corrupted_crossing_order_caught_by_face_traversal(q9):
     assert any(c.name == "faces_match_regions" for c in rep.failed())
 
 
+# a loaded polygon that disagrees with itself fails checks, naming the line
+# or the arrow, instead of raising
+@pytest.mark.parametrize("edit, name, detail", [
+    (lambda d: d["radical_lines"][0]["crossings"].pop(), "faces_match_regions",
+     "line 1 does not list its crossing 3->1"),
+    (lambda d: d["white"][0].update(segments=[]), "white_regions_spell_cycle_paths",
+     "1->2: read (), cycle path ('1->2', '2->3', '3->4', '4->6', '6->9')"),
+    (lambda d: d["crossings"].pop(), "faces_match_regions",
+     "line 4 lists 9->4, which is no crossing of it"),
+])
+def test_inconsistent_loaded_polygon_fails_validation(q9, cp9, edit, name, detail):
+    doc = json.loads(json.dumps(cb.polygon_to_dict(cp9)))
+    edit(doc)
+    rep = cb.validate_checkerboard(cb.polygon_from_dict(doc, q9), q9)
+    assert {c.name: c.detail for c in rep.failed()}[name] == detail
+
+
 def test_structured_roundtrip(q9, cp9):
     doc = json.loads(json.dumps(cb.polygon_to_dict(cp9)))
     cp2 = cb.polygon_from_dict(doc, q9)
@@ -167,3 +185,26 @@ def test_random_quivers_build_valid_polygons(spec):
     assert cp.size == weight_report(q).total_weight
     rep = cb.validate_checkerboard(cp, q)
     assert rep.ok, [(c.name, c.detail) for c in rep.failed()]
+
+
+def _same_as_slot_build(q):
+    assert (cb.polygon_to_dict(cb.build_checkerboard(q))
+            == cb.polygon_to_dict(slot_build.build_checkerboard(q)))
+
+
+@pytest.mark.parametrize("name", sorted(f.stem for f in FIXTURES.glob("*.json")))
+def test_walk_build_matches_the_slot_build_on_the_fixtures(name):
+    _same_as_slot_build(load_fixture(name))
+
+
+# the explicit examples glue a triangle or a square on all of its arrows,
+# leaving a cycle with no boundary arrow
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.tuples(
+    st.lists(st.integers(min_value=3, max_value=6), min_size=1, max_size=6),
+    st.lists(st.integers(min_value=0, max_value=10 ** 6), min_size=5, max_size=5),
+))
+@example(([3, 4, 4, 4], [0, 0, 0, 0, 0]))
+@example(([4, 3, 3, 3, 3, 5], [0, 0, 0, 0, 3]))
+def test_walk_build_matches_the_slot_build_on_glued_trees(spec):
+    _same_as_slot_build(glued_dimer_tree(*spec))
