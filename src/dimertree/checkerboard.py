@@ -328,12 +328,16 @@ def validate_checkerboard(cp: CheckerboardPolygon, q: Quiver | None = None,
     # strands); they must then join vertices with no arrow between them,
     # which the crossing check below enforces
 
-    # crossings match arrows, via the label geometry alone
-    bad = []
+    # crossings match arrows, via the label geometry alone; a loaded polygon
+    # may lack a vertex's line
     verts = q.sorted_vertices()
+    lost = [f"{v}: no radical line" for v in verts if v not in cp.lines]
+    bad = list(lost)
     for i in range(len(verts)):
         for j in range(i + 1, len(verts)):
             u, v = verts[i], verts[j]
+            if u not in cp.lines or v not in cp.lines:
+                continue
             has_arrow = (q.arrow_between(u, v) is not None
                          or q.arrow_between(v, u) is not None)
             cross = diagonals.crosses(cp.lines[u].diagonal(),
@@ -344,10 +348,10 @@ def validate_checkerboard(cp: CheckerboardPolygon, q: Quiver | None = None,
     add("crossing_count_equals_arrow_count",
         len(cp.crossings) == len(q.arrows))
 
-    bad = [f"{v}: {len(cp.lines[v].crossings)} crossings, degree {deg}"
-           for v in verts
-           for deg in [len(q.out_arrows[v]) + len(q.in_arrows[v])]
-           if len(cp.lines[v].crossings) != deg]
+    bad = lost + [f"{v}: {len(cp.lines[v].crossings)} crossings, degree {deg}"
+                  for v in verts if v in cp.lines
+                  for deg in [len(q.out_arrows[v]) + len(q.in_arrows[v])]
+                  if len(cp.lines[v].crossings) != deg]
     add("crossings_per_line_equal_vertex_degree", not bad, "; ".join(bad))
 
     n_cycles = sum(1 for s in cp.shaded if s.kind == "cycle")
@@ -416,6 +420,9 @@ def validate_checkerboard(cp: CheckerboardPolygon, q: Quiver | None = None,
     bad = []
     for a in structure.boundary_arrows:
         arr = q.arrow_by_id[a]
+        if arr.source not in cp.lines or arr.target not in cp.lines:
+            bad.append(f"{a} (an end has no radical line)")
+            continue
         ri = diagonals.rotate(cp.lines[arr.source].diagonal(), 1, n)
         if diagonals.crosses(ri, cp.lines[arr.target].diagonal(), n):
             bad.append(a)
@@ -456,8 +463,14 @@ def _stored_region_multiset(cp: CheckerboardPolygon):
     for w in cp.whites:
         nodes = {x for seg in w.segments for x in (seg.start, seg.end)}
         out.append(frozenset(nodes))
-    out.sort(key=lambda f: (len(f), sorted(repr(n) for n in f)))
+    out.sort(key=_face_order)
     return out
+
+
+def _face_order(face: frozenset) -> tuple:
+    """Faces by size, then by their nodes' reprs in sorted order: an order
+    that does not depend on string hashing."""
+    return len(face), sorted(repr(n) for n in face)
 
 
 def _face_multiset(cp: CheckerboardPolygon):
@@ -548,20 +561,20 @@ def _face_multiset(cp: CheckerboardPolygon):
     boundary_nodes = {Node("end", k) for k in range(1, size + 1)}
     outer = max(faces, key=lambda f: sum(1 for x in f if x in boundary_nodes))
     out = [frozenset(f) for f in faces if f is not outer]
-    out.sort(key=lambda f: (len(f), sorted(repr(n) for n in f)))
+    out.sort(key=_face_order)
     return out
 
 
 def _multiset_diff(a, b) -> str:
+    """The first two faces of each side that the other lacks, each as its
+    nodes in sorted order (see `_face_order`)."""
     from collections import Counter
     ca, cb = Counter(a), Counter(b)
-    extra = ca - cb
-    missing = cb - ca
     parts = []
-    if extra:
-        parts.append(f"unmatched faces: {list(extra)[:2]}")
-    if missing:
-        parts.append(f"unmatched regions: {list(missing)[:2]}")
+    for label, extra in (("faces", ca - cb), ("regions", cb - ca)):
+        if extra:
+            shown = [sorted(f, key=repr) for f in sorted(extra, key=_face_order)]
+            parts.append(f"unmatched {label}: {shown[:2]}")
     return "; ".join(parts)
 
 

@@ -22,6 +22,7 @@ from .quiver import (
     Quiver,
     QuiverError,
     StructureReport,
+    _canonical_word,
     analyze_structure,
     build_potential,
     dimer_tree_structure,
@@ -50,12 +51,6 @@ class PotentialTerm:
         return PotentialTerm(self.coeff, self.word[i:] + self.word[:i])
 
 
-def _canonical_word(word: tuple[str, ...]) -> tuple[str, ...]:
-    """The least rotation of a cyclic word; it starts at the least id."""
-    first = min(word)
-    return min(word[i:] + word[:i] for i, a in enumerate(word) if a == first)
-
-
 @dataclass
 class QP:
     quiver: Quiver
@@ -65,7 +60,7 @@ class QP:
 def _dimer_tree_terms(q: Quiver,
                       structure: StructureReport) -> list[PotentialTerm]:
     """The chordless cycles of q, signed by the tree-distance convention."""
-    return [PotentialTerm(s, _canonical_word(c.arrows))
+    return [PotentialTerm(s, c.word)
             for s, c in build_potential(q, structure).terms]
 
 
@@ -77,16 +72,17 @@ def qp_from_quiver(q: Quiver) -> QP:
 def _fresh_vertex(q: Quiver, base) -> str:
     """base', base'', ...: the first that is not a vertex of q."""
     cand = f"{base}'"
-    while cand in q.vertices:
+    while cand in q.out_arrows:
         cand += "'"
     return cand
 
 
-def _fresh_id(used: set[str], base: str) -> str:
-    """base, base#2, base#3, ...: the first not in used, which it joins."""
+def _fresh_id(q: Quiver, used: set[str], base: str) -> str:
+    """base, base#2, base#3, ...: the first that is neither an arrow id of q
+    nor in used, which it joins."""
     cand = base
     n = 1
-    while cand in used:
+    while cand in used or cand in q.arrow_by_id:
         n += 1
         cand = f"{base}#{n}"
     used.add(cand)
@@ -109,10 +105,10 @@ def qp_mutate(qp: QP, k) -> QP:
     """Mutation at k: composite arrows for the paths through k, arrows at k
     reversed, potential substituted, then reducible 2-cycle terms eliminated.
 
-    The elimination works on the arrow table and the term list, so the
-    mutated `Quiver` is built once, with q as its parent."""
+    The elimination works on the term list, so the mutated `Quiver` is built
+    once, as one edit of q."""
     q = qp.quiver
-    if k not in q.vertices:
+    if k not in q.out_arrows:
         raise MutationError(f"unknown vertex {k!r}")
     ins, outs = q.in_arrows[k], q.out_arrows[k]
     for a in ins:
@@ -121,25 +117,25 @@ def qp_mutate(qp: QP, k) -> QP:
 
     composite: dict[tuple[str, str], str] = {}
     reverse: dict[str, str] = {}
-    arrows: list[Arrow] = [a for a in q.arrows
-                           if a.source != k and a.target != k]
-    used = set(q.arrow_by_id)
+    added: list[Arrow] = []
+    used: set[str] = set()
     for a in ins:
         for b in outs:
-            cid = _fresh_id(used, f"[{a.id}.{b.id}]")
+            cid = _fresh_id(q, used, f"[{a.id}.{b.id}]")
             composite[(a.id, b.id)] = cid
-            arrows.append(Arrow(cid, a.source, b.target))
+            added.append(Arrow(cid, a.source, b.target))
     for a in ins + outs:
-        rid = _fresh_id(used, f"{a.id}~")
+        rid = _fresh_id(q, used, f"{a.id}~")
         reverse[a.id] = rid
-        arrows.append(Arrow(rid, a.target, a.source))
+        added.append(Arrow(rid, a.target, a.source))
 
     in_ids = {a.id for a in ins}
     out_ids = {a.id for a in outs}
+    at_k = in_ids | out_ids
     new_terms: list[PotentialTerm] = []
     for t in qp.terms:
         word = t.word
-        if not any(aid in in_ids or aid in out_ids for aid in word):
+        if at_k.isdisjoint(word):
             new_terms.append(t)
             continue
         # rotate so the word does not start at k, then substitute composites
@@ -168,80 +164,72 @@ def qp_mutate(qp: QP, k) -> QP:
             new_terms.append(PotentialTerm(
                 1, (composite[(a.id, b.id)], reverse[b.id], reverse[a.id])))
 
-    table = {a.id: a for a in arrows}
-    new_terms = _eliminate_two_cycles(table, new_terms)
+    new_terms, gone = _eliminate_two_cycles(new_terms)
+    out_q = q.edit(drop=at_k | gone.intersection(q.arrow_by_id),
+                   add=[a for a in added if a.id not in gone])
+    # a term kept as it was keeps its arrows; the others must be cycles
+    kept = {id(t) for t in qp.terms}
     for t in new_terms:
-        if not _word_is_cyclic_path(table, t.word):
+        if id(t) not in kept and not _word_is_cyclic_path(out_q.arrow_by_id,
+                                                          t.word):
             raise MutationError(f"potential term {t.word} is not a cycle")
-    return QP(Quiver(q.vertices, table.values(), name=q.name, parent=q),
-              new_terms)
+    return QP(out_q, new_terms)
 
 
-def _eliminate_two_cycles(arrows: dict[str, Arrow],
-                          terms: list[PotentialTerm]) -> list[PotentialTerm]:
+def _eliminate_two_cycles(
+        terms: list[PotentialTerm]) -> tuple[list[PotentialTerm], set[str]]:
     """Eliminate 2-cycle potential terms by the linear substitutions their
-    cyclic derivatives dictate.  The arrows of each eliminated 2-cycle are
-    deleted from the table `arrows` (id -> arrow); the remaining terms are
-    returned."""
+    cyclic derivatives dictate.  Returns the remaining terms and the ids of
+    the arrows of the eliminated 2-cycles."""
     terms = list(terms)
+    gone: set[str] = set()
     while True:
-        two = next((t for t in terms if len(t.word) == 2), None)
-        if two is None:
-            return terms
+        i = next((i for i, t in enumerate(terms) if len(t.word) == 2), None)
+        if i is None:
+            return terms, gone
+        two = terms.pop(i)
         x, y = two.word
-        terms.remove(two)
-
-        def occurrences(aid):
-            occ = []
-            for t in terms:
-                cnt = t.word.count(aid)
-                if cnt:
-                    occ.append((t, cnt))
-            return occ
-
-        occ_x, occ_y = occurrences(x), occurrences(y)
-        if any(c > 1 for _, c in occ_x) or len(occ_x) > 1 \
-                or any(c > 1 for _, c in occ_y) or len(occ_y) > 1:
+        ix = [j for j, t in enumerate(terms) if x in t.word]
+        iy = [j for j, t in enumerate(terms) if y in t.word]
+        if len(ix) > 1 or len(iy) > 1 or (ix and ix == iy) \
+                or any(terms[j].word.count(x) > 1 for j in ix) \
+                or any(terms[j].word.count(y) > 1 for j in iy):
             raise MutationError(
                 f"irreducible 2-cycle ({x}, {y}): "
                 "member arrow occurs in more than one further term")
-        new_term = None
-        if occ_x and occ_y:
-            tx = occ_x[0][0].rotated_to_front(x)
-            ty = occ_y[0][0].rotated_to_front(y)
-            coeff = -tx.coeff * ty.coeff * two.coeff
-            word = tx.word[1:] + ty.word[1:]
-            new_term = PotentialTerm(coeff, word)
-            terms.remove(occ_x[0][0])
-            terms.remove(occ_y[0][0])
-        elif occ_x:
-            terms.remove(occ_x[0][0])   # the other member vanishes
-        elif occ_y:
-            terms.remove(occ_y[0][0])
-        del arrows[x]
-        del arrows[y]
-        if new_term is not None:
-            terms.append(new_term)
+        merged = []
+        if ix and iy:
+            tx = terms[ix[0]].rotated_to_front(x)
+            ty = terms[iy[0]].rotated_to_front(y)
+            merged.append(PotentialTerm(-tx.coeff * ty.coeff * two.coeff,
+                                        tx.word[1:] + ty.word[1:]))
+        # with one member in no further term, the other's term vanishes
+        terms = [t for j, t in enumerate(terms)
+                 if j not in ix and j not in iy] + merged
+        gone.update((x, y))
 
 
 def normalize_signs(qp: QP) -> tuple[QP, list[str]]:
     """Renormalize term signs to the alternating tree-distance convention.
-    Requires the term words to be exactly the chordless cycles."""
+    Requires the term words to be exactly the chordless cycles.  A term that
+    already spells a cycle's canonical word is kept as it is; only the terms
+    a move rewrote are canonicalised."""
     structure = analyze_structure(qp.quiver)
-    words = [_canonical_word(t.word) for t in qp.terms]
-    cycle_words = [_canonical_word(c.arrows) for c in structure.cycles]
-    if set(words) != set(cycle_words):
+    want = {c.word: s for s, c in build_potential(qp.quiver, structure).terms}
+    words = [t.word if t.word in want else _canonical_word(t.word)
+             for t in qp.terms]
+    if set(words) != want.keys():
         raise MutationError(
             "potential terms do not match the chordless cycles; "
             "cannot renormalize")
-    pot = build_potential(qp.quiver, structure)
-    want = {w: pot.sign_of(c) for w, c in zip(cycle_words, structure.cycles)}
     flips = []
     new_terms = []
     for t, w in zip(qp.terms, words):
-        if want[w] != t.coeff:
+        s = want[w]
+        if s != t.coeff:
             flips.append("flip sign of cycle " + "->".join(w))
-        new_terms.append(PotentialTerm(want[w], w))
+        new_terms.append(t if t.word is w and s == t.coeff
+                         else PotentialTerm(s, w))
     return QP(qp.quiver, new_terms), flips
 
 
@@ -407,24 +395,23 @@ def _move_triangle_slide(qp: QP, site: dict, notes: list[str]) -> QP:
     rest = word[i + 1:] + word[:i + 1]
     u_ids = rest[:rest.index(rho.id)]
 
-    used = set(q.arrow_by_id)
+    used: set[str] = set()
     v3p = _fresh_vertex(q, v3)
-    sigma_r = _fresh_id(used, f"{sigma.id}~")
-    eps = _fresh_id(used, f"[{sigma.id}.{v3p}]")
-    delta_r = _fresh_id(used, f"{v3p}>{beta.id}~")
-    gamma_r = _fresh_id(used, f"{gamma.id}~")
+    sigma_r = _fresh_id(q, used, f"{sigma.id}~")
+    eps = _fresh_id(q, used, f"[{sigma.id}.{v3p}]")
+    delta_r = _fresh_id(q, used, f"{v3p}>{beta.id}~")
+    gamma_r = _fresh_id(q, used, f"{gamma.id}~")
     removed = {sigma.id, alpha.id, beta.id, gamma.id}
     if not u_ids:
         # the outer cycle was a triangle: rho is consumed and gamma reversed
         # closes through the old rho cycle
         removed.add(rho.id)
-    arrows = [a for a in q.arrows if a.id not in removed]
-    arrows += [Arrow(sigma_r, v4, v2), Arrow(eps, v2, v3p),
-               Arrow(delta_r, v3p, v4), Arrow(gamma_r, v5, v4)]
+    added = [Arrow(sigma_r, v4, v2), Arrow(eps, v2, v3p),
+             Arrow(delta_r, v3p, v4), Arrow(gamma_r, v5, v4)]
     if u_ids:
-        arrows.append(Arrow(_fresh_id(used, f"[{sigma.id}.{gamma.id}]"), v2, v5))
-    out_q = Quiver([v for v in q.vertices if v != v3] + [v3p], arrows,
-                   name=q.name, parent=q)
+        added.append(Arrow(_fresh_id(q, used, f"[{sigma.id}.{gamma.id}]"), v2, v5))
+    out_q = q.edit(drop=removed, add=added, drop_vertices=(v3,),
+                   add_vertices=(v3p,))
     out = QP(out_q, _dimer_tree_terms(out_q, analyze_structure(out_q)))
     notes.append(f"replaced vertex {v3!r} by {v3p!r}")
     site["new_vertex"] = v3p
@@ -449,9 +436,7 @@ def _move_remove_3cycle(qp: QP, site: dict, notes: list[str]) -> QP:
     if sum(1 for c in structure.cycles_of_arrow(alpha.id)
            if set(c.arrows) == triangle) != 1:
         raise MutationError("alpha, beta do not bound a 3-cycle")
-    out_q = Quiver([v for v in q.vertices if v != k],
-                   [a for a in q.arrows if a.id not in (alpha.id, beta.id)],
-                   name=q.name, parent=q)
+    out_q = q.edit(drop=(alpha.id, beta.id), drop_vertices=(k,))
     out = QP(out_q, _dimer_tree_terms(out_q, analyze_structure(out_q)))
     notes.append(f"removed vertex {k!r}")
     return out
@@ -465,8 +450,7 @@ def _move_one_point(qp: QP, site: dict, notes: list[str], co: bool) -> QP:
     vp = _fresh_vertex(q, v)
     aid = f"{v}->{vp}" if co else f"{vp}->{v}"
     arrow = Arrow(aid, v, vp) if co else Arrow(aid, vp, v)
-    out_q = Quiver(q.vertices + (vp,), q.arrows + (arrow,), name=q.name,
-                   parent=q)
+    out_q = q.edit(add=(arrow,), add_vertices=(vp,))
     notes.append(f"new vertex {vp!r}, socket {aid}")
     site["new_vertex"] = vp
     site["socket"] = aid
@@ -505,8 +489,15 @@ def step_budget(q: Quiver) -> int:
 
 @dataclass
 class TraceStep:
+    """A move and the vertices and arrows of the quiver it returned; the
+    quiver document `quiver_after` is built from them when it is read."""
     move: Move
-    quiver_after: dict
+    vertices: tuple
+    arrows: tuple[Arrow, ...]
+
+    @property
+    def quiver_after(self) -> dict:
+        return _quiver_doc(self)
 
 
 @dataclass
@@ -534,7 +525,7 @@ class ReductionTrace:
         }
 
 
-def _quiver_doc(q: Quiver) -> dict:
+def _quiver_doc(q: Quiver | TraceStep) -> dict:
     return {
         "vertices": list(q.vertices),
         "arrows": [[a.id, a.source, a.target] for a in q.arrows],
@@ -572,7 +563,7 @@ def reduce_to_cycle(q: Quiver) -> ReductionTrace:
             qp, move = apply_move(qp, kind, site)
         except (MutationError, QuiverError) as exc:
             raise ReductionError(str(exc), trace) from exc
-        steps.append(TraceStep(move, _quiver_doc(qp.quiver)))
+        steps.append(TraceStep(move, qp.quiver.vertices, qp.quiver.arrows))
 
     while len(analyze_structure(qp.quiver).cycles) > 1:
         vseq = _leaf_vseq(qp.quiver)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 VertexId = int | str
 
@@ -33,17 +33,24 @@ class Arrow:
         return f"Arrow({self.id}: {self.source}->{self.target})"
 
 
+class Edit(NamedTuple):
+    """What `Quiver.edit` changed: the arrows it dropped and added, and the
+    touched vertices, the endpoints of those arrows and the added vertices."""
+    dropped: tuple[Arrow, ...]
+    added: tuple[Arrow, ...]
+    touched: set
+
+
 class Quiver:
     """Immutable quiver with ordered vertices and arrows; derived structure
     (see `analyze_structure`) is computed once and cached on it.
 
-    `parent` is the quiver this one was edited from, if any.  The nearest
-    analysed one of it and its own kept parent is kept while this quiver is
-    unanalysed; the analysis then derives this quiver's cycles from that
-    parent's (see `chordless_cycles`) and drops the reference."""
+    A quiver made by `edit` from an analysed quiver keeps that parent and the
+    `Edit` while it is unanalysed; the analysis then derives its cycles from
+    the parent's (see `chordless_cycles`) and drops both."""
 
     def __init__(self, vertices: Iterable[VertexId], arrows: Iterable[Arrow],
-                 name: str = "", parent: Quiver | None = None):
+                 name: str = ""):
         self.name = name
         self.vertices: tuple[VertexId, ...] = tuple(vertices)
         self.arrows: tuple[Arrow, ...] = tuple(arrows)
@@ -54,9 +61,8 @@ class Quiver:
         # by check_well_formed, not here
         self._arrow_index: dict[tuple[VertexId, VertexId], Arrow] = {}
         self._structure: StructureReport | None = None
-        if parent is not None and parent._structure is None:
-            parent = parent._parent
-        self._parent: Quiver | None = parent
+        self._parent: Quiver | None = None
+        self._edit: Edit | None = None
         vset = set(self.vertices)
         if len(vset) != len(self.vertices):
             raise QuiverError("duplicate vertex ids")
@@ -78,6 +84,86 @@ class Quiver:
             self.out_arrows[a.source].append(a)
             self.in_arrows[a.target].append(a)
             self._arrow_index.setdefault((a.source, a.target), a)
+
+    def edit(self, drop: Iterable[str] = (), add: Iterable[Arrow] = (),
+             drop_vertices: Iterable[VertexId] = (),
+             add_vertices: Iterable[VertexId] = ()) -> Quiver:
+        """This quiver without the arrows with ids in `drop` and the vertices
+        `drop_vertices`, then with `add_vertices` and the arrows `add`
+        appended, in that order.
+
+        The indexes are copied from this quiver, and only the entries of the
+        touched vertices are replaced: the endpoints of the dropped and added
+        arrows, and the added vertices.  Every other vertex shares its
+        `out_arrows`/`in_arrows` list with this quiver; neither may mutate
+        them.  If this quiver is analysed, the new one keeps it as its parent
+        (see `chordless_cycles`)."""
+        by_id = dict(self.arrow_by_id)
+        out_arrows, in_arrows = dict(self.out_arrows), dict(self.in_arrows)
+        index = dict(self._arrow_index)
+        touched: set[VertexId] = set()
+        dropped = []
+        for aid in drop:
+            a = by_id.pop(aid, None)
+            if a is None:
+                raise QuiverError(f"edit drops unknown arrow {aid!r}")
+            dropped.append(a)
+            s, t = a.source, a.target
+            out_arrows[s] = [b for b in out_arrows[s] if b is not a]
+            in_arrows[t] = [b for b in in_arrows[t] if b is not a]
+            if index.get((s, t)) is a:
+                del index[s, t]
+            touched.add(s)
+            touched.add(t)
+        vertices = self.vertices
+        if drop_vertices:
+            gone = set(drop_vertices)
+            for v in gone:
+                if v not in out_arrows:
+                    raise QuiverError(f"edit drops unknown vertex {v!r}")
+                if out_arrows.pop(v) or in_arrows.pop(v):
+                    raise QuiverError(f"edit drops vertex {v!r} but not its arrows")
+            vertices = tuple(v for v in vertices if v not in gone)
+        for v in add_vertices:
+            if v in out_arrows:
+                raise QuiverError("duplicate vertex ids")
+            out_arrows[v], in_arrows[v] = [], []
+            touched.add(v)
+            vertices += (v,)
+        add = tuple(add)
+        for a in add:
+            s, t = a.source, a.target
+            if a.id in by_id:
+                raise QuiverError(f"edit adds duplicate arrow id {a.id!r}")
+            if s not in out_arrows:
+                raise QuiverError(f"arrow {a.id}: unknown source {s!r}")
+            if t not in in_arrows:
+                raise QuiverError(f"arrow {a.id}: unknown target {t!r}")
+            by_id[a.id] = a
+            out_arrows[s] = out_arrows[s] + [a]
+            in_arrows[t] = in_arrows[t] + [a]
+            index.setdefault((s, t), a)
+            touched.add(s)
+            touched.add(t)
+
+        q = object.__new__(Quiver)
+        q.name = self.name
+        q.vertices = vertices
+        q.arrows = tuple(by_id.values())
+        q.arrow_by_id = by_id
+        q.out_arrows, q.in_arrows = out_arrows, in_arrows
+        if len(self._arrow_index) != len(self.arrows):
+            # parallel arrows: a dropped first arrow hands its pair on
+            index = {}
+            for a in q.arrows:
+                index.setdefault((a.source, a.target), a)
+        q._arrow_index = index
+        q._structure = None
+        if self._structure is None:
+            q._parent = q._edit = None
+        else:
+            q._parent, q._edit = self, Edit(tuple(dropped), add, touched)
+        return q
 
     # -- basic invariants ---------------------------------------------------
 
@@ -209,24 +295,49 @@ def load_quiver(path: str) -> Quiver:
 
 # -- chordless cycles ----------------------------------------------------------
 
+def _canonical_word(word: tuple[str, ...]) -> tuple[str, ...]:
+    """The least rotation of a cyclic word; it starts at the least id."""
+    first = min(word)
+    return min(word[i:] + word[:i] for i, a in enumerate(word) if a == first)
+
+
 @dataclass(frozen=True)
 class ChordlessCycle:
     """Oriented cycle whose induced subquiver is the cycle itself.
 
     `key` is the sorted vertex keys, comparable across int and string vertex
-    ids.  The cycle search passes the keys it has already computed; a cycle
+    ids, and `word` the arrows rotated to start at the least id (the
+    potential term of the cycle).  The cycle search passes both; a cycle
     built without them computes them here."""
     arrows: tuple[str, ...]           # arrow ids in cycle order
     vertices: tuple[VertexId, ...]    # induced vertex cycle, same order
     key: tuple = field(default=None, repr=False, compare=False)
+    word: tuple[str, ...] = field(default=None, repr=False, compare=False)
+    _next: dict[str, dict[str, str]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.key is None:
             object.__setattr__(self, "key",
                                tuple(sorted(_vkey(v) for v in self.vertices)))
+        if self.word is None:
+            object.__setattr__(self, "word", _canonical_word(self.arrows))
 
     def __len__(self) -> int:
         return len(self.arrows)
+
+    def next_arrows(self, direction: str) -> dict[str, str]:
+        """Arrow -> the arrow after it ('cycle') or before it ('cocycle');
+        built once per direction and kept, so a cycle a move keeps is not
+        stepped through again."""
+        step = self._next.get(direction)
+        if step is None:
+            if direction not in ("cycle", "cocycle"):
+                raise QuiverError(f"unknown direction {direction!r}")
+            a = self.arrows
+            shift = 1 if direction == "cycle" else -1
+            step = self._next[direction] = dict(zip(a, a[shift:] + a[:shift]))
+        return step
 
     def successor_in(self, arrow_id: str) -> str:
         i = self.arrows.index(arrow_id)
@@ -243,60 +354,84 @@ def _canonical_cycle(arrows: Sequence[Arrow]) -> ChordlessCycle:
     start = keys.index(min(keys))
     ids = [a.id for a in arrows]
     keys.sort()
+    # the arrows of a cycle are distinct: its word starts at the least id
+    first = ids.index(min(ids))
     return ChordlessCycle(tuple(ids[start:] + ids[:start]),
-                          tuple(verts[start:] + verts[:start]), tuple(keys))
-
-
-def _touched_vertices(q: Quiver, parent: Quiver) -> set[VertexId]:
-    """The vertices of q that are new, or an endpoint of an arrow added,
-    removed or re-pointed since parent."""
-    touched = {v for v in q.vertices if v not in parent.out_arrows}
-    for x, y in ((q, parent), (parent, q)):
-        by_id = y.arrow_by_id
-        for a in x.arrows:
-            b = by_id.get(a.id)
-            # an edit keeps the Arrow objects it does not change
-            if b is not a and b != a:
-                touched.update((a.source, a.target))
-    return {v for v in touched if v in q.out_arrows}
+                          tuple(verts[start:] + verts[:start]), tuple(keys),
+                          tuple(ids[first:] + ids[:first]))
 
 
 def chordless_cycles(q: Quiver) -> list[ChordlessCycle]:
-    """All oriented chordless cycles, by DFS with on-the-fly chord pruning.
+    """All oriented chordless cycles, by DFS with on-the-fly chord pruning
+    (see `_search`), sorted by length, vertex keys and arrows.
 
-    The search starts at each touched vertex and finds each cycle through a
-    touched vertex once, rooted at the least one.  A partial path is
-    abandoned as soon as an arrow joins the new endpoint to a non-neighbouring
-    path vertex, so only chord-free paths are ever extended.
+    Without a parent, the search starts at each vertex in turn, never
+    leaving an earlier one, so it finds each cycle once, rooted at its
+    first vertex.
 
-    Every vertex is touched unless q keeps an analysed parent (see `Quiver`).
-    Then only the vertices of the edit are: new vertices and the endpoints of
-    the arrows added, removed or re-pointed.  A cycle through no touched
-    vertex has the same arrows and the same non-chords in both quivers, so it
-    is chordless in q exactly when it is in the parent: those cycles are taken
-    from the parent's structure.  Every other chordless cycle of q, such as
-    one that contains an added arrow or both ends of a removed chord, passes
-    through a touched vertex and is found by the search.
+    If q keeps an analysed parent (see `Quiver.edit`), a chordless cycle of
+    q either contains an added arrow, or passes through both ends of a
+    dropped arrow (its chord in the parent), or else has the same arrows and
+    non-chords as in the parent.  So the parent's cycles that keep all their
+    arrows and gain no added chord are kept; a cycle through no touched
+    vertex is one of them.  The search starts at each added arrow in turn,
+    never stepping over an earlier one, and then, for a dropped arrow u -> v
+    whose ends both keep old arrows in and out, at u over old arrows only,
+    keeping the cycles through v.
     """
     parent = q._parent
-    if parent is None:
-        touched, kept = q.vertices, []
-    else:
-        touched = _touched_vertices(q, parent)
-        kept = [c for c in parent._structure.cycles
-                if touched.isdisjoint(c.vertices)]
-    roots = sorted(touched, key=_vkey)
-    rank = {v: i for i, v in enumerate(roots)}
-    out_arrows, in_arrows = q.out_arrows, q.in_arrows
     found: dict[tuple[str, ...], ChordlessCycle] = {}
+    skip: set[str] = set()
+    if parent is None:
+        _search(q, ((v, q.out_arrows[v]) for v in q.vertices), skip, found)
+        return sorted(found.values(), key=lambda c: (len(c), c.key, c.arrows))
+
+    dropped, added, touched = q._edit
+    gone = {a.id for a in dropped}
+    kept = []
+    for c in parent._structure.cycles:
+        if not touched.isdisjoint(c.vertices):
+            if not gone.isdisjoint(c.arrows):
+                continue
+            on_c = set(c.vertices)
+            if any(a.source in on_c and a.target in on_c for a in added):
+                continue
+        kept.append(c)
+    _search(q, ((a.source, (a,)) for a in added), skip, found)
+
+    def keeps_old_arrows(v: VertexId) -> bool:
+        # the edit put the added arrows after the old ones
+        outs, ins = q.out_arrows.get(v), q.in_arrows.get(v)
+        return bool(outs and ins and outs[0].id not in skip
+                    and ins[0].id not in skip)
+
+    for d in dropped:
+        u, v = d.source, d.target
+        if keeps_old_arrows(u) and keeps_old_arrows(v):
+            through_u: dict[tuple[str, ...], ChordlessCycle] = {}
+            _search(q, [(u, q.out_arrows[u])], set(skip), through_u)
+            found.update((k, c) for k, c in through_u.items() if v in c.vertices)
+    return sorted(kept + list(found.values()),
+                  key=lambda c: (len(c), c.key, c.arrows))
+
+
+def _search(q: Quiver, starts: Iterable[tuple[VertexId, Sequence[Arrow]]],
+            skip: set[str], found: dict[tuple[str, ...], ChordlessCycle]) -> None:
+    """For each (v0, first) of `starts` in turn, add to `found` every
+    chordless cycle through v0 that leaves v0 by an arrow of `first` and has
+    no arrow with its id in `skip`; then those arrows join `skip`.
+
+    A partial path is abandoned as soon as an arrow joins the new endpoint
+    to a non-neighbouring path vertex, so only chord-free paths are ever
+    extended."""
+    out_arrows, in_arrows = q.out_arrows, q.in_arrows
     on_path: set[VertexId] = set()
     path: list[Arrow] = []
 
-    def extend(v0: VertexId, r0: int, tip: VertexId):
-        for a in out_arrows[tip]:
+    def extend(v0: VertexId, tip: VertexId, arrows: Sequence[Arrow]):
+        for a in arrows:
             w = a.target
-            # cycles through a touched vertex below v0 are rooted there
-            if w in on_path or rank.get(w, r0 + 1) <= r0:
+            if w in on_path or a.id in skip:
                 continue
             # an arrow joining w to the path is a chord unless it is the step
             # tip->w or a closure w->v0
@@ -318,22 +453,24 @@ def chordless_cycles(q: Quiver) -> list[ChordlessCycle]:
                 continue
             if closing is not None:
                 # w->v0 closes the cycle now and forbids any longer cycle
-                if path:
+                if path and closing.id not in skip:
                     c = _canonical_cycle(path + [a, closing])
                     found[c.arrows] = c
                 continue
             on_path.add(w)
             path.append(a)
-            extend(v0, r0, w)
+            extend(v0, w, out_arrows[w])
             on_path.discard(w)
             path.pop()
 
-    for r0, v0 in enumerate(roots):
+    for v0, first in starts:
         on_path.add(v0)
-        extend(v0, r0, v0)
+        extend(v0, v0, first)
         on_path.discard(v0)
-    return sorted(kept + list(found.values()),
-                  key=lambda c: (len(c), c.key, c.arrows))
+        skip.update(a.id for a in first)
+    # extend refers to itself through its closure: break that cycle, so the
+    # search state is freed now rather than by the cycle collector
+    del extend
 
 
 # -- dual graph and structural analysis ---------------------------------------
@@ -346,6 +483,8 @@ class DualGraph:
     cycle, so it is a leaf hanging off that cycle's node."""
     cycle_nodes: list[ChordlessCycle]
     trunk_edges: list[tuple[int, int, str]]        # (cycle idx, cycle idx, arrow id)
+    _adjacency: list[list[int]] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def is_tree(self) -> bool:
         """Whether the dual graph is a tree.  Adding leaves neither makes nor
@@ -357,9 +496,11 @@ class DualGraph:
 
     def cycle_distances_from(self, idx: int) -> dict[int, int]:
         """Trunk-edge distance from cycle idx to every cycle it reaches."""
-        adj: dict[int, list[int]] = {i: [] for i in range(len(self.cycle_nodes))}
-        for i, j, _ in self.trunk_edges:
-            adj[i].append(j); adj[j].append(i)
+        adj = self._adjacency
+        if adj is None:
+            adj = self._adjacency = [[] for _ in self.cycle_nodes]
+            for i, j, _ in self.trunk_edges:
+                adj[i].append(j); adj[j].append(i)
         dist = {idx: 0}
         frontier = [idx]
         while frontier:
@@ -395,6 +536,8 @@ class StructureReport:
         default_factory=dict, init=False, repr=False, compare=False)
     _next_arrows: dict[str, list[dict[str, str]]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
+    _potential: Potential | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     @property
     def boundary_arrows(self) -> list[str]:
@@ -409,14 +552,12 @@ class StructureReport:
 
     def next_arrows(self, direction: str) -> list[dict[str, str]]:
         """Per cycle, arrow -> the arrow after it ('cycle') or before it
-        ('cocycle') on that cycle; built once per direction."""
+        ('cocycle') on that cycle (see `ChordlessCycle.next_arrows`)."""
         if direction not in self._next_arrows:
             if direction not in ("cycle", "cocycle"):
                 raise QuiverError(f"unknown direction {direction!r}")
-            shift = 1 if direction == "cycle" else -1
-            self._next_arrows[direction] = [
-                dict(zip(c.arrows, c.arrows[shift:] + c.arrows[:shift]))
-                for c in self.cycles]
+            self._next_arrows[direction] = [c.next_arrows(direction)
+                                            for c in self.cycles]
         return self._next_arrows[direction]
 
     def cycle_paths(self, direction: str) -> dict[str, CyclePath]:
@@ -446,7 +587,7 @@ def analyze_structure(q: Quiver) -> StructureReport:
     """The structure of q, computed on the first call and cached on q."""
     if q._structure is None:
         q._structure = _analyze_structure(q)
-        q._parent = None
+        q._parent = q._edit = None
     return q._structure
 
 
@@ -458,25 +599,23 @@ def _analyze_structure(q: Quiver) -> StructureReport:
             owners[aid].append(i)
     classification = {}
     problems = []
-    for a in q.arrows:
-        n = len(owners[a.id])
-        if n == 0:
-            classification[a.id] = "none"
-            problems.append(f"arrow {a.id} lies in no chordless cycle")
-        elif n == 1:
-            classification[a.id] = "boundary"
-        elif n == 2:
-            classification[a.id] = "interior"
-        else:
-            classification[a.id] = "overloaded"
-            problems.append(f"arrow {a.id} lies in {n} chordless cycles")
-
     trunk = []
-    for a in q.arrows:
-        idx = owners[a.id]
-        for x in range(len(idx)):
-            for y in range(x + 1, len(idx)):
-                trunk.append((idx[x], idx[y], a.id))
+    for aid, idx in owners.items():
+        n = len(idx)
+        if n == 1:
+            classification[aid] = "boundary"
+            continue
+        if n == 2:
+            classification[aid] = "interior"
+        elif n == 0:
+            classification[aid] = "none"
+            problems.append(f"arrow {aid} lies in no chordless cycle")
+        else:
+            classification[aid] = "overloaded"
+            problems.append(f"arrow {aid} lies in {n} chordless cycles")
+        for x in range(n):
+            for y in range(x + 1, n):
+                trunk.append((idx[x], idx[y], aid))
     dual = DualGraph(cycles, trunk)
     return StructureReport(cycles, classification, dual, owners, problems)
 
@@ -511,8 +650,19 @@ def validate_dimer_tree(q: Quiver) -> ValidationReport:
     """Check the defining axioms and their structural consequences."""
     checks: list[Check] = []
     structure = analyze_structure(q)
+    kind = structure.classification
+    bad_q1, overloaded = [], []
+    incident = dict.fromkeys(q.vertices, 0)     # boundary arrows at a vertex
+    for a in q.arrows:
+        k = kind[a.id]
+        if k == "boundary":
+            incident[a.source] += 1
+            incident[a.target] += 1
+        elif k == "none":
+            bad_q1.append(a.id)
+        elif k == "overloaded":
+            overloaded.append(a.id)
 
-    bad_q1 = [a for a, k in structure.classification.items() if k == "none"]
     checks.append(Check(
         "every_arrow_on_a_cycle", not bad_q1,
         "" if not bad_q1 else f"arrows in no cycle: {sorted(bad_q1)}"))
@@ -535,8 +685,6 @@ def validate_dimer_tree(q: Quiver) -> ValidationReport:
                     f"{a.source!r}->{a.target!r}")
     checks.append(Check("no_parallel_arrows", not parallel, parallel))
 
-    overloaded = [a for a, k in structure.classification.items()
-                  if k == "overloaded"]
     checks.append(Check(
         "every_arrow_in_at_most_two_cycles", not overloaded,
         "" if not overloaded else f"arrows: {sorted(overloaded)}"))
@@ -557,11 +705,6 @@ def validate_dimer_tree(q: Quiver) -> ValidationReport:
     vertex_ok = True
     detail = ""
     if not bad_q1 and not overloaded:
-        incident = dict.fromkeys(q.vertices, 0)
-        for a in q.arrows:
-            if structure.classification[a.id] == "boundary":
-                incident[a.source] += 1
-                incident[a.target] += 1
         for v, n in incident.items():
             if n != 2:
                 vertex_ok = False
@@ -601,24 +744,29 @@ def leaf_cycles(structure: StructureReport) -> list[ChordlessCycle]:
     """Cycles with exactly one interior arrow (all cycles if there is one)."""
     if len(structure.cycles) == 1:
         return list(structure.cycles)
-    interior = set(structure.interior_arrows)
-    out = []
-    for c in structure.cycles:
-        if sum(1 for a in c.arrows if a in interior) == 1:
-            out.append(c)
-    return out
+    kind = structure.classification
+    return [c for c in structure.cycles
+            if [kind[a] for a in c.arrows].count("interior") == 1]
 
 
 def build_potential(q: Quiver, structure: StructureReport | None = None) -> Potential:
+    """The potential of q, computed once per structure and kept on it, so
+    callers must not mutate it."""
     if structure is None:
         structure = dimer_tree_structure(q, "potential")
+    if structure._potential is None:
+        structure._potential = _build_potential(structure)
+    return structure._potential
+
+
+def _build_potential(structure: StructureReport) -> Potential:
     candidates = leaf_cycles(structure)
     if not candidates:
         raise QuiverError("no chordless cycle with exactly one interior arrow")
     base_idx = structure.cycles.index(min(candidates, key=lambda c: c.key))
     dist_by_idx = structure.dual.cycle_distances_from(base_idx)
     distances = {structure.cycles[i].key: d for i, d in dist_by_idx.items()}
-    terms = [((-1) ** distances[c.key], c) for c in structure.cycles]
+    terms = [((-1) ** dist_by_idx[i], c) for i, c in enumerate(structure.cycles)]
     return Potential(terms, distances)
 
 

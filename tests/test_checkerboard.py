@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -140,12 +144,38 @@ def test_corrupted_crossing_order_caught_by_face_traversal(q9):
      "1->2: read (), cycle path ('1->2', '2->3', '3->4', '4->6', '6->9')"),
     (lambda d: d["crossings"].pop(), "faces_match_regions",
      "line 4 lists 9->4, which is no crossing of it"),
+    (lambda d: d["radical_lines"].pop(), "crossings_iff_arrows",
+     "9: no radical line"),
+    (lambda d: d["radical_lines"].pop(), "faces_match_regions",
+     "line 9 does not list its crossing 6->9"),
 ])
 def test_inconsistent_loaded_polygon_fails_validation(q9, cp9, edit, name, detail):
     doc = json.loads(json.dumps(cb.polygon_to_dict(cp9)))
     edit(doc)
     rep = cb.validate_checkerboard(cb.polygon_from_dict(doc, q9), q9)
     assert {c.name: c.detail for c in rep.failed()}[name] == detail
+
+
+def test_unmatched_faces_detail_does_not_follow_string_hashing(q9, cp9):
+    """The faces_match_regions detail lists each face's nodes in sorted
+    order, so two processes with different string hashing print the same."""
+    doc = json.loads(json.dumps(cb.polygon_to_dict(cp9)))
+    doc["white"][0]["segments"] = []
+    code = ("import json, sys; from dimertree import checkerboard as cb; "
+            "from dimertree.quiver import load_quiver; "
+            "q = load_quiver(sys.argv[1]); "
+            "cp = cb.polygon_from_dict(json.loads(sys.argv[2]), q); "
+            "rep = cb.validate_checkerboard(cp, q); "
+            "print({c.name: c.detail for c in rep.failed()}['faces_match_regions'])")
+    src = str(Path(cb.__file__).resolve().parents[1])
+    details = [subprocess.run(
+        [sys.executable, "-c", code, str(FIXTURES / "q9.json"), json.dumps(doc)],
+        env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+        capture_output=True, text=True, check=True).stdout
+        for seed in ("1", "2")]
+    assert details[0] == details[1]
+    assert details[0].startswith("unmatched faces: [[Node(kind='end', key=1), "
+                                 "Node(kind='x', key='1->2'), ")
 
 
 def test_structured_roundtrip(q9, cp9):

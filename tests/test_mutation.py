@@ -91,13 +91,27 @@ def test_mutated_potential_signs_normalizable(q7):
 
 def test_irreducible_two_cycle_reported():
     # an artificial potential with a 2-cycle term whose member occurs twice
-    from dimertree.quiver import Arrow
-    arrows = {a.id: a for a in (Arrow("x", 1, 2), Arrow("y", 2, 1),
-                                Arrow("u", 2, 3), Arrow("v", 3, 1))}
     terms = [mu.PotentialTerm(1, ("x", "y")),
              mu.PotentialTerm(1, ("y", "u", "v", "x", "y", "u", "v", "x"))]
     with pytest.raises(mu.MutationError, match="irreducible 2-cycle"):
-        mu._eliminate_two_cycles(arrows, terms)
+        mu._eliminate_two_cycles(terms)
+
+
+def test_two_cycle_whose_members_share_a_term_is_irreducible():
+    terms = [mu.PotentialTerm(1, ("x", "y")),
+             mu.PotentialTerm(1, ("x", "u", "y", "v"))]
+    with pytest.raises(mu.MutationError, match="irreducible 2-cycle"):
+        mu._eliminate_two_cycles(terms)
+
+
+def test_two_cycle_elimination_names_the_arrows_it_removes():
+    # x y is a 2-cycle; x u v and y w z substitute into one term u v w z
+    terms = [mu.PotentialTerm(1, ("x", "y")),
+             mu.PotentialTerm(1, ("x", "u", "v")),
+             mu.PotentialTerm(-1, ("y", "w", "z"))]
+    rest, gone = mu._eliminate_two_cycles(terms)
+    assert gone == {"x", "y"}
+    assert rest == [mu.PotentialTerm(1, ("u", "v", "w", "z"))]
 
 
 # -- moves -------------------------------------------------------------------------
@@ -292,24 +306,30 @@ def test_reduction_builds_one_quiver_per_move(monkeypatch):
     rng = random.Random(2)
     q = glued_dimer_tree([rng.randint(3, 6) for _ in range(8)],
                          [rng.randint(0, 100) for _ in range(7)])
-    builds = 0
-    init = Quiver.__init__
+    builds = {"init": 0, "edit": 0}
+    init, edit = Quiver.__init__, Quiver.edit
 
     def counting_init(self, *args, **kwargs):
-        nonlocal builds
-        builds += 1
+        builds["init"] += 1
         init(self, *args, **kwargs)
 
+    def counting_edit(self, *args, **kwargs):
+        builds["edit"] += 1
+        return edit(self, *args, **kwargs)
+
     monkeypatch.setattr(Quiver, "__init__", counting_init)
+    monkeypatch.setattr(Quiver, "edit", counting_edit)
     tr = mu.reduce_to_cycle(q)
     # every kind of move reduce_to_cycle makes is among them
     assert {s.move.kind for s in tr.steps} == set(mu.MOVE_KINDS) - {"one_point_ext"}
-    assert builds == len(tr.steps)
+    # each move derives its quiver by one edit; none is built from scratch
+    assert builds == {"init": 0, "edit": len(tr.steps)}
 
 
 # sha256 of `trace_to_json(reduce_to_cycle(q))`, recorded before the move
-# engine was flattened.  Any change to an arrow or vertex id, a site, a note,
-# an equivalence or the order of the moves changes a digest.
+# engine was flattened (k = 12 and 16: before moves built their quivers as
+# edits).  Any change to an arrow or vertex id, a site, a note, an
+# equivalence or the order of the moves changes a digest.
 TRACE_SHA256 = {
     "q9": "ea0258c273d6fc2dedc0fa4e1a50c7f503f55c3877bee8866d996ba874354973",
     "q7": "bd249f7701468dbc160ba7f667bdd9d157be524d79eb649f45e2c24e3f24b877",
@@ -326,16 +346,18 @@ TRACE_SHA256 = {
     "glued_k6": "4ff8fbc60e886df0bf5a1367b407d6e33dc51f236f7b13f5e3981a970fc9ea6c",
     "glued_k7": "0f94ec11db5506acc57c1d3adc4a472791b056548646a49ee579b7af0907829c",
     "glued_k8": "13b8aea581d50c124a30c2b43d10c23b362313d226746426f5a70475059493cd",
+    "glued_k12": "7c8adb6c2c8d9d52fa931d6be3fa42a450e6629b3a466b75258b60de483d33c8",
+    "glued_k16": "ff07a803ff9f089e69e3520470aab8620c28b7635db235515202ec0c9d4c6e50",
 }
 
 
 def pinned_quivers():
-    """The 8 fixtures, then seeded glued trees with k = 2, ..., 8 cycles of
-    lengths 3 to 6."""
+    """The 8 fixtures, then seeded glued trees with k = 2, ..., 8, 12 and 16
+    cycles of lengths 3 to 6."""
     for name in ("q9", "q7", "c3", "c4", "c5", "c6", "c7", "c8"):
         yield name, load_fixture(name)
     rng = random.Random(2021)
-    for k in range(2, 9):
+    for k in (*range(2, 9), 12, 16):
         lengths = [rng.randint(3, 6) for _ in range(k)]
         attach = [rng.randint(0, 100) for _ in range(k - 1)]
         yield f"glued_k{k}", glued_dimer_tree(lengths, attach)

@@ -1,9 +1,10 @@
 """Structure derived from a parent quiver must equal a fresh full analysis.
 
-A quiver built by a move keeps its analysed parent, and `chordless_cycles`
-keeps the parent's cycles away from the edit and searches only from the
-touched vertices.  Each test here compares such a derived structure with the
-analysis of the same vertices and arrows built afresh, with no parent.
+A quiver made by `Quiver.edit` keeps its analysed parent and the `Edit`, and
+`chordless_cycles` keeps the parent's cycles that the edit left alone and
+searches only from the added arrows and the ends of the dropped ones.  Each
+test here compares such a derived structure with the analysis of the same
+vertices and arrows built afresh, with no parent.
 """
 import gc
 import random
@@ -22,6 +23,32 @@ FIXTURE_NAMES = ("q9", "q7", "c3", "c4", "c5", "c6", "c7", "c8")
 
 def fresh(q: Quiver) -> Quiver:
     return Quiver(q.vertices, q.arrows, name=q.name)
+
+
+def whole_table_diff(q: Quiver, parent: Quiver) -> set:
+    """The vertices of q that are new, or an endpoint of an arrow added,
+    removed or re-pointed since parent, found by comparing the two whole
+    arrow tables: the reference for the touched set an edit records, once
+    the vertices the edit dropped are taken out of that set."""
+    touched = {v for v in q.vertices if v not in parent.out_arrows}
+    for x, y in ((q, parent), (parent, q)):
+        by_id = y.arrow_by_id
+        for a in x.arrows:
+            b = by_id.get(a.id)
+            if b is not a and b != a:
+                touched.update((a.source, a.target))
+    return {v for v in touched if v in q.out_arrows}
+
+
+def same_indexes(q: Quiver, ref: Quiver) -> bool:
+    """Whether q has the vertices, arrows and indexes of ref, in order."""
+    return (q.vertices == ref.vertices and q.arrows == ref.arrows
+            and list(q.arrow_by_id.items()) == list(ref.arrow_by_id.items())
+            and q.out_arrows == ref.out_arrows
+            and list(q.out_arrows) == list(ref.out_arrows)
+            and q.in_arrows == ref.in_arrows
+            and list(q.in_arrows) == list(ref.in_arrows)
+            and q._arrow_index == ref._arrow_index)
 
 
 def assert_same_structure(derived, full):
@@ -52,35 +79,43 @@ REDUCTION_IDS = [n for n, _ in REDUCTION_QUIVERS]
 
 def record_reduction(q, monkeypatch):
     """Reduce q; return the trace, the quiver every move returned, and every
-    quiver whose structure was derived from a parent's."""
+    edit made on the way as (parent, child, the `Edit` and the parent the
+    child kept, as the edit left them)."""
     outputs = []
-    derivations = []
-    apply_move, touched = mu.apply_move, qv._touched_vertices
+    edits = []
+    apply_move, edit = mu.apply_move, Quiver.edit
 
     def recording_apply_move(qp, kind, site):
         out, move = apply_move(qp, kind, site)
         outputs.append(out.quiver)
         return out, move
 
-    def counting_touched(q, parent):
-        derivations.append(q)
-        return touched(q, parent)
+    def recording_edit(parent, *args, **kwargs):
+        child = edit(parent, *args, **kwargs)
+        edits.append((parent, child, child._edit, child._parent))
+        return child
 
     monkeypatch.setattr(mu, "apply_move", recording_apply_move)
-    monkeypatch.setattr(qv, "_touched_vertices", counting_touched)
+    monkeypatch.setattr(Quiver, "edit", recording_edit)
     trace = mu.reduce_to_cycle(q)
     assert len(outputs) == len(trace.steps)
-    return trace, outputs, derivations
+    return trace, outputs, edits
 
 
 @pytest.mark.parametrize("name,q", REDUCTION_QUIVERS, ids=REDUCTION_IDS)
 def test_every_reduction_step_derives_the_full_structure(name, q, monkeypatch):
-    _, outputs, derivations = record_reduction(q, monkeypatch)
-    # every quiver a move returns was analysed from its parent's structure
-    assert {id(x) for x in outputs} <= {id(x) for x in derivations}
-    for out in outputs:
-        assert out._parent is None
+    trace, outputs, edits = record_reduction(q, monkeypatch)
+    # every quiver a move returns is one edit of the quiver the move was given
+    assert [child for _, child, _, _ in edits] == outputs
+    for (parent, out, edit, kept), step in zip(edits, trace.steps):
+        # the parent was analysed, so the child kept it and the edit
+        assert kept is parent
+        assert {v for v in edit.touched if v in out.out_arrows} \
+            == whole_table_diff(out, parent)
+        assert out._parent is None and out._edit is None
+        assert same_indexes(out, fresh(out))
         assert_same_structure(analyze_structure(out), analyze_structure(fresh(out)))
+        assert step.quiver_after == mu._quiver_doc(out)
 
 
 @pytest.mark.parametrize("name,q", REDUCTION_QUIVERS, ids=REDUCTION_IDS)
@@ -110,9 +145,8 @@ def test_deleting_a_chord_exposes_the_cycle_it_cut():
     # 1->3 is a chord of 1->2->3->4->1 and an arrow of the triangle 1->3->4
     parent = quiver_from_arrows([(1, 2), (2, 3), (3, 4), (4, 1), (1, 3)])
     assert [c.vertices for c in analyze_structure(parent).cycles] == [(1, 3, 4)]
-    child = Quiver(parent.vertices,
-                   [a for a in parent.arrows if a.id != "1->3"], parent=parent)
-    assert child._parent is parent
+    child = parent.edit(drop=["1->3"])
+    assert child._parent is parent and child._edit.touched == {1, 3}
     derived = analyze_structure(child)
     assert [c.vertices for c in derived.cycles] == [(1, 2, 3, 4)]
     assert_same_structure(derived, analyze_structure(fresh(child)))
@@ -128,37 +162,47 @@ def random_quiver(rng, n):
 @pytest.mark.parametrize("seed", range(60))
 def test_random_edits_derive_the_full_cycle_list(seed):
     """Remove and re-point arrows, add arrows and a vertex, drop a vertex:
-    the cycles derived from the parent are those of a fresh search."""
+    the cycles derived from the parent are those of a fresh search, and the
+    edit's indexes and touched set are those of the whole-table rebuild."""
     rng = random.Random(seed)
     parent = random_quiver(rng, rng.randint(3, 9))
     analyze_structure(parent)
-    arrows = [a for a in parent.arrows if rng.random() > 0.2]
+    drop = {a.id for a in parent.arrows if rng.random() < 0.2}
+    kept = [a for a in parent.arrows if a.id not in drop]
+    added, new_vertices, gone = [], [], []
     vertices = list(parent.vertices)
     if rng.random() < 0.5:
-        vertices.append(max(vertices) + 1)
+        new_vertices.append(max(vertices) + 1)
+        vertices += new_vertices
     if rng.random() < 0.3 and len(vertices) > 3:
-        gone = rng.choice(vertices)
-        vertices.remove(gone)
-        arrows = [a for a in arrows if gone not in (a.source, a.target)]
-    if arrows and rng.random() < 0.5:
-        i = rng.randrange(len(arrows))
-        a = arrows[i]
-        arrows[i] = Arrow(a.id, a.target, a.source)      # re-pointed
-    pairs = {(a.source, a.target) for a in arrows}
+        v = rng.choice(parent.vertices)
+        gone.append(v)
+        vertices.remove(v)
+        drop |= {a.id for a in kept if v in (a.source, a.target)}
+        kept = [a for a in kept if a.id not in drop]
+    if kept and rng.random() < 0.5:
+        a = kept.pop(rng.randrange(len(kept)))
+        drop.add(a.id)
+        added.append(Arrow(a.id, a.target, a.source))      # re-pointed
+    pairs = {(a.source, a.target) for a in kept + added}
     for _ in range(rng.randint(0, 3)):
         s, t = rng.sample(vertices, 2)
         if (s, t) not in pairs and (t, s) not in pairs:
             pairs.add((s, t))
-            arrows.append(Arrow(f"new{s}->{t}", s, t))
-    child = Quiver(vertices, arrows, parent=parent)
+            added.append(Arrow(f"new{s}->{t}", s, t))
+    child = parent.edit(drop=drop, add=added, drop_vertices=gone,
+                        add_vertices=new_vertices)
     assert child._parent is parent
+    assert {v for v in child._edit.touched if v in child.out_arrows} \
+        == whole_table_diff(child, parent)
+    assert same_indexes(child, Quiver(vertices, kept + added))
     assert chordless_cycles(child) == chordless_cycles(fresh(child))
 
 
 def test_parent_is_freed_once_the_child_is_analysed(q9):
     parent = fresh(q9)
     analyze_structure(parent)
-    child = Quiver(parent.vertices, parent.arrows[1:], parent=parent)
+    child = parent.edit(drop=[parent.arrows[0].id])
     ref = weakref.ref(parent)
     del parent
     gc.collect()
@@ -170,11 +214,36 @@ def test_parent_is_freed_once_the_child_is_analysed(q9):
 
 def test_only_an_analysed_parent_is_kept(q9):
     parent = fresh(q9)
-    assert Quiver(parent.vertices, parent.arrows, parent=parent)._parent is None
+    assert parent.edit(drop=[parent.arrows[0].id])._parent is None
     analyze_structure(parent)
-    middle = Quiver(parent.vertices, parent.arrows[1:], parent=parent)
-    # an unanalysed step hands on its own analysed parent
-    child = Quiver(middle.vertices, middle.arrows[1:], parent=middle)
-    assert child._parent is parent
+    middle = parent.edit(drop=[parent.arrows[0].id])
+    assert middle._parent is parent
+    # an edit of an unanalysed quiver keeps no parent: it is analysed afresh
+    child = middle.edit(drop=[middle.arrows[0].id])
+    assert child._parent is None and child._edit is None
     assert_same_structure(analyze_structure(child),
                           analyze_structure(fresh(child)))
+
+
+def test_a_cycle_on_dropped_vertices_is_not_kept():
+    # the triangle 4 -> 5 -> 6 hangs off 1 -> 2 -> 3 by the arrow 3 -> 4;
+    # dropping its vertices touches only 3 among those left
+    parent = quiver_from_arrows([(1, 2), (2, 3), (3, 1), (3, 4), (4, 5),
+                                 (5, 6), (6, 4)])
+    assert len(analyze_structure(parent).cycles) == 2
+    child = parent.edit(drop=["3->4", "4->5", "5->6", "6->4"],
+                        drop_vertices=[4, 5, 6])
+    assert [c.vertices for c in chordless_cycles(child)] == [(1, 2, 3)]
+
+
+def test_an_edit_checks_what_it_drops_and_adds(q9):
+    with pytest.raises(qv.QuiverError, match="unknown arrow"):
+        q9.edit(drop=["nope"])
+    with pytest.raises(qv.QuiverError, match="but not its arrows"):
+        q9.edit(drop_vertices=[q9.vertices[0]])
+    with pytest.raises(qv.QuiverError, match="duplicate arrow id"):
+        q9.edit(add=[Arrow(q9.arrows[0].id, 1, 2)])
+    with pytest.raises(qv.QuiverError, match="unknown target"):
+        q9.edit(add=[Arrow("new", 1, "nowhere")])
+    with pytest.raises(qv.QuiverError, match="duplicate vertex"):
+        q9.edit(add_vertices=[q9.vertices[0]])
