@@ -120,8 +120,9 @@ class CheckerboardPolygon:
     whites: list[WhiteRegion]
     triangle_order: list[str]          # boundary arrows clockwise
     # diagonal -> (the presentations along its rotation orbit, its position
-    # there), filled one whole orbit at a time by syzygy.resolution; the
-    # lines must not change once a resolution has been read
+    # there, the orbit's cyclic gluing), filled one whole orbit at a time by
+    # syzygy.resolution; the lines must not change once a resolution has
+    # been read
     orbits: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
 
@@ -314,8 +315,17 @@ def validate_checkerboard(cp: CheckerboardPolygon, q: Quiver | None = None,
         cp.size == cp.weights.total_weight,
         f"size {cp.size}, total weight {cp.weights.total_weight}")
 
-    bad = []
-    for v, line in cp.lines.items():
+    # the checks that read labels modulo the size need a 2N-gon with N >= 3;
+    # a loaded polygon may have any size
+    bad_size = ([] if cp.size % 2 == 0 and cp.size >= 6
+                else [f"size {cp.size} is not an even number >= 6"])
+
+    bad = list(bad_size)
+    for v, line in cp.lines.items() if not bad_size else ():
+        outside = [x for x in (line.tail, line.head) if not 1 <= x <= cp.size]
+        if outside:
+            bad.append(f"{v}: label {outside[0]} outside 1..{cp.size}")
+            continue
         try:
             d = diagonals.make_diagonal(line.tail, line.head, n)
             if d.tail != line.tail:
@@ -332,18 +342,18 @@ def validate_checkerboard(cp: CheckerboardPolygon, q: Quiver | None = None,
     # may lack a vertex's line
     verts = q.sorted_vertices()
     lost = [f"{v}: no radical line" for v in verts if v not in cp.lines]
-    bad = list(lost)
-    for i in range(len(verts)):
-        for j in range(i + 1, len(verts)):
-            u, v = verts[i], verts[j]
-            if u not in cp.lines or v not in cp.lines:
-                continue
-            has_arrow = (q.arrow_between(u, v) is not None
-                         or q.arrow_between(v, u) is not None)
-            cross = diagonals.crosses(cp.lines[u].diagonal(),
-                                      cp.lines[v].diagonal(), n)
-            if has_arrow != cross:
-                bad.append(f"{u},{v}: arrow={has_arrow} crossing={cross}")
+    bad = lost + bad_size
+    joined = {v: set() for v in verts}
+    for a in q.arrows:
+        joined[a.source].add(a.target)
+        joined[a.target].add(a.source)
+    drawn = [(v, cp.lines[v].diagonal()) for v in verts if v in cp.lines]
+    for i, (u, line) in enumerate(drawn if not bad_size else ()):
+        crossed = set().union(*diagonals.crossing_lines(line, drawn, n))
+        for v, _ in drawn[i + 1:]:
+            has_arrow = v in joined[u]
+            if has_arrow != (v in crossed):
+                bad.append(f"{u},{v}: arrow={has_arrow} crossing={v in crossed}")
     add("crossings_iff_arrows", not bad, "; ".join(bad[:4]))
     add("crossing_count_equals_arrow_count",
         len(cp.crossings) == len(q.arrows))
@@ -370,16 +380,34 @@ def validate_checkerboard(cp: CheckerboardPolygon, q: Quiver | None = None,
             bad.append(f"{w.arrow}: {sides} sides")
     add("white_regions_even_sided", not bad, "; ".join(bad))
 
-    bad = []
-    for w in cp.whites:
+    # each white region touches the boundary between the triangle before it
+    # in the triangle order and its own: at their shared end, or along the
+    # boundary edge between them
+    tri_edge = {s.key: s.boundary_edge for s in cp.shaded
+                if s.kind == "boundary_arrow"}
+    order = cp.triangle_order
+    before = {a: tri_edge.get(order[i - 1]) for i, a in enumerate(order)}
+    bad = list(bad_size)
+    for w in cp.whites if not bad_size else ():
         if w.contact[0] == "edge":
             a, b = w.contact[1]
             if (b - a) % cp.size != 1:
                 bad.append(f"{w.arrow}: edge {w.contact[1]} not a boundary edge")
+                continue
         else:
             lbl = w.contact[1]
             if not (1 <= lbl <= cp.size):
                 bad.append(f"{w.arrow}: vertex {lbl} out of range")
+                continue
+        prev, own = before.get(w.arrow), tri_edge.get(w.arrow)
+        if prev is None or own is None:
+            bad.append(f"{w.arrow}: no place in the triangle order")
+            continue
+        placed = (("vertex", own[0]) if prev[1] == own[0]
+                  else ("edge", (prev[1], own[0])))
+        if w.contact != placed:
+            bad.append(f"{w.arrow}: contact {w.contact}, triangle order "
+                       f"places it at {placed}")
     add("white_regions_touch_boundary_once", not bad, "; ".join(bad))
 
     # cycle-path readout around each boundary triangle
@@ -396,6 +424,12 @@ def validate_checkerboard(cp: CheckerboardPolygon, q: Quiver | None = None,
         expected = wr[a].cycle_path.arrows
         if read != expected:
             bad.append(f"{a}: read {read}, cycle path {expected}")
+            continue
+        # the sides lie on the lines of the path's vertices, in turn
+        on = tuple(s.line for s in segs)
+        route = tuple(wr[a].cycle_path.vertex_route(q))
+        if on != route:
+            bad.append(f"{a}: sides on lines {on}, cycle path through {route}")
     add("white_regions_spell_cycle_paths", not bad, "; ".join(bad[:3]))
 
     # the two whites adjacent to a triangle carry its cycle and cocycle paths
@@ -417,14 +451,15 @@ def validate_checkerboard(cp: CheckerboardPolygon, q: Quiver | None = None,
     add("triangle_flanked_by_cycle_and_cocycle_whites", not bad, "; ".join(bad[:3]))
 
     # rotation non-crossing for boundary arrows
-    bad = []
-    for a in structure.boundary_arrows:
+    bad = list(bad_size)
+    for a in structure.boundary_arrows if not bad_size else ():
         arr = q.arrow_by_id[a]
         if arr.source not in cp.lines or arr.target not in cp.lines:
             bad.append(f"{a} (an end has no radical line)")
             continue
         ri = diagonals.rotate(cp.lines[arr.source].diagonal(), 1, n)
-        if diagonals.crosses(ri, cp.lines[arr.target].diagonal(), n):
+        target = [(a, cp.lines[arr.target].diagonal())]
+        if any(diagonals.crossing_lines(ri, target, n)):
             bad.append(a)
     add("rotated_source_line_misses_target_line", not bad, "; ".join(bad))
 
@@ -445,6 +480,8 @@ def validate_checkerboard(cp: CheckerboardPolygon, q: Quiver | None = None,
 
     # independent reconstruction of all regions by planar face traversal
     try:
+        if bad_size:
+            raise CheckerboardError(bad_size[0])
         faces = _face_multiset(cp)
         stored = _stored_region_multiset(cp)
         add("faces_match_regions", faces == stored,

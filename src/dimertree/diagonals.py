@@ -13,6 +13,7 @@ to left when its tail sits on that right side.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .quiver import Check, Report
 
@@ -21,8 +22,8 @@ class DiagonalError(ValueError):
     pass
 
 
-@dataclass(frozen=True, order=True)
-class TwoDiagonal:
+class TwoDiagonal(NamedTuple):
+    """A tuple: it equals, hashes and sorts as the pair (tail, head)."""
     tail: int   # odd label
     head: int   # even label
 
@@ -74,40 +75,41 @@ def rotate(d: TwoDiagonal, k: int, n: int) -> TwoDiagonal:
 
 
 def pivot(d: TwoDiagonal, fix: str, n: int) -> TwoDiagonal | None:
-    """2-pivot fixing one endpoint; the other advances two steps clockwise.
-    Returns None when the result would touch the boundary."""
+    """2-pivot fixing one endpoint; the other advances two steps clockwise,
+    which keeps its parity.  Returns None when the new ends are boundary
+    neighbours."""
     size = 2 * n
+    tail, head = d
     if fix == "tail":
-        a, b = d.tail, _norm(d.head + 2, size)
+        head = _norm(head + 2, size)
     elif fix == "head":
-        a, b = _norm(d.tail + 2, size), d.head
+        tail = _norm(tail + 2, size)
     else:
         raise DiagonalError(f"unknown endpoint {fix!r}")
-    try:
-        return make_diagonal(a, b, n)
-    except DiagonalError:
+    if (head - tail) % size in (1, size - 1):
         return None
+    return TwoDiagonal(tail, head)
 
 
-def crossing(d1: TwoDiagonal, d2: TwoDiagonal, n: int) -> str | None:
-    """None, 'right_to_left' or 'left_to_right': how d2 crosses d1."""
+def crossing_lines(d: TwoDiagonal, lines, n: int) -> tuple[list, list]:
+    """The keys of the `(key, (tail, head))` chords in `lines` that cross d
+    right to left, then those that cross it left to right, read off the
+    endpoint labels alone.  A chord crosses d left to right when its tail
+    lies on the open clockwise arc from d's tail to d's head and its head on
+    the other open arc; a chord sharing an endpoint with d crosses it in
+    neither way."""
     size = 2 * n
-    if d1 == d2:
-        return None
-    pts = {d1.tail, d1.head, d2.tail, d2.head}
-    if len(pts) < 4:
-        return None  # shared endpoint: no transversal crossing
-    span = _cw_dist(d1.tail, d1.head, size)
-    t = _cw_dist(d1.tail, d2.tail, size)
-    h = _cw_dist(d1.tail, d2.head, size)
-    if (t < span) == (h < span):
-        return None  # both endpoints on one side
-    # right side of d1 = counterclockwise arc from its tail
-    return "left_to_right" if t < span else "right_to_left"
-
-
-def crosses(d1: TwoDiagonal, d2: TwoDiagonal, n: int) -> bool:
-    return crossing(d1, d2, n) is not None
+    start = d[0]
+    span = (d[1] - start) % size
+    right_to_left, left_to_right = [], []
+    for key, (tail, head) in lines:
+        tail = (tail - start) % size
+        head = (head - start) % size
+        if 0 < tail < span < head:
+            left_to_right.append(key)
+        elif 0 < head < span < tail:
+            right_to_left.append(key)
+    return right_to_left, left_to_right
 
 
 # ---------------------------------------------------------------------------
@@ -161,16 +163,12 @@ class TranslationQuiver:
 
 def ar_quiver(n: int) -> TranslationQuiver:
     nodes = enumerate_diagonals(n)
-    node_set = set(nodes)
-    arrows = []
-    for d in nodes:
-        for fix in ("tail", "head"):
-            e = pivot(d, fix, n)
-            if e is not None:
-                if e not in node_set:
-                    raise DiagonalError(f"pivot left the diagonal set: {d} -> {e}")
-                arrows.append((d, e))
-    tau = {d: rotate(d, -2, n) for d in nodes}
+    arrows = [(d, e) for d in nodes for fix in ("tail", "head")
+              for e in [pivot(d, fix, n)] if e is not None]
+    # tau = R^-2 keeps each label's parity, so the tail stays the tail
+    size = 2 * n
+    tau = {d: TwoDiagonal(_norm(d.tail - 2, size), _norm(d.head - 2, size))
+           for d in nodes}
     arrow_set = set(arrows)
     sources_into: dict[TwoDiagonal, list[TwoDiagonal]] = {d: [] for d in nodes}
     for y, x in arrows:

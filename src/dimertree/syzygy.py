@@ -39,13 +39,7 @@ def presentation_of(cp: CheckerboardPolygon, diagonal: TwoDiagonal) -> SyzygyObj
     """The presentation read off the crossings of a diagonal."""
     n = cp.half
     d = diagonals.make_diagonal(diagonal.tail, diagonal.head, n)
-    p0, p1 = [], []
-    for v, line in cp.line_diagonals:
-        direction = diagonals.crossing(d, line, n)
-        if direction == "right_to_left":
-            p0.append(v)
-        elif direction == "left_to_right":
-            p1.append(v)
+    p0, p1 = diagonals.crossing_lines(d, cp.line_diagonals, n)
     if not p0 or not p1:
         raise SyzygyError(
             f"diagonal {d} has a one-sided crossing pattern: p0={p0}, p1={p1}")
@@ -53,10 +47,11 @@ def presentation_of(cp: CheckerboardPolygon, diagonal: TwoDiagonal) -> SyzygyObj
 
 
 def _orbit_of(cp: CheckerboardPolygon,
-              d0: TwoDiagonal) -> tuple[list[SyzygyObject], int]:
+              d0: TwoDiagonal) -> tuple[list[SyzygyObject], int, bool]:
     """The presentations along the rotation orbit of d0, in clockwise order,
-    and the position of d0 there; the whole orbit is read on the first call
-    for any of its diagonals and kept in `cp.orbits`."""
+    the position of d0 there, and whether each presentation's P0 is the P1
+    of the one before it, cyclically; the whole orbit is read on the first
+    call for any of its diagonals and kept in `cp.orbits`."""
     hit = cp.orbits.get(d0)
     if hit is None:
         n = cp.half
@@ -65,9 +60,10 @@ def _orbit_of(cp: CheckerboardPolygon,
         while d != d0:
             orbit.append(presentation_of(cp, d))
             d = diagonals.rotate(d, 1, n)
+        glued = all(b.p0 == a.p1 for a, b in zip(orbit, orbit[1:] + orbit[:1]))
         for i, p in enumerate(orbit):
-            cp.orbits[p.diagonal] = (orbit, i)
-        hit = (orbit, 0)
+            cp.orbits[p.diagonal] = (orbit, i, glued)
+        hit = (orbit, 0, glued)
     return hit
 
 
@@ -75,14 +71,16 @@ def resolution(cp: CheckerboardPolygon, diagonal: TwoDiagonal,
                steps: int | None = None) -> ResolutionTrace:
     """Iterate the clockwise rotation, checking the gluing of consecutive
     presentations, and report the minimal rotation period.  The steps are
-    read off the orbit table; one full period by default."""
+    read off the orbit table; one full period by default, whose gluing is
+    the orbit's."""
     d0 = diagonals.make_diagonal(diagonal.tail, diagonal.head, cp.half)
-    orbit, start = _orbit_of(cp, d0)
+    orbit, start, glued = _orbit_of(cp, d0)
     period = len(orbit)
     count = period if steps is None else steps
     trace = [orbit[(start + i) % period] for i in range(count + 1)]
-    gluing_ok = all(b.p0 == a.p1 for a, b in zip(trace, trace[1:]))
-    return ResolutionTrace(d0, trace, period, gluing_ok)
+    if steps is not None:
+        glued = all(b.p0 == a.p1 for a, b in zip(trace, trace[1:]))
+    return ResolutionTrace(d0, trace, period, glued)
 
 
 def radical_consistency_check(cp: CheckerboardPolygon, algebra) -> Report:

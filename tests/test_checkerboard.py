@@ -45,10 +45,9 @@ def test_c3_lines_are_the_three_diameters(cp3):
     assert got == {1: (1, 4), 2: (5, 2), 3: (3, 6)}
     # pairwise crossing, matching the three arrows
     for u in (1, 2, 3):
-        for v in (1, 2, 3):
-            if u != v:
-                assert dg.crosses(cp3.lines[u].diagonal(),
-                                  cp3.lines[v].diagonal(), 3)
+        others = [(v, cp3.lines[v].diagonal()) for v in (1, 2, 3) if v != u]
+        p0, p1 = dg.crossing_lines(cp3.lines[u].diagonal(), others, 3)
+        assert sorted(p0 + p1) == [v for v, _ in others]
 
 
 def test_q9_counts(cp9):
@@ -148,12 +147,43 @@ def test_corrupted_crossing_order_caught_by_face_traversal(q9):
      "9: no radical line"),
     (lambda d: d["radical_lines"].pop(), "faces_match_regions",
      "line 9 does not list its crossing 6->9"),
+    (lambda d: d["white"][0]["segments"][0].update(line=99),
+     "white_regions_spell_cycle_paths",
+     "1->2: sides on lines (99, 2, 3, 4, 6, 9), cycle path through "
+     "(1, 2, 3, 4, 6, 9)"),
+    (lambda d: d["white"][0].update(contact={"type": "vertex", "at": 3}),
+     "white_regions_touch_boundary_once",
+     "1->2: contact ('vertex', 3), triangle order places it at ('vertex', 1)"),
+    (lambda d: d["white"][1].update(contact={"type": "edge", "at": [3, 4]}),
+     "white_regions_touch_boundary_once",
+     "3->1: contact ('edge', (3, 4)), triangle order places it at "
+     "('edge', (2, 3))"),
+    (lambda d: d["radical_lines"][0].update(head=18),
+     "radical_lines_are_oriented_2_diagonals", "1: label 18 outside 1..14"),
 ])
 def test_inconsistent_loaded_polygon_fails_validation(q9, cp9, edit, name, detail):
     doc = json.loads(json.dumps(cb.polygon_to_dict(cp9)))
     edit(doc)
     rep = cb.validate_checkerboard(cb.polygon_from_dict(doc, q9), q9)
     assert {c.name: c.detail for c in rep.failed()}[name] == detail
+
+
+# the checks that read labels modulo the size report a size no 2N-gon with
+# N >= 3 has, instead of dividing by it
+@pytest.mark.parametrize("size", [0, 1, 13, -14])
+def test_loaded_polygon_of_a_bad_size_fails_validation(q9, cp9, size):
+    doc = json.loads(json.dumps(cb.polygon_to_dict(cp9)))
+    doc["size"] = size
+    rep = cb.validate_checkerboard(cb.polygon_from_dict(doc, q9), q9)
+    reason = f"size {size} is not an even number >= 6"
+    assert {c.name: c.detail for c in rep.failed()} == {
+        "boundary_edge_count_equals_total_weight": f"size {size}, total weight 14",
+        "radical_lines_are_oriented_2_diagonals": reason,
+        "crossings_iff_arrows": reason,
+        "white_regions_touch_boundary_once": reason,
+        "rotated_source_line_misses_target_line": reason,
+        "faces_match_regions": reason,
+    }
 
 
 def test_unmatched_faces_detail_does_not_follow_string_hashing(q9, cp9):

@@ -8,6 +8,8 @@ compares a cached or indexed result with an independent reference.
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dimertree import checkerboard as cb
 from dimertree import diagonals as dg
@@ -22,9 +24,11 @@ from dimertree.quiver import (
     weight_report,
 )
 
+import diagonal_refs
 from conftest import glued_dimer_tree, load_fixture
 
-FIXTURE_NAMES = ("q9", "q7", "c3", "c4", "c5", "c6", "c7", "c8")
+FIXTURE_NAMES = ("q9", "q7", "c3", "c4", "c5", "c6", "c7", "c8",
+                 "interior_triangle")
 
 
 def glued_trees():
@@ -52,10 +56,10 @@ def reference_resolution(cp, d0, steps=None):
     lines = sorted(cp.lines.items(), key=lambda kv: _vkey(kv[0]))
 
     def present(d):
-        p0 = tuple(v for v, line in lines
-                   if dg.crossing(d, line.diagonal(), n) == "right_to_left")
-        p1 = tuple(v for v, line in lines
-                   if dg.crossing(d, line.diagonal(), n) == "left_to_right")
+        p0 = tuple(v for v, line in lines if diagonal_refs.crossing(
+            d, line.diagonal(), n) == "right_to_left")
+        p1 = tuple(v for v, line in lines if diagonal_refs.crossing(
+            d, line.diagonal(), n) == "left_to_right")
         return p0, p1
 
     period = 1
@@ -80,10 +84,43 @@ def test_resolution_matches_fresh_polygon_reference(name, q):
     # every diagonal is now in the orbit table, at its place in its orbit
     n = shared.half
     assert set(shared.orbits) == set(dg.enumerate_diagonals(n))
-    for d, (orbit, i) in shared.orbits.items():
+    for d, (orbit, i, glued) in shared.orbits.items():
         assert orbit[i].diagonal == d
         assert [p.diagonal for p in orbit] == [
             dg.rotate(d, k - i, n) for k in range(len(orbit))]
+        assert glued == reference_resolution(shared, d)[2]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.tuples(
+    st.lists(st.integers(min_value=3, max_value=6), min_size=1, max_size=6),
+    st.lists(st.integers(min_value=0, max_value=10 ** 6), min_size=5, max_size=5),
+))
+def test_kernel_presentations_match_the_pairwise_reference_on_glued_trees(spec):
+    cp = cb.build_checkerboard(glued_dimer_tree(*spec))
+    for d in dg.enumerate_diagonals(cp.half):
+        assert sy.presentation_of(cp, d) == diagonal_refs.presentation_of(cp, d)
+        got = sy.resolution(cp, d)
+        steps, period, gluing = reference_resolution(cp, d)
+        assert [(s.diagonal, s.p0, s.p1) for s in got.steps] == steps
+        assert (got.minimal_period, got.gluing_ok) == (period, gluing)
+
+
+def test_a_misoriented_line_breaks_the_gluing_of_some_orbits():
+    cp = cb.build_checkerboard(rebuilt(load_fixture("q9")))
+    line = cp.lines[3]
+    line.tail, line.head = line.head, line.tail
+    broken = 0
+    for d in dg.enumerate_diagonals(cp.half):
+        try:
+            got = sy.resolution(cp, d)
+        except sy.SyzygyError:
+            continue    # a one-sided crossing pattern on the orbit
+        steps, period, gluing = reference_resolution(cp, d)
+        assert [(s.diagonal, s.p0, s.p1) for s in got.steps] == steps
+        assert (got.minimal_period, got.gluing_ok) == (period, gluing)
+        broken += not gluing
+    assert broken
 
 
 @pytest.mark.parametrize("name", ["q9", "glued4"])
@@ -109,7 +146,7 @@ def test_one_resolution_reads_exactly_its_whole_orbit(name):
     orbit = {dg.rotate(d, k, n) for k in range(2 * n)}
     assert set(cp.orbits) == orbit
     fresh = cb.build_checkerboard(rebuilt(q))
-    for e, (kept, i) in cp.orbits.items():
+    for e, (kept, i, _) in cp.orbits.items():
         assert kept[i] == sy.presentation_of(fresh, e)
 
 
@@ -126,7 +163,7 @@ def all_pivots_ar_quiver(n):
     """The mesh loop that scans every pivot for every node."""
     nodes = dg.enumerate_diagonals(n)
     arrows = [(d, e) for d in nodes for fix in ("tail", "head")
-              for e in [dg.pivot(d, fix, n)] if e is not None]
+              for e in [diagonal_refs.pivot(d, fix, n)] if e is not None]
     tau = {d: dg.rotate(d, -2, n) for d in nodes}
     meshes = [(x, tau[x], sorted(y for y, x2 in arrows if x2 == x))
               for x in nodes]

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from dimertree import diagonals as dg
 
+import diagonal_refs
+
 
 def brute_force_diagonals(n):
     """Chords cutting the 2n-gon into two even pieces of >= 4 vertices."""
@@ -43,6 +45,8 @@ def test_pivot_examples():
     assert dg.pivot(d, "tail", 4) == dg.TwoDiagonal(1, 6)
     assert dg.pivot(d, "head", 4) is None          # 3 and 4 are neighbours
     assert dg.pivot(d, "tail", 7) == dg.TwoDiagonal(1, 6)
+    with pytest.raises(dg.DiagonalError):
+        dg.pivot(d, "middle", 4)
 
 
 def test_rotation_examples():
@@ -52,19 +56,63 @@ def test_rotation_examples():
     assert dg.rotate(d, 14, 7) == d
 
 
+def crossing(d1, d2, n):
+    """How d2 crosses d1, by the crossing kernel."""
+    p0, p1 = dg.crossing_lines(d1, [("d2", d2)], n)
+    return "right_to_left" if p0 else "left_to_right" if p1 else None
+
+
+def test_two_diagonal_is_its_label_pair():
+    d = dg.TwoDiagonal(5, 2)
+    assert (repr(d), str(d), f"{d}") == ("(5,2)", "(5,2)", "(5,2)")
+    assert d == (5, 2) and hash(d) == hash((5, 2))
+    assert (d.tail, d.head) == tuple(d) == (5, 2)
+    assert {d: 1}[(5, 2)] == 1
+    diags = dg.enumerate_diagonals(5)
+    assert sorted(diags[::-1]) == sorted(diags, key=lambda e: (e.tail, e.head))
+    assert dg.TwoDiagonal(1, 8) < dg.TwoDiagonal(3, 2) < dg.TwoDiagonal(3, 6)
+    for n in range(3, 9):
+        for e in dg.enumerate_diagonals(n):
+            for k in range(-2 * n - 1, 2 * n + 2):
+                r = dg.rotate(e, k, n)
+                assert type(r) is dg.TwoDiagonal
+                assert r == dg.make_diagonal(e.tail + k, e.head + k, n)
+
+
+def test_crossing_kernel_matches_the_pairwise_reference():
+    for n in range(3, 10):
+        ds = dg.enumerate_diagonals(n)
+        lines = list(enumerate(ds))
+        for d in ds:
+            p0, p1 = dg.crossing_lines(d, lines, n)
+            ref = [diagonal_refs.crossing(d, e, n) for e in ds]
+            assert p0 == [i for i, c in enumerate(ref) if c == "right_to_left"]
+            assert p1 == [i for i, c in enumerate(ref) if c == "left_to_right"]
+
+
+@pytest.mark.parametrize("n", range(3, 41))
+def test_ar_quiver_matches_the_pivot_reference(n):
+    tq, ref = dg.ar_quiver(n), diagonal_refs.ar_quiver(n)
+    assert tq.nodes == ref.nodes
+    assert tq.arrows == ref.arrows
+    assert list(tq.tau.items()) == list(ref.tau.items())
+    assert [(m.target, m.tau_target, m.middles) for m in tq.meshes] == [
+        (m.target, m.tau_target, m.middles) for m in ref.meshes]
+
+
 def test_crossing_directions_on_the_hexagon():
     # forced by the radical-line layout: (5,2) meets (1,4) right to left
     r1, r2, r3 = dg.TwoDiagonal(1, 4), dg.TwoDiagonal(5, 2), dg.TwoDiagonal(3, 6)
-    assert dg.crossing(r1, r2, 3) == "right_to_left"
-    assert dg.crossing(r1, r3, 3) == "left_to_right"
-    assert dg.crossing(r2, r1, 3) == "left_to_right"
+    assert crossing(r1, r2, 3) == "right_to_left"
+    assert crossing(r1, r3, 3) == "left_to_right"
+    assert crossing(r2, r1, 3) == "left_to_right"
 
 
 def test_crossing_none_cases():
     n = 4
-    assert dg.crossing(dg.TwoDiagonal(1, 4), dg.TwoDiagonal(5, 8), n) is None
-    assert dg.crossing(dg.TwoDiagonal(1, 4), dg.TwoDiagonal(1, 6), n) is None
-    assert dg.crossing(dg.TwoDiagonal(1, 4), dg.TwoDiagonal(1, 4), n) is None
+    assert crossing(dg.TwoDiagonal(1, 4), dg.TwoDiagonal(5, 8), n) is None
+    assert crossing(dg.TwoDiagonal(1, 4), dg.TwoDiagonal(1, 6), n) is None
+    assert crossing(dg.TwoDiagonal(1, 4), dg.TwoDiagonal(1, 4), n) is None
 
 
 @settings(max_examples=60, deadline=None)
@@ -73,8 +121,8 @@ def test_crossing_antisymmetry(n, data):
     ds = dg.enumerate_diagonals(n)
     d1 = data.draw(st.sampled_from(ds))
     d2 = data.draw(st.sampled_from(ds))
-    c12 = dg.crossing(d1, d2, n)
-    c21 = dg.crossing(d2, d1, n)
+    c12 = crossing(d1, d2, n)
+    c21 = crossing(d2, d1, n)
     if c12 is None:
         assert c21 is None
     else:

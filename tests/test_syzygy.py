@@ -8,6 +8,7 @@ from dimertree import oracle as orc
 from dimertree import syzygy as sy
 from dimertree.quiver import Check, Report, validate_dimer_tree
 
+import diagonal_refs
 from conftest import cycle_quiver, quiver_from_arrows
 
 
@@ -130,8 +131,8 @@ def test_ext_direction_matches_oracle_for_radicals(model9):
             if i == j:
                 continue
             ext = orc._ext1_by_tag(ab, pres_i, ab.radical_rep(j))[0]
-            cross = dg.crossing(cp.radical_line_of(i),
-                                cp.radical_line_of(j), n)
+            cross = diagonal_refs.crossing(cp.radical_line_of(i),
+                                           cp.radical_line_of(j), n)
             assert (ext != 0) == (cross == "right_to_left"), (i, j)
 
 
