@@ -21,8 +21,10 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 from . import diagonals
 from .diagonals import TwoDiagonal
@@ -44,8 +46,8 @@ class CheckerboardError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(NamedTuple):
+    """A tuple: it equals and hashes as the pair (kind, key)."""
     kind: str      # "end" (polygon vertex) | "x" (crossing)
     key: object    # polygon label | arrow id
 
@@ -492,27 +494,27 @@ def validate_checkerboard(cp: CheckerboardPolygon, q: Quiver | None = None,
     return Report(checks)
 
 
-def _stored_region_multiset(cp: CheckerboardPolygon):
-    out = []
-    for s in cp.shaded:
-        nodes = {x for seg in s.segments for x in (seg.start, seg.end)}
-        out.append(frozenset(nodes))
-    for w in cp.whites:
-        nodes = {x for seg in w.segments for x in (seg.start, seg.end)}
-        out.append(frozenset(nodes))
-    out.sort(key=_face_order)
-    return out
+def _stored_region_multiset(cp: CheckerboardPolygon) -> Counter:
+    """The node sets of the stored regions, each counted as often as it is
+    stored."""
+    return Counter(frozenset(x for seg in r.segments for x in (seg.start, seg.end))
+                   for r in (*cp.shaded, *cp.whites))
 
 
 def _face_order(face: frozenset) -> tuple:
     """Faces by size, then by their nodes' reprs in sorted order: an order
-    that does not depend on string hashing."""
+    that does not depend on string hashing, for the unmatched-faces detail."""
     return len(face), sorted(repr(n) for n in face)
 
 
-def _face_multiset(cp: CheckerboardPolygon):
+def _face_multiset(cp: CheckerboardPolygon) -> Counter:
     """Interior faces of the arrangement, traversed from the combinatorial
-    rotation system determined by endpoint labels and per-line crossing order."""
+    rotation system determined by endpoint labels and per-line crossing order,
+    each counted as often as it is traversed.
+
+    The directed edges are visited in the order the rotation system lists
+    them, which starts at the boundary edge from label 1 to label 2: the
+    outer face, walked along the whole boundary, is found first."""
     size = cp.size
     # the lines' crossing lists lay out the arrangement; the crossings must
     # sit on exactly the lines that list them
@@ -577,7 +579,7 @@ def _face_multiset(cp: CheckerboardPolygon):
 
     visited: set[tuple[Node, Node]] = set()
     faces = []
-    for e in sorted(next_at, key=lambda e: (repr(e[0]), repr(e[1]))):
+    for e in next_at:
         if e in visited:
             continue
         face_nodes = []
@@ -597,16 +599,12 @@ def _face_multiset(cp: CheckerboardPolygon):
             f"arrangement is not planar: V={v_count} E={e_count} F={f_count}")
     boundary_nodes = {Node("end", k) for k in range(1, size + 1)}
     outer = max(faces, key=lambda f: sum(1 for x in f if x in boundary_nodes))
-    out = [frozenset(f) for f in faces if f is not outer]
-    out.sort(key=_face_order)
-    return out
+    return Counter(frozenset(f) for f in faces if f is not outer)
 
 
-def _multiset_diff(a, b) -> str:
+def _multiset_diff(ca: Counter, cb: Counter) -> str:
     """The first two faces of each side that the other lacks, each as its
     nodes in sorted order (see `_face_order`)."""
-    from collections import Counter
-    ca, cb = Counter(a), Counter(b)
     parts = []
     for label, extra in (("faces", ca - cb), ("regions", cb - ca)):
         if extra:

@@ -26,7 +26,6 @@ from .quiver import (
     analyze_structure,
     build_potential,
     dimer_tree_structure,
-    leaf_cycles,
     validate_dimer_tree,
 )
 
@@ -45,10 +44,6 @@ class ReductionError(RuntimeError):
 class PotentialTerm:
     coeff: int
     word: tuple[str, ...]       # cyclic word of arrow ids
-
-    def rotated_to_front(self, arrow_id: str) -> "PotentialTerm":
-        i = self.word.index(arrow_id)
-        return PotentialTerm(self.coeff, self.word[i:] + self.word[:i])
 
 
 @dataclass
@@ -199,10 +194,12 @@ def _eliminate_two_cycles(
                 "member arrow occurs in more than one further term")
         merged = []
         if ix and iy:
-            tx = terms[ix[0]].rotated_to_front(x)
-            ty = terms[iy[0]].rotated_to_front(y)
-            merged.append(PotentialTerm(-tx.coeff * ty.coeff * two.coeff,
-                                        tx.word[1:] + ty.word[1:]))
+            # each term rotated to start at its member, which is then dropped
+            tx, ty = terms[ix[0]], terms[iy[0]]
+            i, j = tx.word.index(x), ty.word.index(y)
+            merged.append(PotentialTerm(
+                -tx.coeff * ty.coeff * two.coeff,
+                tx.word[i + 1:] + tx.word[:i] + ty.word[j + 1:] + ty.word[:j]))
         # with one member in no further term, the other's term vanishes
         terms = [t for j, t in enumerate(terms)
                  if j not in ix and j not in iy] + merged
@@ -536,12 +533,11 @@ def _leaf_vseq(q: Quiver) -> list:
     """The vertices of the working leaf cycle of a quiver with more than one
     cycle, starting with the source of the leaf's interior arrow."""
     structure = analyze_structure(q)
-    leaves = leaf_cycles(structure)
-    if not leaves:
+    if structure.dual.base is None:
         raise MutationError("no leaf cycle available")
-    leaf = min(leaves, key=lambda c: c.key)
-    interior = set(structure.interior_arrows)
-    i = next(i for i, a in enumerate(leaf.arrows) if a in interior)
+    leaf = structure.cycles[structure.dual.base]
+    kind = structure.classification
+    i = next(i for i, a in enumerate(leaf.arrows) if kind[a] == "interior")
     return list(leaf.vertices[i:]) + list(leaf.vertices[:i])
 
 

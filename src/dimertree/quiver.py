@@ -350,7 +350,8 @@ class ChordlessCycle:
 
 def _canonical_cycle(arrows: Sequence[Arrow]) -> ChordlessCycle:
     verts = [a.source for a in arrows]
-    keys = [_vkey(v) for v in verts]
+    # the keys of `_vkey`, without a call per vertex
+    keys = [(0, v) if isinstance(v, int) else (1, str(v)) for v in verts]
     start = keys.index(min(keys))
     ids = [a.id for a in arrows]
     keys.sort()
@@ -480,19 +481,36 @@ class DualGraph:
     """The cycle nodes of the dual graph and its trunk edges, one per arrow
     shared by two cycles (parallel edges kept).  The dual graph's other
     nodes, the boundary arrows, are not stored: each lies on exactly one
-    cycle, so it is a leaf hanging off that cycle's node."""
+    cycle, so it is a leaf hanging off that cycle's node.
+
+    `base` is the base leaf: the index of the least cycle, by vertex keys,
+    with exactly one interior arrow (of the one cycle, if there is only
+    one), or None.  The trunk is searched from it once (`base_distances`),
+    for the tree test and for the signs of the potential."""
     cycle_nodes: list[ChordlessCycle]
     trunk_edges: list[tuple[int, int, str]]        # (cycle idx, cycle idx, arrow id)
+    base: int | None
     _adjacency: list[list[int]] | None = field(
+        default=None, init=False, repr=False, compare=False)
+    _base_distances: dict[int, int] | None = field(
         default=None, init=False, repr=False, compare=False)
 
     def is_tree(self) -> bool:
         """Whether the dual graph is a tree.  Adding leaves neither makes nor
         breaks a tree, so this is whether the trunk is one."""
         n = len(self.cycle_nodes)
-        # n - 1 edges make a tree exactly when they connect all n cycles
+        # n - 1 edges make a tree exactly when they connect all n cycles; a
+        # trunk tree of two or more cycles has a cycle on one trunk edge,
+        # which is a cycle with one interior arrow, so there is a base leaf
         return (n > 0 and len(self.trunk_edges) == n - 1
-                and len(self.cycle_distances_from(0)) == n)
+                and self.base is not None and len(self.base_distances()) == n)
+
+    def base_distances(self) -> dict[int, int]:
+        """Trunk-edge distance from the base leaf to every cycle it reaches,
+        searched on the first call and kept, so callers must not mutate it."""
+        if self._base_distances is None:
+            self._base_distances = self.cycle_distances_from(self.base)
+        return self._base_distances
 
     def cycle_distances_from(self, idx: int) -> dict[int, int]:
         """Trunk-edge distance from cycle idx to every cycle it reaches."""
@@ -520,8 +538,10 @@ class StructureReport:
 
     The weights (`path_weights`) and the cycle paths (`cycle_paths`, read by
     `weight_report` and the checkerboard) are computed on demand, once per
-    direction, by the same walk (`_walk`); the weights only count each
-    path's arrows and build no `CyclePath`.
+    direction, by the same walker over all boundary arrows (`_walk_all`);
+    the weights only count each path's arrows and build no `CyclePath`.
+    `boundary_at` and `interior_count` are counted in the analysis's one
+    loop over the arrows, for `validate_dimer_tree` and `leaf_cycles`.
     `analyze_structure` returns the same report for every call on the same
     quiver, so callers must not mutate it."""
     cycles: list[ChordlessCycle]
@@ -529,6 +549,10 @@ class StructureReport:
     dual: DualGraph
     # arrow id -> indices of the cycles through it, in cycle order
     owners: dict[str, list[int]] = field(repr=False)
+    # vertex -> boundary arrows at it, in quiver vertex order
+    boundary_at: dict[VertexId, int] = field(repr=False)
+    # per cycle, its arrows that lie on exactly one other cycle
+    interior_count: list[int] = field(repr=False)
     problems: list[str] = field(default_factory=list)
     _cycle_paths: dict[str, dict[str, CyclePath]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
@@ -565,9 +589,12 @@ class StructureReport:
         in quiver arrow order.  Walked once per direction; arrows outside all
         cycles are ignored."""
         if direction not in self._cycle_paths:
+            trails = _walk_all(self, direction, trails=True)
+            if direction == "cocycle":
+                for arrows in trails.values():
+                    arrows.reverse()
             self._cycle_paths[direction] = {
-                a: cycle_path(self, a, direction)
-                for a, kind in self.classification.items() if kind == "boundary"}
+                a: CyclePath(tuple(arrows)) for a, arrows in trails.items()}
         return self._cycle_paths[direction]
 
     def path_weights(self, direction: str) -> dict[str, int]:
@@ -576,10 +603,7 @@ class StructureReport:
         direction by a walk that counts the path's arrows and builds no
         `CyclePath`; callers must not mutate it."""
         if direction not in self._path_weights:
-            step = self.next_arrows(direction)
-            self._path_weights[direction] = {
-                a: 1 if _walk(self, step, a) % 2 == 1 else 2
-                for a, kind in self.classification.items() if kind == "boundary"}
+            self._path_weights[direction] = _walk_all(self, direction)
         return self._path_weights[direction]
 
 
@@ -600,13 +624,21 @@ def _analyze_structure(q: Quiver) -> StructureReport:
     classification = {}
     problems = []
     trunk = []
-    for aid, idx in owners.items():
+    boundary_at = dict.fromkeys(q.vertices, 0)
+    interior_count = [0] * len(cycles)
+    for a in q.arrows:
+        aid = a.id
+        idx = owners[aid]
         n = len(idx)
         if n == 1:
             classification[aid] = "boundary"
+            boundary_at[a.source] += 1
+            boundary_at[a.target] += 1
             continue
         if n == 2:
             classification[aid] = "interior"
+            interior_count[idx[0]] += 1
+            interior_count[idx[1]] += 1
         elif n == 0:
             classification[aid] = "none"
             problems.append(f"arrow {aid} lies in no chordless cycle")
@@ -616,8 +648,14 @@ def _analyze_structure(q: Quiver) -> StructureReport:
         for x in range(n):
             for y in range(x + 1, n):
                 trunk.append((idx[x], idx[y], aid))
-    dual = DualGraph(cycles, trunk)
-    return StructureReport(cycles, classification, dual, owners, problems)
+    if len(cycles) == 1:
+        base = 0
+    else:
+        leaves = [i for i, k in enumerate(interior_count) if k == 1]
+        base = min(leaves, key=lambda i: cycles[i].key, default=None)
+    dual = DualGraph(cycles, trunk, base)
+    return StructureReport(cycles, classification, dual, owners, boundary_at,
+                           interior_count, problems)
 
 
 @dataclass
@@ -650,18 +688,13 @@ def validate_dimer_tree(q: Quiver) -> ValidationReport:
     """Check the defining axioms and their structural consequences."""
     checks: list[Check] = []
     structure = analyze_structure(q)
-    kind = structure.classification
     bad_q1, overloaded = [], []
-    incident = dict.fromkeys(q.vertices, 0)     # boundary arrows at a vertex
-    for a in q.arrows:
-        k = kind[a.id]
-        if k == "boundary":
-            incident[a.source] += 1
-            incident[a.target] += 1
-        elif k == "none":
-            bad_q1.append(a.id)
-        elif k == "overloaded":
-            overloaded.append(a.id)
+    if structure.problems:
+        for aid, k in structure.classification.items():
+            if k == "none":
+                bad_q1.append(aid)
+            elif k == "overloaded":
+                overloaded.append(aid)
 
     checks.append(Check(
         "every_arrow_on_a_cycle", not bad_q1,
@@ -689,23 +722,24 @@ def validate_dimer_tree(q: Quiver) -> ValidationReport:
         "every_arrow_in_at_most_two_cycles", not overloaded,
         "" if not overloaded else f"arrows: {sorted(overloaded)}"))
 
-    # two cycles share exactly the arrows of the trunk edges between them
-    shared: dict[tuple[int, int], list[str]] = {}
-    for i, j, aid in structure.dual.trunk_edges:
-        shared.setdefault((i, j), []).append(aid)
-    overshared = [(pair, ids) for pair, ids in shared.items() if len(ids) > 1]
-    share_ok = not overshared
+    # two cycles share exactly the arrows of the trunk edges between them;
+    # the arrows are gathered by pair only when some pair repeats
+    trunk = structure.dual.trunk_edges
     detail = ""
-    if overshared:
-        (i, j), ids = max(overshared)
+    if len({(i, j) for i, j, _ in trunk}) != len(trunk):
+        shared: dict[tuple[int, int], list[str]] = {}
+        for i, j, aid in trunk:
+            shared.setdefault((i, j), []).append(aid)
+        (i, j), ids = max((pair, ids) for pair, ids in shared.items()
+                          if len(ids) > 1)
         detail = (f"cycles {structure.cycles[i]} and {structure.cycles[j]} "
                   f"share {sorted(ids)}")
-    checks.append(Check("cycles_share_at_most_one_arrow", share_ok, detail))
+    checks.append(Check("cycles_share_at_most_one_arrow", not detail, detail))
 
     vertex_ok = True
     detail = ""
     if not bad_q1 and not overloaded:
-        for v, n in incident.items():
+        for v, n in structure.boundary_at.items():
             if n != 2:
                 vertex_ok = False
                 detail = f"vertex {v!r} is incident to {n} boundary arrows"
@@ -744,9 +778,8 @@ def leaf_cycles(structure: StructureReport) -> list[ChordlessCycle]:
     """Cycles with exactly one interior arrow (all cycles if there is one)."""
     if len(structure.cycles) == 1:
         return list(structure.cycles)
-    kind = structure.classification
-    return [c for c in structure.cycles
-            if [kind[a] for a in c.arrows].count("interior") == 1]
+    return [c for c, k in zip(structure.cycles, structure.interior_count)
+            if k == 1]
 
 
 def build_potential(q: Quiver, structure: StructureReport | None = None) -> Potential:
@@ -760,11 +793,9 @@ def build_potential(q: Quiver, structure: StructureReport | None = None) -> Pote
 
 
 def _build_potential(structure: StructureReport) -> Potential:
-    candidates = leaf_cycles(structure)
-    if not candidates:
+    if structure.dual.base is None:
         raise QuiverError("no chordless cycle with exactly one interior arrow")
-    base_idx = structure.cycles.index(min(candidates, key=lambda c: c.key))
-    dist_by_idx = structure.dual.cycle_distances_from(base_idx)
+    dist_by_idx = structure.dual.base_distances()
     distances = {structure.cycles[i].key: d for i, d in dist_by_idx.items()}
     terms = [((-1) ** dist_by_idx[i], c) for i, c in enumerate(structure.cycles)]
     return Potential(terms, distances)
@@ -790,40 +821,45 @@ class CyclePath:
         return "->".join(str(v) for v in self.vertex_route(q))
 
 
-def _walk(structure: StructureReport, step: list[dict[str, str]],
-          arrow_id: str, trail: list[str] | None = None) -> int:
-    """Walk from a boundary arrow through successor (or predecessor) arrows,
-    hopping to the other cycle at each interior arrow, until the next
-    boundary arrow closes the path; `step` is `next_arrows` of the direction.
-    Returns the number of arrows on the path.  Each step's arrow is appended
-    to `trail`, if given."""
+def _walk_all(structure: StructureReport, direction: str,
+              trails: bool = False) -> dict[str, int] | dict[str, list[str]]:
+    """Walk from each boundary arrow, in quiver arrow order, through
+    successor ('cycle') or predecessor ('cocycle') arrows, hopping to the
+    other cycle at each interior arrow, until the next boundary arrow closes
+    the path.  Returns each arrow's weight: 1 when its path has an odd
+    number of arrows, else 2; or, with `trails`, the path's arrows in the
+    order walked."""
+    step = structure.next_arrows(direction)
     kind, owners = structure.classification, structure.owners
-    current = arrow_id
-    ci = owners[arrow_id][0]
-    length = 1
-    while True:
-        current = step[ci][current]
-        length += 1
-        if trail is not None:
-            trail.append(current)
-        if kind[current] == "boundary":
-            return length
-        # current lies on cycle ci and on at least one more: hop over
-        own = owners[current]
-        ci = own[0] if own[1] == ci else own[1]
+    out = {}
+    for arrow_id, k in kind.items():
+        if k != "boundary":
+            continue
+        current = arrow_id
+        ci = owners[arrow_id][0]
+        trail = [arrow_id] if trails else None
+        length = 1
+        while True:
+            current = step[ci][current]
+            length += 1
+            if trails:
+                trail.append(current)
+            if kind[current] == "boundary":
+                break
+            # current lies on cycle ci and on at least one more: hop over
+            own = owners[current]
+            ci = own[0] if own[1] == ci else own[1]
+        out[arrow_id] = trail if trails else 1 if length % 2 == 1 else 2
+    return out
 
 
 def cycle_path(structure: StructureReport, arrow_id: str,
                direction: str = "cycle") -> CyclePath:
-    """The (co)cycle path of a boundary arrow (see `_walk`)."""
-    step = structure.next_arrows(direction)
+    """The (co)cycle path of a boundary arrow (see `_walk_all`)."""
+    paths = structure.cycle_paths(direction)
     if structure.classification.get(arrow_id) != "boundary":
         raise QuiverError(f"arrow {arrow_id} is not a boundary arrow")
-    arrows = [arrow_id]
-    _walk(structure, step, arrow_id, arrows)
-    if direction == "cocycle":
-        arrows.reverse()
-    return CyclePath(tuple(arrows))
+    return paths[arrow_id]
 
 
 @dataclass

@@ -35,11 +35,17 @@ class ResolutionTrace:
     gluing_ok: bool
 
 
-def presentation_of(cp: CheckerboardPolygon, diagonal: TwoDiagonal) -> SyzygyObject:
-    """The presentation read off the crossings of a diagonal."""
-    n = cp.half
-    d = diagonals.make_diagonal(diagonal.tail, diagonal.head, n)
-    p0, p1 = diagonals.crossing_lines(d, cp.line_diagonals, n)
+def presentation_of(cp: CheckerboardPolygon,
+                    diagonal: tuple[int, int]) -> SyzygyObject:
+    """The presentation read off the crossings of a diagonal, given as a
+    `TwoDiagonal` or as any (tail, head) pair of its ends."""
+    tail, head = diagonal
+    return _presented(cp, diagonals.make_diagonal(tail, head, cp.half))
+
+
+def _presented(cp: CheckerboardPolygon, d: TwoDiagonal) -> SyzygyObject:
+    """The presentation of a diagonal already in normal form."""
+    p0, p1 = diagonals.crossing_lines(d, cp.line_diagonals, cp.half)
     if not p0 or not p1:
         raise SyzygyError(
             f"diagonal {d} has a one-sided crossing pattern: p0={p0}, p1={p1}")
@@ -48,17 +54,18 @@ def presentation_of(cp: CheckerboardPolygon, diagonal: TwoDiagonal) -> SyzygyObj
 
 def _orbit_of(cp: CheckerboardPolygon,
               d0: TwoDiagonal) -> tuple[list[SyzygyObject], int, bool]:
-    """The presentations along the rotation orbit of d0, in clockwise order,
-    the position of d0 there, and whether each presentation's P0 is the P1
-    of the one before it, cyclically; the whole orbit is read on the first
-    call for any of its diagonals and kept in `cp.orbits`."""
+    """The presentations along the rotation orbit of d0, a diagonal in normal
+    form, in clockwise order, the position of d0 there, and whether each
+    presentation's P0 is the P1 of the one before it, cyclically; the whole
+    orbit is read on the first call for any of its diagonals and kept in
+    `cp.orbits`."""
     hit = cp.orbits.get(d0)
     if hit is None:
         n = cp.half
-        orbit = [presentation_of(cp, d0)]
+        orbit = [_presented(cp, d0)]
         d = diagonals.rotate(d0, 1, n)
         while d != d0:
-            orbit.append(presentation_of(cp, d))
+            orbit.append(_presented(cp, d))
             d = diagonals.rotate(d, 1, n)
         glued = all(b.p0 == a.p1 for a, b in zip(orbit, orbit[1:] + orbit[:1]))
         for i, p in enumerate(orbit):
@@ -67,20 +74,27 @@ def _orbit_of(cp: CheckerboardPolygon,
     return hit
 
 
-def resolution(cp: CheckerboardPolygon, diagonal: TwoDiagonal,
+def resolution(cp: CheckerboardPolygon, diagonal: tuple[int, int],
                steps: int | None = None) -> ResolutionTrace:
-    """Iterate the clockwise rotation, checking the gluing of consecutive
-    presentations, and report the minimal rotation period.  The steps are
-    read off the orbit table; one full period by default, whose gluing is
-    the orbit's."""
-    d0 = diagonals.make_diagonal(diagonal.tail, diagonal.head, cp.half)
-    orbit, start, glued = _orbit_of(cp, d0)
+    """Iterate the clockwise rotation of a diagonal, given as a `TwoDiagonal`
+    or as any (tail, head) pair of its ends, checking the gluing of
+    consecutive presentations, and report the minimal rotation period.  The
+    steps are read off the orbit table; one full period by default, whose
+    gluing is the orbit's."""
+    if steps is not None and steps < 0:
+        raise SyzygyError(f"steps must be at least 0, got {steps}")
+    tail, head = diagonal
+    hit = cp.orbits.get((tail, head))
+    if hit is None:
+        hit = _orbit_of(cp, diagonals.make_diagonal(tail, head, cp.half))
+    orbit, start, glued = hit
     period = len(orbit)
-    count = period if steps is None else steps
-    trace = [orbit[(start + i) % period] for i in range(count + 1)]
-    if steps is not None:
+    if steps is None:
+        trace = orbit[start:] + orbit[:start + 1]
+    else:
+        trace = [orbit[(start + i) % period] for i in range(steps + 1)]
         glued = all(b.p0 == a.p1 for a, b in zip(trace, trace[1:]))
-    return ResolutionTrace(d0, trace, period, glued)
+    return ResolutionTrace(orbit[start].diagonal, trace, period, glued)
 
 
 def radical_consistency_check(cp: CheckerboardPolygon, algebra) -> Report:

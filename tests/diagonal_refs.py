@@ -8,14 +8,23 @@ diagonal with a whole list of lines, and `dimertree.diagonals.pivot` and
 `ar_quiver` move labels by arithmetic; on every polygon and every size they
 must give the same presentations and the same translation quiver.
 
-The function bodies are the earlier ones, unchanged.
+`orbit_of` reads each diagonal of a rotation orbit through
+`dimertree.syzygy.presentation_of`, which normalises it again, and
+`resolution` indexes a full period's steps modulo the period;
+`dimertree.syzygy` reads each orbit's already normal diagonals off the
+crossing kernel and slices a full period.  Both must give the same orbit
+table and the same resolutions.
+
+The function bodies are the earlier ones, unchanged but for keeping the
+orbits in a `table` the caller passes, not on the polygon.
 """
 from __future__ import annotations
 
 from dimertree.diagonals import (DiagonalError, Mesh, TranslationQuiver,
                                  TwoDiagonal, _cw_dist, _norm,
                                  enumerate_diagonals, make_diagonal, rotate)
-from dimertree.syzygy import SyzygyError, SyzygyObject
+from dimertree import syzygy
+from dimertree.syzygy import ResolutionTrace, SyzygyError, SyzygyObject
 
 
 def crossing(d1: TwoDiagonal, d2: TwoDiagonal, n: int) -> str | None:
@@ -98,3 +107,40 @@ def presentation_of(cp, diagonal: TwoDiagonal) -> SyzygyObject:
         raise SyzygyError(
             f"diagonal {d} has a one-sided crossing pattern: p0={p0}, p1={p1}")
     return SyzygyObject(d, tuple(p0), tuple(p1))
+
+
+def orbit_of(cp, d0: TwoDiagonal,
+             table: dict) -> tuple[list[SyzygyObject], int, bool]:
+    """The presentations along the rotation orbit of d0, in clockwise order,
+    the position of d0 there, and whether each presentation's P0 is the P1
+    of the one before it, cyclically; the whole orbit is read on the first
+    call for any of its diagonals and kept in `table`."""
+    hit = table.get(d0)
+    if hit is None:
+        n = cp.half
+        orbit = [syzygy.presentation_of(cp, d0)]
+        d = rotate(d0, 1, n)
+        while d != d0:
+            orbit.append(syzygy.presentation_of(cp, d))
+            d = rotate(d, 1, n)
+        glued = all(b.p0 == a.p1 for a, b in zip(orbit, orbit[1:] + orbit[:1]))
+        for i, p in enumerate(orbit):
+            table[p.diagonal] = (orbit, i, glued)
+        hit = (orbit, 0, glued)
+    return hit
+
+
+def resolution(cp, diagonal: TwoDiagonal, steps: int | None = None,
+               table: dict | None = None) -> ResolutionTrace:
+    """Iterate the clockwise rotation, checking the gluing of consecutive
+    presentations, and report the minimal rotation period.  The steps are
+    read off the orbit table; one full period by default, whose gluing is
+    the orbit's."""
+    d0 = make_diagonal(diagonal.tail, diagonal.head, cp.half)
+    orbit, start, glued = orbit_of(cp, d0, {} if table is None else table)
+    period = len(orbit)
+    count = period if steps is None else steps
+    trace = [orbit[(start + i) % period] for i in range(count + 1)]
+    if steps is not None:
+        glued = all(b.p0 == a.p1 for a, b in zip(trace, trace[1:]))
+    return ResolutionTrace(d0, trace, period, glued)

@@ -12,8 +12,21 @@ from dimertree import checkerboard as cb
 from dimertree import diagonals as dg
 from dimertree.quiver import weight_report
 
+import face_refs
 import slot_build
 from conftest import FIXTURES, cycle_quiver, glued_dimer_tree, load_fixture
+
+
+def validated_as_the_reference(cp, q):
+    """The `validate_checkerboard` report, asserted to carry the items it
+    carried when the faces were traversed in `repr` order and compared as
+    sorted lists (`face_refs`)."""
+    rep = cb.validate_checkerboard(cp, q)
+    assert [c.name for c in rep.items].count("faces_match_regions") == 1
+    assert rep.items == [face_refs.faces_match_regions(cp)
+                         if c.name == "faces_match_regions" else c
+                         for c in rep.items]
+    return rep
 
 
 @pytest.fixture(scope="module")
@@ -119,7 +132,7 @@ def test_misoriented_line_fails_validation(q9):
     cp = cb.build_checkerboard(q9)
     line = cp.lines[3]
     line.tail, line.head = line.head, line.tail
-    rep = cb.validate_checkerboard(cp, q9)
+    rep = validated_as_the_reference(cp, q9)
     assert not rep.ok
     assert any(c.name == "radical_lines_are_oriented_2_diagonals"
                for c in rep.failed())
@@ -130,7 +143,7 @@ def test_corrupted_crossing_order_caught_by_face_traversal(q9):
     line = cp.lines[4]
     assert len(line.crossings) >= 3
     line.crossings[0], line.crossings[1] = line.crossings[1], line.crossings[0]
-    rep = cb.validate_checkerboard(cp, q9)
+    rep = validated_as_the_reference(cp, q9)
     assert any(c.name == "faces_match_regions" for c in rep.failed())
 
 
@@ -164,7 +177,7 @@ def test_corrupted_crossing_order_caught_by_face_traversal(q9):
 def test_inconsistent_loaded_polygon_fails_validation(q9, cp9, edit, name, detail):
     doc = json.loads(json.dumps(cb.polygon_to_dict(cp9)))
     edit(doc)
-    rep = cb.validate_checkerboard(cb.polygon_from_dict(doc, q9), q9)
+    rep = validated_as_the_reference(cb.polygon_from_dict(doc, q9), q9)
     assert {c.name: c.detail for c in rep.failed()}[name] == detail
 
 
@@ -174,7 +187,7 @@ def test_inconsistent_loaded_polygon_fails_validation(q9, cp9, edit, name, detai
 def test_loaded_polygon_of_a_bad_size_fails_validation(q9, cp9, size):
     doc = json.loads(json.dumps(cb.polygon_to_dict(cp9)))
     doc["size"] = size
-    rep = cb.validate_checkerboard(cb.polygon_from_dict(doc, q9), q9)
+    rep = validated_as_the_reference(cb.polygon_from_dict(doc, q9), q9)
     reason = f"size {size} is not an even number >= 6"
     assert {c.name: c.detail for c in rep.failed()} == {
         "boundary_edge_count_equals_total_weight": f"size {size}, total weight 14",
@@ -245,6 +258,22 @@ def test_random_quivers_build_valid_polygons(spec):
     assert cp.size == weight_report(q).total_weight
     rep = cb.validate_checkerboard(cp, q)
     assert rep.ok, [(c.name, c.detail) for c in rep.failed()]
+
+
+@pytest.mark.parametrize("name", sorted(f.stem for f in FIXTURES.glob("*.json")))
+def test_face_traversal_matches_the_repr_sorted_reference_on_the_fixtures(name):
+    q = load_fixture(name)
+    assert validated_as_the_reference(cb.build_checkerboard(q), q).ok
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.tuples(
+    st.lists(st.integers(min_value=3, max_value=6), min_size=1, max_size=6),
+    st.lists(st.integers(min_value=0, max_value=10 ** 6), min_size=5, max_size=5),
+))
+def test_face_traversal_matches_the_repr_sorted_reference_on_glued_trees(spec):
+    q = glued_dimer_tree(*spec)
+    assert validated_as_the_reference(cb.build_checkerboard(q), q).ok
 
 
 def _same_as_slot_build(q):

@@ -106,6 +106,40 @@ def test_kernel_presentations_match_the_pairwise_reference_on_glued_trees(spec):
         assert (got.minimal_period, got.gluing_ok) == (period, gluing)
 
 
+def assert_orbit_table_as_the_reference(cp):
+    """The orbit table, read whole on the first use of each orbit, equals
+    the one the per-diagonal `presentation_of` reference fills in the same
+    order: every diagonal's presentations, position and gluing, and so its
+    period.  Every resolution equals the reference's, which indexes the
+    orbit modulo the period: a full period, and every count of steps from
+    0 to twice the period."""
+    table = {}
+    diagonals = dg.enumerate_diagonals(cp.half)
+    for d in diagonals:
+        assert sy.resolution(cp, d) == diagonal_refs.resolution(cp, d, table=table)
+    assert list(cp.orbits) == list(table)
+    for d, kept in cp.orbits.items():
+        assert kept == table[d]
+    for d in diagonals:
+        for steps in range(2 * len(cp.orbits[d][0]) + 1):
+            assert sy.resolution(cp, d, steps) == diagonal_refs.resolution(
+                cp, d, steps, table)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_orbit_table_matches_the_per_diagonal_reference_on_the_fixtures(name):
+    assert_orbit_table_as_the_reference(cb.build_checkerboard(load_fixture(name)))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.tuples(
+    st.lists(st.integers(min_value=3, max_value=6), min_size=1, max_size=6),
+    st.lists(st.integers(min_value=0, max_value=10 ** 6), min_size=5, max_size=5),
+))
+def test_orbit_table_matches_the_per_diagonal_reference_on_glued_trees(spec):
+    assert_orbit_table_as_the_reference(cb.build_checkerboard(glued_dimer_tree(*spec)))
+
+
 def test_a_misoriented_line_breaks_the_gluing_of_some_orbits():
     cp = cb.build_checkerboard(rebuilt(load_fixture("q9")))
     line = cp.lines[3]

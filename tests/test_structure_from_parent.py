@@ -16,6 +16,7 @@ from dimertree import mutation as mu
 from dimertree import quiver as qv
 from dimertree.quiver import Arrow, Quiver, analyze_structure, chordless_cycles
 
+import structure_refs
 from conftest import glued_dimer_tree, load_fixture, quiver_from_arrows
 
 FIXTURE_NAMES = ("q9", "q7", "c3", "c4", "c5", "c6", "c7", "c8")
@@ -141,6 +142,44 @@ def test_step_budget_covers_the_reduction(name, q):
     assert len(trace.steps) <= mu.step_budget(q)
 
 
+def assert_audit_as_the_reference(q: Quiver):
+    """The counts the analysis recorded in its loop over the arrows, its base
+    leaf and its kept search of the dual graph equal a fresh recomputation;
+    the leaves, tree test, weights, potential and validation items read from
+    them equal the two-pass references (`structure_refs`)."""
+    s = analyze_structure(q)
+    kind = s.classification
+    boundary_at = dict.fromkeys(q.vertices, 0)
+    for a in q.arrows:
+        if kind[a.id] == "boundary":
+            boundary_at[a.source] += 1
+            boundary_at[a.target] += 1
+    assert list(s.boundary_at.items()) == list(boundary_at.items())
+    assert s.interior_count == [[kind[a] for a in c.arrows].count("interior")
+                                for c in s.cycles]
+    leaves = structure_refs.leaf_cycles(s)
+    assert qv.leaf_cycles(s) == leaves
+    base = min(leaves, key=lambda c: c.key) if leaves else None
+    assert s.dual.base == (None if base is None else s.cycles.index(base))
+    assert qv.validate_dimer_tree(q).items == structure_refs.validate_dimer_tree(q).items
+    assert s.dual.is_tree() == structure_refs.is_tree(s.dual)
+    if base is not None:
+        kept = s.dual.base_distances()
+        assert s.dual.base_distances() is kept
+        assert kept == s.dual.cycle_distances_from(s.dual.base)
+    if s.dual.is_tree():
+        assert qv.build_potential(q, s) == structure_refs.build_potential(s)
+    for direction in ("cycle", "cocycle"):
+        assert s.path_weights(direction) == structure_refs.path_weights(s, direction)
+
+
+@pytest.mark.parametrize("name,q", REDUCTION_QUIVERS, ids=REDUCTION_IDS)
+def test_every_reduction_step_audits_as_the_two_pass_reference(name, q, monkeypatch):
+    _, outputs, _ = record_reduction(fresh(q), monkeypatch)
+    for out in [fresh(q)] + outputs:
+        assert_audit_as_the_reference(out)
+
+
 def test_deleting_a_chord_exposes_the_cycle_it_cut():
     # 1->3 is a chord of 1->2->3->4->1 and an arrow of the triangle 1->3->4
     parent = quiver_from_arrows([(1, 2), (2, 3), (3, 4), (4, 1), (1, 3)])
@@ -197,6 +236,10 @@ def test_random_edits_derive_the_full_cycle_list(seed):
         == whole_table_diff(child, parent)
     assert same_indexes(child, Quiver(vertices, kept + added))
     assert chordless_cycles(child) == chordless_cycles(fresh(child))
+    # random quivers fail validation in every way: no cycle, a cycle in
+    # three, a dual graph with a loop or none at all
+    assert_audit_as_the_reference(parent)
+    assert_audit_as_the_reference(child)
 
 
 def test_parent_is_freed_once_the_child_is_analysed(q9):

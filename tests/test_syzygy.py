@@ -152,6 +152,30 @@ def test_presentation_rejects_bad_diagonal(model9):
         sy.presentation_of(cp, dg.TwoDiagonal(1, 2))
 
 
+@pytest.mark.parametrize("steps", [-1, -5])
+def test_resolution_rejects_negative_steps(q9, steps):
+    cp = cb.build_checkerboard(q9)
+    with pytest.raises(sy.SyzygyError, match=f"steps must be at least 0, got {steps}"):
+        sy.resolution(cp, dg.TwoDiagonal(1, 4), steps=steps)
+    assert sy.resolution(cp, dg.TwoDiagonal(1, 4), steps=0).steps
+
+
+def test_plain_and_reversed_pairs_name_their_diagonal(q9):
+    """A diagonal may be given as any (tail, head) pair of its ends, in
+    either order; each reads the presentation and the resolution of the
+    normal `TwoDiagonal`, before and after its orbit is kept."""
+    ref = cb.build_checkerboard(q9)
+    for d in dg.enumerate_diagonals(ref.half):
+        pairs = [(d.tail, d.head), (d.head, d.tail), [d.head, d.tail]]
+        want = sy.resolution(ref, d)
+        cp = cb.build_checkerboard(q9)
+        for pair in pairs + pairs:
+            assert sy.presentation_of(cp, pair) == sy.presentation_of(ref, d)
+            got = sy.resolution(cp, pair)
+            assert got == want and type(got.start) is dg.TwoDiagonal
+            assert sy.resolution(cp, pair, steps=3) == sy.resolution(ref, d, steps=3)
+
+
 def test_every_validator_returns_a_report_of_checks(model9, q9):
     cp, ab = model9
     reports = [validate_dimer_tree(q9), cb.validate_checkerboard(cp),
