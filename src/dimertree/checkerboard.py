@@ -576,6 +576,11 @@ def _face_multiset(cp: CheckerboardPolygon) -> Counter:
     for at, nbrs in rotation.items():
         for i, frm in enumerate(nbrs):
             next_at[(at, frm)] = nbrs[(i + 1) % len(nbrs)]
+    # one entry per ray, unless a second ray joins the same two nodes: then
+    # an edge is lost, and the faces found would depend on the order the
+    # edges are visited
+    if len(next_at) < sum(map(len, rotation.values())):
+        raise CheckerboardError(_doubled_ray(rays))
 
     visited: set[tuple[Node, Node]] = set()
     faces = []
@@ -600,6 +605,21 @@ def _face_multiset(cp: CheckerboardPolygon) -> Counter:
     boundary_nodes = {Node("end", k) for k in range(1, size + 1)}
     outer = max(faces, key=lambda f: sum(1 for x in f if x in boundary_nodes))
     return Counter(frozenset(f) for f in faces if f is not outer)
+
+
+def _doubled_ray(rays: dict) -> str:
+    """The first pair of nodes, in label order, that two rays join, and the
+    lines those rays run on."""
+    joined: dict[tuple[Node, Node], list] = {}
+    for x, out in rays.items():
+        for to, _, v in out:
+            joined.setdefault((x, to), []).append(v)
+    x, y = min((p for p, vs in joined.items() if len(vs) > 1),
+               key=lambda p: [(n.kind, _vkey(n.key)) for n in p])
+    lines = sorted(joined[x, y], key=lambda v: (v is not None, _vkey(v)))
+    on = " and ".join("the boundary" if v is None else f"line {v!r}" for v in lines)
+    x, y = (f"{'label' if n.kind == 'end' else 'crossing'} {n.key}" for n in (x, y))
+    return f"two rays join {x} and {y}, on {on}"
 
 
 def _multiset_diff(ca: Counter, cb: Counter) -> str:

@@ -7,24 +7,23 @@ projective presentations, Hom/Ext spaces and stable Hom spaces of modules,
 which serve as ground truth for the geometric model.
 
 Everything the oracle builds from an algebra is built once and kept on its
-`AlgebraBasis`: the projectives and radicals of projectives, the towers
-(direct sums of projectives, one per summand list), and the minimal
-presentations of the radicals with the next resolution step of each
-(`ModulePresentation._next`).  Each `Rep` keeps its projective cover
-(`cover_map`) once computed.  Callers must not mutate a cached object.  A
-`Rep` is plain data: its field, its dimensions, its arrow matrices and its
-basis labels, with no reference to the algebra, so every function that
-needs the algebra takes it first.
+`AlgebraBasis`: its modules, in one cache keyed by summand list and kind,
+and the minimal presentations of the radicals with the next resolution step
+of each (`ModulePresentation._next`).  One constructor, `tower_rep`, makes
+every module: the direct sum of the projectives P(v) over a summand list,
+or of their radicals, each arrow acting by the class table.  Each `Rep`
+keeps its projective cover (`cover_map`) once computed.  Callers must not
+mutate a cached object.  A `Rep` is plain data: its field, its dimensions,
+its arrow matrices, its basis labels and their positions, with no reference
+to the algebra, so every function that needs the algebra takes it first.
 
-The report reuses these modules rather than rebuilding them.  A tower of
-several summands is the direct sum of the cached single projectives, its
-blocks copied, not multiplied out.  The Ext check runs one complex per
-vertex j against rad B, the direct sum of all the rad P(x), and reads each
-Ext^1(rad P(j), rad P(x)) off the blocks of its ranks; rad B is built per
-check, not kept.  Hom and stable Hom are read off the cached minimal
-presentations: Hom(coker f, N) is the kernel of Hom(f, N) on the tops of
-the tower, and the maps through a projective are the same kernel into the
-cover of N, projected through the cover.
+The report reuses these modules rather than rebuilding them.  The Ext check
+runs one complex per vertex j against rad B, the direct sum of all the
+rad P(x), and reads each Ext^1(rad P(j), rad P(x)) off the blocks of its
+ranks.  Hom and stable Hom are read off the cached minimal presentations:
+Hom(coker f, N) is the kernel of Hom(f, N) on the tops of the tower, and
+the maps through a projective are the same kernel into the cover of N,
+projected through the cover.
 
 Covers, kernels and presentations share one vector format: a sparse dict
 {coordinate: nonzero entry}, the shape of a `Matrix` row.  One routine,
@@ -202,8 +201,8 @@ class AlgebraBasis:
         self.cap = 0
         # (class, arrow) -> class of their product, or None when it vanishes
         self._act: dict[tuple[int, str], int | None] = {}
-        self._rep_cache: dict[object, "Rep"] = {}
-        self._tower_cache: dict[tuple, tuple["Rep", dict]] = {}
+        # (summands, radical) -> the module `tower_rep` built for them
+        self._modules: dict[tuple, "Rep"] = {}
         self._pres_cache: dict[object, ModulePresentation] = {}
 
     # -- construction -------------------------------------------------------
@@ -318,15 +317,10 @@ class AlgebraBasis:
     # -- cached representations ----------------------------------------------
 
     def projective(self, v) -> "Rep":
-        return tower_rep(self, (v,))[0]
+        return tower_rep(self, (v,))
 
     def radical_rep(self, v) -> "Rep":
-        if v not in self._rep_cache:
-            labels = {w: [(0, c) for c in self.by_pair.get((v, w), ())
-                          if not self.classes[c].is_constant]
-                      for w in self.vertices}
-            self._rep_cache[v] = _class_rep(self, labels)[0]
-        return self._rep_cache[v]
+        return tower_rep(self, (v,), radical=True)
 
 
 def build_algebra(q: Quiver, field: str | int | Field = DEFAULT_PRIME,
@@ -346,13 +340,17 @@ def build_algebra(q: Quiver, field: str | int | Field = DEFAULT_PRIME,
 
 class Rep:
     """dims[v] is the dimension at v; act[arrow] maps the space at the arrow's
-    source to the space at its target (columns index the source basis)."""
+    source to the space at its target (columns index the source basis).
+    labels[v] names the basis at v, if given, and pos[v][label] is the index
+    of a label."""
 
     def __init__(self, field: Field, dims, act, labels=None):
         self.field = field
         self.dims = dims
         self.act = act
         self.labels = labels or {}
+        self.pos = {w: {t: i for i, t in enumerate(lab)}
+                    for w, lab in self.labels.items()}
         self._cover: tuple | None = None
 
     def word_matrix(self, word: Word, source):
@@ -365,70 +363,38 @@ class Rep:
         return m
 
 
-def _class_rep(ab: AlgebraBasis, labels: dict) -> tuple[Rep, dict]:
-    """The module with basis labels[w] at each vertex w, each basis element a
-    pair (tag, class), on which an arrow sends (tag, c) to (tag, c * arrow),
-    or to zero when that product vanishes or is not in the basis.  Returns the
-    rep and pos[w][(tag, class)], the index of a basis element at w."""
-    pos = {w: {t: i for i, t in enumerate(lab)} for w, lab in labels.items()}
-    act = {}
-    for a in ab.q.arrows:
-        into = pos[a.target]
-        rows: list[dict] = [{} for _ in labels[a.target]]
-        for i, (tag, c) in enumerate(labels[a.source]):
-            r = into.get((tag, ab._act[c, a.id]))
-            if r is not None:
-                rows[r][i] = 1
-        act[a.id] = Matrix(rows, len(labels[a.source]))
-    dims = {w: len(lab) for w, lab in labels.items()}
-    return Rep(ab.field, dims, act, labels=labels), pos
+def tower_rep(ab: AlgebraBasis, summands, radical: bool = False) -> Rep:
+    """The direct sum of the P(v), v in summands, or of their radicals.
 
-
-def _direct_sum(ab: AlgebraBasis, parts) -> tuple[Rep, dict]:
-    """Direct sum of the reps in parts, a list of (tag, rep) whose labels
-    are pairs (tag, class): block by block, each label retagged with its
-    part's tag.  Returns the rep and pos[w][label], as `_class_rep` does."""
-    labels = {w: [(tag, c) for tag, rep in parts for _, c in rep.labels[w]]
-              for w in ab.vertices}
-    act = {}
-    for a in ab.q.arrows:
-        rows: list[dict] = []
-        off = 0
-        for _, rep in parts:
-            rows.extend({off + j: x for j, x in row.items()}
-                        for row in rep.act[a.id].rows)
-            off += rep.dims[a.source]
-        act[a.id] = Matrix(rows, off)
-    pos = {w: {t: i for i, t in enumerate(lab)} for w, lab in labels.items()}
-    dims = {w: len(lab) for w, lab in labels.items()}
-    return Rep(ab.field, dims, act, labels=labels), pos
-
-
-def tower_rep(ab: AlgebraBasis, summands) -> tuple[Rep, dict]:
-    """Direct sum of projectives P(v); coordinates are (summand index, class).
-
-    A single projective is built from its classes, a longer list is the
-    direct sum of the single ones.  Built once per summand list and kept on
-    `ab`: callers must not mutate the rep or `pos`."""
-    key = tuple(summands)
-    tower = ab._tower_cache.get(key)
-    if tower is None:
-        if len(key) == 1:
-            labels = {w: [(0, c) for c in ab.by_pair.get((key[0], w), ())]
-                      for w in ab.vertices}
-            tower = _class_rep(ab, labels)
-        else:
-            tower = _direct_sum(ab, [(li, tower_rep(ab, (v,))[0])
-                                     for li, v in enumerate(key)])
-        ab._tower_cache[key] = tower
-    return tower
+    Its basis at w is the pairs (i, c), c a path class from summands[i] to
+    w, non-constant when `radical`; an arrow sends (i, c) to (i, c * arrow),
+    or to zero when that product vanishes.  Built once per summand list and
+    kind and kept on `ab`: callers must not mutate it."""
+    key = (tuple(summands), radical)
+    rep = ab._modules.get(key)
+    if rep is None:
+        labels = {w: [(i, c) for i, v in enumerate(key[0])
+                      for c in ab.by_pair.get((v, w), ())
+                      if not (radical and c == ab.constant_class[v])]
+                  for w in ab.vertices}
+        rep = Rep(ab.field, {w: len(lab) for w, lab in labels.items()}, {},
+                  labels=labels)
+        for a in ab.q.arrows:
+            into = rep.pos[a.target]
+            rows: list[dict] = [{} for _ in labels[a.target]]
+            for j, (i, c) in enumerate(labels[a.source]):
+                r = into.get((i, ab._act[c, a.id]))
+                if r is not None:
+                    rows[r][j] = 1
+            rep.act[a.id] = Matrix(rows, len(labels[a.source]))
+        ab._modules[key] = rep
+    return rep
 
 
 def presentation_matrices(ab: AlgebraBasis, pres: ModulePresentation):
     """Vertex-wise matrices of the tower map tower(p1) -> tower(p0)."""
     F = ab.field
-    t1, _ = tower_rep(ab, pres.p1)
-    t0, pos0 = tower_rep(ab, pres.p0)
+    t1, t0 = tower_rep(ab, pres.p1), tower_rep(ab, pres.p0)
     entries_by_col: dict[int, list[tuple[int, object, int]]] = {}
     for (l, k), combo in pres.entries.items():
         for coeff, ecls in combo:
@@ -440,7 +406,7 @@ def presentation_matrices(ab: AlgebraBasis, pres: ModulePresentation):
             for l, coeff, ecls in entries_by_col.get(k, ()):
                 prod = ab.mult(ecls, c)
                 if prod is not None:
-                    r = pos0[w][(l, prod)]
+                    r = t0.pos[w][(l, prod)]
                     m[r, col] = F.add(m[r, col], F.scalar(coeff))
         mats[w] = m
     return t1, t0, mats
@@ -541,7 +507,7 @@ def cover_map(ab: AlgebraBasis, rep: Rep):
         F = ab.field
         units = {w: [{c: 1} for c in range(n)] for w, n in rep.dims.items()}
         summands, gens = submodule_cover(ab, rep, units)
-        tower, _ = tower_rep(ab, summands)
+        tower = tower_rep(ab, summands)
         mats = {}
         for w in ab.vertices:
             cols = []
@@ -708,9 +674,9 @@ def _ext1_complex(ab: AlgebraBasis, pres: ModulePresentation, N: Rep):
 
 
 def _ext1_by_tag(ab: AlgebraBasis, pres: ModulePresentation, N: Rep) -> Counter:
-    """dim Ext^1(coker pres, N_x) for every tag x of a direct sum N of the
-    N_x from `_direct_sum`, from one complex against N.  A module built by
-    `_class_rep`, such as a radical, has the single tag 0.
+    """dim Ext^1(coker pres, N_x) for every summand index x of a direct sum
+    N of the N_x from `tower_rep`, from one complex against N.  A single
+    projective or radical has the one index 0.
 
     Both differentials are block-diagonal in x, so their RREFs are too:
     the rank of block x is the number of pivot columns tagged x."""
@@ -837,13 +803,14 @@ def radical_presentation_check(ab: AlgebraBasis) -> Report:
 def radical_ext_arrow_check(ab: AlgebraBasis) -> Report:
     """Ext^1(rad P(j), rad P(x)) is nonzero exactly when the arrow j->x exists.
 
-    Each j runs one complex against rad B, the direct sum of the rad P(x)."""
-    rad_b = _direct_sum(ab, [(x, ab.radical_rep(x)) for x in ab.vertices])[0]
+    Each j runs one complex against rad B, the direct sum of the rad P(x),
+    whose summands are indexed by the position of x in `ab.vertices`."""
+    rad_b = tower_rep(ab, ab.vertices, radical=True)
     items = []
     for j in ab.vertices:
         ext = _ext1_by_tag(ab, radical_presentation(ab, j), rad_b)
-        for x in ab.vertices:
-            d = ext[x]
+        for i, x in enumerate(ab.vertices):
+            d = ext[i]
             has_arrow = ab.q.arrow_between(j, x) is not None
             ok = (d != 0) == has_arrow
             items.append(Check(

@@ -5,7 +5,10 @@
 lists sorted by `_face_order`.  `dimertree.checkerboard` walks the edges in
 the order the rotation system lists them and compares the two sides as
 multisets; on every polygon, well formed or not, `faces_match_regions`
-must give the same verdict and the same detail.
+must give the same verdict and the same detail.  The one exception is a
+polygon where two rays join the same pair of nodes: the validator names
+that pair before any traversal, while this reference walks a rotation
+system that has lost one of the two rays.
 
 `_stored_region_multiset`, `_face_order`, `_face_multiset` and
 `_multiset_diff` are the earlier bodies, unchanged.

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -197,6 +198,46 @@ def test_loaded_polygon_of_a_bad_size_fails_validation(q9, cp9, size):
         "rotated_source_line_misses_target_line": reason,
         "faces_match_regions": reason,
     }
+
+
+def _doc_line(doc, v):
+    return next(line for line in doc["radical_lines"] if line["vertex"] == v)
+
+
+def _chord_between_boundary_neighbours(doc):
+    """Line 7 loses its crossings and runs from label 9 to label 10, beside
+    the boundary edge between them."""
+    gone = set(_doc_line(doc, 7)["crossings"])
+    for line in doc["radical_lines"]:
+        line["crossings"] = [a for a in line["crossings"] if a not in gone]
+    doc["crossings"] = [c for c in doc["crossings"] if c["arrow"] not in gone]
+    _doc_line(doc, 7).update(tail=9, head=10)
+
+
+def _two_lines_through_the_same_nodes(doc):
+    """Line 2 starts at label 1 and crosses line 1 first, so it runs beside
+    line 1 from label 1 to their crossing 1->2."""
+    _doc_line(doc, 2).update(tail=1, crossings=["1->2", "5->2", "2->3"])
+
+
+# a ray doubled by another between the same two nodes fails the face check by
+# name, before the traversal, whatever order the lines and crossings are
+# listed in
+@pytest.mark.parametrize("edit, detail", [
+    (_chord_between_boundary_neighbours,
+     "two rays join label 9 and label 10, on the boundary and line 7"),
+    (_two_lines_through_the_same_nodes,
+     "two rays join label 1 and crossing 1->2, on line 1 and line 2"),
+])
+def test_doubled_ray_fails_the_face_check_by_name(q9, cp9, edit, detail):
+    doc = json.loads(json.dumps(cb.polygon_to_dict(cp9)))
+    edit(doc)
+    rng = random.Random(5)
+    for _ in range(20):
+        rng.shuffle(doc["radical_lines"])
+        rng.shuffle(doc["crossings"])
+        rep = cb.validate_checkerboard(cb.polygon_from_dict(doc, q9), q9)
+        assert {c.name: c.detail for c in rep.failed()}["faces_match_regions"] == detail
 
 
 def test_unmatched_faces_detail_does_not_follow_string_hashing(q9, cp9):

@@ -169,6 +169,19 @@ def test_diag_bad_size(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("size", [cli.MAX_DIAG_SIZE + 2, 1000000])
+def test_diag_size_above_the_bound_is_refused_before_any_build(
+        capsys, monkeypatch, size):
+    def build(n):
+        raise AssertionError(f"ar_quiver({n}) was called")
+    monkeypatch.setattr(cli.dg, "ar_quiver", build)
+    code, out, err = run(capsys, "diag", "--size", str(size))
+    assert code == 2
+    assert out == ""
+    assert err == (f"error: --size must be an even number from 6 to "
+                   f"{cli.MAX_DIAG_SIZE}, got {size}\n")
+
+
 def test_resolve(capsys):
     code, out, _ = run(capsys, "resolve", fixture_path("q9"),
                        "--diagonal", "5,12")
@@ -187,6 +200,17 @@ def test_resolve_bad_diagonal(capsys):
     with pytest.raises(SystemExit) as exc:
         run(capsys, "resolve", fixture_path("q9"), "--diagonal", "1,2")
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("spec", ["1,2,3", "1,x"])
+def test_resolve_diagonal_not_two_integers_names_the_expected_form(capsys, spec):
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "resolve", fixture_path("q9"), "--diagonal", spec)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: bad diagonal {spec!r}: expected two integer "
+                   "labels A,B in 1..14\n")
 
 
 @pytest.mark.parametrize("argv, reason", [

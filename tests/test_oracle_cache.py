@@ -88,6 +88,47 @@ def dense_projective_rep(ab, v, radical):
     return orc.Rep(ab.field, dims, act, labels=basis)
 
 
+def direct_sum(ab, parts):
+    """The direct sum of the reps in parts, a list of (tag, rep) whose labels
+    are pairs (tag, class), block by block, each label retagged with its
+    part's tag: the oracle's earlier builder of a tower of several
+    summands, from the single ones."""
+    labels = {w: [(tag, c) for tag, rep in parts for _, c in rep.labels[w]]
+              for w in ab.vertices}
+    act = {}
+    for a in ab.q.arrows:
+        rows = []
+        off = 0
+        for _, rep in parts:
+            rows.extend({off + j: x for j, x in row.items()}
+                        for row in rep.act[a.id].rows)
+            off += rep.dims[a.source]
+        act[a.id] = Matrix(rows, off)
+    dims = {w: len(lab) for w, lab in labels.items()}
+    return orc.Rep(ab.field, dims, act, labels=labels)
+
+
+def block_by_block(ab, summands, radical):
+    """`direct_sum` of the dense single projectives or radicals, each
+    labelled (0, class)."""
+    parts = []
+    for i, v in enumerate(summands):
+        ref = dense_projective_rep(ab, v, radical)
+        labels = {w: [(0, c) for c in cls] for w, cls in ref.labels.items()}
+        parts.append((i, orc.Rep(ab.field, ref.dims, ref.act, labels=labels)))
+    return direct_sum(ab, parts)
+
+
+def assert_same_module(rep, ref, key):
+    assert rep.dims == ref.dims, key
+    assert rep.labels == ref.labels, key
+    assert rep.pos == ref.pos, key
+    assert rep.act.keys() == ref.act.keys(), key
+    for aid, mat in rep.act.items():
+        assert mat.shape == ref.act[aid].shape, (key, aid)
+        assert mat.rows == ref.act[aid].rows, (key, aid)
+
+
 def dense_columns(F, mat):
     m, n = mat.shape
     return [[mat[i, j] for i in range(m)] for j in range(n)]
@@ -209,7 +250,7 @@ def dense_cover_map(ab, rep):
     gens = dense_top_generators(ab, rep)
     gen_list = [(w, g) for w in ab.vertices for g in gens[w]]
     summands = [w for w, _ in gen_list]
-    tower, _ = orc.tower_rep(ab, summands)
+    tower = orc.tower_rep(ab, summands)
     mats = {}
     for w in ab.vertices:
         cols = []
@@ -376,30 +417,67 @@ def random_rep(ab, rng, max_dim=3):
     return orc.Rep(ab.field, dims, act)
 
 
-# -- the tower cache --------------------------------------------------------------------
+# -- the module cache -------------------------------------------------------------------
 
 def test_tower_rep_is_built_once_per_summand_list(c3):
+    """One cache, keyed by the summand list and the kind, holds every
+    module: projectives, radicals, towers and rad B."""
     ab = orc.build_algebra(c3, 32003)
-    first = orc.tower_rep(ab, [1, 2, 1])
-    assert orc.tower_rep(ab, [1, 2, 1]) is first
-    assert orc.tower_rep(ab, (1, 2, 1)) is first
-    assert orc.tower_rep(ab, [2, 1, 1]) is not first
-    assert ab.projective(2) is orc.tower_rep(ab, [2])[0]
+    for radical in (False, True):
+        first = orc.tower_rep(ab, [1, 2, 1], radical)
+        assert orc.tower_rep(ab, [1, 2, 1], radical) is first
+        assert orc.tower_rep(ab, (1, 2, 1), radical=radical) is first
+        assert orc.tower_rep(ab, [2, 1, 1], radical) is not first
+        assert ab._modules[(1, 2, 1), radical] is first
+    assert orc.tower_rep(ab, [1, 2, 1]) is not orc.tower_rep(ab, [1, 2, 1], True)
+    assert ab.projective(2) is orc.tower_rep(ab, [2]) is ab._modules[(2,), False]
+    assert ab.radical_rep(2) is orc.tower_rep(ab, [2], True) is ab._modules[(2,), True]
+    assert set(ab._modules) == {((1, 2, 1), False), ((2, 1, 1), False),
+                                ((1, 2, 1), True), ((2, 1, 1), True),
+                                ((2,), False), ((2,), True)}
+    # the Ext check builds rad B once and keeps it
+    orc.radical_ext_arrow_check(ab)
+    rad_b = ab._modules[tuple(ab.vertices), True]
+    orc.radical_ext_arrow_check(ab)
+    assert ab._modules[tuple(ab.vertices), True] is rad_b
+    assert orc.tower_rep(ab, ab.vertices, radical=True) is rad_b
 
 
 @pytest.mark.parametrize("field", FIELDS)
 def test_cached_towers_equal_the_dense_builder(quiver, field):
+    """Every module the report keeps equals the dense builder: a tower of
+    projectives `dense_tower_rep`, a direct sum of radicals the dense
+    radicals summed block by block."""
     ab = orc.build_algebra(quiver, FIELDS[field])
     assert orc.full_oracle_report(ab).ok
-    assert ab._tower_cache, "the report builds towers"
-    for key, (tower, pos) in ab._tower_cache.items():
-        ref, ref_pos = dense_tower_rep(ab, list(key))
-        assert tower.dims == ref.dims
-        assert tower.labels == ref.labels
-        assert pos == ref_pos
-        for aid, mat in tower.act.items():
-            assert mat.shape == ref.act[aid].shape
-            assert mat.rows == ref.act[aid].rows, (key, aid)
+    kinds = {radical for _, radical in ab._modules}
+    assert kinds == {False, True}, "the report builds both kinds"
+    assert (tuple(ab.vertices), True) in ab._modules, "and keeps rad B"
+    for key, rep in ab._modules.items():
+        summands, radical = key
+        if radical:
+            ref = block_by_block(ab, summands, True)
+        else:
+            ref, ref_pos = dense_tower_rep(ab, list(summands))
+            assert rep.pos == ref_pos
+        assert_same_module(rep, ref, key)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("name", [*FIXTURES, *GLUED])
+def test_tower_rep_equals_the_block_by_block_direct_sum(field, name):
+    """A tower built from the class table equals the direct sum of its
+    single summands, block by block: with repeated summands, over all the
+    vertices, and for rad B."""
+    ab = orc.build_algebra(_quiver(name), FIELDS[field])
+    vs = ab.vertices
+    lists = [[vs[0], vs[1], vs[0]], [vs[-1], vs[0], vs[-1], vs[-1]], vs,
+             vs[::-1]]
+    for summands in lists:
+        for radical in (False, True):
+            assert_same_module(orc.tower_rep(ab, summands, radical),
+                               block_by_block(ab, summands, radical),
+                               (summands, radical))
 
 
 def test_projectives_and_radicals_equal_the_dense_builder(quiver):
@@ -442,12 +520,12 @@ def test_ext_against_rad_b_equals_the_per_pair_complexes(field, name):
     Ext^1(rad P(j), rad P(x)) of the complex against each rad P(x), read
     off the ranks of its two differentials."""
     ab = orc.build_algebra(_quiver(name), FIELDS[field])
-    parts = [(x, ab.radical_rep(x)) for x in ab.vertices]
-    rad_b, pos = orc._direct_sum(ab, parts)
+    rad_b = orc.tower_rep(ab, ab.vertices, radical=True)
+    # summand i of rad B is rad P(x), x the i-th vertex
     for w in ab.vertices:
-        assert rad_b.labels[w] == [(x, c) for x, rep in parts
-                                   for _, c in rep.labels[w]]
-        assert pos[w] == {t: i for i, t in enumerate(rad_b.labels[w])}
+        assert rad_b.labels[w] == [(i, c) for i, x in enumerate(ab.vertices)
+                                   for _, c in ab.radical_rep(x).labels[w]]
+        assert rad_b.pos[w] == {t: i for i, t in enumerate(rad_b.labels[w])}
     for j in ab.vertices:
         pres = orc.radical_presentation(ab, j)
         row = orc._ext1_by_tag(ab, pres, rad_b)
@@ -455,7 +533,7 @@ def test_ext_against_rad_b_equals_the_per_pair_complexes(field, name):
         for x in ab.vertices:
             d0, d1 = orc._ext1_complex(ab, pres, ab.radical_rep(x))
             want[x] = d0.shape[0] - ab.field.rank(d1) - ab.field.rank(d0)
-        assert {x: row[x] for x in ab.vertices} == want, j
+        assert {x: row[i] for i, x in enumerate(ab.vertices)} == want, j
 
 
 @pytest.mark.parametrize("field", FIELDS)
@@ -627,7 +705,8 @@ def test_submodule_cover_rejects_a_subspace_that_is_not_a_submodule(c3):
     """The radical of a subspace that is not closed under the arrows is not
     inside it, whether the subspace is zero at the arrow's target or not."""
     ab = orc.build_algebra(c3, 32003)
-    tower, pos = orc.tower_rep(ab, [1, 2])
+    tower = orc.tower_rep(ab, [1, 2])
+    pos = tower.pos
     const = {v: ab.constant_class[v] for v in ab.vertices}
     sub = {w: [] for w in tower.dims}
     sub[1] = [{pos[1][(0, const[1])]: 1}]
