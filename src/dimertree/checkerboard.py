@@ -204,6 +204,7 @@ def build_checkerboard(q: Quiver,
     # lines run from their odd end; the triangle there starts the fan of
     # cycles that orders the line's crossings
     lines: dict[object, RadicalLine] = {}
+    before = [c.next_arrows("cocycle") for c in structure.cycles]
     for v, (s, t) in ends.items():
         if (label[s] - label[t]) % 2 == 0:
             raise CheckerboardError(f"parity walk fails to close at vertex "
@@ -211,7 +212,7 @@ def build_checkerboard(q: Quiver,
         if label[s] % 2 == 0:
             s, t = t, s
         lines[v] = RadicalLine(v, label[s], label[t],
-                               _fan_order(q, structure, v, s[0]))
+                               _fan_order(q, structure.owners, before, v, s[0]))
 
     crossings: dict[str, Crossing] = {}
     for a in q.arrows:
@@ -272,14 +273,15 @@ def build_checkerboard(q: Quiver,
                                whites, order)
 
 
-def _fan_order(q: Quiver, structure: StructureReport, v, first_boundary: str) -> list[str]:
+def _fan_order(q: Quiver, owners: dict[str, list[int]],
+               before: list[dict[str, str]], v, first_boundary: str) -> list[str]:
     """Arrows at v ordered by the chain of cycles around v, starting from the
     boundary arrow whose triangle hosts the line's tail.  Each cycle through
-    v joins its out-arrow at v to the arrow before it, its in-arrow at v."""
-    before = structure.next_arrows("cocycle")
+    v joins its out-arrow at v to the arrow before it (`before`, per cycle),
+    its in-arrow at v."""
     adj: dict[str, list[str]] = {}
     for a in q.out_arrows[v]:
-        for ci in structure.owners[a.id]:
+        for ci in owners[a.id]:
             ain = before[ci][a.id]
             adj.setdefault(a.id, []).append(ain)
             adj.setdefault(ain, []).append(a.id)
@@ -357,8 +359,9 @@ def validate_checkerboard(cp: CheckerboardPolygon, q: Quiver | None = None,
             if has_arrow != (v in crossed):
                 bad.append(f"{u},{v}: arrow={has_arrow} crossing={v in crossed}")
     add("crossings_iff_arrows", not bad, "; ".join(bad[:4]))
-    add("crossing_count_equals_arrow_count",
-        len(cp.crossings) == len(q.arrows))
+    counted = len(cp.crossings) == len(q.arrows)
+    add("crossing_count_equals_arrow_count", counted, "" if counted else
+        f"{len(cp.crossings)} crossings, {len(q.arrows)} arrows")
 
     bad = lost + [f"{v}: {len(cp.lines[v].crossings)} crossings, degree {deg}"
                   for v in verts if v in cp.lines
@@ -546,6 +549,7 @@ def _face_multiset(cp: CheckerboardPolygon) -> Counter:
                  for s in cp.shaded if s.kind == "boundary_arrow" and s.boundary_edge}
 
     rotation: dict[Node, list[Node]] = {}
+    tied = []
     for node, out in rays.items():
         if node.kind == "end":
             # clockwise order at a boundary vertex: the boundary successor,
@@ -567,8 +571,10 @@ def _face_multiset(cp: CheckerboardPolygon) -> Counter:
             # four rays toward four distinct endpoint labels; since labels
             # increase clockwise, ascending label order is the clockwise
             # cyclic order around the crossing
-            rotation[node] = [to for to, _, _ in
-                              sorted(out, key=lambda r: r[1] % size)]
+            out = sorted(out, key=lambda r: r[1] % size)
+            if any(r[1] % size == t[1] % size for r, t in zip(out, out[1:])):
+                tied.append(node)
+            rotation[node] = [to for to, _, _ in out]
 
     # the rotation system's directed edges, each with the edge that follows
     # it around its face
@@ -581,6 +587,10 @@ def _face_multiset(cp: CheckerboardPolygon) -> Counter:
     # edges are visited
     if len(next_at) < sum(map(len, rotation.values())):
         raise CheckerboardError(_doubled_ray(rays))
+    # two rays toward one label leave their order around the crossing to the
+    # order the lines are listed in, and the faces with it
+    if tied:
+        raise CheckerboardError(_tied_crossing(rays, tied, size))
 
     visited: set[tuple[Node, Node]] = set()
     faces = []
@@ -620,6 +630,18 @@ def _doubled_ray(rays: dict) -> str:
     on = " and ".join("the boundary" if v is None else f"line {v!r}" for v in lines)
     x, y = (f"{'label' if n.kind == 'end' else 'crossing'} {n.key}" for n in (x, y))
     return f"two rays join {x} and {y}, on {on}"
+
+
+def _tied_crossing(rays: dict, tied: list[Node], size: int) -> str:
+    """The first crossing, by key, of `tied` with two rays out of it toward
+    the same endpoint label, that label, and the lines those rays run on."""
+    x = min(tied, key=lambda n: _vkey(n.key))
+    heading: dict[int, list] = {}
+    for _, lbl, v in rays[x]:
+        heading.setdefault((lbl - 1) % size + 1, []).append(v)
+    label = min(k for k, vs in heading.items() if len(vs) > 1)
+    on = " and ".join(f"line {v!r}" for v in sorted(heading[label], key=_vkey))
+    return f"two rays out of crossing {x.key} head for label {label}, on {on}"
 
 
 def _multiset_diff(ca: Counter, cb: Counter) -> str:

@@ -307,14 +307,17 @@ def cmd_all(args) -> int:
     cons = sy.radical_consistency_check(cp, ab)
     note("model_oracle_consistency", cons.ok,
          "; ".join(i.name for i in cons.failed())[:200])
-    periods_ok = True
-    gluing_ok = True
+    # each names the first diagonal that fails it
+    gluing = periods = ""
     for d in dg.enumerate_diagonals(cp.half):
         tr = sy.resolution(cp, d)
-        gluing_ok = gluing_ok and tr.gluing_ok
-        periods_ok = periods_ok and tr.minimal_period in (cp.half, 2 * cp.half)
-    note("resolution_gluing", gluing_ok)
-    note("resolution_periods", periods_ok)
+        if not tr.gluing_ok and not gluing:
+            gluing = f"diagonal {d} does not glue"
+        if tr.minimal_period not in (cp.half, 2 * cp.half) and not periods:
+            periods = (f"diagonal {d} has period {tr.minimal_period}, "
+                       f"not {cp.half} or {2 * cp.half}")
+    note("resolution_gluing", not gluing, gluing)
+    note("resolution_periods", not periods, periods)
     try:
         trace = mu.reduce_to_cycle(q)
         note("reduction", trace.final_cycle_length == wr.half,

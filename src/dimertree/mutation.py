@@ -336,7 +336,7 @@ def _move_mutate_out_out(qp: QP, site: dict, notes: list[str]) -> QP:
         if len(va) == 1 and kind[va[0]] == "boundary":
             continue
         # sigma follows beta in its cycle; sigma's other cycle is all boundary
-        sigma = cb[0].successor_in(beta.id)
+        sigma = cb[0].next_arrows("cycle")[beta.id]
         osig = [c for c in structure.cycles_of_arrow(sigma) if c is not cb[0]]
         if len(osig) == 1 and all(kind[a] == "boundary"
                                   for a in osig[0].arrows if a != sigma):
@@ -533,9 +533,9 @@ def _leaf_vseq(q: Quiver) -> list:
     """The vertices of the working leaf cycle of a quiver with more than one
     cycle, starting with the source of the leaf's interior arrow."""
     structure = analyze_structure(q)
-    if structure.dual.base is None:
+    if structure.base is None:
         raise MutationError("no leaf cycle available")
-    leaf = structure.cycles[structure.dual.base]
+    leaf = structure.cycles[structure.base]
     kind = structure.classification
     i = next(i for i, a in enumerate(leaf.arrows) if kind[a] == "interior")
     return list(leaf.vertices[i:]) + list(leaf.vertices[:i])
@@ -625,13 +625,14 @@ def _slide_site_after_mutation(qp: QP, v1, v2, v4) -> dict:
                 if len(c) == 3 and rho.id not in c.arrows), None)
     if tri is None:
         raise MutationError("slide pattern: no triangle at sigma")
-    beta = tri.successor_in(sigma.id)
-    alpha = tri.successor_in(beta)
+    after = tri.next_arrows("cycle")
+    beta = after[sigma.id]
+    alpha = after[beta]
     outer = next((c for c in structure.cycles_of_arrow(rho.id)
                   if sigma.id in c.arrows), None)
     if outer is None:
         raise MutationError("slide pattern: no outer cycle")
-    gamma = outer.successor_in(sigma.id)
+    gamma = outer.next_arrows("cycle")[sigma.id]
     return {"rho": rho.id, "sigma": sigma.id, "alpha": alpha,
             "beta": beta, "gamma": gamma}
 

@@ -52,45 +52,67 @@ class Quiver:
     def __init__(self, vertices: Iterable[VertexId], arrows: Iterable[Arrow],
                  name: str = ""):
         self.name = name
-        self.vertices: tuple[VertexId, ...] = tuple(vertices)
-        self.arrows: tuple[Arrow, ...] = tuple(arrows)
-        self.arrow_by_id = {a.id: a for a in self.arrows}
-        self.out_arrows: dict[VertexId, list[Arrow]] = {v: [] for v in self.vertices}
-        self.in_arrows: dict[VertexId, list[Arrow]] = {v: [] for v in self.vertices}
+        self.vertices: tuple[VertexId, ...] = ()
+        self.arrow_by_id: dict[str, Arrow] = {}
+        self.out_arrows: dict[VertexId, list[Arrow]] = {}
+        self.in_arrows: dict[VertexId, list[Arrow]] = {}
         # (source, target) -> first such arrow; parallel arrows are rejected
         # by check_well_formed, not here
         self._arrow_index: dict[tuple[VertexId, VertexId], Arrow] = {}
         self._structure: StructureReport | None = None
         self._parent: Quiver | None = None
         self._edit: Edit | None = None
-        vset = set(self.vertices)
-        if len(vset) != len(self.vertices):
-            raise QuiverError("duplicate vertex ids")
-        if len(self.arrow_by_id) != len(self.arrows):
-            first: dict[str, int] = {}
-            for i, a in enumerate(self.arrows):
-                j = first.setdefault(a.id, i)
-                if j != i and self.arrows[j] == a:  # same id and endpoints
+        self._append(vertices, arrows, set())
+        self.arrows: tuple[Arrow, ...] = tuple(self.arrow_by_id.values())
+
+    def _append(self, vertices: Iterable[VertexId], arrows: Iterable[Arrow],
+                touched: set, edit: bool = False) -> None:
+        """Append `vertices`, then `arrows`, to the vertex tuple and the
+        indexes, and add them and the arrows' endpoints to `touched`.  A
+        vertex's arrow lists may be shared with the quiver this one was
+        edited from, so they are replaced, never mutated.
+
+        A repeated arrow id is reported as the edit's, or, for a new quiver,
+        at its position among `arrows`."""
+        out_arrows, in_arrows = self.out_arrows, self.in_arrows
+        by_id, index = self.arrow_by_id, self._arrow_index
+        vertices = tuple(vertices)
+        for v in vertices:
+            if v in out_arrows:
+                raise QuiverError("duplicate vertex ids")
+            out_arrows[v], in_arrows[v] = [], []
+            touched.add(v)
+        self.vertices += vertices
+        for a in arrows:
+            s, t = a.source, a.target
+            first = by_id.get(a.id)
+            if first is not None:
+                if edit:
+                    raise QuiverError(f"edit adds duplicate arrow id {a.id!r}")
+                i, j = len(by_id), list(by_id).index(a.id)
+                if first == a:  # same id and endpoints
                     raise QuiverError(
-                        f"arrows[{i}]: parallel arrows {a.source!r}->{a.target!r} "
+                        f"arrows[{i}]: parallel arrows {s!r}->{t!r} "
                         f"(first at arrows[{j}])")
-                if j != i:
-                    raise QuiverError(f"arrows[{i}]: duplicate arrow id {a.id!r}")
-        for a in self.arrows:
-            if a.source not in vset:
-                raise QuiverError(f"arrow {a.id}: unknown source {a.source!r}")
-            if a.target not in vset:
-                raise QuiverError(f"arrow {a.id}: unknown target {a.target!r}")
-            self.out_arrows[a.source].append(a)
-            self.in_arrows[a.target].append(a)
-            self._arrow_index.setdefault((a.source, a.target), a)
+                raise QuiverError(f"arrows[{i}]: duplicate arrow id {a.id!r}")
+            if s not in out_arrows:
+                raise QuiverError(f"arrow {a.id}: unknown source {s!r}")
+            if t not in in_arrows:
+                raise QuiverError(f"arrow {a.id}: unknown target {t!r}")
+            by_id[a.id] = a
+            out_arrows[s] = out_arrows[s] + [a]
+            in_arrows[t] = in_arrows[t] + [a]
+            index.setdefault((s, t), a)
+            touched.add(s)
+            touched.add(t)
 
     def edit(self, drop: Iterable[str] = (), add: Iterable[Arrow] = (),
              drop_vertices: Iterable[VertexId] = (),
              add_vertices: Iterable[VertexId] = ()) -> Quiver:
         """This quiver without the arrows with ids in `drop` and the vertices
         `drop_vertices`, then with `add_vertices` and the arrows `add`
-        appended, in that order.
+        appended, in that order, by the step that builds a new quiver
+        (`_append`).
 
         The indexes are copied from this quiver, and only the entries of the
         touched vertices are replaced: the endpoints of the dropped and added
@@ -98,9 +120,12 @@ class Quiver:
         `out_arrows`/`in_arrows` list with this quiver; neither may mutate
         them.  If this quiver is analysed, the new one keeps it as its parent
         (see `chordless_cycles`)."""
-        by_id = dict(self.arrow_by_id)
-        out_arrows, in_arrows = dict(self.out_arrows), dict(self.in_arrows)
-        index = dict(self._arrow_index)
+        q = object.__new__(Quiver)
+        q.name = self.name
+        by_id = q.arrow_by_id = dict(self.arrow_by_id)
+        out_arrows = q.out_arrows = dict(self.out_arrows)
+        in_arrows = q.in_arrows = dict(self.in_arrows)
+        index = q._arrow_index = dict(self._arrow_index)
         touched: set[VertexId] = set()
         dropped = []
         for aid in drop:
@@ -115,7 +140,7 @@ class Quiver:
                 del index[s, t]
             touched.add(s)
             touched.add(t)
-        vertices = self.vertices
+        q.vertices = self.vertices
         if drop_vertices:
             gone = set(drop_vertices)
             for v in gone:
@@ -123,41 +148,15 @@ class Quiver:
                     raise QuiverError(f"edit drops unknown vertex {v!r}")
                 if out_arrows.pop(v) or in_arrows.pop(v):
                     raise QuiverError(f"edit drops vertex {v!r} but not its arrows")
-            vertices = tuple(v for v in vertices if v not in gone)
-        for v in add_vertices:
-            if v in out_arrows:
-                raise QuiverError("duplicate vertex ids")
-            out_arrows[v], in_arrows[v] = [], []
-            touched.add(v)
-            vertices += (v,)
+            q.vertices = tuple(v for v in q.vertices if v not in gone)
         add = tuple(add)
-        for a in add:
-            s, t = a.source, a.target
-            if a.id in by_id:
-                raise QuiverError(f"edit adds duplicate arrow id {a.id!r}")
-            if s not in out_arrows:
-                raise QuiverError(f"arrow {a.id}: unknown source {s!r}")
-            if t not in in_arrows:
-                raise QuiverError(f"arrow {a.id}: unknown target {t!r}")
-            by_id[a.id] = a
-            out_arrows[s] = out_arrows[s] + [a]
-            in_arrows[t] = in_arrows[t] + [a]
-            index.setdefault((s, t), a)
-            touched.add(s)
-            touched.add(t)
-
-        q = object.__new__(Quiver)
-        q.name = self.name
-        q.vertices = vertices
+        q._append(add_vertices, add, touched, edit=True)
         q.arrows = tuple(by_id.values())
-        q.arrow_by_id = by_id
-        q.out_arrows, q.in_arrows = out_arrows, in_arrows
         if len(self._arrow_index) != len(self.arrows):
             # parallel arrows: a dropped first arrow hands its pair on
-            index = {}
+            q._arrow_index = {}
             for a in q.arrows:
-                index.setdefault((a.source, a.target), a)
-        q._arrow_index = index
+                q._arrow_index.setdefault((a.source, a.target), a)
         q._structure = None
         if self._structure is None:
             q._parent = q._edit = None
@@ -339,10 +338,6 @@ class ChordlessCycle:
             step = self._next[direction] = dict(zip(a, a[shift:] + a[:shift]))
         return step
 
-    def successor_in(self, arrow_id: str) -> str:
-        i = self.arrows.index(arrow_id)
-        return self.arrows[(i + 1) % len(self.arrows)]
-
     def __repr__(self) -> str:
         return ("Cycle(" + "->".join(str(v) for v in self.vertices)
                 + " via " + ", ".join(self.arrows) + ")")
@@ -476,77 +471,54 @@ def _search(q: Quiver, starts: Iterable[tuple[VertexId, Sequence[Arrow]]],
 
 # -- dual graph and structural analysis ---------------------------------------
 
-@dataclass
-class DualGraph:
-    """The cycle nodes of the dual graph and its trunk edges, one per arrow
-    shared by two cycles (parallel edges kept).  The dual graph's other
-    nodes, the boundary arrows, are not stored: each lies on exactly one
-    cycle, so it is a leaf hanging off that cycle's node.
-
-    `base` is the base leaf: the index of the least cycle, by vertex keys,
-    with exactly one interior arrow (of the one cycle, if there is only
-    one), or None.  The trunk is searched from it once (`base_distances`),
-    for the tree test and for the signs of the potential."""
-    cycle_nodes: list[ChordlessCycle]
-    trunk_edges: list[tuple[int, int, str]]        # (cycle idx, cycle idx, arrow id)
-    base: int | None
-    _adjacency: list[list[int]] | None = field(
-        default=None, init=False, repr=False, compare=False)
-    _base_distances: dict[int, int] | None = field(
-        default=None, init=False, repr=False, compare=False)
-
-    def is_tree(self) -> bool:
-        """Whether the dual graph is a tree.  Adding leaves neither makes nor
-        breaks a tree, so this is whether the trunk is one."""
-        n = len(self.cycle_nodes)
-        # n - 1 edges make a tree exactly when they connect all n cycles; a
-        # trunk tree of two or more cycles has a cycle on one trunk edge,
-        # which is a cycle with one interior arrow, so there is a base leaf
-        return (n > 0 and len(self.trunk_edges) == n - 1
-                and self.base is not None and len(self.base_distances()) == n)
-
-    def base_distances(self) -> dict[int, int]:
-        """Trunk-edge distance from the base leaf to every cycle it reaches,
-        searched on the first call and kept, so callers must not mutate it."""
-        if self._base_distances is None:
-            self._base_distances = self.cycle_distances_from(self.base)
-        return self._base_distances
-
-    def cycle_distances_from(self, idx: int) -> dict[int, int]:
-        """Trunk-edge distance from cycle idx to every cycle it reaches."""
-        adj = self._adjacency
-        if adj is None:
-            adj = self._adjacency = [[] for _ in self.cycle_nodes]
-            for i, j, _ in self.trunk_edges:
-                adj[i].append(j); adj[j].append(i)
-        dist = {idx: 0}
-        frontier = [idx]
-        while frontier:
-            nxt = []
-            for i in frontier:
-                for j in adj[i]:
-                    if j not in dist:
-                        dist[j] = dist[i] + 1
-                        nxt.append(j)
-            frontier = nxt
-        return dist
+def cycle_distances_from(n: int, trunk_edges: list[tuple[int, int, str]],
+                         idx: int) -> dict[int, int]:
+    """Trunk-edge distance from cycle idx, of n cycles, to every cycle it
+    reaches."""
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for i, j, _ in trunk_edges:
+        adj[i].append(j)
+        adj[j].append(i)
+    dist = {idx: 0}
+    frontier = [idx]
+    while frontier:
+        nxt = []
+        for i in frontier:
+            for j in adj[i]:
+                if j not in dist:
+                    dist[j] = dist[i] + 1
+                    nxt.append(j)
+        frontier = nxt
+    return dist
 
 
 @dataclass
 class StructureReport:
     """Chordless cycles, arrow classification and dual graph of a quiver.
 
+    The dual graph's nodes are the cycles and the boundary arrows.  Its
+    trunk is the cycles with one edge per arrow shared by two cycles
+    (`trunk_edges`, parallel edges kept); each boundary arrow lies on
+    exactly one cycle, so it is a leaf hanging off that cycle and is not
+    stored.  `base` is the base leaf: the index of the least cycle, by
+    vertex keys, with exactly one interior arrow (of the one cycle, if there
+    is only one), or None.  The trunk is searched once, from the base leaf
+    (`base_distances`), for the tree test and the signs of the potential.
+
     The weights (`path_weights`) and the cycle paths (`cycle_paths`, read by
     `weight_report` and the checkerboard) are computed on demand, once per
     direction, by the same walker over all boundary arrows (`_walk_all`);
     the weights only count each path's arrows and build no `CyclePath`.
     `boundary_at` and `interior_count` are counted in the analysis's one
-    loop over the arrows, for `validate_dimer_tree` and `leaf_cycles`.
+    loop over the arrows, for `validate_dimer_tree` and the base leaf.
     `analyze_structure` returns the same report for every call on the same
     quiver, so callers must not mutate it."""
     cycles: list[ChordlessCycle]
     classification: dict[str, str]      # 'boundary' | 'interior' | 'none' | 'overloaded'
-    dual: DualGraph
+    trunk_edges: list[tuple[int, int, str]]     # (cycle idx, cycle idx, arrow id)
+    base: int | None
+    # cycle idx -> trunk-edge distance from the base leaf; empty without one
+    base_distances: dict[int, int] = field(repr=False)
     # arrow id -> indices of the cycles through it, in cycle order
     owners: dict[str, list[int]] = field(repr=False)
     # vertex -> boundary arrows at it, in quiver vertex order
@@ -557,8 +529,6 @@ class StructureReport:
     _cycle_paths: dict[str, dict[str, CyclePath]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
     _path_weights: dict[str, dict[str, int]] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
-    _next_arrows: dict[str, list[dict[str, str]]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
     _potential: Potential | None = field(
         default=None, init=False, repr=False, compare=False)
@@ -574,15 +544,15 @@ class StructureReport:
     def cycles_of_arrow(self, arrow_id: str) -> list[ChordlessCycle]:
         return [self.cycles[i] for i in self.owners.get(arrow_id, ())]
 
-    def next_arrows(self, direction: str) -> list[dict[str, str]]:
-        """Per cycle, arrow -> the arrow after it ('cycle') or before it
-        ('cocycle') on that cycle (see `ChordlessCycle.next_arrows`)."""
-        if direction not in self._next_arrows:
-            if direction not in ("cycle", "cocycle"):
-                raise QuiverError(f"unknown direction {direction!r}")
-            self._next_arrows[direction] = [c.next_arrows(direction)
-                                            for c in self.cycles]
-        return self._next_arrows[direction]
+    def is_tree(self) -> bool:
+        """Whether the dual graph is a tree.  Adding leaves neither makes nor
+        breaks a tree, so this is whether the trunk is one."""
+        n = len(self.cycles)
+        # n - 1 edges make a tree exactly when they connect all n cycles; a
+        # trunk tree of two or more cycles has a cycle on one trunk edge,
+        # which is a cycle with one interior arrow, so there is a base leaf
+        return (n > 0 and len(self.trunk_edges) == n - 1
+                and len(self.base_distances) == n)
 
     def cycle_paths(self, direction: str) -> dict[str, CyclePath]:
         """Boundary arrow -> its cycle ('cycle') or cocycle ('cocycle') path,
@@ -653,9 +623,10 @@ def _analyze_structure(q: Quiver) -> StructureReport:
     else:
         leaves = [i for i, k in enumerate(interior_count) if k == 1]
         base = min(leaves, key=lambda i: cycles[i].key, default=None)
-    dual = DualGraph(cycles, trunk, base)
-    return StructureReport(cycles, classification, dual, owners, boundary_at,
-                           interior_count, problems)
+    distances = ({} if base is None
+                 else cycle_distances_from(len(cycles), trunk, base))
+    return StructureReport(cycles, classification, trunk, base, distances,
+                           owners, boundary_at, interior_count, problems)
 
 
 @dataclass
@@ -700,13 +671,13 @@ def validate_dimer_tree(q: Quiver) -> ValidationReport:
         "every_arrow_on_a_cycle", not bad_q1,
         "" if not bad_q1 else f"arrows in no cycle: {sorted(bad_q1)}"))
 
-    tree = structure.dual.is_tree()
+    tree = structure.is_tree()
     detail = ""
     if not tree:
         # each boundary arrow is one node and one edge of the dual graph
         b = len(structure.boundary_arrows)
         detail = (f"dual graph has {len(structure.cycles) + b} nodes "
-                  f"and {len(structure.dual.trunk_edges) + b} edges")
+                  f"and {len(structure.trunk_edges) + b} edges")
     checks.append(Check("dual_graph_is_tree", tree, detail))
 
     # the quiver indexes the first arrow of each (source, target) pair
@@ -724,7 +695,7 @@ def validate_dimer_tree(q: Quiver) -> ValidationReport:
 
     # two cycles share exactly the arrows of the trunk edges between them;
     # the arrows are gathered by pair only when some pair repeats
-    trunk = structure.dual.trunk_edges
+    trunk = structure.trunk_edges
     detail = ""
     if len({(i, j) for i, j, _ in trunk}) != len(trunk):
         shared: dict[tuple[int, int], list[str]] = {}
@@ -770,17 +741,6 @@ class Potential:
     terms: list[tuple[int, ChordlessCycle]]
     distances: dict[tuple, int]      # cycle key -> tree distance from a base leaf
 
-    def sign_of(self, cycle: ChordlessCycle) -> int:
-        return (-1) ** self.distances[cycle.key]
-
-
-def leaf_cycles(structure: StructureReport) -> list[ChordlessCycle]:
-    """Cycles with exactly one interior arrow (all cycles if there is one)."""
-    if len(structure.cycles) == 1:
-        return list(structure.cycles)
-    return [c for c, k in zip(structure.cycles, structure.interior_count)
-            if k == 1]
-
 
 def build_potential(q: Quiver, structure: StructureReport | None = None) -> Potential:
     """The potential of q, computed once per structure and kept on it, so
@@ -793,9 +753,9 @@ def build_potential(q: Quiver, structure: StructureReport | None = None) -> Pote
 
 
 def _build_potential(structure: StructureReport) -> Potential:
-    if structure.dual.base is None:
+    if structure.base is None:
         raise QuiverError("no chordless cycle with exactly one interior arrow")
-    dist_by_idx = structure.dual.base_distances()
+    dist_by_idx = structure.base_distances
     distances = {structure.cycles[i].key: d for i, d in dist_by_idx.items()}
     terms = [((-1) ** dist_by_idx[i], c) for i, c in enumerate(structure.cycles)]
     return Potential(terms, distances)
@@ -829,7 +789,7 @@ def _walk_all(structure: StructureReport, direction: str,
     the path.  Returns each arrow's weight: 1 when its path has an odd
     number of arrows, else 2; or, with `trails`, the path's arrows in the
     order walked."""
-    step = structure.next_arrows(direction)
+    step = [c.next_arrows(direction) for c in structure.cycles]
     kind, owners = structure.classification, structure.owners
     out = {}
     for arrow_id, k in kind.items():

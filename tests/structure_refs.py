@@ -7,25 +7,27 @@ interior arrows afresh; `is_tree` searches the dual graph from cycle 0 and
 calls `_walk` once per boundary arrow.  `dimertree.quiver` reads the counts
 `_analyze_structure` records in its one loop over the arrows, searches the
 dual graph once from the base leaf, and walks all boundary arrows in one
-call; on every quiver the two must give the same items, leaves, distances
-and weights.
+call; on every quiver the two must give the same items, base leaf,
+distances and weights.
 
-The function bodies are the earlier ones, unchanged but for two things:
-`validate_dimer_tree` reads the dual graph through `is_tree` here, and
-`build_potential` is the earlier `_build_potential`, which searches the dual
-graph afresh on every call.
+The function bodies are the earlier ones, unchanged but for three things:
+the trunk is read off the structure report and searched by
+`cycle_distances_from` (the dual graph was a separate object with its own
+search); `validate_dimer_tree` reads it through `is_tree` here; and
+`build_potential` is the earlier `_build_potential`, which searches the
+dual graph afresh on every call.
 """
 from __future__ import annotations
 
 from dimertree.quiver import (Check, ChordlessCycle, Potential, Quiver,
                               QuiverError, StructureReport, ValidationReport,
-                              analyze_structure)
+                              analyze_structure, cycle_distances_from)
 
 
-def is_tree(dual) -> bool:
-    n = len(dual.cycle_nodes)
-    return (n > 0 and len(dual.trunk_edges) == n - 1
-            and len(dual.cycle_distances_from(0)) == n)
+def is_tree(structure: StructureReport) -> bool:
+    n = len(structure.cycles)
+    return (n > 0 and len(structure.trunk_edges) == n - 1
+            and len(cycle_distances_from(n, structure.trunk_edges, 0)) == n)
 
 
 def _walk(structure: StructureReport, step: list[dict[str, str]],
@@ -44,7 +46,7 @@ def _walk(structure: StructureReport, step: list[dict[str, str]],
 
 
 def path_weights(structure: StructureReport, direction: str) -> dict[str, int]:
-    step = structure.next_arrows(direction)
+    step = [c.next_arrows(direction) for c in structure.cycles]
     return {a: 1 if _walk(structure, step, a) % 2 == 1 else 2
             for a, kind in structure.classification.items() if kind == "boundary"}
 
@@ -70,13 +72,13 @@ def validate_dimer_tree(q: Quiver) -> ValidationReport:
         "every_arrow_on_a_cycle", not bad_q1,
         "" if not bad_q1 else f"arrows in no cycle: {sorted(bad_q1)}"))
 
-    tree = is_tree(structure.dual)
+    tree = is_tree(structure)
     detail = ""
     if not tree:
         # each boundary arrow is one node and one edge of the dual graph
         b = len(structure.boundary_arrows)
         detail = (f"dual graph has {len(structure.cycles) + b} nodes "
-                  f"and {len(structure.dual.trunk_edges) + b} edges")
+                  f"and {len(structure.trunk_edges) + b} edges")
     checks.append(Check("dual_graph_is_tree", tree, detail))
 
     # the quiver indexes the first arrow of each (source, target) pair
@@ -94,7 +96,7 @@ def validate_dimer_tree(q: Quiver) -> ValidationReport:
 
     # two cycles share exactly the arrows of the trunk edges between them
     shared: dict[tuple[int, int], list[str]] = {}
-    for i, j, aid in structure.dual.trunk_edges:
+    for i, j, aid in structure.trunk_edges:
         shared.setdefault((i, j), []).append(aid)
     overshared = [(pair, ids) for pair, ids in shared.items() if len(ids) > 1]
     share_ok = not overshared
@@ -135,7 +137,8 @@ def build_potential(structure: StructureReport) -> Potential:
     if not candidates:
         raise QuiverError("no chordless cycle with exactly one interior arrow")
     base_idx = structure.cycles.index(min(candidates, key=lambda c: c.key))
-    dist_by_idx = structure.dual.cycle_distances_from(base_idx)
+    dist_by_idx = cycle_distances_from(len(structure.cycles),
+                                       structure.trunk_edges, base_idx)
     distances = {structure.cycles[i].key: d for i, d in dist_by_idx.items()}
     terms = [((-1) ** dist_by_idx[i], c) for i, c in enumerate(structure.cycles)]
     return Potential(terms, distances)

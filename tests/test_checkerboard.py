@@ -174,6 +174,8 @@ def test_corrupted_crossing_order_caught_by_face_traversal(q9):
      "('edge', (2, 3))"),
     (lambda d: d["radical_lines"][0].update(head=18),
      "radical_lines_are_oriented_2_diagonals", "1: label 18 outside 1..14"),
+    (lambda d: d["crossings"].pop(), "crossing_count_equals_arrow_count",
+     "11 crossings, 12 arrows"),
 ])
 def test_inconsistent_loaded_polygon_fails_validation(q9, cp9, edit, name, detail):
     doc = json.loads(json.dumps(cb.polygon_to_dict(cp9)))
@@ -220,14 +222,22 @@ def _two_lines_through_the_same_nodes(doc):
     _doc_line(doc, 2).update(tail=1, crossings=["1->2", "5->2", "2->3"])
 
 
-# a ray doubled by another between the same two nodes fails the face check by
-# name, before the traversal, whatever order the lines and crossings are
-# listed in
+def _two_lines_toward_the_same_label(doc):
+    """Line 2 heads for label 4, as line 1 does; both run on toward it from
+    their crossing 1->2."""
+    _doc_line(doc, 2)["head"] = _doc_line(doc, 1)["head"]
+
+
+# a ray doubled by another between the same two nodes, or tied with another
+# toward the same label out of one crossing, fails the face check by name,
+# before the traversal, whatever order the lines and crossings are listed in
 @pytest.mark.parametrize("edit, detail", [
     (_chord_between_boundary_neighbours,
      "two rays join label 9 and label 10, on the boundary and line 7"),
     (_two_lines_through_the_same_nodes,
      "two rays join label 1 and crossing 1->2, on line 1 and line 2"),
+    (_two_lines_toward_the_same_label,
+     "two rays out of crossing 1->2 head for label 4, on line 1 and line 2"),
 ])
 def test_doubled_ray_fails_the_face_check_by_name(q9, cp9, edit, detail):
     doc = json.loads(json.dumps(cb.polygon_to_dict(cp9)))

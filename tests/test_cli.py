@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import sys
 import time
@@ -356,6 +357,32 @@ def test_all_pipeline_q7(capsys):
                 f"oracle[{name}]" if c == "oracle[GF(32003)]" else c
                 for c in worker.ALL_CHECKS], (path.name, field)
             assert all(w[0] == "pass" for w in lines), (path.name, field)
+
+
+def test_all_names_the_first_diagonal_that_fails_a_resolution_check(
+        capsys, monkeypatch):
+    # from the fourth diagonal on, every resolution fails to glue, and from
+    # the sixth on its period is 3
+    resolution = cli.sy.resolution
+    seen = []
+
+    def corrupted(cp, d):
+        tr = resolution(cp, d)
+        seen.append(d)
+        if len(seen) >= 4:
+            tr = dataclasses.replace(tr, gluing_ok=False)
+        if len(seen) >= 6:
+            tr = dataclasses.replace(tr, minimal_period=3)
+        return tr
+
+    monkeypatch.setattr(cli.sy, "resolution", corrupted)
+    code, out, _ = run(capsys, "all", fixture_path("q9"))
+    assert code == 1
+    lines = out.splitlines()
+    assert f"FAIL  resolution_gluing  (diagonal {seen[3]} does not glue)" in lines
+    assert (f"FAIL  resolution_periods  (diagonal {seen[5]} has period 3, "
+            f"not 7 or 14)") in lines
+    assert "pass  reduction  (final length 7)" in lines
 
 
 @pytest.mark.parametrize("spec", ["17,20", "0,3", "3,15"])

@@ -273,10 +273,12 @@ def test_algebra_dimension_independent_of_base_cycle(q7, c3):
         structure = analyze_structure(q)
         canonical = build_potential(q, structure)
         dims = set()
-        from dimertree.quiver import Potential, leaf_cycles
+        from dimertree.quiver import Potential, cycle_distances_from
+        from structure_refs import leaf_cycles
         for base in leaf_cycles(structure):
             base_idx = structure.cycles.index(base)
-            dist = structure.dual.cycle_distances_from(base_idx)
+            dist = cycle_distances_from(len(structure.cycles),
+                                        structure.trunk_edges, base_idx)
             distances = {structure.cycles[i].key: d for i, d in dist.items()}
             pot = Potential([((-1) ** distances[c.key], c)
                              for c in structure.cycles], distances)

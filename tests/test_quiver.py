@@ -69,6 +69,17 @@ def test_parse_object_arrows_and_ids():
     pytest.param('{"vertices": [1, 2], "arrows": [["a", 1, 2], ["b", 1, 2]]}',
                  "arrows[1]: parallel arrows 1->2 (first at arrows[0])",
                  id="parallel-distinct-ids"),
+    # several faults: the arrows are indexed one by one, each checked for a
+    # repeated id and then for unknown ends, so the first faulty arrow is
+    # reported
+    pytest.param('{"vertices": [1, 2, 3], "arrows": [["x", 1, 9], ["a", 1, 2], ["a", 2, 3]]}',
+                 "arrow x: unknown target 9", id="unknown-target-before-duplicate-id"),
+    pytest.param('{"vertices": [1, 2, 3], "arrows": [["x", 9, 1], ["a", 1, 2], ["a", 1, 2]]}',
+                 "arrow x: unknown source 9", id="unknown-source-before-repeated-arrow"),
+    pytest.param('{"vertices": [1, 2, 3], "arrows": [["a", 1, 2], ["a", 2, 3], ["x", 1, 9]]}',
+                 "arrows[1]: duplicate arrow id 'a'", id="duplicate-id-before-unknown-target"),
+    pytest.param('{"vertices": [1, 1, 2], "arrows": [[1, 9]]}',
+                 "duplicate vertex ids", id="duplicate-vertex-before-unknown-target"),
     pytest.param("[" * 100_000 + "]" * 100_000, "malformed document: maximum recursion",
                  id="nested-too-deep"),
     pytest.param(b"\xff\xfe{}", "malformed document: 'utf-8' codec",
@@ -154,16 +165,16 @@ def test_q9_arrow_classification(q9):
     assert sorted(st_.interior_arrows) == ["2->3", "3->4", "4->6"]
     assert len(st_.boundary_arrows) == 9
     # dual graph: path of 4 cycle nodes, and a leaf per boundary arrow
-    assert len(st_.dual.trunk_edges) == 3
-    assert st_.dual.is_tree()
+    assert len(st_.trunk_edges) == 3
+    assert st_.is_tree()
 
 
 def test_c3_structure(c3):
     st_ = analyze_structure(c3)
     assert len(st_.cycles) == 1
     assert len(st_.boundary_arrows) == 3
-    assert st_.dual.trunk_edges == []
-    assert st_.dual.is_tree()
+    assert st_.trunk_edges == []
+    assert st_.is_tree()
 
 
 # -- validation ------------------------------------------------------------------
@@ -196,7 +207,7 @@ def full_dual_graph(structure):
     branch from each cycle to each of its boundary arrows as edges, checked
     by union-find over all of them."""
     boundary = set(structure.boundary_arrows)
-    edges = [(i, j) for i, j, _ in structure.dual.trunk_edges]
+    edges = [(i, j) for i, j, _ in structure.trunk_edges]
     edges += [(i, a) for i, c in enumerate(structure.cycles)
               for a in c.arrows if a in boundary]
     n = len(structure.cycles) + len(boundary)
@@ -252,7 +263,7 @@ def glued_or_random_quivers(draw):
 def test_trunk_only_tree_test_matches_the_full_dual_graph(q):
     structure = analyze_structure(q)
     nodes, edges, tree = full_dual_graph(structure)
-    assert structure.dual.is_tree() == tree
+    assert structure.is_tree() == tree
     check = next(c for c in validate_dimer_tree(q).items
                  if c.name == "dual_graph_is_tree")
     assert check.passed == tree
@@ -384,7 +395,7 @@ def test_cycle_path_examples(q9, q7):
     cp = cycle_path(st9, "1->2")
     assert cp.arrows == ("1->2", "2->3", "3->4", "4->6", "6->9")
     # each turn of the path follows one cycle, and no cycle twice
-    witnesses = [[c for c in st9.cycles_of_arrow(a) if c.successor_in(a) == b]
+    witnesses = [[c for c in st9.cycles_of_arrow(a) if c.next_arrows("cycle")[a] == b]
                  for a, b in zip(cp.arrows, cp.arrows[1:])]
     assert [len(w) for w in witnesses] == [1] * (cp.length - 1)
     assert len({w[0].key for w in witnesses}) == cp.length - 1
