@@ -275,6 +275,17 @@ def cmd_oracle(args) -> int:
     return EXIT_OK if not failed else EXIT_CHECK_FAILED
 
 
+def _first_failure(report) -> str:
+    """The witness of a report: its first failing item with that item's own
+    detail, then how many more fail; empty when every item passes."""
+    failed = report.failed()
+    if not failed:
+        return ""
+    first = failed[0]
+    witness = first.name + (f": {first.detail}" if first.detail else "")
+    return witness + (f"; and {len(failed) - 1} more" if len(failed) > 1 else "")
+
+
 def cmd_all(args) -> int:
     # refuse a bad field before any check prints
     field = parse_field_spec(_field(args))
@@ -302,11 +313,9 @@ def cmd_all(args) -> int:
     note("translation_quiver", tq.check_translation_axiom())
     ab = orc.build_algebra(q, field)
     rep = orc.full_oracle_report(ab)
-    note(f"oracle[{field.name}]", rep.ok,
-         "; ".join(i.name for i in rep.failed())[:200])
+    note(f"oracle[{field.name}]", rep.ok, _first_failure(rep))
     cons = sy.radical_consistency_check(cp, ab)
-    note("model_oracle_consistency", cons.ok,
-         "; ".join(i.name for i in cons.failed())[:200])
+    note("model_oracle_consistency", cons.ok, _first_failure(cons))
     # each names the first diagonal that fails it
     gluing = periods = ""
     for d in dg.enumerate_diagonals(cp.half):

@@ -3,9 +3,10 @@
 Two fields share one small matrix type, `Matrix`: a list of sparse rows
 {column: nonzero entry} and a column count.  Over GF(p) the entries are
 Python ints in [0, p); over the exact rationals they are Python ints or
-Fractions, never floats.  Row reduction and kernels are computed by one
-exact elimination routine on sparse rows, `rref_rows`, over Python ints mod
-p or over the rationals, and products by one sparse `matmul_matrix`; the
+Fractions, never floats.  Row reduction is computed by one exact
+elimination routine on sparse rows, `rref_rows`, over Python ints mod
+p or over the rationals, kernels by one routine on its result,
+`kernel_columns`, and products by one sparse `matmul_matrix`; the
 oracle's matrices are tiny and mostly zero, so only nonzero entries are
 touched.  Relations in the algebras at hand have unit coefficients, so
 almost every rational entry stays an int, a Fraction is made only when a
@@ -134,25 +135,38 @@ def rref_matrix(a: Matrix, p: int | None) -> tuple[Matrix, list[int]]:
     return Matrix(rows, n), [c for c, _ in reduced]
 
 
-def nullspace_matrix(a: Matrix, p: int | None) -> Matrix:
-    """Columns form a basis of the right kernel of a: one per free column
-    c, with entry 1 at c and minus the reduced rows' entries at the pivots.
+def kernel_columns(rows: list[dict[int, object]], n: int,
+                   p: int | None) -> list[dict]:
+    """A basis of the right kernel of the matrix with these rows and n
+    columns, as sparse columns {row: nonzero entry}: one per free column c,
+    in increasing order, with entry 1 at c and minus the reduced rows'
+    entries at the pivots.
 
     Each column has a lead: c is its largest nonzero coordinate (a reduced
     row has entries only right of its pivot, so the pivots it reaches from
     c are smaller), and every other column is zero at c."""
-    n = a.ncols
-    reduced = rref_rows(a.rows, p)
+    reduced = rref_rows(rows, p)
     pivots = {c for c, _ in reduced}
-    free = {c: k for k, c in enumerate(j for j in range(n) if j not in pivots)}
-    rows: list[dict] = [{} for _ in range(n)]
-    for c, k in free.items():
-        rows[c][k] = 1
+    cols = {c: {c: 1} for c in range(n) if c not in pivots}
     for c, row in reduced:
         for j, x in row.items():
             if j != c:
-                rows[c][free[j]] = -x % p if p else -x
-    return Matrix(rows, len(free))
+                cols[j][c] = -x % p if p else -x
+    return list(cols.values())
+
+
+def from_columns(nrows: int, cols: list[dict]) -> Matrix:
+    """The matrix with these sparse columns {row: nonzero entry}."""
+    rows: list[dict] = [{} for _ in range(nrows)]
+    for j, col in enumerate(cols):
+        for i, x in col.items():
+            rows[i][j] = x
+    return Matrix(rows, len(cols))
+
+
+def nullspace_matrix(a: Matrix, p: int | None) -> Matrix:
+    """The `kernel_columns` of a, as the columns of a matrix."""
+    return from_columns(a.ncols, kernel_columns(a.rows, a.ncols, p))
 
 
 def matmul_matrix(a: Matrix, b: Matrix, p: int | None) -> Matrix:

@@ -11,11 +11,14 @@ Everything the oracle builds from an algebra is built once and kept on its
 and the minimal presentations of the radicals with the next resolution step
 of each (`ModulePresentation._next`).  One constructor, `tower_rep`, makes
 every module: the direct sum of the projectives P(v) over a summand list,
-or of their radicals, each arrow acting by the class table.  Each `Rep`
-keeps its projective cover (`cover_map`) once computed.  Callers must not
-mutate a cached object.  A `Rep` is plain data: its field, its dimensions,
-its arrow matrices, its basis labels and their positions, with no reference
-to the algebra, so every function that needs the algebra takes it first.
+or of their radicals.  On such a tower an arrow only relabels the basis,
+(i, c) to (i, c * arrow), so it keeps one label map per arrow, read off the
+class table, and no matrix.  Each `Rep` keeps its projective cover
+(`cover_map`) once computed.  Callers must not mutate a cached object.  A
+`Rep` is plain data: its field, its dimensions, its label maps (or, on a
+module that is not a tower, such as `cokernel_rep` makes, its arrow
+matrices), its basis labels and their positions, with no reference to the
+algebra, so every function that needs the algebra takes it first.
 
 The report reuses these modules rather than rebuilding them.  The Ext check
 runs one complex per vertex j against rad B, the direct sum of all the
@@ -26,13 +29,18 @@ the maps through a projective are the same kernel into the cover of N,
 projected through the cover.
 
 Covers, kernels and presentations share one vector format: a sparse dict
-{coordinate: nonzero entry}, the shape of a `Matrix` row.  One routine,
-`submodule_cover`, covers both a whole module (given the unit vectors) and
-the kernel of a map out of a tower (given the columns of its nullspace);
-both bases have leads, so a vector's coordinates are read off without
-another row reduction.  Each kernel and each cover takes one elimination
-over the whole module: the vertex blocks make one block-diagonal matrix,
-whose RREF is that of each block.
+{coordinate: nonzero entry}, the shape of a `Matrix` row.  One helper,
+`_move`, applies an arrow to a vector: through the label map on a tower,
+through `_apply` of the matrix on any other module.  Hom blocks read a
+class's action on a tower off the class table (`_class_action`).  One
+routine, `_tower_map`, gives the matrices of a map out of a tower from the
+images of its tops, one move per basis vector: the projective cover and
+the map of a presentation.  One routine, `submodule_cover`, covers both a
+whole module (given the unit vectors) and the kernel of a map out of a
+tower (given its `kernel_columns`); both bases have leads, so a vector's
+coordinates are read off without another row reduction.  Each kernel and
+each cover takes one elimination over the whole module: the vertex blocks
+make one block-diagonal matrix, whose RREF is that of each block.
 
 Relation structure: a boundary arrow contributes a single vanishing word (the
 rest of its cycle); an interior arrow equates the complementary words of its
@@ -51,7 +59,8 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 
-from .linalg import DEFAULT_PRIME, Field, Matrix, _eliminate, parse_field_spec
+from .linalg import (DEFAULT_PRIME, Field, Matrix, _eliminate, from_columns,
+                     kernel_columns, parse_field_spec)
 from .quiver import (
     Check,
     Potential,
@@ -76,6 +85,7 @@ class PathClass:
     source: object
     target: object
     word: Word                 # shortest representative; () for a constant
+    prefix: int | None = None  # the class of word[:-1]; None for a constant
 
     @property
     def is_constant(self) -> bool:
@@ -197,10 +207,13 @@ class AlgebraBasis:
         self.classes: list[PathClass] = []
         self.constant_class: dict[object, int] = {}
         self.by_pair: dict[tuple[object, object], list[int]] = {}
+        # v -> the classes from v, in class order: the constant first, and
+        # each class after its prefix
+        self.from_vertex: dict[object, list[int]] = {v: [] for v in self.vertices}
         self.stabilization_length = 0
         self.cap = 0
-        # (class, arrow) -> class of their product, or None when it vanishes
-        self._act: dict[tuple[int, str], int | None] = {}
+        # arrow -> {class: class of their product, or None when it vanishes}
+        self._act: dict[str, dict[int, int | None]] = {a.id: {} for a in q.arrows}
         # (summands, radical) -> the module `tower_rep` built for them
         self._modules: dict[tuple, "Rep"] = {}
         self._pres_cache: dict[object, ModulePresentation] = {}
@@ -235,7 +248,7 @@ class AlgebraBasis:
         sizes: Counter = Counter()
         cid_of: dict[Word, int] = {}
 
-        def add(src, tgt, w):
+        def add(src, tgt, w, prefix):
             if len(w) > sizes[m - 1] + m - 1:
                 windows = [w[i:i + m - 1] for i in range(len(w) - m + 2)]
                 raise OracleError(
@@ -244,30 +257,31 @@ class AlgebraBasis:
                     f"{next(x for i, x in enumerate(windows) if x in windows[:i])}")
             sizes[len(w)] += 1
             cid = cid_of[w] = len(self.classes)
-            self.classes.append(PathClass(cid, src, tgt, w))
+            self.classes.append(PathClass(cid, src, tgt, w, prefix))
             self.by_pair.setdefault((src, tgt), []).append(cid)
+            self.from_vertex[src].append(cid)
             return cid
 
         for v in self.vertices:
-            self.constant_class[v] = add(v, v, ())
+            self.constant_class[v] = add(v, v, (), None)
         out = {v: sorted(self.q.out_arrows[v], key=lambda a: a.id)
                for v in self.vertices}
         for a in sorted(self.q.arrows, key=lambda a: a.id):
             if (a.id,) not in rules:
-                add(a.source, a.target, (a.id,))
+                add(a.source, a.target, (a.id,), self.constant_class[a.source])
         for c in self.classes:                 # the list grows as it is read
             for a in out[c.target]:
                 w = c.word + (a.id,)
                 nf = _reduce(rules, lengths, w, len(c.word))
                 if nf == w and c.word:
-                    add(c.source, a.target, w)
-                self._act[c.cid, a.id] = None if nf is None else cid_of[nf]
+                    add(c.source, a.target, w, c.cid)
+                self._act[a.id][c.cid] = None if nf is None else cid_of[nf]
         # 1 + the longest nonzero path, walked one arrow per level; the walk
         # ends, since the arrow ideal of a finite algebra is nilpotent
         level = set(self.constant_class.values())
         while level:
             level = {n for c in level for a in out[self.classes[c].target]
-                     if (n := self._act[c, a.id]) is not None}
+                     if (n := self._act[a.id][c]) is not None}
             self.stabilization_length += 1
 
     # -- queries ------------------------------------------------------------
@@ -305,7 +319,7 @@ class AlgebraBasis:
     def _walk(self, cid: int | None, word: Word) -> int | None:
         """The class cid times a word composable with it, arrow by arrow."""
         for aid in word:
-            cid = None if cid is None else self._act[cid, aid]
+            cid = None if cid is None else self._act[aid][cid]
         return cid
 
     def arrow_class(self, arrow_id: str) -> int:
@@ -339,22 +353,27 @@ def build_algebra(q: Quiver, field: str | int | Field = DEFAULT_PRIME,
 # ---------------------------------------------------------------------------
 
 class Rep:
-    """dims[v] is the dimension at v; act[arrow] maps the space at the arrow's
-    source to the space at its target (columns index the source basis).
-    labels[v] names the basis at v, if given, and pos[v][label] is the index
-    of a label."""
+    """dims[v] is the dimension at v.  On a module `tower_rep` builds, an
+    arrow acts by its label map: maps[arrow][j] is the index at the arrow's
+    target of basis vector j at its source, or None where the arrow sends
+    it to zero.  On any other module it acts by its matrix act[arrow], from
+    the space at the source to the space at the target (columns index the
+    source basis).  labels[v] names the basis at v, if given, and
+    pos[v][label] is the index of a label."""
 
-    def __init__(self, field: Field, dims, act, labels=None):
+    def __init__(self, field: Field, dims, act=None, labels=None, maps=None):
         self.field = field
         self.dims = dims
         self.act = act
+        self.maps = maps
         self.labels = labels or {}
         self.pos = {w: {t: i for i, t in enumerate(lab)}
                     for w, lab in self.labels.items()}
         self._cover: tuple | None = None
 
     def word_matrix(self, word: Word, source):
-        """Matrix of the right action of a composable word starting at source."""
+        """Matrix of the right action of a composable word starting at
+        source, on a module whose arrows act by matrices."""
         if not word:
             return self.field.eye(self.dims[source])
         m = self.act[word[0]]
@@ -368,48 +387,69 @@ def tower_rep(ab: AlgebraBasis, summands, radical: bool = False) -> Rep:
 
     Its basis at w is the pairs (i, c), c a path class from summands[i] to
     w, non-constant when `radical`; an arrow sends (i, c) to (i, c * arrow),
-    or to zero when that product vanishes.  Built once per summand list and
-    kind and kept on `ab`: callers must not mutate it."""
+    or to zero when that product vanishes, which is its label map.  Built
+    once per summand list and kind and kept on `ab`: callers must not
+    mutate it."""
     key = (tuple(summands), radical)
     rep = ab._modules.get(key)
     if rep is None:
-        labels = {w: [(i, c) for i, v in enumerate(key[0])
-                      for c in ab.by_pair.get((v, w), ())
-                      if not (radical and c == ab.constant_class[v])]
-                  for w in ab.vertices}
-        rep = Rep(ab.field, {w: len(lab) for w, lab in labels.items()}, {},
-                  labels=labels)
+        classes = ab.classes
+        labels: dict[object, list] = {w: [] for w in ab.vertices}
+        for i, v in enumerate(key[0]):
+            skip = ab.constant_class[v] if radical else None
+            for c in ab.from_vertex[v]:
+                if c != skip:
+                    labels[classes[c].target].append((i, c))
+        rep = Rep(ab.field, {w: len(lab) for w, lab in labels.items()},
+                  labels=labels, maps={})
         for a in ab.q.arrows:
-            into = rep.pos[a.target]
-            rows: list[dict] = [{} for _ in labels[a.target]]
-            for j, (i, c) in enumerate(labels[a.source]):
-                r = into.get((i, ab._act[c, a.id]))
-                if r is not None:
-                    rows[r][j] = 1
-            rep.act[a.id] = Matrix(rows, len(labels[a.source]))
+            into, times = rep.pos[a.target], ab._act[a.id]
+            rep.maps[a.id] = [into.get((i, times[c]))
+                              for i, c in labels[a.source]]
         ab._modules[key] = rep
     return rep
 
 
 def presentation_matrices(ab: AlgebraBasis, pres: ModulePresentation):
-    """Vertex-wise matrices of the tower map tower(p1) -> tower(p0)."""
+    """Vertex-wise matrices of the tower map tower(p1) -> tower(p0), which
+    sends the top of summand k to the sum of its entries' classes."""
     F = ab.field
-    t1, t0 = tower_rep(ab, pres.p1), tower_rep(ab, pres.p0)
-    entries_by_col: dict[int, list[tuple[int, object, int]]] = {}
+    t0 = tower_rep(ab, pres.p0)
+    tops: list[dict] = [{} for _ in pres.p1]
     for (l, k), combo in pres.entries.items():
-        for coeff, ecls in combo:
-            entries_by_col.setdefault(k, []).append((l, coeff, ecls))
-    mats = {}
-    for w in ab.vertices:
-        m = F.zeros(t0.dims[w], t1.dims[w])
-        for col, (k, c) in enumerate(t1.labels[w]):
-            for l, coeff, ecls in entries_by_col.get(k, ()):
-                prod = ab.mult(ecls, c)
-                if prod is not None:
-                    r = t0.pos[w][(l, prod)]
-                    m[r, col] = F.add(m[r, col], F.scalar(coeff))
-        mats[w] = m
+        into, top = t0.pos[pres.p1[k]], tops[k]
+        for coeff, cid in combo:
+            r = into[l, cid]
+            x = F.add(top.pop(r, 0), F.scalar(coeff))
+            if x:
+                top[r] = x
+    t1, mats = _tower_map(ab, pres.p1, t0, tops)
     return t1, t0, mats
+
+
+def _tower_map(ab: AlgebraBasis, summands, target: Rep, tops: list[dict]):
+    """The tower of the summands, and the vertex-wise matrices of the map
+    from it to target that sends the top of summand li to tops[li].
+
+    The basis vector (li, c) goes to tops[li] times c: the image of
+    (li, prefix of c) moved by the last arrow of c.  The classes from each
+    summand come prefix first, so each basis vector takes one move, and its
+    image is written into the rows at once."""
+    F = ab.field
+    classes = ab.classes
+    tower = tower_rep(ab, summands)
+    rows = {w: [{} for _ in range(n)] for w, n in target.dims.items()}
+    for li, v in enumerate(summands):
+        image: dict[int, dict] = {}
+        for c in ab.from_vertex[v]:
+            cls = classes[c]
+            vec = image[c] = (tops[li] if cls.prefix is None else
+                              _move(F, target, cls.word[-1], image[cls.prefix]))
+            col = tower.pos[cls.target][li, c]
+            out = rows[cls.target]
+            for r, x in vec.items():
+                out[r][col] = x
+    return tower, {w: Matrix(rows[w], tower.dims[w]) for w in ab.vertices}
 
 
 # -- sparse vectors ---------------------------------------------------------------
@@ -426,14 +466,6 @@ def _cols(mat: Matrix) -> list[dict]:
     return [cols[j] for j in sorted(cols)]
 
 
-def _from_columns(nrows: int, cols: list[dict]) -> Matrix:
-    rows: list[dict] = [{} for _ in range(nrows)]
-    for j, col in enumerate(cols):
-        for i, x in col.items():
-            rows[i][j] = x
-    return Matrix(rows, len(cols))
-
-
 def _apply(F: Field, mat: Matrix, vec: dict) -> dict:
     """mat times vec, over the nonzero entries of both."""
     add, mul = F.add, F.mul
@@ -446,6 +478,26 @@ def _apply(F: Field, mat: Matrix, vec: dict) -> dict:
                 acc = add(acc, mul(v, x))
         if acc:
             out[i] = acc
+    return out
+
+
+def _move(F: Field, rep: Rep, aid: str, vec: dict) -> dict:
+    """The arrow aid of rep applied to vec: through its label map on a
+    tower, through `_apply` of its matrix on any other module."""
+    if rep.maps is None:
+        return _apply(F, rep.act[aid], vec)
+    to = rep.maps[aid]
+    out: dict = {}
+    for j, x in vec.items():
+        i = to[j]
+        if i is None:
+            continue
+        if i in out:
+            x = F.add(out[i], x)
+            if not x:
+                del out[i]
+                continue
+        out[i] = x
     return out
 
 
@@ -467,7 +519,7 @@ def submodule_cover(ab: AlgebraBasis, ambient: Rep, sub: dict[object, list]):
     sub[w] is a basis of the submodule at w.  Each basis vector must have a
     lead: entry 1 at its largest coordinate, where every other basis vector
     at w is zero.  Unit vectors have one, which covers a whole module, and
-    so do the columns of `nullspace_matrix`.  The coordinates of a vector of
+    so do the `kernel_columns` of a matrix.  The coordinates of a vector of
     the submodule are then its entries at the leads.  The generators are
     the basis vectors outside the span of the radical, the images of the
     basis under the arrows."""
@@ -475,7 +527,7 @@ def submodule_cover(ab: AlgebraBasis, ambient: Rep, sub: dict[object, list]):
     radical: dict[object, list] = {w: [] for w in ambient.dims}
     for a in ab.q.arrows:
         for vec in sub[a.source]:
-            moved = _apply(F, ambient.act[a.id], vec)
+            moved = _move(F, ambient, a.id, vec)
             if moved:
                 radical[a.target].append(moved)
     # one RREF of all the coordinates, offset vertex by vertex: it is the
@@ -504,42 +556,40 @@ def cover_map(ab: AlgebraBasis, rep: Rep):
     computed on the first call and kept on `rep`, so callers must not
     mutate it."""
     if rep._cover is None:
-        F = ab.field
         units = {w: [{c: 1} for c in range(n)] for w, n in rep.dims.items()}
         summands, gens = submodule_cover(ab, rep, units)
-        tower = tower_rep(ab, summands)
-        mats = {}
-        for w in ab.vertices:
-            cols = []
-            for li, c in tower.labels[w]:
-                g = gens[li][1]
-                for aid in ab.classes[c].word:
-                    g = _apply(F, rep.act[aid], g)
-                cols.append(g)
-            mats[w] = _from_columns(rep.dims[w], cols)
+        tower, mats = _tower_map(ab, summands, rep, [g for _, g in gens])
         rep._cover = summands, mats, tower
     return rep._cover
+
+
+def _block_kernel(ab: AlgebraBasis, dims, mats) -> dict[object, list]:
+    """A basis of the kernel of the vertex-wise matrices mats, dims[w]
+    columns each, at every vertex: the `kernel_columns` of each block.
+
+    They come from one elimination of the block-diagonal matrix, columns
+    offset vertex by vertex; its RREF is that of each block, so each kernel
+    column lies in one block, the one its lead falls in."""
+    verts = ab.vertices
+    rows: list[dict] = []
+    starts, offset = [], 0
+    for w in verts:
+        starts.append(offset)
+        rows.extend({offset + j: x for j, x in row.items()}
+                    for row in mats[w].rows if row)
+        offset += dims[w]
+    kernel: dict[object, list] = {w: [] for w in verts}
+    for col in kernel_columns(rows, offset, ab.field.p):
+        i = bisect.bisect_right(starts, max(col)) - 1
+        kernel[verts[i]].append({j - starts[i]: x for j, x in col.items()})
+    return kernel
 
 
 def _kernel_cover(ab: AlgebraBasis, tower: Rep, mats):
     """Cover of the kernel of the vertex-wise matrices mats out of a tower
     of projectives: the summand vertices, and the presentation entries of
     each generator, read off its tower coordinates."""
-    # one nullspace of the block-diagonal matrix, columns offset vertex by
-    # vertex; its RREF is that of each block, so each kernel column lies in
-    # one block, the one its lead falls in
-    verts = ab.vertices
-    rows: list[dict] = []
-    starts, offset = [], 0
-    for w in verts:
-        starts.append(offset)
-        rows.extend({offset + j: x for j, x in row.items()} for row in mats[w].rows)
-        offset += tower.dims[w]
-    kernel: dict[object, list] = {w: [] for w in verts}
-    for col in _cols(ab.field.nullspace(Matrix(rows, offset))):
-        i = bisect.bisect_right(starts, max(col)) - 1
-        kernel[verts[i]].append({j - starts[i]: x for j, x in col.items()})
-    summands, gens = submodule_cover(ab, tower, kernel)
+    summands, gens = submodule_cover(ab, tower, _block_kernel(ab, tower.dims, mats))
     entries: dict[tuple[int, int], list[tuple[object, int]]] = {}
     for k, (w, g) in enumerate(gens):
         labels = tower.labels[w]
@@ -572,7 +622,8 @@ def resolve_step(ab: AlgebraBasis, pres: ModulePresentation) -> ModulePresentati
 
 
 def cokernel_rep(ab: AlgebraBasis, pres: ModulePresentation) -> Rep:
-    """Materialize coker(tower(p1) -> tower(p0)) as a representation.
+    """Materialize coker(tower(p1) -> tower(p0)) as a representation whose
+    arrows act by matrices.
 
     At each vertex the quotient's basis is the unit vectors at the
     coordinates that are not pivots of the image's RREF; a vector is
@@ -593,12 +644,12 @@ def cokernel_rep(ab: AlgebraBasis, pres: ModulePresentation) -> Rep:
         s, t = a.source, a.target
         cols = []
         for c in free[s]:
-            vec = _apply(F, t0.act[a.id], {c: 1})
+            vec = _move(F, t0, a.id, {c: 1})
             for p, x in list(vec.items()):
                 if p in pivot_rows[t]:
                     _eliminate(vec, x, pivot_rows[t][p], F.p)
             cols.append({free[t][j]: x for j, x in vec.items()})
-        act[a.id] = _from_columns(len(free[t]), cols)
+        act[a.id] = from_columns(len(free[t]), cols)
     return Rep(F, {w: len(f) for w, f in free.items()}, act)
 
 
@@ -609,6 +660,7 @@ def cokernel_rep(ab: AlgebraBasis, pres: ModulePresentation) -> Rep:
 def hom_tower_matrix(ab: AlgebraBasis, pres: ModulePresentation, N: Rep):
     """Matrix of Hom(tower(p0), N) -> Hom(tower(p1), N), phi -> phi o f."""
     F = ab.field
+    add, mul = F.add, F.mul
     col_offsets = []
     total_cols = 0
     for v in pres.p0:
@@ -619,20 +671,33 @@ def hom_tower_matrix(ab: AlgebraBasis, pres: ModulePresentation, N: Rep):
     for v in pres.p1:
         row_offsets.append(total_rows)
         total_rows += N.dims[v]
-    # entry (l, k) fills its own block, rows of p1[k] by columns of p0[l]
+    # entry (l, k) fills its own block, rows of p1[k] by columns of p0[l]:
+    # each class of the entry maps N at p0[l] into N at p1[k]
     rows: list[dict] = [{} for _ in range(total_rows)]
     for (l, k), combo in pres.entries.items():
         r0, c0 = row_offsets[k], col_offsets[l]
         for coeff, cid in combo:
             c = F.scalar(coeff)
-            cls = ab.classes[cid]
-            # N_{p0[l]} -> N_{p1[k]}
-            for i, mrow in enumerate(N.word_matrix(cls.word, cls.source).rows):
+            for i, j, x in _class_action(ab, N, cid):
                 out = rows[r0 + i]
-                for j, x in mrow.items():
-                    out[c0 + j] = F.add(out.get(c0 + j, 0), F.mul(c, x))
-    return Matrix([{j: x for j, x in row.items() if x} for row in rows],
-                  total_cols)
+                y = add(out.pop(c0 + j, 0), mul(c, x))
+                if y:
+                    out[c0 + j] = y
+    return Matrix(rows, total_cols)
+
+
+def _class_action(ab: AlgebraBasis, N: Rep, cid: int):
+    """The nonzero entries (i, j, x) of the matrix by which the class cid
+    acts on N: on a tower read off the class table, (i, b) to (i, b * cid),
+    on any other module the product of its arrow matrices."""
+    cls = ab.classes[cid]
+    if N.maps is None:
+        return [(i, j, x) for i, row in
+                enumerate(N.word_matrix(cls.word, cls.source).rows)
+                for j, x in row.items()]
+    into, walk, word = N.pos[cls.target], ab._walk, cls.word
+    return [(into[i, p], j, 1) for j, (i, b) in enumerate(N.labels[cls.source])
+            if (p := walk(b, word)) is not None]
 
 
 def _pres_hom_dims(ab: AlgebraBasis, pres: ModulePresentation,

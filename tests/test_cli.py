@@ -385,6 +385,44 @@ def test_all_names_the_first_diagonal_that_fails_a_resolution_check(
     assert "pass  reduction  (final length 7)" in lines
 
 
+def test_all_names_the_first_failing_oracle_item_with_its_values(
+        capsys, monkeypatch):
+    # the oracle predicts the presentation of rad P(x) with its two sides
+    # swapped at the first two vertices, and the model reads every radical
+    # line with its sides swapped
+    q9 = load_fixture("q9")
+    x0, x1 = q9.sorted_vertices()[:2]
+    predict, present = orc.radical_cover_arrows, cli.sy.presentation_of
+
+    def swapped_prediction(ab, x):
+        ins, outs = predict(ab, x)
+        return (outs, ins) if x in (x0, x1) else (ins, outs)
+
+    def swapped_model(cp, d):
+        model = present(cp, d)
+        return dataclasses.replace(model, p0=model.p1, p1=model.p0)
+
+    monkeypatch.setattr(orc, "radical_cover_arrows", swapped_prediction)
+    monkeypatch.setattr(cli.sy, "presentation_of", swapped_model)
+    code, out, _ = run(capsys, "all", fixture_path("q9"))
+    assert code == 1
+    ab = orc.build_algebra(q9, 32003)
+    p1, p0 = orc.radical_presentation(ab, x0).summand_multisets()
+    lines = out.splitlines()
+    assert (f"FAIL  oracle[GF(32003)]  (radical_presentation[{x0}]: "
+            f"got {(p1, p0)}, predicted {(p0, p1)}; and 1 more)") in lines
+    n = len(q9.vertices)
+    assert (f"FAIL  model_oracle_consistency  "
+            f"(radical_presentation_matches_oracle[{x0}]: "
+            f"model {(p0, p1)}, oracle {(p1, p0)}; and {n - 1} more)") in lines
+    # with one failing item there is no count
+    monkeypatch.setattr(orc, "radical_cover_arrows", lambda ab, x: (
+        swapped_prediction(ab, x) if x == x0 else predict(ab, x)))
+    _, out, _ = run(capsys, "all", fixture_path("q9"))
+    assert (f"FAIL  oracle[GF(32003)]  (radical_presentation[{x0}]: "
+            f"got {(p1, p0)}, predicted {(p0, p1)})") in out.splitlines()
+
+
 @pytest.mark.parametrize("spec", ["17,20", "0,3", "3,15"])
 def test_resolve_label_outside_the_polygon_is_bad_input(capsys, spec):
     # q9's polygon is a 14-gon: 17,20 would otherwise be read as 3,6

@@ -1,8 +1,11 @@
-"""Modules built once per algebra, on sparse rows, and freed with it.
+"""Modules built once per algebra, on label maps and sparse rows, and freed
+with it.
 
 The dense builders below are the oracle's earlier bodies, kept as
 references: every (i, j) read through `Matrix[i, j]`, every matrix made from
-dense lists by `Field.matrix`.  The sparse code must give the same rows.
+dense lists by `Field.matrix`, every arrow of a module acting by a matrix.
+A tower's label maps enter them as 0/1 matrices (`matrix_rep`).  The sparse
+code must give the same rows.
 """
 import gc
 import random
@@ -13,7 +16,7 @@ import pytest
 
 from dimertree import cli
 from dimertree import oracle as orc
-from dimertree.linalg import GF, QQ, Matrix
+from dimertree.linalg import GF, QQ, Matrix, from_columns, nullspace_matrix
 from dimertree.quiver import weight_report
 
 from cap_build import build_reference
@@ -119,12 +122,28 @@ def block_by_block(ab, summands, radical):
     return direct_sum(ab, parts)
 
 
-def assert_same_module(rep, ref, key):
+def matrix_rep(ab, rep):
+    """rep with its arrows acting by matrices: each label map of a tower
+    turned into its 0/1 matrix, entry 1 at (maps[a][j], j).  Any other
+    module is returned as it is."""
+    if rep.maps is None:
+        return rep
+    act = {}
+    for a in ab.q.arrows:
+        rows = [{} for _ in range(rep.dims[a.target])]
+        for j, i in enumerate(rep.maps[a.id]):
+            if i is not None:
+                rows[i][j] = 1
+        act[a.id] = Matrix(rows, rep.dims[a.source])
+    return orc.Rep(rep.field, rep.dims, act, labels=rep.labels)
+
+
+def assert_same_module(ab, rep, ref, key):
     assert rep.dims == ref.dims, key
     assert rep.labels == ref.labels, key
     assert rep.pos == ref.pos, key
-    assert rep.act.keys() == ref.act.keys(), key
-    for aid, mat in rep.act.items():
+    assert rep.maps.keys() == ref.act.keys(), key
+    for aid, mat in matrix_rep(ab, rep).act.items():
         assert mat.shape == ref.act[aid].shape, (key, aid)
         assert mat.rows == ref.act[aid].rows, (key, aid)
 
@@ -149,6 +168,7 @@ def dense_apply(F, mat, vec):
 
 def dense_hom_space(ab, M, N):
     F = ab.field
+    M, N = matrix_rep(ab, M), matrix_rep(ab, N)
     verts = ab.q.sorted_vertices()
     offsets = {}
     total = 0
@@ -192,6 +212,7 @@ def dense_hom_space(ab, M, N):
 
 def dense_hom_tower_matrix(ab, pres, N):
     F = ab.field
+    N = matrix_rep(ab, N)
     col_offsets, total_cols = [], 0
     for v in pres.p0:
         col_offsets.append(total_cols)
@@ -234,6 +255,7 @@ def dense_coords_in_columns(F, bas_cols, n, targets):
 
 def dense_top_generators(ab, rep):
     F = ab.field
+    rep = matrix_rep(ab, rep)
     rad = {w: [] for w in rep.dims}
     for a in ab.q.arrows:
         rad[a.target].extend(c for c in dense_columns(F, rep.act[a.id]) if any(c))
@@ -248,6 +270,7 @@ def dense_top_generators(ab, rep):
 def dense_cover_map(ab, rep):
     F = ab.field
     gens = dense_top_generators(ab, rep)
+    rep = matrix_rep(ab, rep)
     gen_list = [(w, g) for w in ab.vertices for g in gens[w]]
     summands = [w for w, _ in gen_list]
     tower = orc.tower_rep(ab, summands)
@@ -263,6 +286,7 @@ def dense_cover_map(ab, rep):
 
 def dense_submodule_cover(ab, ambient, sub):
     F = ab.field
+    ambient = matrix_rep(ab, ambient)
     radcols = {w: [] for w in ambient.dims}
     for a in ab.q.arrows:
         for col in sub[a.source]:
@@ -334,6 +358,7 @@ class DenseQuotient:
 def dense_cokernel_rep(ab, pres):
     F = ab.field
     _, t0, mats = orc.presentation_matrices(ab, pres)
+    t0 = matrix_rep(ab, t0)
     quots = {w: DenseQuotient(F, t0.dims[w],
                               [c for c in dense_columns(F, mats[w]) if any(c)])
              for w in ab.vertices}
@@ -460,7 +485,7 @@ def test_cached_towers_equal_the_dense_builder(quiver, field):
         else:
             ref, ref_pos = dense_tower_rep(ab, list(summands))
             assert rep.pos == ref_pos
-        assert_same_module(rep, ref, key)
+        assert_same_module(ab, rep, ref, key)
 
 
 @pytest.mark.parametrize("field", FIELDS)
@@ -475,7 +500,7 @@ def test_tower_rep_equals_the_block_by_block_direct_sum(field, name):
              vs[::-1]]
     for summands in lists:
         for radical in (False, True):
-            assert_same_module(orc.tower_rep(ab, summands, radical),
+            assert_same_module(ab, orc.tower_rep(ab, summands, radical),
                                block_by_block(ab, summands, radical),
                                (summands, radical))
 
@@ -486,7 +511,7 @@ def test_projectives_and_radicals_equal_the_dense_builder(quiver):
         for radical, rep in ((False, ab.projective(v)), (True, ab.radical_rep(v))):
             ref = dense_projective_rep(ab, v, radical)
             assert rep.dims == ref.dims
-            for aid, mat in rep.act.items():
+            for aid, mat in matrix_rep(ab, rep).act.items():
                 assert mat.shape == ref.act[aid].shape
                 assert mat.rows == ref.act[aid].rows, (v, radical, aid)
         assert ab.radical_rep(v) is ab.radical_rep(v)
@@ -663,7 +688,89 @@ def test_column_helpers_and_apply_match_dense_loops(field):
         assert orc._cols(mat) == [sparse(c) for c in cols if any(c)]
         vec = [_entry(F, rng) for _ in range(n)]
         assert orc._apply(F, mat, sparse(vec)) == sparse(dense_apply(F, mat, vec))
-        assert orc._from_columns(m, [sparse(c) for c in cols]).rows == mat.rows
+        assert from_columns(m, [sparse(c) for c in cols]).rows == mat.rows
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_label_maps_move_vectors_as_their_matrices(field):
+    """`_move` through a tower's label maps gives what `_apply` of their 0/1
+    matrices gives, on random vectors of every tower the report keeps, and
+    sums what a map sends to one index."""
+    F = FIELDS[field]
+    rng = random.Random(5)
+    ab = orc.build_algebra(load_fixture("q9"), F)
+    assert orc.full_oracle_report(ab).ok
+    for rep in ab._modules.values():
+        mats = matrix_rep(ab, rep).act
+        for a in ab.q.arrows:
+            vec = sparse([_entry(F, rng) for _ in range(rep.dims[a.source])])
+            assert orc._move(F, rep, a.id, vec) == orc._apply(F, mats[a.id], vec)
+    merging = orc.Rep(F, {}, maps={"a": [0, 0, None, 1, 1]})
+    vec = {0: F.scalar(1), 1: F.neg(F.scalar(1)), 2: F.scalar(5),
+           3: F.scalar(2), 4: F.scalar(3)}
+    assert orc._move(F, merging, "a", vec) == {1: F.scalar(5)}
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("name", [*FIXTURES, "k4"])
+def test_hom_tower_matrix_on_towers_equals_the_word_matrix_path(field, name):
+    """On every tower the report keeps, the Hom blocks read off the class
+    table equal the blocks its 0/1 arrow matrices give through
+    `word_matrix`, for each radical presentation and its next two steps."""
+    ab = orc.build_algebra(_quiver(name), FIELDS[field])
+    assert orc.full_oracle_report(ab).ok
+    presentations = []
+    for x in ab.vertices:
+        pres = orc.radical_presentation(ab, x)
+        presentations += [pres, orc.resolve_step(ab, pres),
+                          orc.resolve_step(ab, orc.resolve_step(ab, pres))]
+    for N in list(ab._modules.values()):
+        ref = matrix_rep(ab, N)
+        for pres in presentations:
+            got = orc.hom_tower_matrix(ab, pres, N)
+            want = orc.hom_tower_matrix(ab, pres, ref)
+            assert got.shape == want.shape
+            assert got.rows == want.rows
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_block_kernel_equals_each_blocks_nullspace(field):
+    """The kernel columns `_kernel_cover` takes from one elimination of a
+    random block-diagonal matrix equal the columns of `nullspace_matrix` of
+    each block, in order and entry by entry."""
+    F = FIELDS[field]
+    rng = random.Random(11)
+    ab = orc.build_algebra(load_fixture("q9"), F)
+    for _ in range(100):
+        dims = {w: rng.randint(0, 5) for w in ab.vertices}
+        mats = {w: random_matrix(F, rng, rng.randint(0, 5), n)
+                for w, n in dims.items()}
+        kernel = orc._block_kernel(ab, dims, mats)
+        for w in ab.vertices:
+            want = orc._cols(nullspace_matrix(mats[w], F.p))
+            assert ([sorted(c.items()) for c in kernel[w]]
+                    == [sorted(c.items()) for c in want]), w
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("name", [*FIXTURES, "k4"])
+def test_the_report_never_takes_the_matrix_path_on_a_tower(
+        field, name, monkeypatch):
+    """Every module the report builds is a tower, which acts through its
+    label maps: patched to raise, neither `Rep.word_matrix` nor `_apply`
+    is called, and no tower keeps an arrow matrix."""
+    def refuse(*args):
+        raise AssertionError("the matrix path was taken")
+
+    monkeypatch.setattr(orc.Rep, "word_matrix", refuse)
+    monkeypatch.setattr(orc, "_apply", refuse)
+    ab = orc.build_algebra(_quiver(name), FIELDS[field])
+    assert orc.full_oracle_report(ab).ok
+    assert all(rep.act is None and rep.maps for rep in ab._modules.values())
+    # a module that is not a tower still takes it
+    M = orc.cokernel_rep(ab, orc.radical_presentation(ab, ab.vertices[0]))
+    with pytest.raises(AssertionError, match="matrix path"):
+        orc._move(ab.field, M, ab.q.arrows[0].id, {})
 
 
 @pytest.mark.parametrize("field", FIELDS)
