@@ -269,8 +269,8 @@ def dense_top_generators(ab, rep):
 
 def dense_cover_map(ab, rep):
     F = ab.field
-    gens = dense_top_generators(ab, rep)
     rep = matrix_rep(ab, rep)
+    gens = dense_top_generators(ab, rep)
     gen_list = [(w, g) for w in ab.vertices for g in gens[w]]
     summands = [w for w, _ in gen_list]
     tower = orc.tower_rep(ab, summands)
