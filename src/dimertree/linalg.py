@@ -3,15 +3,16 @@
 Two fields share one small matrix type, `Matrix`: a list of sparse rows
 {column: nonzero entry} and a column count.  Over GF(p) the entries are
 Python ints in [0, p); over the exact rationals they are Python ints or
-Fractions, never floats.  Row reduction is computed by one exact
-elimination routine on sparse rows, `rref_rows`, over Python ints mod
-p or over the rationals, kernels by one routine on its result,
-`kernel_columns`, and products by one sparse `matmul_matrix`; the
-oracle's matrices are tiny and mostly zero, so only nonzero entries are
-touched.  Relations in the algebras at hand have unit coefficients, so
-almost every rational entry stays an int, a Fraction is made only when a
-non-unit is inverted, and the rational path stays cheap and certifies the
-prime-field results.
+Fractions, never floats.  One exact forward elimination of sparse
+vectors, `echelon`, over Python ints mod p or over the rationals, gives
+pivots and ranks alone; `rref_rows` adds back-substitution to it, and
+`kernel_columns` runs it on the columns of a matrix, recording each column
+that depends on the earlier ones as a kernel vector.  Products come from
+one sparse `matmul_matrix`; the oracle's matrices are tiny and mostly
+zero, so only nonzero entries are touched.  Relations in the algebras at
+hand have unit coefficients, so almost every rational entry stays an int,
+a Fraction is made only when a non-unit is inverted, and the rational
+path stays cheap and certifies the prime-field results.
 """
 from __future__ import annotations
 
@@ -67,21 +68,34 @@ class Matrix:
         else:
             self.rows[i].pop(j, None)
 
+    def columns(self) -> list[dict]:
+        """The columns as sparse vectors {row: nonzero entry}."""
+        cols: list[dict] = [{} for _ in range(self.ncols)]
+        for i, row in enumerate(self.rows):
+            for j, x in row.items():
+                cols[j][i] = x
+        return cols
+
 
 # -- exact elimination on sparse rows --------------------------------------------
 #
 # `p` is the prime of GF(p), with entries Python ints in [0, p), or None for
 # the rationals, with entries Python ints or Fractions.
 
-def rref_rows(rows: list[dict[int, object]], p: int | None) -> list[tuple[int, dict]]:
-    """Reduced row echelon form of rows given as {column: nonzero entry}.
-
-    Returns the nonzero rows of the RREF as (pivot column, row) pairs in
-    increasing pivot order; each row has entry 1 at its pivot and no entry in
-    another pivot column.  The input rows are not modified."""
+def echelon(vectors: list[dict[int, object]], p: int | None,
+            kernel: list | None = None) -> dict[int, dict]:
+    """Forward elimination of sparse vectors, in order: each is reduced at
+    its least coordinate until it is zero or has a new pivot there, scaled
+    to entry 1.  Returns the pivot rows {pivot: row}, whose pivots are the
+    RREF's.  The inputs are not modified.  Given a list `kernel`, appends
+    for each input k that reduces to zero e_k minus its combination of the
+    earlier independent inputs, as a vector over the input indices."""
     pivot_rows: dict[int, dict] = {}
-    for row in rows:
-        row = dict(row)
+    combos: dict[int, dict] = {}
+    track = kernel is not None
+    for k, vec in enumerate(vectors):
+        row = dict(vec)
+        combo = {k: 1} if track else None
         while row:
             c = min(row)
             prow = pivot_rows.get(c)
@@ -89,8 +103,27 @@ def rref_rows(rows: list[dict[int, object]], p: int | None) -> list[tuple[int, d
                 inv = pow(row[c], -1, p) if p else _qq_inverse(row[c])
                 pivot_rows[c] = {j: x * inv % p if p else x * inv
                                  for j, x in row.items()}
+                if track:
+                    combos[c] = {j: x * inv % p if p else x * inv
+                                 for j, x in combo.items()}
                 break
-            _eliminate(row, row[c], prow, p)
+            f = row[c]
+            _eliminate(row, f, prow, p)
+            if track:
+                _eliminate(combo, f, combos[c], p)
+        else:
+            if track:
+                kernel.append(combo)
+    return pivot_rows
+
+
+def rref_rows(rows: list[dict[int, object]], p: int | None) -> list[tuple[int, dict]]:
+    """Reduced row echelon form of rows given as {column: nonzero entry}.
+
+    Returns the nonzero rows of the RREF as (pivot column, row) pairs in
+    increasing pivot order; each row has entry 1 at its pivot and no entry in
+    another pivot column.  The input rows are not modified."""
+    pivot_rows = echelon(rows, p)
     # back substitution, highest pivot first: the rows above are reduced, so
     # subtracting them adds no entry in a pivot column
     order = sorted(pivot_rows)
@@ -135,24 +168,16 @@ def rref_matrix(a: Matrix, p: int | None) -> tuple[Matrix, list[int]]:
     return Matrix(rows, n), [c for c, _ in reduced]
 
 
-def kernel_columns(rows: list[dict[int, object]], n: int,
-                   p: int | None) -> list[dict]:
-    """A basis of the right kernel of the matrix with these rows and n
-    columns, as sparse columns {row: nonzero entry}: one per free column c,
-    in increasing order, with entry 1 at c and minus the reduced rows'
-    entries at the pivots.
-
-    Each column has a lead: c is its largest nonzero coordinate (a reduced
-    row has entries only right of its pivot, so the pivots it reaches from
-    c are smaller), and every other column is zero at c."""
-    reduced = rref_rows(rows, p)
-    pivots = {c for c, _ in reduced}
-    cols = {c: {c: 1} for c in range(n) if c not in pivots}
-    for c, row in reduced:
-        for j, x in row.items():
-            if j != c:
-                cols[j][c] = -x % p if p else -x
-    return list(cols.values())
+def kernel_columns(cols: list[dict[int, object]], p: int | None) -> list[dict]:
+    """A basis of the kernel of the matrix with these sparse columns, from
+    their `echelon`: for each column c that depends on the earlier ones, in
+    order, e_c minus its combination of the earlier independent columns.
+    That is the RREF's kernel vector for free column c, the only one on c
+    and the earlier pivot columns with entry 1 at c.  So each vector has a
+    lead: c is its largest coordinate, and every other vector is zero at c."""
+    kernel: list[dict] = []
+    echelon(cols, p, kernel)
+    return kernel
 
 
 def from_columns(nrows: int, cols: list[dict]) -> Matrix:
@@ -166,7 +191,7 @@ def from_columns(nrows: int, cols: list[dict]) -> Matrix:
 
 def nullspace_matrix(a: Matrix, p: int | None) -> Matrix:
     """The `kernel_columns` of a, as the columns of a matrix."""
-    return from_columns(a.ncols, kernel_columns(a.rows, a.ncols, p))
+    return from_columns(a.ncols, kernel_columns(a.columns(), p))
 
 
 def matmul_matrix(a: Matrix, b: Matrix, p: int | None) -> Matrix:
@@ -215,7 +240,7 @@ class Field:
         return Matrix([{i: 1} for i in range(n)], n)
 
     def rank(self, a) -> int:
-        return len(self.rref(a)[1])
+        return len(echelon(a.rows, self.p))
 
     def is_zero_matrix(self, a) -> bool:
         return not any(a.rows)

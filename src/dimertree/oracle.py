@@ -33,14 +33,15 @@ Covers, kernels and presentations share one vector format: a sparse dict
 `_move`, applies an arrow to a vector: through the label map on a tower,
 through `_apply` of the matrix on any other module.  Hom blocks read a
 class's action on a tower off the class table (`_class_action`).  One
-routine, `_tower_map`, gives the matrices of a map out of a tower from the
-images of its tops, one move per basis vector: the projective cover and
-the map of a presentation.  One routine, `submodule_cover`, covers both a
-whole module (given the unit vectors) and the kernel of a map out of a
-tower (given its `kernel_columns`); both bases have leads, so a vector's
-coordinates are read off without another row reduction.  Each kernel and
-each cover takes one elimination over the whole module: the vertex blocks
-make one block-diagonal matrix, whose RREF is that of each block.
+routine, `_tower_map`, gives a map out of a tower as its image columns at
+each vertex, from the images of its tops, one move per basis vector: the
+projective cover and the map of a presentation.  Its kernel at a vertex is
+one forward elimination of those columns (`kernel_columns`).  A tower is
+covered off its label maps: its tops are the basis vectors no arrow
+reaches.  One routine, `submodule_cover`, covers the kernel of a map out of
+a tower, and a module that is not a tower given its unit vectors; both
+bases have leads, so a vector's coordinates are read off without another
+row reduction, and only the pivots of those coordinates are needed.
 
 Relation structure: a boundary arrow contributes a single vanishing word (the
 rest of its cycle); an interior arrow equates the complementary words of its
@@ -52,15 +53,14 @@ words, those with no left side as a factor, are a basis: the path classes.
 """
 from __future__ import annotations
 
-import bisect
 import dataclasses
 import heapq
 import itertools
 from collections import Counter
 from dataclasses import dataclass
 
-from .linalg import (DEFAULT_PRIME, Field, Matrix, _eliminate, from_columns,
-                     kernel_columns, parse_field_spec)
+from .linalg import (DEFAULT_PRIME, Field, Matrix, _eliminate, echelon,
+                     from_columns, kernel_columns, parse_field_spec)
 from .quiver import (
     Check,
     Potential,
@@ -411,8 +411,9 @@ def tower_rep(ab: AlgebraBasis, summands, radical: bool = False) -> Rep:
 
 
 def presentation_matrices(ab: AlgebraBasis, pres: ModulePresentation):
-    """Vertex-wise matrices of the tower map tower(p1) -> tower(p0), which
-    sends the top of summand k to the sum of its entries' classes."""
+    """The towers of p1 and p0, and the vertex-wise image columns of the
+    tower map tower(p1) -> tower(p0), which sends the top of summand k to
+    the sum of its entries' classes."""
     F = ab.field
     t0 = tower_rep(ab, pres.p0)
     tops: list[dict] = [{} for _ in pres.p1]
@@ -423,48 +424,36 @@ def presentation_matrices(ab: AlgebraBasis, pres: ModulePresentation):
             x = F.add(top.pop(r, 0), F.scalar(coeff))
             if x:
                 top[r] = x
-    t1, mats = _tower_map(ab, pres.p1, t0, tops)
-    return t1, t0, mats
+    t1, cols = _tower_map(ab, pres.p1, t0, tops)
+    return t1, t0, cols
 
 
 def _tower_map(ab: AlgebraBasis, summands, target: Rep, tops: list[dict]):
-    """The tower of the summands, and the vertex-wise matrices of the map
-    from it to target that sends the top of summand li to tops[li].
+    """The tower of the summands, and the vertex-wise image columns of the
+    map from it to target that sends the top of summand li to tops[li]:
+    cols[w][j] is the image of basis vector j at w, in target coordinates.
 
     The basis vector (li, c) goes to tops[li] times c: the image of
     (li, prefix of c) moved by the last arrow of c.  The classes from each
-    summand come prefix first, so each basis vector takes one move, and its
-    image is written into the rows at once."""
+    summand come prefix first, so each basis vector takes one move, and in
+    the order of the tower's labels, so its image is the next column."""
     F = ab.field
     classes = ab.classes
-    tower = tower_rep(ab, summands)
-    rows = {w: [{} for _ in range(n)] for w, n in target.dims.items()}
+    cols: dict[object, list[dict]] = {w: [] for w in ab.vertices}
     for li, v in enumerate(summands):
         image: dict[int, dict] = {}
         for c in ab.from_vertex[v]:
             cls = classes[c]
             vec = image[c] = (tops[li] if cls.prefix is None else
                               _move(F, target, cls.word[-1], image[cls.prefix]))
-            col = tower.pos[cls.target][li, c]
-            out = rows[cls.target]
-            for r, x in vec.items():
-                out[r][col] = x
-    return tower, {w: Matrix(rows[w], tower.dims[w]) for w in ab.vertices}
+            cols[cls.target].append(vec)
+    return tower_rep(ab, summands), cols
 
 
 # -- sparse vectors ---------------------------------------------------------------
 #
 # A vector is a sparse dict {coordinate: nonzero entry}, the shape of a
 # `Matrix` row.
-
-def _cols(mat: Matrix) -> list[dict]:
-    """The nonzero columns of mat, as sparse vectors, in column order."""
-    cols: dict[int, dict] = {}
-    for i, row in enumerate(mat.rows):
-        for j, x in row.items():
-            cols.setdefault(j, {})[i] = x
-    return [cols[j] for j in sorted(cols)]
-
 
 def _apply(F: Field, mat: Matrix, vec: dict) -> dict:
     """mat times vec, over the nonzero entries of both."""
@@ -530,66 +519,51 @@ def submodule_cover(ab: AlgebraBasis, ambient: Rep, sub: dict[object, list]):
             moved = _move(F, ambient, a.id, vec)
             if moved:
                 radical[a.target].append(moved)
-    # one RREF of all the coordinates, offset vertex by vertex: it is the
-    # RREF of each vertex's block
-    coords: list[dict] = []
-    offset = 0
+    gens = []
     for w in ab.vertices:
         basis = sub[w]
         lead = {max(b): k for k, b in enumerate(basis)}
+        coords: list[dict] = []
         for vec in radical[w]:
             c = {lead[j]: x for j, x in vec.items() if j in lead}
             if _combine(F, basis, c) != vec:
                 raise OracleError("vector not inside the subspace")
-            coords.append({offset + k: x for k, x in c.items()})
-        offset += len(basis)
-    pivots = set(F.rref(Matrix(coords, offset))[1]) if coords else set()
-    flat = [(w, b) for w in ab.vertices for b in sub[w]]
-    gens = [g for k, g in enumerate(flat) if k not in pivots]
+            coords.append(c)
+        pivots = echelon(coords, F.p)
+        gens += [(w, b) for k, b in enumerate(basis) if k not in pivots]
     return [w for w, _ in gens], gens
 
 
 def cover_map(ab: AlgebraBasis, rep: Rep):
     """Projective cover tower -> rep, where rep is a module over ab.
 
-    Returns (summand vertices, vertex-wise matrices, tower rep).  It is
-    computed on the first call and kept on `rep`, so callers must not
-    mutate it."""
+    Returns (summand vertices, vertex-wise image columns, tower rep).  It
+    is computed on the first call and kept on `rep`, so callers must not
+    mutate it.  On a tower an arrow sends basis vectors to basis vectors,
+    so the tops are the basis vectors no label map reaches, in vertex then
+    index order; any other module is covered through `submodule_cover` of
+    its unit vectors."""
     if rep._cover is None:
-        units = {w: [{c: 1} for c in range(n)] for w, n in rep.dims.items()}
-        summands, gens = submodule_cover(ab, rep, units)
-        tower, mats = _tower_map(ab, summands, rep, [g for _, g in gens])
-        rep._cover = summands, mats, tower
+        if rep.maps is None:
+            units = {w: [{c: 1} for c in range(n)] for w, n in rep.dims.items()}
+            summands, gens = submodule_cover(ab, rep, units)
+        else:
+            reached = {(a.target, i) for a in ab.q.arrows for i in rep.maps[a.id]}
+            gens = [(w, {i: 1}) for w in ab.vertices
+                    for i in range(rep.dims[w]) if (w, i) not in reached]
+            summands = [w for w, _ in gens]
+        tower, cols = _tower_map(ab, summands, rep, [g for _, g in gens])
+        rep._cover = summands, cols, tower
     return rep._cover
 
 
-def _block_kernel(ab: AlgebraBasis, dims, mats) -> dict[object, list]:
-    """A basis of the kernel of the vertex-wise matrices mats, dims[w]
-    columns each, at every vertex: the `kernel_columns` of each block.
-
-    They come from one elimination of the block-diagonal matrix, columns
-    offset vertex by vertex; its RREF is that of each block, so each kernel
-    column lies in one block, the one its lead falls in."""
-    verts = ab.vertices
-    rows: list[dict] = []
-    starts, offset = [], 0
-    for w in verts:
-        starts.append(offset)
-        rows.extend({offset + j: x for j, x in row.items()}
-                    for row in mats[w].rows if row)
-        offset += dims[w]
-    kernel: dict[object, list] = {w: [] for w in verts}
-    for col in kernel_columns(rows, offset, ab.field.p):
-        i = bisect.bisect_right(starts, max(col)) - 1
-        kernel[verts[i]].append({j - starts[i]: x for j, x in col.items()})
-    return kernel
-
-
-def _kernel_cover(ab: AlgebraBasis, tower: Rep, mats):
-    """Cover of the kernel of the vertex-wise matrices mats out of a tower
-    of projectives: the summand vertices, and the presentation entries of
-    each generator, read off its tower coordinates."""
-    summands, gens = submodule_cover(ab, tower, _block_kernel(ab, tower.dims, mats))
+def _kernel_cover(ab: AlgebraBasis, tower: Rep, cols):
+    """Cover of the kernel of the map out of a tower of projectives with
+    vertex-wise image columns cols, at each vertex the `kernel_columns` of
+    its columns: the summand vertices, and the presentation entries of each
+    generator, read off its tower coordinates."""
+    kernel = {w: kernel_columns(cols[w], ab.field.p) for w in ab.vertices}
+    summands, gens = submodule_cover(ab, tower, kernel)
     entries: dict[tuple[int, int], list[tuple[object, int]]] = {}
     for k, (w, g) in enumerate(gens):
         labels = tower.labels[w]
@@ -601,8 +575,8 @@ def _kernel_cover(ab: AlgebraBasis, tower: Rep, mats):
 
 def minimal_presentation(ab: AlgebraBasis, rep: Rep) -> ModulePresentation:
     """Projective cover of rep, then cover of the kernel of the cover."""
-    summands, mats, tower = cover_map(ab, rep)
-    p1, entries = _kernel_cover(ab, tower, mats)
+    summands, cols, tower = cover_map(ab, rep)
+    p1, entries = _kernel_cover(ab, tower, cols)
     if any(ab.classes[cls].is_constant
            for combo in entries.values() for _, cls in combo):
         raise OracleError("presentation is not minimal: constant entry")
@@ -615,8 +589,8 @@ def resolve_step(ab: AlgebraBasis, pres: ModulePresentation) -> ModulePresentati
     later calls return the same object; `pres` belongs to `ab`, whose class
     ids its entries use."""
     if pres._next is None:
-        t1, _, mats = presentation_matrices(ab, pres)
-        p2, entries = _kernel_cover(ab, t1, mats)
+        t1, _, cols = presentation_matrices(ab, pres)
+        p2, entries = _kernel_cover(ab, t1, cols)
         pres._next = ModulePresentation(p1=p2, p0=list(pres.p1), entries=entries)
     return pres._next
 
@@ -629,14 +603,11 @@ def cokernel_rep(ab: AlgebraBasis, pres: ModulePresentation) -> Rep:
     coordinates that are not pivots of the image's RREF; a vector is
     reduced against the RREF rows and read at those coordinates."""
     F = ab.field
-    _, t0, mats = presentation_matrices(ab, pres)
+    _, t0, images = presentation_matrices(ab, pres)
     pivot_rows, free = {}, {}
     for w in ab.vertices:
-        image = _cols(mats[w])
-        pivot_rows[w] = {}
-        if image:
-            red, piv = F.rref(Matrix(image, t0.dims[w]))
-            pivot_rows[w] = dict(zip(piv, red.rows))
+        red, piv = F.rref(Matrix(images[w], t0.dims[w]))
+        pivot_rows[w] = dict(zip(piv, red.rows))
         free[w] = {c: k for k, c in enumerate(
             c for c in range(t0.dims[w]) if c not in pivot_rows[w])}
     act = {}
@@ -710,20 +681,20 @@ def _pres_hom_dims(ab: AlgebraBasis, pres: ModulePresentation,
     lifts are the same kernel into P_N, and pi at p0[l] takes block l of a
     lift to block l of its composite, so one product projects them all."""
     F = ab.field
-    dim_hom = F.nullspace(hom_tower_matrix(ab, pres, N)).ncols
+    hom = hom_tower_matrix(ab, pres, N)
+    dim_hom = hom.ncols - F.rank(hom)
     if not dim_hom:
         return 0, 0
-    _, pi_mats, towerN = cover_map(ab, N)
+    _, pi_cols, towerN = cover_map(ab, N)
     lifts = F.nullspace(hom_tower_matrix(ab, pres, towerN))
     if not lifts.ncols:
         return dim_hom, dim_hom
     proj: list[dict] = []
     offset = 0
     for v in pres.p0:
-        proj.extend({offset + k: x for k, x in row.items()}
-                    for row in pi_mats[v].rows)
-        offset += towerN.dims[v]
-    return dim_hom, dim_hom - F.rank(F.matmul(Matrix(proj, offset), lifts))
+        proj.extend({offset + i: x for i, x in col.items()} for col in pi_cols[v])
+        offset += N.dims[v]
+    return dim_hom, dim_hom - F.rank(F.matmul(from_columns(offset, proj), lifts))
 
 
 def _ext1_complex(ab: AlgebraBasis, pres: ModulePresentation, N: Rep):
@@ -743,14 +714,14 @@ def _ext1_by_tag(ab: AlgebraBasis, pres: ModulePresentation, N: Rep) -> Counter:
     N of the N_x from `tower_rep`, from one complex against N.  A single
     projective or radical has the one index 0.
 
-    Both differentials are block-diagonal in x, so their RREFs are too:
-    the rank of block x is the number of pivot columns tagged x."""
+    Both differentials are block-diagonal in x, so their echelon forms are
+    too: the rank of block x is the number of pivot columns tagged x."""
     F = ab.field
     d0, d1 = _ext1_complex(ab, pres, N)
     t0, t1 = ([x for v in p for x, _ in N.labels[v]] for p in (pres.p0, pres.p1))
     ext = Counter(t1)                      # dim Hom(T1, N_x)
     for d, tags in ((d0, t0), (d1, t1)):
-        for c in F.rref(d)[1]:
+        for c in echelon(d.rows, F.p):
             ext[tags[c]] -= 1
     return ext
 

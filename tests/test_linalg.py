@@ -11,83 +11,11 @@ import pytest
 
 import dimertree
 from dimertree import _modp
-from dimertree.linalg import GF, QQ, FieldError, parse_field_spec
+from dimertree.linalg import (GF, QQ, FieldError, echelon, kernel_columns,
+                              parse_field_spec)
 
-
-# Dense references: the row reductions the sparse elimination replaced.
-
-def dense_rref_modp(a, p):
-    a = np.mod(a, p).astype(np.int64)
-    m, n = a.shape
-    pivots = []
-    r = 0
-    for c in range(n):
-        if r >= m:
-            break
-        hits = np.nonzero(a[r:, c])[0]
-        if hits.size == 0:
-            continue
-        i = r + int(hits[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        inv = pow(int(a[r, c]), p - 2, p)
-        a[r] = (a[r] * inv) % p
-        rows = np.nonzero(a[:, c])[0]
-        rows = rows[rows != r]
-        if rows.size:
-            a[rows] = (a[rows] - np.outer(a[rows, c], a[r])) % p
-        pivots.append(c)
-        r += 1
-    return a, np.array(pivots, dtype=np.int64)
-
-
-def dense_rref_qq(a):
-    mat = a.copy()
-    m, n = mat.shape
-    pivots = []
-    r = 0
-    for c in range(n):
-        if r >= m:
-            break
-        piv = next((i for i in range(r, m) if mat[i, c] != 0), None)
-        if piv is None:
-            continue
-        if piv != r:
-            mat[[r, piv]] = mat[[piv, r]]
-        inv = Fraction(1) / mat[r, c]  # exact: entries may be ints
-        if inv != 1:
-            mat[r] = mat[r] * inv
-        for i in range(m):
-            if i != r and mat[i, c] != 0:
-                mat[i] = mat[i] - mat[i, c] * mat[r]
-        pivots.append(c)
-        r += 1
-    return mat, pivots
-
-
-def dense_nullspace(f, a):
-    n = a.shape[1]
-    if isinstance(f, GF):
-        r, pivots = dense_rref_modp(a, f.p)
-        pivots = [int(c) for c in pivots]
-    else:
-        r, pivots = dense_rref_qq(a)
-    free = [c for c in range(n) if c not in pivots]
-    basis = f.zeros(n, len(free))
-    for k, c in enumerate(free):
-        basis[c, k] = f.scalar(1)
-        for i, pc in enumerate(pivots):
-            basis[pc, k] = f.neg(r[i, c])
-    return basis
-
-
-def dense(a):
-    """A dense numpy copy of a `Matrix`, for the references and comparisons."""
-    out = np.zeros(a.shape, dtype=object)
-    for i, row in enumerate(a.rows):
-        for j, x in row.items():
-            out[i, j] = x
-    return out
+from linalg_refs import (dense, dense_nullspace, dense_rref_modp,
+                         dense_rref_qq, rref_kernel_columns)
 
 
 def transpose(f, a):
@@ -316,6 +244,57 @@ def test_nullspace_columns_have_leads(field):
         for k, (col, lead) in enumerate(zip(cols, leads)):
             assert col[lead] == 1
             assert all(lead not in other for other in cols[:k] + cols[k + 1:])
+
+
+KERNEL_FIELDS = [GF(2), GF(3), GF(32003), QQ()]
+
+
+def random_column_matrices(field, rng):
+    """Mostly-zero matrices with non-unit entries, some columns zero or
+    repeated, and the empty and all-zero shapes, as `Matrix`es."""
+    values = ([2, -3, 5, 7, -1, 1, Fraction(1, 3), Fraction(-5, 2)]
+              if isinstance(field, QQ)
+              else [1, 2, field.p - 1, field.p // 2 + 1, 12345])
+    for m, n in SHAPES + [(rng.randint(1, 10), rng.randint(1, 10)) for _ in range(80)]:
+        # rows of the transpose: zero and repeated ones are such columns
+        cols = sparse_random_rows(rng, n, m, values)
+        yield field.matrix([[col[i] for col in cols] for i in range(m)], ncols=n)
+    for m, n in ((0, 0), (0, 5), (5, 0), (4, 6)):
+        yield field.zeros(m, n)
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=lambda f: f.name)
+def test_column_kernel_equals_the_rref_kernel(field):
+    """Forward elimination of the columns gives the kernel vectors the RREF
+    of the rows gives, vector by vector, in order and entry by entry, and
+    the dense reference's columns."""
+    rng = random.Random(31)
+    for a in random_column_matrices(field, rng):
+        m, n = a.shape
+        got = kernel_columns(a.columns(), field.p)
+        want = rref_kernel_columns(a.rows, n, field.p)
+        assert got == want, (m, n)
+        # the same coordinates in the same order, and an int where the RREF
+        # gives an int
+        assert ([[(i, type(x)) for i, x in sorted(v.items())] for v in got]
+                == [[(i, type(x)) for i, x in sorted(v.items())] for v in want])
+        ns = field.nullspace(a)
+        assert ns.columns() == got
+        assert np.array_equal(dense(ns), dense(dense_nullspace(field, dense(a))))
+        if isinstance(field, GF):
+            assert all(type(x) is int and 0 <= x < field.p
+                       for v in got for x in v.values())
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=lambda f: f.name)
+def test_forward_pivots_equal_the_rref_pivot_columns(field):
+    """The pivots of forward elimination alone are the pivot columns of the
+    RREF, and their number is the rank."""
+    rng = random.Random(37)
+    for a in random_column_matrices(field, rng):
+        pivots = field.rref(a)[1]
+        assert sorted(echelon(a.rows, field.p)) == pivots
+        assert field.rank(a) == len(pivots)
 
 
 def test_zero_matrices_reduce_to_themselves():

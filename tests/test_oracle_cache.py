@@ -14,14 +14,15 @@ from fractions import Fraction
 
 import pytest
 
-from dimertree import cli
+from dimertree import cli, linalg
 from dimertree import oracle as orc
-from dimertree.linalg import GF, QQ, Matrix, from_columns, nullspace_matrix
+from dimertree.linalg import GF, QQ, Matrix, from_columns
 from dimertree.quiver import weight_report
 
 from cap_build import build_reference
 from conftest import (fixture_path, glued_dimer_tree, load_fixture,
                       multiplication_table)
+from linalg_refs import dense, dense_nullspace
 
 FIELDS = {"GF": GF(32003), "Q": QQ()}
 FIXTURES = ["c3", "c4", "c5", "c6", "c7", "c8", "q7", "q9"]
@@ -308,7 +309,7 @@ def dense_submodule_cover(ab, ambient, sub):
 
 def dense_kernel_cover(ab, tower, mats):
     F = ab.field
-    ker = {w: dense_columns(F, F.nullspace(mats[w])) if n else []
+    ker = {w: dense_columns(F, dense_nullspace(F, dense(mats[w]))) if n else []
            for w, n in tower.dims.items()}
     gen_list = dense_submodule_cover(ab, tower, ker)
     entries = {}
@@ -325,9 +326,14 @@ def dense_minimal_presentation(ab, rep):
     return orc.ModulePresentation(p1=p1, p0=summands, entries=entries)
 
 
+def as_matrices(rep, cols):
+    """Vertex-wise image columns into rep, as matrices."""
+    return {w: from_columns(rep.dims[w], c) for w, c in cols.items()}
+
+
 def dense_resolve_step(ab, pres):
-    t1, _, mats = orc.presentation_matrices(ab, pres)
-    p2, entries = dense_kernel_cover(ab, t1, mats)
+    t1, t0, cols = orc.presentation_matrices(ab, pres)
+    p2, entries = dense_kernel_cover(ab, t1, as_matrices(t0, cols))
     return orc.ModulePresentation(p1=p2, p0=list(pres.p1), entries=entries)
 
 
@@ -357,7 +363,8 @@ class DenseQuotient:
 
 def dense_cokernel_rep(ab, pres):
     F = ab.field
-    _, t0, mats = orc.presentation_matrices(ab, pres)
+    _, t0, cols = orc.presentation_matrices(ab, pres)
+    mats = as_matrices(t0, cols)
     t0 = matrix_rep(ab, t0)
     quots = {w: DenseQuotient(F, t0.dims[w],
                               [c for c in dense_columns(F, mats[w]) if any(c)])
@@ -379,7 +386,8 @@ def family_stable_hom_dim(ab, M, N):
     homs = dense_hom_space(ab, M, N)
     if not homs:
         return 0
-    _, pi_mats, towerN = orc.cover_map(ab, N)
+    _, pi_cols, towerN = orc.cover_map(ab, N)
+    pi_mats = as_matrices(N, pi_cols)
     lifts = dense_hom_space(ab, M, towerN)
     if not lifts:
         return len(homs)
@@ -685,7 +693,7 @@ def test_column_helpers_and_apply_match_dense_loops(field):
         m, n = rng.randint(0, 6), rng.randint(0, 6)
         mat = random_matrix(F, rng, m, n)
         cols = dense_columns(F, mat)
-        assert orc._cols(mat) == [sparse(c) for c in cols if any(c)]
+        assert mat.columns() == [sparse(c) for c in cols]
         vec = [_entry(F, rng) for _ in range(n)]
         assert orc._apply(F, mat, sparse(vec)) == sparse(dense_apply(F, mat, vec))
         assert from_columns(m, [sparse(c) for c in cols]).rows == mat.rows
@@ -734,22 +742,90 @@ def test_hom_tower_matrix_on_towers_equals_the_word_matrix_path(field, name):
 
 
 @pytest.mark.parametrize("field", FIELDS)
-def test_block_kernel_equals_each_blocks_nullspace(field):
-    """The kernel columns `_kernel_cover` takes from one elimination of a
-    random block-diagonal matrix equal the columns of `nullspace_matrix` of
-    each block, in order and entry by entry."""
+def test_block_kernel_equals_each_blocks_nullspace(field, monkeypatch):
+    """The kernel `_kernel_cover` covers at each vertex, from one forward
+    elimination of that vertex's image columns, equals the columns of the
+    dense nullspace of its block, in order and entry by entry: on random
+    columns, some zero, out of random towers."""
     F = FIELDS[field]
     rng = random.Random(11)
     ab = orc.build_algebra(load_fixture("q9"), F)
+    kernels = []
+    monkeypatch.setattr(orc, "submodule_cover",
+                        lambda ab, tower, sub: kernels.append(sub) or ([], []))
     for _ in range(100):
-        dims = {w: rng.randint(0, 5) for w in ab.vertices}
+        tower = orc.tower_rep(ab, [rng.choice(ab.vertices)
+                                   for _ in range(rng.randint(1, 3))])
         mats = {w: random_matrix(F, rng, rng.randint(0, 5), n)
-                for w, n in dims.items()}
-        kernel = orc._block_kernel(ab, dims, mats)
+                for w, n in tower.dims.items()}
+        orc._kernel_cover(ab, tower, {w: m.columns() for w, m in mats.items()})
+        kernel = kernels.pop()
         for w in ab.vertices:
-            want = orc._cols(nullspace_matrix(mats[w], F.p))
+            want = dense_nullspace(F, dense(mats[w])).columns()
             assert ([sorted(c.items()) for c in kernel[w]]
                     == [sorted(c.items()) for c in want]), w
+
+
+def assert_same_cover(ab, rep):
+    """`cover_map` of rep equals `dense_cover_map`: the same summands, tower
+    and image columns."""
+    summands, cols, tower = orc.cover_map(ab, rep)
+    want_summands, want_mats, want_tower = dense_cover_map(ab, rep)
+    assert summands == want_summands
+    assert tower is want_tower
+    assert cols == {w: m.columns() for w, m in want_mats.items()}
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("name", [*FIXTURES, "k4"])
+def test_tower_covers_off_the_label_maps_equal_the_dense_cover(field, name):
+    """On every tower the report keeps, the tops no label map reaches give
+    the cover the dense top generators give."""
+    ab = orc.build_algebra(_quiver(name), FIELDS[field])
+    assert orc.full_oracle_report(ab).ok
+    for rep in list(ab._modules.values()):
+        assert rep.maps is not None
+        assert_same_cover(ab, rep)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_tower_cover_of_a_label_map_that_merges_two_vectors(c3, field):
+    """A module on label maps where an arrow sends two basis vectors to one
+    index: both are tops, and the one they reach is not."""
+    ab = orc.build_algebra(c3, FIELDS[field])
+    a = ab.q.arrows[0]
+    dims = {w: 0 for w in ab.vertices}
+    dims[a.source], dims[a.target] = 2, 1
+    rep = orc.Rep(ab.field, dims, maps={
+        b.id: [0, 0] if b is a else [None] * dims[b.source] for b in ab.q.arrows})
+    assert orc.cover_map(ab, rep)[0] == [a.source, a.source]
+    assert_same_cover(ab, rep)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("name", [*FIXTURES, "interior_triangle", "k4"])
+def test_the_report_needs_no_back_substitution_and_no_unit_cover_of_a_tower(
+        field, name, monkeypatch):
+    """The report reads kernels off forward elimination of image columns,
+    and pivots and ranks off forward elimination alone, so it passes with
+    the RREF refused; and it covers every tower off its label maps, never
+    through `submodule_cover` of the unit vectors."""
+    def refuse(*args):
+        raise AssertionError("back-substitution was taken")
+
+    def cover(ab, ambient, sub):
+        if ambient.maps is not None and sub == {
+                w: [{c: 1} for c in range(n)] for w, n in ambient.dims.items()}:
+            raise AssertionError("a tower was covered through its unit vectors")
+        return submodule_cover(ab, ambient, sub)
+
+    submodule_cover = orc.submodule_cover
+    monkeypatch.setattr(linalg, "rref_matrix", refuse)
+    monkeypatch.setattr(orc, "submodule_cover", cover)
+    ab = orc.build_algebra(_quiver(name), FIELDS[field])
+    assert orc.full_oracle_report(ab).ok
+    with pytest.raises(AssertionError, match="back-substitution"):
+        ab.field.rref(ab.field.eye(1))
 
 
 @pytest.mark.parametrize("field", FIELDS)
