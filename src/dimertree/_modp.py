@@ -1,17 +1,27 @@
-"""GF(p) matrix entry points of `linalg`, on `linalg.Matrix`es of residues.
+"""GF(p) matrix entry points of `linalg`, on `linalg.Matrix`es of residues
+or their sparse columns.
 
 Each passes straight through to `linalg`'s exact sparse routines over
-Python ints mod p.  The functions keep these names because
-perfbench/tracer.py wraps them by name; `GF` calls them.
+Python ints mod p.  `GF` runs every elimination and product through them,
+and the oracle reaches them only through `GF`, so a tracer that wraps
+these names sees all of it; perfbench/tracer.py wraps `rref_modp`,
+`nullspace_modp` and `matmul_modp` by name.
 """
 from __future__ import annotations
 
 from . import linalg
 
 
-def rref_modp(a: linalg.Matrix, p: int) -> tuple[linalg.Matrix, list[int]]:
-    """Reduced row echelon form mod p.  Returns (matrix, pivot columns)."""
-    return linalg.rref_matrix(a, p)
+def rref_modp(a: linalg.Matrix, p: int,
+              reduced: bool = True) -> tuple[linalg.Matrix, list[int]]:
+    """Reduced row echelon form mod p, or with reduced=False forward
+    elimination alone.  Returns (matrix, pivot columns)."""
+    return linalg.rref_matrix(a, p, reduced)
+
+
+def kernel_columns_modp(cols: list[dict], p: int) -> list[dict]:
+    """The kernel vectors of the matrix with these sparse columns (mod p)."""
+    return linalg.kernel_columns(cols, p)
 
 
 def nullspace_modp(a: linalg.Matrix, p: int) -> linalg.Matrix:

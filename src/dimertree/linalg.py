@@ -5,9 +5,11 @@ Two fields share one small matrix type, `Matrix`: a list of sparse rows
 Python ints in [0, p); over the exact rationals they are Python ints or
 Fractions, never floats.  One exact forward elimination of sparse
 vectors, `echelon`, over Python ints mod p or over the rationals, gives
-pivots and ranks alone; `rref_rows` adds back-substitution to it, and
-`kernel_columns` runs it on the columns of a matrix, recording each column
-that depends on the earlier ones as a kernel vector.  Products come from
+pivots and ranks alone (`Field.rref` with reduced=False, `Field.rank`);
+`rref_rows` adds `back_substitute` to it, and `kernel_columns` runs it on
+the columns of a matrix, recording each column that depends on the
+earlier ones as a kernel vector.  Callers reach them through a `Field`,
+whose GF(p) methods pass through `_modp`.  Products come from
 one sparse `matmul_matrix`; the oracle's matrices are tiny and mostly
 zero, so only nonzero entries are touched.  Relations in the algebras at
 hand have unit coefficients, so almost every rational entry stays an int,
@@ -124,14 +126,19 @@ def rref_rows(rows: list[dict[int, object]], p: int | None) -> list[tuple[int, d
     increasing pivot order; each row has entry 1 at its pivot and no entry in
     another pivot column.  The input rows are not modified."""
     pivot_rows = echelon(rows, p)
-    # back substitution, highest pivot first: the rows above are reduced, so
-    # subtracting them adds no entry in a pivot column
-    order = sorted(pivot_rows)
-    for c in reversed(order):
+    back_substitute(pivot_rows, p)
+    return [(c, pivot_rows[c]) for c in sorted(pivot_rows)]
+
+
+def back_substitute(pivot_rows: dict[int, dict], p: int | None) -> None:
+    """Clear every pivot column of `echelon`'s rows {pivot: row} but at its
+    own pivot, in place."""
+    # highest pivot first: the rows above are reduced, so subtracting them
+    # adds no entry in a pivot column
+    for c in sorted(pivot_rows, reverse=True):
         row = pivot_rows[c]
         for j in [j for j in row if j > c and j in pivot_rows]:
             _eliminate(row, row[j], pivot_rows[j], p)
-    return [(c, pivot_rows[c]) for c in order]
 
 
 def _qq_inverse(x):
@@ -159,13 +166,19 @@ def _eliminate(row: dict, f, prow: dict, p: int | None) -> None:
             del row[j]
 
 
-def rref_matrix(a: Matrix, p: int | None) -> tuple[Matrix, list[int]]:
+def rref_matrix(a: Matrix, p: int | None,
+                reduced: bool = True) -> tuple[Matrix, list[int]]:
     """RREF of a matrix, as a matrix of the same shape, and its pivot
-    columns."""
+    columns.  With reduced=False, forward elimination alone: `echelon`'s
+    rows in pivot order, as a rank x n matrix, and the same pivots."""
+    if not reduced:
+        pivot_rows = echelon(a.rows, p)
+        pivots = sorted(pivot_rows)
+        return Matrix([pivot_rows[c] for c in pivots], a.ncols), pivots
     m, n = a.shape
-    reduced = rref_rows(a.rows, p)
-    rows = [row for _, row in reduced] + [{} for _ in range(m - len(reduced))]
-    return Matrix(rows, n), [c for c, _ in reduced]
+    pairs = rref_rows(a.rows, p)
+    rows = [row for _, row in pairs] + [{} for _ in range(m - len(pairs))]
+    return Matrix(rows, n), [c for c, _ in pairs]
 
 
 def kernel_columns(cols: list[dict[int, object]], p: int | None) -> list[dict]:
@@ -214,7 +227,8 @@ class Field:
     name: str
     p: int | None
 
-    def rref(self, a): raise NotImplementedError
+    def rref(self, a, reduced=True): raise NotImplementedError
+    def kernel_columns(self, cols): raise NotImplementedError
     def nullspace(self, a): raise NotImplementedError
     def matmul(self, a, b): raise NotImplementedError
     def neg(self, x): raise NotImplementedError
@@ -240,7 +254,7 @@ class Field:
         return Matrix([{i: 1} for i in range(n)], n)
 
     def rank(self, a) -> int:
-        return len(echelon(a.rows, self.p))
+        return len(self.rref(a, reduced=False)[1])
 
     def is_zero_matrix(self, a) -> bool:
         return not any(a.rows)
@@ -255,8 +269,11 @@ class GF(Field):
         self.p = p
         self.name = f"GF({p})"
 
-    def rref(self, a):
-        return _modp.rref_modp(a, self.p)
+    def rref(self, a, reduced=True):
+        return _modp.rref_modp(a, self.p, reduced)
+
+    def kernel_columns(self, cols):
+        return _modp.kernel_columns_modp(cols, self.p)
 
     def nullspace(self, a):
         return _modp.nullspace_modp(a, self.p)
@@ -280,8 +297,11 @@ class QQ(Field):
     name = "QQ"
     p = None
 
-    def rref(self, a):
-        return rref_matrix(a, None)
+    def rref(self, a, reduced=True):
+        return rref_matrix(a, None, reduced)
+
+    def kernel_columns(self, cols):
+        return kernel_columns(cols, None)
 
     def nullspace(self, a):
         return nullspace_matrix(a, None)

@@ -35,13 +35,16 @@ through `_apply` of the matrix on any other module.  Hom blocks read a
 class's action on a tower off the class table (`_class_action`).  One
 routine, `_tower_map`, gives a map out of a tower as its image columns at
 each vertex, from the images of its tops, one move per basis vector: the
-projective cover and the map of a presentation.  Its kernel at a vertex is
-one forward elimination of those columns (`kernel_columns`).  A tower is
-covered off its label maps: its tops are the basis vectors no arrow
-reaches.  One routine, `submodule_cover`, covers the kernel of a map out of
-a tower, and a module that is not a tower given its unit vectors; both
-bases have leads, so a vector's coordinates are read off without another
-row reduction, and only the pivots of those coordinates are needed.
+projective cover and the map of a presentation.  Its kernel at a vertex
+is one forward elimination of those columns (`Field.kernel_columns`).  A
+tower is covered off its label maps: its tops are the basis vectors no
+arrow reaches.  One routine, `submodule_cover`, covers the kernel of a map
+out of a tower, and a module that is not a tower given its unit vectors;
+both bases have leads, so a vector's coordinates are read off without
+another row reduction, and only the pivots of those coordinates are
+needed.
+Every elimination goes through the `Field`: `rref`, with reduced=False
+where only pivots or a rank are read, `kernel_columns` and `nullspace`.
 
 Relation structure: a boundary arrow contributes a single vanishing word (the
 rest of its cycle); an interior arrow equates the complementary words of its
@@ -59,8 +62,8 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 
-from .linalg import (DEFAULT_PRIME, Field, Matrix, _eliminate, echelon,
-                     from_columns, kernel_columns, parse_field_spec)
+from .linalg import (DEFAULT_PRIME, Field, Matrix, _eliminate, from_columns,
+                     parse_field_spec)
 from .quiver import (
     Check,
     Potential,
@@ -410,7 +413,7 @@ def tower_rep(ab: AlgebraBasis, summands, radical: bool = False) -> Rep:
     return rep
 
 
-def presentation_matrices(ab: AlgebraBasis, pres: ModulePresentation):
+def presentation_columns(ab: AlgebraBasis, pres: ModulePresentation):
     """The towers of p1 and p0, and the vertex-wise image columns of the
     tower map tower(p1) -> tower(p0), which sends the top of summand k to
     the sum of its entries' classes."""
@@ -508,10 +511,10 @@ def submodule_cover(ab: AlgebraBasis, ambient: Rep, sub: dict[object, list]):
     sub[w] is a basis of the submodule at w.  Each basis vector must have a
     lead: entry 1 at its largest coordinate, where every other basis vector
     at w is zero.  Unit vectors have one, which covers a whole module, and
-    so do the `kernel_columns` of a matrix.  The coordinates of a vector of
-    the submodule are then its entries at the leads.  The generators are
-    the basis vectors outside the span of the radical, the images of the
-    basis under the arrows."""
+    so do the `Field.kernel_columns` of a matrix.  The coordinates of a
+    vector of the submodule are then its entries at the leads.  The
+    generators are the basis vectors outside the span of the radical, the
+    images of the basis under the arrows."""
     F = ab.field
     radical: dict[object, list] = {w: [] for w in ambient.dims}
     for a in ab.q.arrows:
@@ -529,7 +532,8 @@ def submodule_cover(ab: AlgebraBasis, ambient: Rep, sub: dict[object, list]):
             if _combine(F, basis, c) != vec:
                 raise OracleError("vector not inside the subspace")
             coords.append(c)
-        pivots = echelon(coords, F.p)
+        pivots = set(F.rref(Matrix(coords, len(basis)), reduced=False)[1]
+                     if coords else ())
         gens += [(w, b) for k, b in enumerate(basis) if k not in pivots]
     return [w for w, _ in gens], gens
 
@@ -559,10 +563,11 @@ def cover_map(ab: AlgebraBasis, rep: Rep):
 
 def _kernel_cover(ab: AlgebraBasis, tower: Rep, cols):
     """Cover of the kernel of the map out of a tower of projectives with
-    vertex-wise image columns cols, at each vertex the `kernel_columns` of
-    its columns: the summand vertices, and the presentation entries of each
-    generator, read off its tower coordinates."""
-    kernel = {w: kernel_columns(cols[w], ab.field.p) for w in ab.vertices}
+    vertex-wise image columns cols, at each vertex the
+    `Field.kernel_columns` of its columns: the summand vertices, and the
+    presentation entries of each generator, read off its tower
+    coordinates."""
+    kernel = {w: ab.field.kernel_columns(cols[w]) for w in ab.vertices}
     summands, gens = submodule_cover(ab, tower, kernel)
     entries: dict[tuple[int, int], list[tuple[object, int]]] = {}
     for k, (w, g) in enumerate(gens):
@@ -589,7 +594,7 @@ def resolve_step(ab: AlgebraBasis, pres: ModulePresentation) -> ModulePresentati
     later calls return the same object; `pres` belongs to `ab`, whose class
     ids its entries use."""
     if pres._next is None:
-        t1, _, cols = presentation_matrices(ab, pres)
+        t1, _, cols = presentation_columns(ab, pres)
         p2, entries = _kernel_cover(ab, t1, cols)
         pres._next = ModulePresentation(p1=p2, p0=list(pres.p1), entries=entries)
     return pres._next
@@ -603,7 +608,7 @@ def cokernel_rep(ab: AlgebraBasis, pres: ModulePresentation) -> Rep:
     coordinates that are not pivots of the image's RREF; a vector is
     reduced against the RREF rows and read at those coordinates."""
     F = ab.field
-    _, t0, images = presentation_matrices(ab, pres)
+    _, t0, images = presentation_columns(ab, pres)
     pivot_rows, free = {}, {}
     for w in ab.vertices:
         red, piv = F.rref(Matrix(images[w], t0.dims[w]))
@@ -715,13 +720,14 @@ def _ext1_by_tag(ab: AlgebraBasis, pres: ModulePresentation, N: Rep) -> Counter:
     projective or radical has the one index 0.
 
     Both differentials are block-diagonal in x, so their echelon forms are
-    too: the rank of block x is the number of pivot columns tagged x."""
+    too: the rank of block x is the number of pivot columns tagged x, read
+    off forward elimination alone."""
     F = ab.field
     d0, d1 = _ext1_complex(ab, pres, N)
     t0, t1 = ([x for v in p for x, _ in N.labels[v]] for p in (pres.p0, pres.p1))
     ext = Counter(t1)                      # dim Hom(T1, N_x)
     for d, tags in ((d0, t0), (d1, t1)):
-        for c in echelon(d.rows, F.p):
+        for c in F.rref(d, reduced=False)[1]:
             ext[tags[c]] -= 1
     return ext
 

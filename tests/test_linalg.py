@@ -295,6 +295,15 @@ def test_forward_pivots_equal_the_rref_pivot_columns(field):
         pivots = field.rref(a)[1]
         assert sorted(echelon(a.rows, field.p)) == pivots
         assert field.rank(a) == len(pivots)
+        # the forward-only RREF: one row per pivot, which are the RREF's,
+        # with entry 1 there and none before it
+        ech, ech_pivots = field.rref(a, reduced=False)
+        assert ech_pivots == pivots and ech.shape == (len(pivots), a.ncols)
+        assert [min(r) for r in ech.rows] == pivots
+        assert all(r[c] == 1 for r, c in zip(ech.rows, pivots))
+        # and the kernel of its columns is the column kernel
+        assert field.kernel_columns(a.columns()) == kernel_columns(
+            a.columns(), field.p)
 
 
 def test_zero_matrices_reduce_to_themselves():

@@ -10,11 +10,12 @@ code must give the same rows.
 import gc
 import random
 import weakref
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from dimertree import cli, linalg
+from dimertree import _modp, cli, linalg
 from dimertree import oracle as orc
 from dimertree.linalg import GF, QQ, Matrix, from_columns
 from dimertree.quiver import weight_report
@@ -332,7 +333,7 @@ def as_matrices(rep, cols):
 
 
 def dense_resolve_step(ab, pres):
-    t1, t0, cols = orc.presentation_matrices(ab, pres)
+    t1, t0, cols = orc.presentation_columns(ab, pres)
     p2, entries = dense_kernel_cover(ab, t1, as_matrices(t0, cols))
     return orc.ModulePresentation(p1=p2, p0=list(pres.p1), entries=entries)
 
@@ -363,7 +364,7 @@ class DenseQuotient:
 
 def dense_cokernel_rep(ab, pres):
     F = ab.field
-    _, t0, cols = orc.presentation_matrices(ab, pres)
+    _, t0, cols = orc.presentation_columns(ab, pres)
     mats = as_matrices(t0, cols)
     t0 = matrix_rep(ab, t0)
     quots = {w: DenseQuotient(F, t0.dims[w],
@@ -820,12 +821,49 @@ def test_the_report_needs_no_back_substitution_and_no_unit_cover_of_a_tower(
         return submodule_cover(ab, ambient, sub)
 
     submodule_cover = orc.submodule_cover
-    monkeypatch.setattr(linalg, "rref_matrix", refuse)
+    monkeypatch.setattr(linalg, "back_substitute", refuse)
     monkeypatch.setattr(orc, "submodule_cover", cover)
     ab = orc.build_algebra(_quiver(name), FIELDS[field])
     assert orc.full_oracle_report(ab).ok
     with pytest.raises(AssertionError, match="back-substitution"):
         ab.field.rref(ab.field.eye(1))
+
+
+@pytest.mark.parametrize("name", ["c5", "q7", "q9", "k4"])
+def test_every_elimination_of_the_report_goes_through_modp(name, monkeypatch):
+    """Over GF(p) every forward elimination the report runs is inside one of
+    `_modp`'s entry points, which a tracer wraps by name: pivots and ranks
+    by the forward-only `rref_modp`, kernels by `kernel_columns_modp`."""
+    calls, stray, depth = Counter(), [], [0]
+
+    def entry(fn_name):
+        fn = getattr(_modp, fn_name)
+
+        def wrapped(*args):
+            calls[fn_name, args[-1]] += 1
+            depth[0] += 1
+            try:
+                return fn(*args)
+            finally:
+                depth[0] -= 1
+        return wrapped
+
+    def counted(*args):
+        if not depth[0]:
+            stray.append(args)
+        return echelon(*args)
+
+    echelon = linalg.echelon
+    for fn_name in ("rref_modp", "kernel_columns_modp", "nullspace_modp",
+                    "matmul_modp"):
+        monkeypatch.setattr(_modp, fn_name, entry(fn_name))
+    monkeypatch.setattr(linalg, "echelon", counted)
+    ab = orc.build_algebra(_quiver(name), FIELDS["GF"])
+    assert orc.full_oracle_report(ab).ok
+    assert not stray
+    p = ab.field.p
+    assert calls["rref_modp", False] and calls["kernel_columns_modp", p]
+    assert not calls["rref_modp", True]
 
 
 @pytest.mark.parametrize("field", FIELDS)
