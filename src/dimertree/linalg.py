@@ -8,13 +8,14 @@ vectors, `echelon`, over Python ints mod p or over the rationals, gives
 pivots and ranks alone (`Field.rref` with reduced=False, `Field.rank`);
 `rref_rows` adds `back_substitute` to it, and `kernel_columns` runs it on
 the columns of a matrix, recording each column that depends on the
-earlier ones as a kernel vector.  Callers reach them through a `Field`,
-whose GF(p) methods pass through `_modp`.  Products come from
-one sparse `matmul_matrix`; the oracle's matrices are tiny and mostly
-zero, so only nonzero entries are touched.  Relations in the algebras at
-hand have unit coefficients, so almost every rational entry stays an int,
-a Fraction is made only when a non-unit is inverted, and the rational
-path stays cheap and certifies the prime-field results.
+earlier ones as a kernel vector, or reads it off empty and unit columns.
+Callers reach them through a `Field`, whose GF(p) methods pass through
+`_modp`.  Products come from one sparse `matmul_matrix`; the oracle's
+matrices are tiny and mostly zero, so only nonzero entries are touched.
+Relations in the algebras at hand have unit coefficients, so almost every
+rational entry stays an int, a Fraction is made only when a non-unit is
+inverted, and the rational path stays cheap and certifies the prime-field
+results.
 """
 from __future__ import annotations
 
@@ -187,9 +188,24 @@ def kernel_columns(cols: list[dict[int, object]], p: int | None) -> list[dict]:
     order, e_c minus its combination of the earlier independent columns.
     That is the RREF's kernel vector for free column c, the only one on c
     and the earlier pivot columns with entry 1 at c.  So each vector has a
-    lead: c is its largest coordinate, and every other vector is zero at c."""
+    lead: c is its largest coordinate, and every other vector is zero at c.
+    While the columns are empty or a single int 1, it is read off them as
+    `echelon` writes it: e_c, or e_c - e_j where column j first hit that
+    row; at the first other column, `echelon` runs on all of them."""
     kernel: list[dict] = []
-    echelon(cols, p, kernel)
+    first: dict[int, int] = {}
+    for c, col in enumerate(cols):
+        if not col:
+            kernel.append({c: 1})
+            continue
+        (i, x), *more = col.items()
+        if more or x != 1 or type(x) is not int:
+            kernel = []
+            echelon(cols, p, kernel)
+            break
+        j = first.setdefault(i, c)
+        if j != c:
+            kernel.append({c: 1, j: p - 1 if p else -1})
     return kernel
 
 

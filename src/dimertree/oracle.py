@@ -36,13 +36,14 @@ class's action on a tower off the class table (`_class_action`).  One
 routine, `_tower_map`, gives a map out of a tower as its image columns at
 each vertex, from the images of its tops, one move per basis vector: the
 projective cover and the map of a presentation.  Its kernel at a vertex
-is one forward elimination of those columns (`Field.kernel_columns`).  A
-tower is covered off its label maps: its tops are the basis vectors no
-arrow reaches.  One routine, `submodule_cover`, covers the kernel of a map
-out of a tower, and a module that is not a tower given its unit vectors;
-both bases have leads, so a vector's coordinates are read off without
-another row reduction, and only the pivots of those coordinates are
-needed.
+with columns is `Field.kernel_columns`, read straight off columns that
+are empty or unit vectors, as almost all are, and one forward
+elimination otherwise.  A tower is covered off its label maps: its tops
+are the basis vectors no arrow reaches.  One routine, `submodule_cover`,
+covers the kernel of a map out of a tower, and a module that is not a
+tower given its unit vectors; both bases have leads, so a vector's
+coordinates are read off without another row reduction, and only the
+pivots of those coordinates are needed.
 Every elimination goes through the `Field`: `rref`, with reduced=False
 where only pivots or a rank are read, `kernel_columns` and `nullspace`.
 
@@ -514,17 +515,25 @@ def submodule_cover(ab: AlgebraBasis, ambient: Rep, sub: dict[object, list]):
     so do the `Field.kernel_columns` of a matrix.  The coordinates of a
     vector of the submodule are then its entries at the leads.  The
     generators are the basis vectors outside the span of the radical, the
-    images of the basis under the arrows."""
+    images of the basis under the arrows.  sub may leave a vertex out.
+
+    Only the vertices with a basis move it, in the order of `sub`: the
+    pivots of forward elimination depend only on the span, so the
+    generators do not depend on that order."""
     F = ab.field
-    radical: dict[object, list] = {w: [] for w in ambient.dims}
-    for a in ab.q.arrows:
-        for vec in sub[a.source]:
-            moved = _move(F, ambient, a.id, vec)
-            if moved:
-                radical[a.target].append(moved)
+    radical: dict[object, list] = {}
+    for v, basis in sub.items():
+        for a in ab.q.out_arrows[v] if basis else ():
+            for vec in basis:
+                moved = _move(F, ambient, a.id, vec)
+                if moved:
+                    radical.setdefault(a.target, []).append(moved)
     gens = []
     for w in ab.vertices:
-        basis = sub[w]
+        basis = sub.get(w) or []
+        if w not in radical:
+            gens += [(w, b) for b in basis]
+            continue
         lead = {max(b): k for k, b in enumerate(basis)}
         coords: list[dict] = []
         for vec in radical[w]:
@@ -532,8 +541,9 @@ def submodule_cover(ab: AlgebraBasis, ambient: Rep, sub: dict[object, list]):
             if _combine(F, basis, c) != vec:
                 raise OracleError("vector not inside the subspace")
             coords.append(c)
-        pivots = set(F.rref(Matrix(coords, len(basis)), reduced=False)[1]
-                     if coords else ())
+        # one-entry coordinate vectors are their own pivots
+        pivots = ({k for c in coords for k in c} if all(len(c) == 1 for c in coords)
+                  else set(F.rref(Matrix(coords, len(basis)), reduced=False)[1]))
         gens += [(w, b) for k, b in enumerate(basis) if k not in pivots]
     return [w for w, _ in gens], gens
 
@@ -563,11 +573,12 @@ def cover_map(ab: AlgebraBasis, rep: Rep):
 
 def _kernel_cover(ab: AlgebraBasis, tower: Rep, cols):
     """Cover of the kernel of the map out of a tower of projectives with
-    vertex-wise image columns cols, at each vertex the
+    vertex-wise image columns cols, at each vertex with columns the
     `Field.kernel_columns` of its columns: the summand vertices, and the
     presentation entries of each generator, read off its tower
     coordinates."""
-    kernel = {w: ab.field.kernel_columns(cols[w]) for w in ab.vertices}
+    kernel = {w: ab.field.kernel_columns(c) if c else []
+              for w, c in cols.items()}
     summands, gens = submodule_cover(ab, tower, kernel)
     entries: dict[tuple[int, int], list[tuple[object, int]]] = {}
     for k, (w, g) in enumerate(gens):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import dimertree
-from dimertree import _modp
+from dimertree import _modp, linalg
 from dimertree.linalg import (GF, QQ, FieldError, echelon, kernel_columns,
                               parse_field_spec)
 
@@ -304,6 +304,59 @@ def test_forward_pivots_equal_the_rref_pivot_columns(field):
         # and the kernel of its columns is the column kernel
         assert field.kernel_columns(a.columns()) == kernel_columns(
             a.columns(), field.p)
+
+
+def unit_column_cases(field, rng):
+    """(columns, whether `kernel_columns` must fall back to `echelon`):
+    empty and unit columns, repeated units, a single entry 2 or -1, and a
+    general column at a random place after unit ones."""
+    p = field.p
+    general = ([1, 3, Fraction(1, 3), -2] if isinstance(field, QQ)
+               else sorted({1, p - 1, (p // 2 + 1) % p} - {0}))
+    for _ in range(40):
+        m, n = rng.randint(2, 6), rng.randint(1, 10)
+
+        def unit():
+            return {rng.randrange(m): 1} if rng.random() < 0.8 else {}
+
+        yield [{} for _ in range(n)], False
+        yield [unit() for _ in range(n)], False
+        rows = [rng.randrange(m) for _ in range(2)]
+        yield [{rng.choice(rows): 1} for _ in range(n)], False
+        # over GF(2), 2 is 0 and -1 is 1, a unit; over Q, a Fraction 1 is
+        # not an int, and `echelon` would keep its type
+        x = (1 if p == 2 else rng.choice([2, p - 1]) if p
+             else rng.choice([2, -1, Fraction(1)]))
+        cols = [unit() for _ in range(n)]
+        cols[rng.randrange(n)] = {rng.randrange(m): x}
+        yield cols, type(x) is not int or x != 1
+        cols = [unit() for _ in range(n)]
+        cols.insert(rng.randint(0, n), {i: rng.choice(general)
+                                        for i in rng.sample(range(m), 2)})
+        yield cols, True
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=lambda f: f.name)
+def test_unit_column_kernel_equals_echelons(field, monkeypatch):
+    """Read straight off empty and unit columns, the kernel is `echelon`'s,
+    vector by vector, with the same keys in the same order and equal values
+    of the same type; at any other column it falls back to `echelon`."""
+    rng = random.Random(41)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return echelon(*args)
+
+    monkeypatch.setattr(linalg, "echelon", counted)
+    for cols, falls_back in unit_column_cases(field, rng):
+        want: list = []
+        echelon(cols, field.p, want)
+        calls.clear()
+        got = field.kernel_columns(cols)
+        assert len(calls) == falls_back, cols
+        assert ([[(i, x, type(x)) for i, x in v.items()] for v in got]
+                == [[(i, x, type(x)) for i, x in v.items()] for v in want]), cols
 
 
 def test_zero_matrices_reduce_to_themselves():

@@ -943,6 +943,83 @@ def test_submodule_cover_rejects_a_subspace_that_is_not_a_submodule(c3):
     assert gens == [(1, {pos[1][(0, const[1])]: 1}), (2, {pos[2][(1, const[2])]: 1})]
 
 
+def test_submodule_cover_rejects_a_radical_vector_on_a_vertex_without_basis(c3):
+    """A subspace not closed under the arrows is refused however it leaves
+    out the vertex its radical lands on: absent from sub, or with no basis,
+    in any key order; and where that vertex has a basis without it."""
+    ab = orc.build_algebra(c3, 32003)
+    tower = orc.tower_rep(ab, [1, 2])
+    pos = tower.pos
+    top1 = {pos[1][(0, ab.constant_class[1])]: 1}
+    top2 = {pos[2][(1, ab.constant_class[2])]: 1}
+    for sub in ({1: [top1]}, {1: [top1], 2: []}, {2: [], 1: [top1]},
+                {3: [], 1: [top1]}, {2: [top2], 1: [top1]}):
+        with pytest.raises(orc.OracleError, match="not inside the subspace"):
+            orc.submodule_cover(ab, tower, sub)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("name", ["c5", "q9", "k4"])
+def test_submodule_cover_of_a_partial_sub_equals_every_vertex_present(field, name):
+    """On the kernel of each presentation map of the radicals and of their
+    next resolution step, `submodule_cover` given only the vertices with a
+    basis, in shuffled order, or with their empty bases left in among
+    them, gives what it gives with every vertex present in vertex order."""
+    F = FIELDS[field]
+    ab = orc.build_algebra(_quiver(name), F)
+    rng = random.Random(43)
+    for x in ab.vertices:
+        pres = orc.radical_presentation(ab, x)
+        for p in (pres, orc.resolve_step(ab, pres)):
+            t1, _, cols = orc.presentation_columns(ab, p)
+            full = {w: F.kernel_columns(cols[w]) for w in ab.vertices}
+            want = orc.submodule_cover(ab, t1, full)
+            assert want[0] == orc.resolve_step(ab, p).p1
+            held = [w for w in ab.vertices if full[w]]
+            some = held + [w for w in ab.vertices if not full[w] and rng.random() < 0.5]
+            for keys in (held, some):
+                rng.shuffle(keys)
+                assert orc.submodule_cover(ab, t1, {w: full[w] for w in keys}) == want
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_kernel_cover_of_unit_heavy_maps_equals_the_dense_nullspace(field, monkeypatch):
+    """On random maps between random towers that send most tops to a unit
+    vector, whose image columns are then mostly empty or unit, the kernel
+    `_kernel_cover` takes at each vertex equals the dense nullspace's
+    columns, and its cover and entries equal the dense reference's; a
+    vertex without columns asks for no kernel."""
+    F = FIELDS[field]
+    rng = random.Random(47)
+    ab = orc.build_algebra(load_fixture("q9"), F)
+    asked = []
+    kernel_columns = F.kernel_columns
+    monkeypatch.setattr(F, "kernel_columns",
+                        lambda cols: asked.append(cols) or kernel_columns(cols))
+    for _ in range(60):
+        target = orc.tower_rep(ab, [rng.choice(ab.vertices)
+                                    for _ in range(rng.randint(1, 3))])
+        summands = [v for v in ab.vertices if target.dims[v]]
+        summands = [rng.choice(summands) for _ in range(rng.randint(1, 3))]
+        tops = []
+        for v in summands:
+            i, j = rng.randrange(target.dims[v]), rng.randrange(target.dims[v])
+            tops.append({} if rng.random() < 0.1 else {i: 1}
+                        if rng.random() < 0.8 or i == j
+                        else {i: 1, j: _entry(F, rng) or 1})
+        t1, cols = orc._tower_map(ab, summands, target, tops)
+        asked.clear()
+        got = orc._kernel_cover(ab, t1, cols)
+        assert asked == [c for c in cols.values() if c]
+        mats = as_matrices(target, cols)
+        assert got == dense_kernel_cover(ab, t1, mats)
+        kernel = {w: kernel_columns(c) for w, c in cols.items()}
+        for w in ab.vertices:
+            want = dense_nullspace(F, dense(mats[w])).columns()
+            assert ([sorted(c.items()) for c in kernel[w]]
+                    == [sorted(c.items()) for c in want]), w
+
+
 # -- lifetimes ----------------------------------------------------------------------------
 
 def _live_oracle_objects():
