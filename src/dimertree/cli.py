@@ -1,8 +1,14 @@
 """Command-line front end.
 
 Subcommands: validate, weights, polygon, diag, resolve, reduce, oracle, all.
-Exit status 0 when every requested check passes, 1 on a failed check, 2 on
-bad input, 3 on an internal invariant breach.
+Exit status:
+
+- 0 when every requested check passes;
+- 1 on a failed check;
+- 2 on bad input, or on a request refused with a reason: a `diag --size`
+  above `MAX_DIAG_SIZE`, or a `reduce` that reaches its step budget
+  (`all` reports that as a failed `reduction` line);
+- 3 on an internal invariant breach.
 """
 from __future__ import annotations
 
@@ -245,7 +251,9 @@ def cmd_reduce(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         if exc.trace is not None and args.trace:
             _emit(mu.trace_to_json(exc.trace), args.trace)
-        return EXIT_INTERNAL
+        # a budget hit is a refusal with its reason, not a broken invariant
+        return (EXIT_BAD_INPUT if isinstance(exc, mu.StepBudgetExceeded)
+                else EXIT_INTERNAL)
     if args.trace:
         _emit(mu.trace_to_json(trace), args.trace)
     print(f"moves: {len(trace.steps)}")
@@ -299,8 +307,7 @@ def cmd_all(args) -> int:
         if not ok:
             status = EXIT_CHECK_FAILED
 
-    note("dimer_tree_validation", report.ok,
-         "; ".join(c.name for c in report.failed()))
+    note("dimer_tree_validation", report.ok, _first_failure(report))
     if not report.ok:
         return EXIT_CHECK_FAILED
     wr = weight_report(q, report.structure)
@@ -308,7 +315,7 @@ def cmd_all(args) -> int:
          f"total {wr.total_weight}")
     cp = _checkerboard(q, report.structure)
     val = cb.validate_checkerboard(cp, q, report.structure)
-    note("checkerboard", val.ok, "; ".join(c.name for c in val.failed()))
+    note("checkerboard", val.ok, _first_failure(val))
     tq = dg.ar_quiver(cp.half)
     note("translation_quiver", tq.check_translation_axiom())
     ab = orc.build_algebra(q, field)

@@ -40,6 +40,11 @@ class ReductionError(RuntimeError):
         self.trace = trace
 
 
+class StepBudgetExceeded(ReductionError):
+    """The reduction reached `step_budget` moves: a refusal to go on, not a
+    broken invariant."""
+
+
 @dataclass(frozen=True)
 class PotentialTerm:
     coeff: int
@@ -553,7 +558,7 @@ def reduce_to_cycle(q: Quiver) -> ReductionTrace:
     def do(kind, site):
         nonlocal qp
         if len(steps) >= budget:
-            raise ReductionError(
+            raise StepBudgetExceeded(
                 f"reduction exceeded the step budget of {budget} moves", trace)
         try:
             qp, move = apply_move(qp, kind, site)

@@ -13,12 +13,19 @@ of each (`ModulePresentation._next`).  One constructor, `tower_rep`, makes
 every module: the direct sum of the projectives P(v) over a summand list,
 or of their radicals.  On such a tower an arrow only relabels the basis,
 (i, c) to (i, c * arrow), so it keeps one label map per arrow, read off the
-class table, and no matrix.  Each `Rep` keeps its projective cover
-(`cover_map`) once computed.  Callers must not mutate a cached object.  A
-`Rep` is plain data: its field, its dimensions, its label maps (or, on a
-module that is not a tower, such as `cokernel_rep` makes, its arrow
-matrices), its basis labels and their positions, with no reference to the
-algebra, so every function that needs the algebra takes it first.
+class table, and no matrix.  A tower holds only its support: labels and
+offsets at the vertices where it has a basis, and label maps for the
+arrows out of them; every other vertex is empty, and a nonzero vector
+there raises `OracleError`.  The basis at w comes summand by summand, each
+block in `by_pair` order, so label (i, c) sits at the offset
+start[w][i] plus `pair_rank[c]`, the index of c in its `by_pair` list:
+positions are sums, with no position dict.  Each `Rep` keeps its
+projective cover (`cover_map`) once computed.  Callers must not mutate a
+cached object.  A `Rep` is plain data: its field, its dimensions, its
+label maps (or, on a module that is not a tower, such as `cokernel_rep`
+makes, its arrow matrices), its basis labels and their offsets, with no
+reference to the algebra, so every function that needs the algebra takes
+it first.
 
 The report reuses these modules rather than rebuilding them.  The Ext check
 runs one complex per vertex j against rad B, the direct sum of all the
@@ -34,10 +41,10 @@ Covers, kernels and presentations share one vector format: a sparse dict
 through `_apply` of the matrix on any other module.  Hom blocks read a
 class's action on a tower off the class table (`_class_action`).  One
 routine, `_tower_map`, gives a map out of a tower as its image columns at
-each vertex, from the images of its tops, one move per basis vector: the
-projective cover and the map of a presentation.  Its kernel at a vertex
-with columns is `Field.kernel_columns`, read straight off columns that
-are empty or unit vectors, as almost all are, and one forward
+each vertex where the tower has a basis, from the images of its tops, one
+move per basis vector: the projective cover and the map of a presentation.  Its kernel at
+a vertex with columns is `Field.kernel_columns`, read straight off columns
+that are empty or unit vectors, as almost all are, and one forward
 elimination otherwise.  A tower is covered off its label maps: its tops
 are the basis vectors no arrow reaches.  One routine, `submodule_cover`,
 covers the kernel of a map out of a tower, and a module that is not a
@@ -211,6 +218,11 @@ class AlgebraBasis:
         self.classes: list[PathClass] = []
         self.constant_class: dict[object, int] = {}
         self.by_pair: dict[tuple[object, object], list[int]] = {}
+        # class -> its index in by_pair[(source, target)]
+        self.pair_rank: list[int] = []
+        # v -> (w, by_pair[(v, w)]) for each w with a class from v
+        self.blocks_from: dict[object, list[tuple[object, list[int]]]] = {
+            v: [] for v in self.vertices}
         # v -> the classes from v, in class order: the constant first, and
         # each class after its prefix
         self.from_vertex: dict[object, list[int]] = {v: [] for v in self.vertices}
@@ -262,7 +274,9 @@ class AlgebraBasis:
             sizes[len(w)] += 1
             cid = cid_of[w] = len(self.classes)
             self.classes.append(PathClass(cid, src, tgt, w, prefix))
-            self.by_pair.setdefault((src, tgt), []).append(cid)
+            block = self.by_pair.setdefault((src, tgt), [])
+            self.pair_rank.append(len(block))
+            block.append(cid)
             self.from_vertex[src].append(cid)
             return cid
 
@@ -280,6 +294,8 @@ class AlgebraBasis:
                 if nf == w and c.word:
                     add(c.source, a.target, w, c.cid)
                 self._act[a.id][c.cid] = None if nf is None else cid_of[nf]
+        for (src, tgt), block in self.by_pair.items():
+            self.blocks_from[src].append((tgt, block))
         # 1 + the longest nonzero path, walked one arrow per level; the walk
         # ends, since the arrow ideal of a finite algebra is nilpotent
         level = set(self.constant_class.values())
@@ -357,22 +373,27 @@ def build_algebra(q: Quiver, field: str | int | Field = DEFAULT_PRIME,
 # ---------------------------------------------------------------------------
 
 class Rep:
-    """dims[v] is the dimension at v.  On a module `tower_rep` builds, an
-    arrow acts by its label map: maps[arrow][j] is the index at the arrow's
-    target of basis vector j at its source, or None where the arrow sends
-    it to zero.  On any other module it acts by its matrix act[arrow], from
-    the space at the source to the space at the target (columns index the
-    source basis).  labels[v] names the basis at v, if given, and
-    pos[v][label] is the index of a label."""
+    """dims[v] is the dimension at v, for every vertex v.  On a module
+    `tower_rep` builds, an arrow acts by its label map: maps[arrow][j] is
+    the index at the arrow's target of basis vector j at its source, or
+    None where the arrow sends it to zero.  A tower keeps labels, offsets
+    and label maps only on its support, the vertices where it has a basis,
+    and the arrows out of them: any other vertex is empty, and a nonzero
+    vector there raises `OracleError`.  labels[w] names the basis at w, the
+    pairs (i, c) of a summand index and a path class, and label (i, c) has
+    index start[w][i] + pair_rank[c] (`AlgebraBasis.pair_rank`).  On any
+    other module an arrow acts by its matrix act[arrow], from the space at
+    the source to the space at the target (columns index the source
+    basis)."""
 
-    def __init__(self, field: Field, dims, act=None, labels=None, maps=None):
+    def __init__(self, field: Field, dims, act=None, labels=None, maps=None,
+                 start=None):
         self.field = field
         self.dims = dims
         self.act = act
         self.maps = maps
         self.labels = labels or {}
-        self.pos = {w: {t: i for i, t in enumerate(lab)}
-                    for w, lab in self.labels.items()}
+        self.start = start or {}
         self._cover: tuple | None = None
 
     def word_matrix(self, word: Word, source):
@@ -390,27 +411,43 @@ def tower_rep(ab: AlgebraBasis, summands, radical: bool = False) -> Rep:
     """The direct sum of the P(v), v in summands, or of their radicals.
 
     Its basis at w is the pairs (i, c), c a path class from summands[i] to
-    w, non-constant when `radical`; an arrow sends (i, c) to (i, c * arrow),
-    or to zero when that product vanishes, which is its label map.  Built
-    once per summand list and kind and kept on `ab`: callers must not
-    mutate it."""
+    w, non-constant when `radical`, summand by summand, each block in
+    `by_pair` order; so (i, c) sits at start[w][i] + pair_rank[c].  The
+    constant at v = summands[i] heads its block by_pair[(v, v)], so a
+    radical leaves it out by starting that block one index early.  An
+    arrow sends (i, c) to (i, c * arrow), or to zero when that product
+    vanishes, which is its label map.  Only the vertices where the tower
+    has a basis, and the arrows out of them, are kept.  Built once per
+    summand list and kind and kept on `ab`: callers must not mutate it."""
     key = (tuple(summands), radical)
     rep = ab._modules.get(key)
     if rep is None:
-        classes = ab.classes
-        labels: dict[object, list] = {w: [] for w in ab.vertices}
+        n = len(key[0])
+        labels: dict[object, list] = {}
+        start: dict[object, list] = {}
         for i, v in enumerate(key[0]):
-            skip = ab.constant_class[v] if radical else None
-            for c in ab.from_vertex[v]:
-                if c != skip:
-                    labels[classes[c].target].append((i, c))
-        rep = Rep(ab.field, {w: len(lab) for w, lab in labels.items()},
-                  labels=labels, maps={})
-        for a in ab.q.arrows:
-            into, times = rep.pos[a.target], ab._act[a.id]
-            rep.maps[a.id] = [into.get((i, times[c]))
-                              for i, c in labels[a.source]]
-        ab._modules[key] = rep
+            for w, block in ab.blocks_from[v]:
+                skip = radical and w == v
+                if len(block) > skip:
+                    lab = labels.get(w)
+                    if lab is None:
+                        lab = labels[w] = []
+                        start[w] = [None] * n
+                    start[w][i] = len(lab) - skip
+                    for c in block[skip:]:
+                        lab.append((i, c))
+        dims = dict.fromkeys(ab.vertices, 0)
+        maps = {}
+        rank, act = ab.pair_rank, ab._act
+        for s, lab in labels.items():
+            dims[s] = len(lab)
+            for a in ab.q.out_arrows[s]:
+                into, times = start.get(a.target), act[a.id]
+                maps[a.id] = ([None] * len(lab) if into is None else
+                              [None if (p := times[c]) is None else into[i] + rank[p]
+                               for i, c in lab])
+        rep = ab._modules[key] = Rep(ab.field, dims, labels=labels, maps=maps,
+                                     start=start)
     return rep
 
 
@@ -420,11 +457,18 @@ def presentation_columns(ab: AlgebraBasis, pres: ModulePresentation):
     the sum of its entries' classes."""
     F = ab.field
     t0 = tower_rep(ab, pres.p0)
+    classes, rank = ab.classes, ab.pair_rank
     tops: list[dict] = [{} for _ in pres.p1]
     for (l, k), combo in pres.entries.items():
-        into, top = t0.pos[pres.p1[k]], tops[k]
+        v, w = pres.p0[l], pres.p1[k]
+        into, top = t0.start.get(w), tops[k]
         for coeff, cid in combo:
-            r = into[l, cid]
+            # a class from v to w is a label of tower(p0) at w, so into[l]
+            # is set; any other class would land on another label's index
+            if classes[cid].source != v or classes[cid].target != w:
+                raise OracleError(f"entry {(l, k)}: class {cid} does not run "
+                                  f"from {v!r} to {w!r}")
+            r = into[l] + rank[cid]
             x = F.add(top.pop(r, 0), F.scalar(coeff))
             if x:
                 top[r] = x
@@ -440,10 +484,12 @@ def _tower_map(ab: AlgebraBasis, summands, target: Rep, tops: list[dict]):
     The basis vector (li, c) goes to tops[li] times c: the image of
     (li, prefix of c) moved by the last arrow of c.  The classes from each
     summand come prefix first, so each basis vector takes one move, and in
-    the order of the tower's labels, so its image is the next column."""
+    the order of the tower's labels, so its image is the next column.
+    cols has a key only where the tower has a basis."""
     F = ab.field
     classes = ab.classes
-    cols: dict[object, list[dict]] = {w: [] for w in ab.vertices}
+    tower = tower_rep(ab, summands)
+    cols: dict[object, list[dict]] = {w: [] for w in tower.labels}
     for li, v in enumerate(summands):
         image: dict[int, dict] = {}
         for c in ab.from_vertex[v]:
@@ -451,7 +497,7 @@ def _tower_map(ab: AlgebraBasis, summands, target: Rep, tops: list[dict]):
             vec = image[c] = (tops[li] if cls.prefix is None else
                               _move(F, target, cls.word[-1], image[cls.prefix]))
             cols[cls.target].append(vec)
-    return tower_rep(ab, summands), cols
+    return tower, cols
 
 
 # -- sparse vectors ---------------------------------------------------------------
@@ -476,10 +522,17 @@ def _apply(F: Field, mat: Matrix, vec: dict) -> dict:
 
 def _move(F: Field, rep: Rep, aid: str, vec: dict) -> dict:
     """The arrow aid of rep applied to vec: through its label map on a
-    tower, through `_apply` of its matrix on any other module."""
+    tower, through `_apply` of its matrix on any other module.  A tower has
+    no label map out of a vertex without basis, where only the zero vector
+    moves."""
     if rep.maps is None:
         return _apply(F, rep.act[aid], vec)
-    to = rep.maps[aid]
+    to = rep.maps.get(aid)
+    if to is None:
+        if vec:
+            raise OracleError(f"vector {vec} lies at the source of {aid}, "
+                              "where the module has no basis")
+        return {}
     out: dict = {}
     for j, x in vec.items():
         i = to[j]
@@ -515,28 +568,38 @@ def submodule_cover(ab: AlgebraBasis, ambient: Rep, sub: dict[object, list]):
     so do the `Field.kernel_columns` of a matrix.  The coordinates of a
     vector of the submodule are then its entries at the leads.  The
     generators are the basis vectors outside the span of the radical, the
-    images of the basis under the arrows.  sub may leave a vertex out.
+    images of the basis under the arrows.  sub may leave a vertex out; a
+    nonzero vector at a vertex where ambient is empty raises.
 
     Only the vertices with a basis move it, in the order of `sub`: the
     pivots of forward elimination depend only on the span, so the
-    generators do not depend on that order."""
+    generators do not depend on that order.  Only the vertices in `sub` or
+    reached by a radical vector are read, in vertex order."""
     F = ab.field
     radical: dict[object, list] = {}
     for v, basis in sub.items():
-        for a in ab.q.out_arrows[v] if basis else ():
+        if not basis:
+            continue
+        if not ambient.dims[v] and any(basis):
+            raise OracleError(f"vector {next(filter(None, basis))} at {v!r}, "
+                              "where the module has no basis")
+        for a in ab.q.out_arrows[v]:
             for vec in basis:
                 moved = _move(F, ambient, a.id, vec)
                 if moved:
                     radical.setdefault(a.target, []).append(moved)
     gens = []
-    for w in ab.vertices:
-        basis = sub.get(w) or []
-        if w not in radical:
-            gens += [(w, b) for b in basis]
+    for w in [w for w in ab.vertices if w in sub or w in radical]:
+        basis, vecs = sub.get(w), radical.get(w)
+        if vecs is None:
+            if basis:
+                gens += [(w, b) for b in basis]
             continue
+        if not basis:
+            raise OracleError("vector not inside the subspace")
         lead = {max(b): k for k, b in enumerate(basis)}
         coords: list[dict] = []
-        for vec in radical[w]:
+        for vec in vecs:
             c = {lead[j]: x for j, x in vec.items() if j in lead}
             if _combine(F, basis, c) != vec:
                 raise OracleError("vector not inside the subspace")
@@ -562,7 +625,9 @@ def cover_map(ab: AlgebraBasis, rep: Rep):
             units = {w: [{c: 1} for c in range(n)] for w, n in rep.dims.items()}
             summands, gens = submodule_cover(ab, rep, units)
         else:
-            reached = {(a.target, i) for a in ab.q.arrows for i in rep.maps[a.id]}
+            arrows = ab.q.arrow_by_id
+            reached = {(arrows[aid].target, i)
+                       for aid, to in rep.maps.items() for i in to}
             gens = [(w, {i: 1}) for w in ab.vertices
                     for i in range(rep.dims[w]) if (w, i) not in reached]
             summands = [w for w, _ in gens]
@@ -574,11 +639,11 @@ def cover_map(ab: AlgebraBasis, rep: Rep):
 def _kernel_cover(ab: AlgebraBasis, tower: Rep, cols):
     """Cover of the kernel of the map out of a tower of projectives with
     vertex-wise image columns cols, at each vertex with columns the
-    `Field.kernel_columns` of its columns: the summand vertices, and the
-    presentation entries of each generator, read off its tower
-    coordinates."""
-    kernel = {w: ab.field.kernel_columns(c) if c else []
-              for w, c in cols.items()}
+    `Field.kernel_columns` of its columns, kept where it is not zero: the
+    summand vertices, and the presentation entries of each generator, read
+    off its tower coordinates."""
+    kernel_columns = ab.field.kernel_columns
+    kernel = {w: k for w, c in cols.items() if c and (k := kernel_columns(c))}
     summands, gens = submodule_cover(ab, tower, kernel)
     entries: dict[tuple[int, int], list[tuple[object, int]]] = {}
     for k, (w, g) in enumerate(gens):
@@ -622,7 +687,7 @@ def cokernel_rep(ab: AlgebraBasis, pres: ModulePresentation) -> Rep:
     _, t0, images = presentation_columns(ab, pres)
     pivot_rows, free = {}, {}
     for w in ab.vertices:
-        red, piv = F.rref(Matrix(images[w], t0.dims[w]))
+        red, piv = F.rref(Matrix(images.get(w, []), t0.dims[w]))
         pivot_rows[w] = dict(zip(piv, red.rows))
         free[w] = {c: k for k, c in enumerate(
             c for c in range(t0.dims[w]) if c not in pivot_rows[w])}
@@ -682,8 +747,11 @@ def _class_action(ab: AlgebraBasis, N: Rep, cid: int):
         return [(i, j, x) for i, row in
                 enumerate(N.word_matrix(cls.word, cls.source).rows)
                 for j, x in row.items()]
-    into, walk, word = N.pos[cls.target], ab._walk, cls.word
-    return [(into[i, p], j, 1) for j, (i, b) in enumerate(N.labels[cls.source])
+    labels = N.labels.get(cls.source)
+    if labels is None:
+        return []
+    into, rank, walk, word = N.start.get(cls.target), ab.pair_rank, ab._walk, cls.word
+    return [(into[i] + rank[p], j, 1) for j, (i, b) in enumerate(labels)
             if (p := walk(b, word)) is not None]
 
 
@@ -708,7 +776,8 @@ def _pres_hom_dims(ab: AlgebraBasis, pres: ModulePresentation,
     proj: list[dict] = []
     offset = 0
     for v in pres.p0:
-        proj.extend({offset + i: x for i, x in col.items()} for col in pi_cols[v])
+        proj.extend({offset + i: x for i, x in col.items()}
+                    for col in pi_cols.get(v, ()))
         offset += N.dims[v]
     return dim_hom, dim_hom - F.rank(F.matmul(from_columns(offset, proj), lifts))
 
@@ -735,7 +804,8 @@ def _ext1_by_tag(ab: AlgebraBasis, pres: ModulePresentation, N: Rep) -> Counter:
     off forward elimination alone."""
     F = ab.field
     d0, d1 = _ext1_complex(ab, pres, N)
-    t0, t1 = ([x for v in p for x, _ in N.labels[v]] for p in (pres.p0, pres.p1))
+    t0, t1 = ([x for v in p for x, _ in N.labels.get(v, ())]
+              for p in (pres.p0, pres.p1))
     ext = Counter(t1)                      # dim Hom(T1, N_x)
     for d, tags in ((d0, t0), (d1, t1)):
         for c in F.rref(d, reduced=False)[1]:

@@ -423,6 +423,72 @@ def test_all_names_the_first_failing_oracle_item_with_its_values(
             f"got {(p1, p0)}, predicted {(p0, p1)})") in out.splitlines()
 
 
+def test_all_names_the_first_failing_validation_item_with_its_values(
+        tmp_path, capsys):
+    # 3->4 lies on no cycle, which also skips the boundary-arrow count
+    path = tmp_path / "tail.json"
+    path.write_text(json.dumps({"name": "tail", "vertices": [1, 2, 3, 4],
+                                "arrows": [[1, 2], [2, 3], [3, 1], [3, 4]]}))
+    code, out, _ = run(capsys, "all", str(path))
+    assert code == 1
+    assert out.splitlines() == [
+        "FAIL  dimer_tree_validation  (every_arrow_on_a_cycle: arrows in no "
+        "cycle: ['3->4']; and 1 more)"]
+
+
+def test_all_names_the_first_failing_checkerboard_item_with_its_values(
+        capsys, monkeypatch):
+    # line 4 of q9's polygon lists its first two crossings swapped
+    build = cli.cb.build_checkerboard
+    seeded = []
+
+    def swapped(q, **kwargs):
+        cp = build(q, **kwargs)
+        crossings = cp.lines[4].crossings
+        crossings[0], crossings[1] = crossings[1], crossings[0]
+        seeded.append(cp)
+        return cp
+
+    monkeypatch.setattr(cli.cb, "build_checkerboard", swapped)
+    code, out, _ = run(capsys, "all", fixture_path("q9"))
+    assert code == 1
+    failed = cli.cb.validate_checkerboard(seeded[0], load_fixture("q9")).failed()
+    assert failed and failed[0].detail
+    more = f"; and {len(failed) - 1} more" if len(failed) > 1 else ""
+    line = next(x for x in out.splitlines() if x.split()[1] == "checkerboard")
+    assert line == f"FAIL  checkerboard  ({failed[0].name}: {failed[0].detail}{more})"
+    assert failed[0].name == "faces_match_regions"
+
+
+def test_reduce_refuses_at_the_step_budget_with_the_partial_trace(
+        tmp_path, capsys, monkeypatch):
+    # a budget hit is a refusal with its reason (exit 2), with the moves
+    # made so far written under --trace; `all` fails its reduction line
+    full = json.loads(cli.mu.trace_to_json(cli.mu.reduce_to_cycle(
+        load_fixture("q9"))))
+    monkeypatch.setattr(cli.mu, "step_budget", lambda q: 5)
+    trace = tmp_path / "partial.json"
+    code, out, err = run(capsys, "reduce", fixture_path("q9"),
+                         "--trace", str(trace))
+    assert (code, out) == (2, "")
+    assert err == "error: reduction exceeded the step budget of 5 moves\n"
+    assert json.loads(trace.read_text())["steps"] == full["steps"][:5]
+    code, out, _ = run(capsys, "all", fixture_path("q9"))
+    assert code == 1
+    assert out.splitlines()[-1] == (
+        "FAIL  reduction  (reduction exceeded the step budget of 5 moves)")
+
+
+def test_reduce_exits_3_on_any_other_reduction_error(capsys, monkeypatch):
+    def broken(qp, kind, site):
+        raise cli.mu.MutationError(f"no {kind} at {site}")
+
+    monkeypatch.setattr(cli.mu, "apply_move", broken)
+    code, out, err = run(capsys, "reduce", fixture_path("q9"))
+    assert (code, out) == (3, "")
+    assert err.startswith("error: no ")
+
+
 @pytest.mark.parametrize("spec", ["17,20", "0,3", "3,15"])
 def test_resolve_label_outside_the_polygon_is_bad_input(capsys, spec):
     # q9's polygon is a 14-gon: 17,20 would otherwise be read as 3,6

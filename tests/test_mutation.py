@@ -266,9 +266,10 @@ def test_step_budget_hit_raises_with_the_partial_trace(q9, monkeypatch):
     full = mu.reduce_to_cycle(q9)
     assert len(full.steps) > 5
     monkeypatch.setattr(mu, "step_budget", lambda q: 5)
-    with pytest.raises(mu.ReductionError,
+    with pytest.raises(mu.StepBudgetExceeded,
                        match="exceeded the step budget of 5 moves") as exc:
         mu.reduce_to_cycle(q9)
+    assert isinstance(exc.value, mu.ReductionError)
     partial = exc.value.trace
     assert [s.quiver_after for s in partial.steps] == [
         s.quiver_after for s in full.steps[:5]]

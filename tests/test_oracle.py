@@ -266,6 +266,96 @@ def test_resolve_step_is_computed_once_and_equals_a_fresh_resolve(ab9):
             pres = nxt
 
 
+# -- seeded faults: each check family of the report can fail ----------------------------
+#
+# Each fault puts another module's presentation in place of the minimal
+# presentation of a radical of q9, and the failing item names it with its
+# dimension.  The same report passes on the true presentations.
+
+def direct_sum_presentation(*parts):
+    """The minimal presentation of the direct sum of the parts' cokernels."""
+    p1, p0, entries = [], [], {}
+    for pres in parts:
+        for (l, k), combo in pres.entries.items():
+            entries[len(p0) + l, len(p1) + k] = combo
+        p1 += pres.p1
+        p0 += pres.p0
+    return orc.ModulePresentation(p1=p1, p0=p0, entries=entries)
+
+
+def projective_presentation(v):
+    return orc.ModulePresentation(p1=[], p0=[v], entries={})
+
+
+def seeded_items(ab, check, monkeypatch, faults):
+    """{name: (passed, detail)} of check(ab), first on the true
+    presentations, where every item must pass, then with faults[x] in
+    place of the presentation of rad P(x)."""
+    assert check(ab).ok
+    true = orc.radical_presentation
+    monkeypatch.setattr(orc, "radical_presentation", lambda ab, x: (
+        faults[x] if x in faults else true(ab, x)))
+    return {c.name: (c.passed, c.detail) for c in check(ab).items}
+
+
+@pytest.mark.parametrize("field", ["32003", "Q"])
+def test_ext1_syzygy_rad_vanishes_fails_on_a_seeded_summand(q9, field, monkeypatch):
+    # Ext^1(syzygy of rad P(3), rad P(2)) is 1, and 1->2 is an arrow: with
+    # rad P(1) + rad P(3) + rad P(3) in place of rad P(1) it counts 2
+    ab = orc.build_algebra(q9, field)
+    rad = {x: orc.radical_presentation(ab, x) for x in ab.vertices}
+    items = seeded_items(ab, orc.boundary_vanishing_check, monkeypatch,
+                         {1: direct_sum_presentation(rad[1], rad[3], rad[3])})
+    assert items["ext1_syzygy_rad_vanishes[1->2]"] == (False, "dim 2")
+    assert items["ext1_syzygy_rad_vanishes[2->3]"] == (True, "")
+
+
+@pytest.mark.parametrize("field", ["32003", "Q"])
+def test_stable_hom_rad_vanishes_fails_on_a_seeded_summand(q9, field, monkeypatch):
+    # 1->2 is a boundary arrow: with rad P(1) + rad P(1) in place of
+    # rad P(2), the stable Hom into rad P(1) is the stable End of rad P(1)
+    # twice
+    ab = orc.build_algebra(q9, field)
+    rad1 = orc.radical_presentation(ab, 1)
+    items = seeded_items(ab, orc.boundary_vanishing_check, monkeypatch,
+                         {2: direct_sum_presentation(rad1, rad1)})
+    assert items["stable_hom_rad_vanishes[1->2]"] == (False, "dim 2")
+    assert items["stable_hom_rad_vanishes[3->1]"] == (True, "")
+
+
+@pytest.mark.parametrize("field", ["32003", "Q"])
+def test_radical_indecomposable_fails_on_a_seeded_sum(q9, field, monkeypatch):
+    # rad P(4) + rad P(4) in place of rad P(4): two endomorphisms into
+    # rad P(4), neither through a projective
+    ab = orc.build_algebra(q9, field)
+    rad4 = orc.radical_presentation(ab, 4)
+    items = seeded_items(ab, orc.radical_indecomposability_check, monkeypatch,
+                         {4: direct_sum_presentation(rad4, rad4)})
+    assert items.pop("radical_indecomposable[4]") == (False, "End dim 2")
+    assert all(passed for passed, _ in items.values())
+
+
+@pytest.mark.parametrize("field", ["32003", "Q"])
+def test_radical_non_projective_fails_on_a_seeded_projective(q9, field,
+                                                             monkeypatch):
+    # P(4) in place of rad P(4): no map to rad P(4), which is zero at 4;
+    # and P(4) in place of the module too: End dim 1, through P(4) itself
+    ab = orc.build_algebra(q9, field)
+    items = seeded_items(ab, orc.radical_indecomposability_check, monkeypatch,
+                         {4: projective_presentation(4)})
+    assert items["radical_indecomposable[4]"] == (False, "End dim 0")
+    assert items["radical_non_projective[4]"] == (
+        False, "identity factors through a projective")
+    radical_rep = orc.AlgebraBasis.radical_rep
+    monkeypatch.setattr(orc.AlgebraBasis, "radical_rep", lambda ab, x: (
+        ab.projective(x) if x == 4 else radical_rep(ab, x)))
+    items = {c.name: (c.passed, c.detail)
+             for c in orc.radical_indecomposability_check(ab).items}
+    assert items.pop("radical_non_projective[4]") == (
+        False, "identity factors through a projective")
+    assert all(passed for passed, _ in items.values())
+
+
 # -- base-cycle tie-break independence ---------------------------------------------------
 
 def test_algebra_dimension_independent_of_base_cycle(q7, c3):

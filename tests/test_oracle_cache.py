@@ -3,9 +3,11 @@ with it.
 
 The dense builders below are the oracle's earlier bodies, kept as
 references: every (i, j) read through `Matrix[i, j]`, every matrix made from
-dense lists by `Field.matrix`, every arrow of a module acting by a matrix.
-A tower's label maps enter them as 0/1 matrices (`matrix_rep`).  The sparse
-code must give the same rows.
+dense lists by `Field.matrix`, every arrow of a module acting by a matrix,
+every vertex present.  A tower's label maps enter them as 0/1 matrices
+(`matrix_rep`), and its positions as the offsets it keeps (`positions`).
+The sparse code must give the same rows, and a tower must hold nothing
+where the reference has no basis.
 """
 import gc
 import random
@@ -126,26 +128,52 @@ def block_by_block(ab, summands, radical):
 
 def matrix_rep(ab, rep):
     """rep with its arrows acting by matrices: each label map of a tower
-    turned into its 0/1 matrix, entry 1 at (maps[a][j], j).  Any other
-    module is returned as it is."""
+    turned into its 0/1 matrix, entry 1 at (maps[a][j], j), and an arrow
+    without a label map, out of a vertex without basis, into a matrix with
+    no columns.  Any other module is returned as it is."""
     if rep.maps is None:
         return rep
     act = {}
     for a in ab.q.arrows:
         rows = [{} for _ in range(rep.dims[a.target])]
-        for j, i in enumerate(rep.maps[a.id]):
+        to = rep.maps.get(a.id)
+        if to is None:
+            assert not rep.dims[a.source], a.id
+            to = []
+        for j, i in enumerate(to):
             if i is not None:
                 rows[i][j] = 1
         act[a.id] = Matrix(rows, rep.dims[a.source])
     return orc.Rep(rep.field, rep.dims, act, labels=rep.labels)
 
 
+def positions(ab, rep):
+    """{w: {label: index}} of a tower, read off its offsets."""
+    return {w: {(i, c): rep.start[w][i] + ab.pair_rank[c] for i, c in lab}
+            for w, lab in rep.labels.items()}
+
+
+def assert_support_only(ab, rep, ref_labels, key):
+    """The tower holds labels, offsets and label maps exactly where the
+    reference has a basis, and the arrows out of there; its labels equal
+    the reference's, and its offsets give each label its index there."""
+    held = [w for w in ab.vertices if ref_labels[w]]
+    assert list(rep.dims) == ab.vertices, key
+    assert sorted(rep.labels, key=ab.vertices.index) == held, key
+    assert set(rep.start) == set(held), key
+    assert set(rep.maps) == {a.id for a in ab.q.arrows if a.source in held}, key
+    pos = positions(ab, rep)
+    for w in held:
+        assert rep.labels[w] == ref_labels[w], (key, w)
+        assert pos[w] == {t: i for i, t in enumerate(ref_labels[w])}, (key, w)
+
+
 def assert_same_module(ab, rep, ref, key):
     assert rep.dims == ref.dims, key
-    assert rep.labels == ref.labels, key
-    assert rep.pos == ref.pos, key
-    assert rep.maps.keys() == ref.act.keys(), key
-    for aid, mat in matrix_rep(ab, rep).act.items():
+    assert_support_only(ab, rep, ref.labels, key)
+    act = matrix_rep(ab, rep).act
+    assert act.keys() == ref.act.keys(), key
+    for aid, mat in act.items():
         assert mat.shape == ref.act[aid].shape, (key, aid)
         assert mat.rows == ref.act[aid].rows, (key, aid)
 
@@ -279,7 +307,7 @@ def dense_cover_map(ab, rep):
     mats = {}
     for w in ab.vertices:
         cols = []
-        for li, c in tower.labels[w]:
+        for li, c in tower.labels.get(w, ()):
             gv, gvec = gen_list[li]
             cols.append(dense_apply(F, rep.word_matrix(ab.classes[c].word, gv), gvec))
         mats[w] = dense_from_columns(F, rep.dims[w], cols)
@@ -328,8 +356,9 @@ def dense_minimal_presentation(ab, rep):
 
 
 def as_matrices(rep, cols):
-    """Vertex-wise image columns into rep, as matrices."""
-    return {w: from_columns(rep.dims[w], c) for w, c in cols.items()}
+    """Vertex-wise image columns into rep, as matrices at every vertex: no
+    columns where cols has no key."""
+    return {w: from_columns(n, cols.get(w, [])) for w, n in rep.dims.items()}
 
 
 def dense_resolve_step(ab, pres):
@@ -493,7 +522,7 @@ def test_cached_towers_equal_the_dense_builder(quiver, field):
             ref = block_by_block(ab, summands, True)
         else:
             ref, ref_pos = dense_tower_rep(ab, list(summands))
-            assert rep.pos == ref_pos
+            assert positions(ab, rep) == {w: p for w, p in ref_pos.items() if p}
         assert_same_module(ab, rep, ref, key)
 
 
@@ -512,6 +541,44 @@ def test_tower_rep_equals_the_block_by_block_direct_sum(field, name):
             assert_same_module(ab, orc.tower_rep(ab, summands, radical),
                                block_by_block(ab, summands, radical),
                                (summands, radical))
+
+
+def test_offsets_on_an_algebra_with_two_classes_per_pair(c3):
+    """A hand-made quotient of c3's path algebra that keeps every path of
+    length below 5: two classes from 1 to 2 (the arrow, and the arrow after
+    the 3-cycle) and a cycle at each vertex, which a radical keeps.  Its
+    towers place labels at pair ranks 0 and 1, a radical's block at its own
+    vertex starts one index early, and every tower still equals the dense
+    builder, and gives the Hom blocks its 0/1 matrices give.  The dimer
+    tree algebras are schurian, where every pair rank is 0."""
+    ab = orc.build_algebra(c3, 32003)
+    hand = orc.AlgebraBasis(c3, ab.structure, ab.potential, ab.field)
+    words = [(a.id,) for a in c3.arrows]
+    for _ in range(4):
+        words = [w + (a.id,) for w in words
+                 for a in c3.out_arrows[c3.arrow_by_id[w[-1]].target]]
+    hand._classes({w: None for w in words})
+    assert hand.dim_pair(1, 2) == hand.dim_pair(1, 1) == 2
+    assert sorted(set(hand.pair_rank)) == [0, 1]
+    vs = hand.vertices
+    for summands in ([1], [1, 2, 1], vs, vs[::-1]):
+        rad = orc.tower_rep(hand, summands, radical=True)
+        assert -1 in rad.start[summands[0]], "a block that starts early"
+        for radical in (False, True):
+            assert_same_module(hand, orc.tower_rep(hand, summands, radical),
+                               block_by_block(hand, summands, radical),
+                               (summands, radical))
+        _, ref_pos = dense_tower_rep(hand, summands)
+        assert positions(hand, orc.tower_rep(hand, summands)) == {
+            w: p for w, p in ref_pos.items() if p}
+    rng = random.Random(3)
+    for _ in range(10):
+        pres = random_presentation(hand, rng)
+        for N in hand._modules.values():
+            got = orc.hom_tower_matrix(hand, pres, N)
+            want = orc.hom_tower_matrix(hand, pres, matrix_rep(hand, N))
+            assert got.shape == want.shape
+            assert got.rows == want.rows
 
 
 def test_projectives_and_radicals_equal_the_dense_builder(quiver):
@@ -556,10 +623,10 @@ def test_ext_against_rad_b_equals_the_per_pair_complexes(field, name):
     ab = orc.build_algebra(_quiver(name), FIELDS[field])
     rad_b = orc.tower_rep(ab, ab.vertices, radical=True)
     # summand i of rad B is rad P(x), x the i-th vertex
-    for w in ab.vertices:
-        assert rad_b.labels[w] == [(i, c) for i, x in enumerate(ab.vertices)
-                                   for _, c in ab.radical_rep(x).labels[w]]
-        assert rad_b.pos[w] == {t: i for i, t in enumerate(rad_b.labels[w])}
+    assert_support_only(ab, rad_b, {
+        w: [(i, c) for i, x in enumerate(ab.vertices)
+            for _, c in ab.radical_rep(x).labels.get(w, ())]
+        for w in ab.vertices}, "rad B")
     for j in ab.vertices:
         pres = orc.radical_presentation(ab, j)
         row = orc._ext1_by_tag(ab, pres, rad_b)
@@ -747,7 +814,8 @@ def test_block_kernel_equals_each_blocks_nullspace(field, monkeypatch):
     """The kernel `_kernel_cover` covers at each vertex, from one forward
     elimination of that vertex's image columns, equals the columns of the
     dense nullspace of its block, in order and entry by entry: on random
-    columns, some zero, out of random towers."""
+    columns, some zero, out of random towers.  A vertex without columns,
+    or whose kernel is zero, gets no key."""
     F = FIELDS[field]
     rng = random.Random(11)
     ab = orc.build_algebra(load_fixture("q9"), F)
@@ -761,20 +829,21 @@ def test_block_kernel_equals_each_blocks_nullspace(field, monkeypatch):
                 for w, n in tower.dims.items()}
         orc._kernel_cover(ab, tower, {w: m.columns() for w, m in mats.items()})
         kernel = kernels.pop()
+        assert all(kernel.values())
         for w in ab.vertices:
             want = dense_nullspace(F, dense(mats[w])).columns()
-            assert ([sorted(c.items()) for c in kernel[w]]
+            assert ([sorted(c.items()) for c in kernel.get(w, [])]
                     == [sorted(c.items()) for c in want]), w
 
 
 def assert_same_cover(ab, rep):
     """`cover_map` of rep equals `dense_cover_map`: the same summands, tower
-    and image columns."""
+    and image columns, which it keeps where the tower has a basis."""
     summands, cols, tower = orc.cover_map(ab, rep)
     want_summands, want_mats, want_tower = dense_cover_map(ab, rep)
     assert summands == want_summands
     assert tower is want_tower
-    assert cols == {w: m.columns() for w, m in want_mats.items()}
+    assert cols == {w: m.columns() for w, m in want_mats.items() if tower.dims[w]}
 
 
 @pytest.mark.parametrize("field", FIELDS)
@@ -927,7 +996,7 @@ def test_submodule_cover_rejects_a_subspace_that_is_not_a_submodule(c3):
     inside it, whether the subspace is zero at the arrow's target or not."""
     ab = orc.build_algebra(c3, 32003)
     tower = orc.tower_rep(ab, [1, 2])
-    pos = tower.pos
+    pos = positions(ab, tower)
     const = {v: ab.constant_class[v] for v in ab.vertices}
     sub = {w: [] for w in tower.dims}
     sub[1] = [{pos[1][(0, const[1])]: 1}]
@@ -949,13 +1018,64 @@ def test_submodule_cover_rejects_a_radical_vector_on_a_vertex_without_basis(c3):
     in any key order; and where that vertex has a basis without it."""
     ab = orc.build_algebra(c3, 32003)
     tower = orc.tower_rep(ab, [1, 2])
-    pos = tower.pos
+    pos = positions(ab, tower)
     top1 = {pos[1][(0, ab.constant_class[1])]: 1}
     top2 = {pos[2][(1, ab.constant_class[2])]: 1}
     for sub in ({1: [top1]}, {1: [top1], 2: []}, {2: [], 1: [top1]},
                 {3: [], 1: [top1]}, {2: [top2], 1: [top1]}):
         with pytest.raises(orc.OracleError, match="not inside the subspace"):
             orc.submodule_cover(ab, tower, sub)
+
+
+@pytest.mark.parametrize("name", ["c3", "q9"])
+def test_a_vector_outside_a_towers_support_raises(name):
+    """A tower keeps nothing at a vertex where it has no basis: the zero
+    vector there moves to zero, and a nonzero one raises `OracleError` in
+    `_move`, in `submodule_cover`, in `_tower_map`, and as a presentation
+    entry, never dropped.  `submodule_cover` refuses it on a module that is
+    not a tower too, whose matrices would drop it.  A presentation entry
+    whose class does not run from its p0 vertex to its p1 vertex raises,
+    wherever it would land."""
+    ab = orc.build_algebra(_quiver(name), 32003)
+    F = ab.field
+    tower = ab.radical_rep(ab.vertices[0])
+    empty = [v for v in ab.vertices if not tower.dims[v]]
+    assert empty
+    for u in empty:
+        assert u not in tower.labels and u not in tower.start
+        for a in ab.q.out_arrows[u]:
+            assert a.id not in tower.maps
+            assert orc._move(F, tower, a.id, {}) == {}
+            with pytest.raises(orc.OracleError, match="no basis"):
+                orc._move(F, tower, a.id, {0: 1})
+            with pytest.raises(orc.OracleError, match="no basis"):
+                orc._move(F, tower, a.id, {0: 1, 1: 2})
+        assert orc.submodule_cover(ab, tower, {u: []}) == ([], [])
+        with pytest.raises(orc.OracleError, match="no basis"):
+            orc.submodule_cover(ab, tower, {u: [{0: 1}]})
+        M = orc.cokernel_rep(ab, orc.radical_presentation(ab, ab.vertices[0]))
+        assert not M.dims[u]
+        with pytest.raises(orc.OracleError, match="no basis"):
+            orc.submodule_cover(ab, M, {u: [{0: 1}]})
+        # the top of P(u) sent to a vector at u, where the target is empty
+        with pytest.raises(orc.OracleError, match="no basis"):
+            orc._tower_map(ab, [u], tower, [{0: 1}])
+    x, u = next((x, u) for x in ab.vertices for u in ab.vertices
+                if not ab.projective(x).dims[u])
+    a = ab.q.out_arrows[x][0]
+    bad = [
+        # at p1[0] = u, where tower(p0) = P(x) is empty
+        ([u], [x], ab.arrow_class(ab.q.in_arrows[u][0].id)),
+        # at u, where P(u) has a basis but summand 0, P(x), has none
+        ([u], [x, u], ab.constant_class[u]),
+        # from x, but to the arrow's target rather than to p1[0] = x: its
+        # rank would land on the constant of P(x)
+        ([x], [x], ab.arrow_class(a.id)),
+    ]
+    for p1, p0, cid in bad:
+        pres = orc.ModulePresentation(p1=p1, p0=p0, entries={(0, 0): [(1, cid)]})
+        with pytest.raises(orc.OracleError, match="does not run from"):
+            orc.presentation_columns(ab, pres)
 
 
 @pytest.mark.parametrize("field", FIELDS)
@@ -972,7 +1092,7 @@ def test_submodule_cover_of_a_partial_sub_equals_every_vertex_present(field, nam
         pres = orc.radical_presentation(ab, x)
         for p in (pres, orc.resolve_step(ab, pres)):
             t1, _, cols = orc.presentation_columns(ab, p)
-            full = {w: F.kernel_columns(cols[w]) for w in ab.vertices}
+            full = {w: F.kernel_columns(cols.get(w, [])) for w in ab.vertices}
             want = orc.submodule_cover(ab, t1, full)
             assert want[0] == orc.resolve_step(ab, p).p1
             held = [w for w in ab.vertices if full[w]]
@@ -1013,7 +1133,7 @@ def test_kernel_cover_of_unit_heavy_maps_equals_the_dense_nullspace(field, monke
         assert asked == [c for c in cols.values() if c]
         mats = as_matrices(target, cols)
         assert got == dense_kernel_cover(ab, t1, mats)
-        kernel = {w: kernel_columns(c) for w, c in cols.items()}
+        kernel = {w: kernel_columns(cols.get(w, [])) for w in ab.vertices}
         for w in ab.vertices:
             want = dense_nullspace(F, dense(mats[w])).columns()
             assert ([sorted(c.items()) for c in kernel[w]]
