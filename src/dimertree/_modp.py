@@ -12,11 +12,10 @@ from __future__ import annotations
 from . import linalg
 
 
-def rref_modp(a: linalg.Matrix, p: int,
-              reduced: bool = True) -> tuple[linalg.Matrix, list[int]]:
-    """Reduced row echelon form mod p, or with reduced=False forward
-    elimination alone.  Returns (matrix, pivot columns)."""
-    return linalg.rref_matrix(a, p, reduced)
+def rref_modp(a: linalg.Matrix, p: int) -> tuple[linalg.Matrix, list[int]]:
+    """Forward elimination mod p: the echelon rows in pivot order and the
+    pivot columns."""
+    return linalg.rref_matrix(a, p)
 
 
 def kernel_columns_modp(cols: list[dict], p: int) -> list[dict]:

@@ -310,9 +310,13 @@ def cmd_all(args) -> int:
     note("dimer_tree_validation", report.ok, _first_failure(report))
     if not report.ok:
         return EXIT_CHECK_FAILED
-    wr = weight_report(q, report.structure)
-    note("total_weight_even", wr.total_weight % 2 == 0,
-         f"total {wr.total_weight}")
+    try:
+        wr = weight_report(q, report.structure)
+    except QuiverError as exc:
+        # a valid dimer tree has equal, even totals: only a fault gets here
+        note("total_weight_even", False, str(exc))
+        return EXIT_CHECK_FAILED
+    note("total_weight_even", True, f"total {wr.total_weight}")
     cp = _checkerboard(q, report.structure)
     val = cb.validate_checkerboard(cp, q, report.structure)
     note("checkerboard", val.ok, _first_failure(val))

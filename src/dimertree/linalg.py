@@ -3,19 +3,17 @@
 Two fields share one small matrix type, `Matrix`: a list of sparse rows
 {column: nonzero entry} and a column count.  Over GF(p) the entries are
 Python ints in [0, p); over the exact rationals they are Python ints or
-Fractions, never floats.  One exact forward elimination of sparse
-vectors, `echelon`, over Python ints mod p or over the rationals, gives
-pivots and ranks alone (`Field.rref` with reduced=False, `Field.rank`);
-`rref_rows` adds `back_substitute` to it, and `kernel_columns` runs it on
-the columns of a matrix, recording each column that depends on the
-earlier ones as a kernel vector, or reads it off empty and unit columns.
-Callers reach them through a `Field`, whose GF(p) methods pass through
-`_modp`.  Products come from one sparse `matmul_matrix`; the oracle's
-matrices are tiny and mostly zero, so only nonzero entries are touched.
-Relations in the algebras at hand have unit coefficients, so almost every
-rational entry stays an int, a Fraction is made only when a non-unit is
-inverted, and the rational path stays cheap and certifies the prime-field
-results.
+Fractions, never floats.  There is one elimination, `echelon`: exact
+forward elimination of sparse vectors, with no back-substitution.
+`Field.rref` runs it on the rows of a matrix, for echelon rows, pivots and
+ranks; `kernel_columns` runs it on the columns, recording each column that
+depends on the earlier ones as a kernel vector, or reads that off empty
+and unit columns.  Callers reach them through a `Field`, whose GF(p)
+methods pass through `_modp`.  Products come from one sparse
+`matmul_matrix`, which touches only nonzero entries.  Relations in the
+algebras at hand have unit coefficients, so almost every rational entry
+stays an int, a Fraction is made only when a non-unit is inverted, and the
+rational path stays cheap and certifies the prime-field results.
 """
 from __future__ import annotations
 
@@ -46,10 +44,9 @@ def parse_field_spec(spec: str | int) -> "Field":
 
 
 class Matrix:
-    """An m x n matrix as m sparse rows {column: nonzero entry}.
-
-    No row stores a zero: reading an absent entry gives 0, and writing a
-    zero deletes the entry."""
+    """An m x n matrix as m sparse rows {column: nonzero entry}: the matrix
+    `Field.rref`, `nullspace` and `matmul` take and give.  No row stores a
+    zero."""
     __slots__ = ("rows", "ncols")
 
     def __init__(self, rows: list[dict[int, object]], ncols: int):
@@ -59,17 +56,6 @@ class Matrix:
     @property
     def shape(self) -> tuple[int, int]:
         return len(self.rows), self.ncols
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.rows[i].get(j, 0)
-
-    def __setitem__(self, ij, x) -> None:
-        i, j = ij
-        if x:
-            self.rows[i][j] = x
-        else:
-            self.rows[i].pop(j, None)
 
     def columns(self) -> list[dict]:
         """The columns as sparse vectors {row: nonzero entry}."""
@@ -120,28 +106,6 @@ def echelon(vectors: list[dict[int, object]], p: int | None,
     return pivot_rows
 
 
-def rref_rows(rows: list[dict[int, object]], p: int | None) -> list[tuple[int, dict]]:
-    """Reduced row echelon form of rows given as {column: nonzero entry}.
-
-    Returns the nonzero rows of the RREF as (pivot column, row) pairs in
-    increasing pivot order; each row has entry 1 at its pivot and no entry in
-    another pivot column.  The input rows are not modified."""
-    pivot_rows = echelon(rows, p)
-    back_substitute(pivot_rows, p)
-    return [(c, pivot_rows[c]) for c in sorted(pivot_rows)]
-
-
-def back_substitute(pivot_rows: dict[int, dict], p: int | None) -> None:
-    """Clear every pivot column of `echelon`'s rows {pivot: row} but at its
-    own pivot, in place."""
-    # highest pivot first: the rows above are reduced, so subtracting them
-    # adds no entry in a pivot column
-    for c in sorted(pivot_rows, reverse=True):
-        row = pivot_rows[c]
-        for j in [j for j in row if j > c and j in pivot_rows]:
-            _eliminate(row, row[j], pivot_rows[j], p)
-
-
 def _qq_inverse(x):
     """Exact rational inverse: ±1 is its own, anything else becomes a
     Fraction (a bare `1 / x` of an int would be a float)."""
@@ -167,19 +131,13 @@ def _eliminate(row: dict, f, prow: dict, p: int | None) -> None:
             del row[j]
 
 
-def rref_matrix(a: Matrix, p: int | None,
-                reduced: bool = True) -> tuple[Matrix, list[int]]:
-    """RREF of a matrix, as a matrix of the same shape, and its pivot
-    columns.  With reduced=False, forward elimination alone: `echelon`'s
-    rows in pivot order, as a rank x n matrix, and the same pivots."""
-    if not reduced:
-        pivot_rows = echelon(a.rows, p)
-        pivots = sorted(pivot_rows)
-        return Matrix([pivot_rows[c] for c in pivots], a.ncols), pivots
-    m, n = a.shape
-    pairs = rref_rows(a.rows, p)
-    rows = [row for _, row in pairs] + [{} for _ in range(m - len(pairs))]
-    return Matrix(rows, n), [c for c, _ in pairs]
+def rref_matrix(a: Matrix, p: int | None) -> tuple[Matrix, list[int]]:
+    """Forward elimination of a matrix's rows: `echelon`'s rows in pivot
+    order, as a rank x n matrix, and their pivots, the RREF's pivot
+    columns.  No row is back-substituted."""
+    pivot_rows = echelon(a.rows, p)
+    pivots = sorted(pivot_rows)
+    return Matrix([pivot_rows[c] for c in pivots], a.ncols), pivots
 
 
 def kernel_columns(cols: list[dict[int, object]], p: int | None) -> list[dict]:
@@ -238,42 +196,26 @@ def matmul_matrix(a: Matrix, b: Matrix, p: int | None) -> Matrix:
 
 
 class Field:
-    """Matrices are `Matrix`es; scalars are field elements.  `p` is the
-    prime of GF(p), or None for the rationals."""
+    """Matrices are `Matrix`es and vectors sparse dicts; scalars are field
+    elements.  `p` is the prime of GF(p), or None for the rationals.
+
+    `rref` runs forward elimination alone: its rows are echelon rows, not
+    reduced ones.  It keeps its name because perfbench/tracer.py wraps it
+    by name, until that instrument moves into the package."""
     name: str
     p: int | None
 
-    def rref(self, a, reduced=True): raise NotImplementedError
+    def rref(self, a): raise NotImplementedError
     def kernel_columns(self, cols): raise NotImplementedError
     def nullspace(self, a): raise NotImplementedError
     def matmul(self, a, b): raise NotImplementedError
-    def neg(self, x): raise NotImplementedError
     def add(self, x, y): raise NotImplementedError
     def mul(self, x, y): raise NotImplementedError
-    def inv(self, x): raise NotImplementedError
     def scalar(self, n): raise NotImplementedError
     def is_zero(self, x): raise NotImplementedError
 
-    def matrix(self, rows, ncols: int | None = None) -> Matrix:
-        """A matrix from dense rows of numbers, each made a field element;
-        `ncols` gives the width when there are no rows."""
-        rows = [list(r) for r in rows]
-        scalar = self.scalar
-        return Matrix([{j: y for j, x in enumerate(r) if x and (y := scalar(x))}
-                       for r in rows],
-                      len(rows[0]) if rows else ncols or 0)
-
-    def zeros(self, m, n) -> Matrix:
-        return Matrix([{} for _ in range(m)], n)
-
-    def eye(self, n) -> Matrix:
-        return Matrix([{i: 1} for i in range(n)], n)
-
     def rank(self, a) -> int:
-        return len(self.rref(a, reduced=False)[1])
-
-    def is_zero_matrix(self, a) -> bool:
-        return not any(a.rows)
+        return len(self.rref(a)[1])
 
 
 class GF(Field):
@@ -285,8 +227,8 @@ class GF(Field):
         self.p = p
         self.name = f"GF({p})"
 
-    def rref(self, a, reduced=True):
-        return _modp.rref_modp(a, self.p, reduced)
+    def rref(self, a):
+        return _modp.rref_modp(a, self.p)
 
     def kernel_columns(self, cols):
         return _modp.kernel_columns_modp(cols, self.p)
@@ -297,14 +239,8 @@ class GF(Field):
     def matmul(self, a, b):
         return _modp.matmul_modp(a, b, self.p)
 
-    def neg(self, x): return (-x) % self.p
     def add(self, x, y): return (x + y) % self.p
     def mul(self, x, y): return (x * y) % self.p
-    def inv(self, x):
-        x = int(x) % self.p
-        if not x:
-            raise ZeroDivisionError(f"0 has no inverse in {self.name}")
-        return pow(x, self.p - 2, self.p)
     def scalar(self, n): return int(n) % self.p
     def is_zero(self, x): return int(x) % self.p == 0
 
@@ -313,8 +249,8 @@ class QQ(Field):
     name = "QQ"
     p = None
 
-    def rref(self, a, reduced=True):
-        return rref_matrix(a, None, reduced)
+    def rref(self, a):
+        return rref_matrix(a, None)
 
     def kernel_columns(self, cols):
         return kernel_columns(cols, None)
@@ -325,9 +261,7 @@ class QQ(Field):
     def matmul(self, a, b):
         return matmul_matrix(a, b, None)
 
-    def neg(self, x): return -x
     def add(self, x, y): return x + y
     def mul(self, x, y): return x * y
-    def inv(self, x): return _qq_inverse(x)
     def scalar(self, n): return _qq_exact(n)
     def is_zero(self, x): return x == 0

@@ -23,9 +23,9 @@ positions are sums, with no position dict.  Each `Rep` keeps its
 projective cover (`cover_map`) once computed.  Callers must not mutate a
 cached object.  A `Rep` is plain data: its field, its dimensions, its
 label maps (or, on a module that is not a tower, such as `cokernel_rep`
-makes, its arrow matrices), its basis labels and their offsets, with no
-reference to the algebra, so every function that needs the algebra takes
-it first.
+makes, the image columns of each arrow), its basis labels and their
+offsets, with no reference to the algebra, so every function that needs
+the algebra takes it first.
 
 The report reuses these modules rather than rebuilding them.  The Ext check
 runs one complex per vertex j against rad B, the direct sum of all the
@@ -35,24 +35,26 @@ Hom(coker f, N) is the kernel of Hom(f, N) on the tops of the tower, and
 the maps through a projective are the same kernel into the cover of N,
 projected through the cover.
 
-Covers, kernels and presentations share one vector format: a sparse dict
-{coordinate: nonzero entry}, the shape of a `Matrix` row.  One helper,
-`_move`, applies an arrow to a vector: through the label map on a tower,
-through `_apply` of the matrix on any other module.  Hom blocks read a
-class's action on a tower off the class table (`_class_action`).  One
-routine, `_tower_map`, gives a map out of a tower as its image columns at
-each vertex where the tower has a basis, from the images of its tops, one
-move per basis vector: the projective cover and the map of a presentation.  Its kernel at
-a vertex with columns is `Field.kernel_columns`, read straight off columns
-that are empty or unit vectors, as almost all are, and one forward
-elimination otherwise.  A tower is covered off its label maps: its tops
-are the basis vectors no arrow reaches.  One routine, `submodule_cover`,
-covers the kernel of a map out of a tower, and a module that is not a
-tower given its unit vectors; both bases have leads, so a vector's
-coordinates are read off without another row reduction, and only the
-pivots of those coordinates are needed.
-Every elimination goes through the `Field`: `rref`, with reduced=False
-where only pivots or a rank are read, `kernel_columns` and `nullspace`.
+Vectors are sparse dicts {coordinate: nonzero entry}, the shape of a
+`Matrix` row, and maps are lists of image columns: a map out of a tower,
+and an arrow of a module that is not a tower.  One helper, `_move`,
+applies an arrow to a vector: through the label map on a tower, by
+`_combine` of its image columns on any other module.  Hom blocks read a
+class's action on a tower off the class table, and elsewhere move each
+basis vector along the class's word (`_class_action`).  One routine,
+`_tower_map`, gives a map out of a tower as its image columns at each
+vertex where the tower has a basis, from the images of its tops, one move
+per basis vector: the projective cover and the map of a presentation.  Its
+kernel at a vertex with columns is `Field.kernel_columns`, read straight
+off columns that are empty or unit vectors, as almost all are, and one
+forward elimination otherwise.  A tower is covered off its label maps: its
+tops are the basis vectors no arrow reaches.  One routine,
+`submodule_cover`, covers the kernel of a map out of a tower, and a module
+that is not a tower given its unit vectors; both bases have leads, so a
+vector's coordinates are read off without another row reduction, and only
+the pivots of those coordinates are needed.  Every elimination goes
+through the `Field` and runs forward only: `rref` for pivots, ranks and
+echelon rows, `kernel_columns` and `nullspace` for kernels.
 
 Relation structure: a boundary arrow contributes a single vanishing word (the
 rest of its cycle); an interior arrow equates the complementary words of its
@@ -373,18 +375,18 @@ def build_algebra(q: Quiver, field: str | int | Field = DEFAULT_PRIME,
 # ---------------------------------------------------------------------------
 
 class Rep:
-    """dims[v] is the dimension at v, for every vertex v.  On a module
+    """dims[v] is the dimension at v, read as dims.get(v, 0).  On a module
     `tower_rep` builds, an arrow acts by its label map: maps[arrow][j] is
     the index at the arrow's target of basis vector j at its source, or
-    None where the arrow sends it to zero.  A tower keeps labels, offsets
-    and label maps only on its support, the vertices where it has a basis,
-    and the arrows out of them: any other vertex is empty, and a nonzero
-    vector there raises `OracleError`.  labels[w] names the basis at w, the
-    pairs (i, c) of a summand index and a path class, and label (i, c) has
-    index start[w][i] + pair_rank[c] (`AlgebraBasis.pair_rank`).  On any
-    other module an arrow acts by its matrix act[arrow], from the space at
-    the source to the space at the target (columns index the source
-    basis)."""
+    None where the arrow sends it to zero.  A tower keeps dims, labels,
+    offsets and label maps only on its support, the vertices where it has a
+    basis, and the arrows out of them: any other vertex is empty, and a
+    nonzero vector there raises `OracleError`.  labels[w] names the basis
+    at w, the pairs (i, c) of a summand index and a path class, and label
+    (i, c) has index start[w][i] + pair_rank[c] (`AlgebraBasis.pair_rank`).
+    On any other module, such as `cokernel_rep` makes, dims has every
+    vertex and an arrow acts by its image columns: act[arrow][j] is the
+    image of basis vector j at its source."""
 
     def __init__(self, field: Field, dims, act=None, labels=None, maps=None,
                  start=None):
@@ -395,16 +397,6 @@ class Rep:
         self.labels = labels or {}
         self.start = start or {}
         self._cover: tuple | None = None
-
-    def word_matrix(self, word: Word, source):
-        """Matrix of the right action of a composable word starting at
-        source, on a module whose arrows act by matrices."""
-        if not word:
-            return self.field.eye(self.dims[source])
-        m = self.act[word[0]]
-        for aid in word[1:]:
-            m = self.field.matmul(self.act[aid], m)
-        return m
 
 
 def tower_rep(ab: AlgebraBasis, summands, radical: bool = False) -> Rep:
@@ -436,7 +428,7 @@ def tower_rep(ab: AlgebraBasis, summands, radical: bool = False) -> Rep:
                     start[w][i] = len(lab) - skip
                     for c in block[skip:]:
                         lab.append((i, c))
-        dims = dict.fromkeys(ab.vertices, 0)
+        dims = {}
         maps = {}
         rank, act = ab.pair_rank, ab._act
         for s, lab in labels.items():
@@ -505,28 +497,13 @@ def _tower_map(ab: AlgebraBasis, summands, target: Rep, tops: list[dict]):
 # A vector is a sparse dict {coordinate: nonzero entry}, the shape of a
 # `Matrix` row.
 
-def _apply(F: Field, mat: Matrix, vec: dict) -> dict:
-    """mat times vec, over the nonzero entries of both."""
-    add, mul = F.add, F.mul
-    out = {}
-    for i, row in enumerate(mat.rows):
-        acc = 0
-        for j, v in row.items():
-            x = vec.get(j)
-            if x:
-                acc = add(acc, mul(v, x))
-        if acc:
-            out[i] = acc
-    return out
-
-
 def _move(F: Field, rep: Rep, aid: str, vec: dict) -> dict:
     """The arrow aid of rep applied to vec: through its label map on a
-    tower, through `_apply` of its matrix on any other module.  A tower has
-    no label map out of a vertex without basis, where only the zero vector
-    moves."""
+    tower, as the combination of its image columns on any other module.  A
+    tower has no label map out of a vertex without basis, where only the
+    zero vector moves."""
     if rep.maps is None:
-        return _apply(F, rep.act[aid], vec)
+        return _combine(F, rep.act[aid], vec)
     to = rep.maps.get(aid)
     if to is None:
         if vec:
@@ -580,7 +557,7 @@ def submodule_cover(ab: AlgebraBasis, ambient: Rep, sub: dict[object, list]):
     for v, basis in sub.items():
         if not basis:
             continue
-        if not ambient.dims[v] and any(basis):
+        if not ambient.dims.get(v, 0) and any(basis):
             raise OracleError(f"vector {next(filter(None, basis))} at {v!r}, "
                               "where the module has no basis")
         for a in ab.q.out_arrows[v]:
@@ -606,7 +583,7 @@ def submodule_cover(ab: AlgebraBasis, ambient: Rep, sub: dict[object, list]):
             coords.append(c)
         # one-entry coordinate vectors are their own pivots
         pivots = ({k for c in coords for k in c} if all(len(c) == 1 for c in coords)
-                  else set(F.rref(Matrix(coords, len(basis)), reduced=False)[1]))
+                  else set(F.rref(Matrix(coords, len(basis)))[1]))
         gens += [(w, b) for k, b in enumerate(basis) if k not in pivots]
     return [w for w, _ in gens], gens
 
@@ -629,7 +606,7 @@ def cover_map(ab: AlgebraBasis, rep: Rep):
             reached = {(arrows[aid].target, i)
                        for aid, to in rep.maps.items() for i in to}
             gens = [(w, {i: 1}) for w in ab.vertices
-                    for i in range(rep.dims[w]) if (w, i) not in reached]
+                    for i in range(rep.dims.get(w, 0)) if (w, i) not in reached]
             summands = [w for w, _ in gens]
         tower, cols = _tower_map(ab, summands, rep, [g for _, g in gens])
         rep._cover = summands, cols, tower
@@ -678,30 +655,30 @@ def resolve_step(ab: AlgebraBasis, pres: ModulePresentation) -> ModulePresentati
 
 def cokernel_rep(ab: AlgebraBasis, pres: ModulePresentation) -> Rep:
     """Materialize coker(tower(p1) -> tower(p0)) as a representation whose
-    arrows act by matrices.
+    arrows act by image columns.
 
     At each vertex the quotient's basis is the unit vectors at the
-    coordinates that are not pivots of the image's RREF; a vector is
-    reduced against the RREF rows and read at those coordinates."""
+    coordinates that are not pivots of the image's echelon rows.  Each row
+    is zero before its pivot, so a vector is reduced against the rows pivot
+    by pivot, in increasing pivot order, and read at those coordinates."""
     F = ab.field
     _, t0, images = presentation_columns(ab, pres)
     pivot_rows, free = {}, {}
     for w in ab.vertices:
-        red, piv = F.rref(Matrix(images.get(w, []), t0.dims[w]))
-        pivot_rows[w] = dict(zip(piv, red.rows))
+        n = t0.dims.get(w, 0)
+        rows, pivots = F.rref(Matrix(images.get(w, []), n))
+        pivot_rows[w] = dict(zip(pivots, rows.rows))       # increasing pivots
         free[w] = {c: k for k, c in enumerate(
-            c for c in range(t0.dims[w]) if c not in pivot_rows[w])}
+            c for c in range(n) if c not in pivot_rows[w])}
     act = {}
     for a in ab.q.arrows:
-        s, t = a.source, a.target
-        cols = []
-        for c in free[s]:
+        cols = act[a.id] = []
+        for c in free[a.source]:
             vec = _move(F, t0, a.id, {c: 1})
-            for p, x in list(vec.items()):
-                if p in pivot_rows[t]:
-                    _eliminate(vec, x, pivot_rows[t][p], F.p)
-            cols.append({free[t][j]: x for j, x in vec.items()})
-        act[a.id] = from_columns(len(free[t]), cols)
+            for p, row in pivot_rows[a.target].items():
+                if p in vec:
+                    _eliminate(vec, vec[p], row, F.p)
+            cols.append({free[a.target][j]: x for j, x in vec.items()})
     return Rep(F, {w: len(f) for w, f in free.items()}, act)
 
 
@@ -717,12 +694,12 @@ def hom_tower_matrix(ab: AlgebraBasis, pres: ModulePresentation, N: Rep):
     total_cols = 0
     for v in pres.p0:
         col_offsets.append(total_cols)
-        total_cols += N.dims[v]
+        total_cols += N.dims.get(v, 0)
     row_offsets = []
     total_rows = 0
     for v in pres.p1:
         row_offsets.append(total_rows)
-        total_rows += N.dims[v]
+        total_rows += N.dims.get(v, 0)
     # entry (l, k) fills its own block, rows of p1[k] by columns of p0[l]:
     # each class of the entry maps N at p0[l] into N at p1[k]
     rows: list[dict] = [{} for _ in range(total_rows)]
@@ -741,12 +718,16 @@ def hom_tower_matrix(ab: AlgebraBasis, pres: ModulePresentation, N: Rep):
 def _class_action(ab: AlgebraBasis, N: Rep, cid: int):
     """The nonzero entries (i, j, x) of the matrix by which the class cid
     acts on N: on a tower read off the class table, (i, b) to (i, b * cid),
-    on any other module the product of its arrow matrices."""
+    on any other module each basis vector moved along the class's word."""
     cls = ab.classes[cid]
     if N.maps is None:
-        return [(i, j, x) for i, row in
-                enumerate(N.word_matrix(cls.word, cls.source).rows)
-                for j, x in row.items()]
+        out = []
+        for j in range(N.dims.get(cls.source, 0)):
+            vec = {j: 1}
+            for aid in cls.word:
+                vec = _move(ab.field, N, aid, vec)
+            out += [(i, j, x) for i, x in vec.items()]
+        return out
     labels = N.labels.get(cls.source)
     if labels is None:
         return []
@@ -778,7 +759,7 @@ def _pres_hom_dims(ab: AlgebraBasis, pres: ModulePresentation,
     for v in pres.p0:
         proj.extend({offset + i: x for i, x in col.items()}
                     for col in pi_cols.get(v, ()))
-        offset += N.dims[v]
+        offset += N.dims.get(v, 0)
     return dim_hom, dim_hom - F.rank(F.matmul(from_columns(offset, proj), lifts))
 
 
@@ -789,7 +770,7 @@ def _ext1_complex(ab: AlgebraBasis, pres: ModulePresentation, N: Rep):
     F = ab.field
     d0 = hom_tower_matrix(ab, pres, N)
     d1 = hom_tower_matrix(ab, resolve_step(ab, pres), N)
-    if not F.is_zero_matrix(F.matmul(d1, d0)):
+    if any(F.matmul(d1, d0).rows):
         raise OracleError("resolution differentials do not compose to zero")
     return d0, d1
 
@@ -808,7 +789,7 @@ def _ext1_by_tag(ab: AlgebraBasis, pres: ModulePresentation, N: Rep) -> Counter:
               for p in (pres.p0, pres.p1))
     ext = Counter(t1)                      # dim Hom(T1, N_x)
     for d, tags in ((d0, t0), (d1, t1)):
-        for c in F.rref(d, reduced=False)[1]:
+        for c in F.rref(d)[1]:
             ext[tags[c]] -= 1
     return ext
 
@@ -834,30 +815,48 @@ def schurian_check(ab: AlgebraBasis):
     return (not counterexamples), counterexamples
 
 
-def extension_lemma_check(ab: AlgebraBasis, arrow_id: str, side: str) -> bool:
-    """Extendability of nonzero classes by a boundary arrow matches its weight.
-
-    side='right': every nonzero class into the source extends iff weight 1.
-    side='left': every nonzero class out of the target coextends iff coweight 1.
-    """
+def _extensions(ab: AlgebraBasis, arrow_id: str, side: str):
+    """The weight (side 'right') or coweight (side 'left') of a boundary
+    arrow, and the nonzero classes into its source (right) or out of its
+    target (left), lazily, each with whether the arrow extends it."""
     weight = ab.structure.path_weights("cycle" if side == "right" else "cocycle")
     if arrow_id not in weight:
         raise OracleError(f"{arrow_id} is not a boundary arrow")
     a = ab.q.arrow_by_id[arrow_id]
     ac = ab.arrow_class(arrow_id)
     if side == "right":
-        always = all(
-            ab.mult(c, ac) is not None
-            for v in ab.q.vertices
-            for c in ab.by_pair.get((v, a.source), []))
+        classes = ((c, ab.mult(c, ac) is not None) for v in ab.q.vertices
+                   for c in ab.by_pair.get((v, a.source), []))
     elif side == "left":
-        always = all(
-            ab.mult(ac, c) is not None
-            for v in ab.q.vertices
-            for c in ab.by_pair.get((a.target, v), []))
+        classes = ((c, ab.mult(ac, c) is not None) for v in ab.q.vertices
+                   for c in ab.by_pair.get((a.target, v), []))
     else:
         raise OracleError(f"unknown side {side!r}")
-    return always == (weight[arrow_id] == 1)
+    return weight[arrow_id], classes
+
+
+def extension_lemma_check(ab: AlgebraBasis, arrow_id: str, side: str) -> bool:
+    """Extendability of nonzero classes by a boundary arrow matches its weight.
+
+    side='right': every nonzero class into the source extends iff weight 1.
+    side='left': every nonzero class out of the target coextends iff coweight 1.
+    """
+    weight, classes = _extensions(ab, arrow_id, side)
+    return all(extends for _, extends in classes) == (weight == 1)
+
+
+def _extension_witness(ab: AlgebraBasis, arrow_id: str, side: str) -> str:
+    """Why `extension_lemma_check` fails: the weight or coweight, and the
+    first class that does not extend or, when every class does, the first."""
+    weight, classes = _extensions(ab, arrow_id, side)
+    a = ab.q.arrow_by_id[arrow_id]
+    kind, where, verb = (("weight", f"into {a.source}", "extend") if side == "right"
+                         else ("coweight", f"out of {a.target}", "coextend"))
+    if weight == 1:
+        word = ab.classes[next(c for c, extends in classes if not extends)].word
+        return f"{kind} 1, but class {word} {where} does not {verb}"
+    word = ab.classes[next(classes)[0]].word
+    return f"{kind} {weight}, but every class {where} {verb}s, the first {word}"
 
 
 def schurian_report(ab: AlgebraBasis) -> Report:
@@ -867,11 +866,15 @@ def schurian_report(ab: AlgebraBasis) -> Report:
 
 
 def extension_report(ab: AlgebraBasis) -> Report:
-    """`extension_lemma_check` on both sides of every boundary arrow."""
-    return Report([Check(f"extension_{side}[{a}]",
-                         extension_lemma_check(ab, a, side))
-                   for a in ab.structure.boundary_arrows
-                   for side in ("right", "left")])
+    """`extension_lemma_check` on both sides of every boundary arrow, a
+    failing item with its `_extension_witness`."""
+    items = []
+    for a in ab.structure.boundary_arrows:
+        for side in ("right", "left"):
+            ok = extension_lemma_check(ab, a, side)
+            items.append(Check(f"extension_{side}[{a}]", ok,
+                               "" if ok else _extension_witness(ab, a, side)))
+    return Report(items)
 
 
 def radical_presentation(ab: AlgebraBasis, x) -> ModulePresentation:

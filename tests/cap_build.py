@@ -10,16 +10,19 @@ finishes, the rewriting build in `dimertree.oracle` must give the same
 classes, `by_pair`, stabilization length and multiplication table.
 
 `_build`, `_enumerate_paths` and `_try_build` are the earlier bodies,
-unchanged; `class_of_word` and `mult` read the all-words `_word_class`
-dict they fill.
+unchanged but that `rref_rows` and `neg` now come from `linalg_refs`;
+`class_of_word` and `mult` read the all-words `_word_class` dict they
+fill.
 """
 from __future__ import annotations
 
-from dimertree.linalg import DEFAULT_PRIME, Field, parse_field_spec, rref_rows
+from dimertree.linalg import DEFAULT_PRIME, Field, parse_field_spec
 from dimertree.oracle import (AlgebraBasis, OracleError, PathClass, Word,
                               _cycle_word_without)
 from dimertree.quiver import (Potential, Quiver, build_potential,
                               dimer_tree_structure)
+
+from linalg_refs import neg, rref_rows
 
 
 class CapLoopBasis(AlgebraBasis):
@@ -126,7 +129,7 @@ class CapLoopBasis(AlgebraBasis):
         # reduced class of every word: itself, or minus the rest of its row
         memo: list[dict[int, object]] = [{idx: one} for idx in range(len(words))]
         for c, row in rref_rows(rows, F.p):
-            memo[last - c] = {last - j: F.neg(x) for j, x in row.items() if j != c}
+            memo[last - c] = {last - j: neg(F, x) for j, x in row.items() if j != c}
 
         longest = 0
         for idx, m in enumerate(memo):
@@ -138,7 +141,7 @@ class CapLoopBasis(AlgebraBasis):
 
         for idx, m in enumerate(memo):
             if len(m) > 1 or (m and not F.is_zero(F.add(next(iter(m.values())),
-                                                        F.neg(one)))):
+                                                        neg(F, one)))):
                 raise OracleError(
                     f"class of path {words[idx]} is not a single path class; "
                     "input is not a dimer tree quiver")

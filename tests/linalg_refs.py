@@ -1,17 +1,95 @@
-"""Row reductions and kernels the sparse elimination replaced, kept as
-references.
+"""Row reductions, kernels and matrix helpers that left the program, kept
+as references.
 
-The dense ones reduce numpy arrays column by column; `rref_kernel_columns`
-is the earlier sparse kernel, read off the reduced rows of a matrix with
-back-substitution (`linalg.rref_rows`), where `linalg.kernel_columns` now
-eliminates its columns forward only.  Both must give the same vectors in
-the same order.
+The dense ones reduce numpy arrays column by column.  `rref_rows` is the
+earlier sparse RREF, `linalg.echelon` followed by `back_substitute`;
+`rref_kernel_columns` is the earlier sparse kernel, read off its reduced
+rows, where `linalg.kernel_columns` now eliminates columns forward only.
+Both must give the same vectors in the same order.  The program runs
+forward elimination alone, so the reduced RREF (`rref`), the matrix
+builders (`matrix`, `zeros`, `eye`), `neg` and entry access by index
+(`DenseMatrix`) live here, for the tests and the dense references.
 """
 from fractions import Fraction
 
 import numpy as np
 
-from dimertree.linalg import GF, rref_rows
+from dimertree.linalg import GF, Matrix, _eliminate, echelon
+
+
+class DenseMatrix(Matrix):
+    """A `Matrix` read and written by index: reading an absent entry gives
+    0, and writing a zero deletes the entry, so no row stores a zero."""
+    __slots__ = ()
+
+    def __getitem__(self, ij):
+        i, j = ij
+        return self.rows[i].get(j, 0)
+
+    def __setitem__(self, ij, x) -> None:
+        i, j = ij
+        if x:
+            self.rows[i][j] = x
+        else:
+            self.rows[i].pop(j, None)
+
+
+def indexed(a):
+    """A `Matrix` as a `DenseMatrix` on the same rows."""
+    return DenseMatrix(a.rows, a.ncols)
+
+
+def matrix(f, rows, ncols=None):
+    """A matrix from dense rows of numbers, each made an element of the field
+    f; `ncols` gives the width when there are no rows."""
+    rows = [list(r) for r in rows]
+    scalar = f.scalar
+    return DenseMatrix([{j: y for j, x in enumerate(r) if x and (y := scalar(x))}
+                        for r in rows],
+                       len(rows[0]) if rows else ncols or 0)
+
+
+def zeros(m, n):
+    return DenseMatrix([{} for _ in range(m)], n)
+
+
+def eye(n):
+    return DenseMatrix([{i: 1} for i in range(n)], n)
+
+
+def neg(f, x):
+    return (-x) % f.p if f.p else -x
+
+
+def rref_rows(rows, p):
+    """Reduced row echelon form of rows given as {column: nonzero entry}.
+
+    Returns the nonzero rows of the RREF as (pivot column, row) pairs in
+    increasing pivot order; each row has entry 1 at its pivot and no entry in
+    another pivot column.  The input rows are not modified."""
+    pivot_rows = echelon(rows, p)
+    back_substitute(pivot_rows, p)
+    return [(c, pivot_rows[c]) for c in sorted(pivot_rows)]
+
+
+def back_substitute(pivot_rows, p):
+    """Clear every pivot column of `echelon`'s rows {pivot: row} but at its
+    own pivot, in place."""
+    # highest pivot first: the rows above are reduced, so subtracting them
+    # adds no entry in a pivot column
+    for c in sorted(pivot_rows, reverse=True):
+        row = pivot_rows[c]
+        for j in [j for j in row if j > c and j in pivot_rows]:
+            _eliminate(row, row[j], pivot_rows[j], p)
+
+
+def rref(f, a):
+    """The RREF of a matrix, as a `DenseMatrix` of the same shape, and its
+    pivot columns."""
+    m, n = a.shape
+    pairs = rref_rows(a.rows, f.p)
+    rows = [row for _, row in pairs] + [{} for _ in range(m - len(pairs))]
+    return DenseMatrix(rows, n), [c for c, _ in pairs]
 
 
 def dense_rref_modp(a, p):
@@ -71,11 +149,11 @@ def dense_nullspace(f, a):
     else:
         r, pivots = dense_rref_qq(a)
     free = [c for c in range(n) if c not in pivots]
-    basis = f.zeros(n, len(free))
+    basis = zeros(n, len(free))
     for k, c in enumerate(free):
         basis[c, k] = f.scalar(1)
         for i, pc in enumerate(pivots):
-            basis[pc, k] = f.neg(r[i, c])
+            basis[pc, k] = neg(f, r[i, c])
     return basis
 
 

@@ -9,7 +9,7 @@ from dimertree import cli
 from dimertree import oracle as orc
 from dimertree.cli import main
 
-from dimertree.quiver import load_quiver
+from dimertree.quiver import StructureReport, load_quiver
 
 from conftest import FIXTURES as FIXTURE_DIR
 from conftest import fixture_path, glued_dimer_tree, load_fixture
@@ -434,6 +434,30 @@ def test_all_names_the_first_failing_validation_item_with_its_values(
     assert out.splitlines() == [
         "FAIL  dimer_tree_validation  (every_arrow_on_a_cycle: arrows in no "
         "cycle: ['3->4']; and 1 more)"]
+
+
+@pytest.mark.parametrize("directions, reason", [
+    (("cycle",), "weight/coweight totals disagree: 15 vs 14"),
+    (("cycle", "cocycle"), "total weight 15 is odd"),
+])
+def test_all_fails_total_weight_even_on_a_seeded_weight(
+        directions, reason, capsys, monkeypatch):
+    # q9's arrow 1->2 has weight 1 and coweight 2; adding 1 to it on one side
+    # makes the totals differ, on both sides makes them odd.  A valid dimer
+    # tree has neither, so the line fails with the reason, never exit 2
+    weights = StructureReport.path_weights
+
+    def seeded(self, direction):
+        w = dict(weights(self, direction))
+        if direction in directions:
+            w["1->2"] += 1
+        return w
+
+    monkeypatch.setattr(StructureReport, "path_weights", seeded)
+    code, out, _ = run(capsys, "all", fixture_path("q9"))
+    assert code == 1
+    assert out.splitlines() == ["pass  dimer_tree_validation",
+                                f"FAIL  total_weight_even  ({reason})"]
 
 
 def test_all_names_the_first_failing_checkerboard_item_with_its_values(

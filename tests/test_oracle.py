@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from dimertree import oracle as orc
 from dimertree.linalg import GF, QQ
-from dimertree.quiver import (QuiverError, analyze_structure, build_potential,
-                              weight_report)
+from dimertree.quiver import (QuiverError, StructureReport, analyze_structure,
+                              build_potential, weight_report)
 
 from conftest import (cycle_quiver, glued_dimer_tree, multiplication_table,
                       quiver_from_arrows)
@@ -126,6 +126,32 @@ def test_extension_killer_in_c3(ab3):
         assert any(ab3.mult(c, ac) is None
                    for v in ab3.q.vertices
                    for c in ab3.by_pair.get((v, a.source), []))
+
+
+@pytest.mark.parametrize("side, detail", [
+    ("right", "weight 2, but every class into 8 extends, the first "
+              "('4->6', '6->7', '7->8')"),
+    ("left", "coweight 1, but class ('3->4', '4->6', '6->7') out of 3 does "
+             "not coextend"),
+])
+def test_extension_items_fail_on_a_seeded_weight_with_a_witness(
+        ab9, side, detail, monkeypatch):
+    """On q9, 8->3 has weight 1 and coweight 2.  Flipped on one side, that
+    side's item alone fails, and names the flipped value and the first
+    class that extends (every one does) or does not."""
+    direction = "cycle" if side == "right" else "cocycle"
+    weights = StructureReport.path_weights
+
+    def flipped(self, d):
+        w = dict(weights(self, d))
+        if d == direction:
+            w["8->3"] = 3 - w["8->3"]
+        return w
+
+    monkeypatch.setattr(StructureReport, "path_weights", flipped)
+    assert not orc.extension_lemma_check(ab9, "8->3", side)
+    failed = orc.extension_report(ab9).failed()
+    assert [(c.name, c.detail) for c in failed] == [(f"extension_{side}[8->3]", detail)]
 
 
 # -- radical presentations ----------------------------------------------------------

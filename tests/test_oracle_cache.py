@@ -2,14 +2,17 @@
 with it.
 
 The dense builders below are the oracle's earlier bodies, kept as
-references: every (i, j) read through `Matrix[i, j]`, every matrix made from
-dense lists by `Field.matrix`, every arrow of a module acting by a matrix,
-every vertex present.  A tower's label maps enter them as 0/1 matrices
-(`matrix_rep`), and its positions as the offsets it keeps (`positions`).
-The sparse code must give the same rows, and a tower must hold nothing
-where the reference has no basis.
+references: every (i, j) read through `DenseMatrix[i, j]`, every matrix
+made from dense lists by `linalg_refs.matrix`, every vertex present, and
+every reduction the back-substituted RREF of `linalg_refs`.  Their modules
+act by image columns, as a module that is not a tower does in the oracle,
+read as matrices through `arrow_matrix`.  A tower's label maps enter them
+as 0/1 columns (`column_rep`), and its positions as the offsets it keeps
+(`positions`).  The sparse code must give the same rows, and a tower must
+hold nothing where the reference has no basis.
 """
 import gc
+import itertools
 import random
 import weakref
 from collections import Counter
@@ -25,9 +28,12 @@ from dimertree.quiver import weight_report
 from cap_build import build_reference
 from conftest import (fixture_path, glued_dimer_tree, load_fixture,
                       multiplication_table)
-from linalg_refs import dense, dense_nullspace
+from linalg_refs import (dense, dense_nullspace, eye, indexed, matrix, neg,
+                         rref, zeros)
 
 FIELDS = {"GF": GF(32003), "Q": QQ()}
+# p = 2 and 3 make every non-unit coefficient vanish or wrap
+FOUR_FIELDS = {"Q": QQ(), "GF2": GF(2), "GF3": GF(3), "GF32003": GF(32003)}
 FIXTURES = ["c3", "c4", "c5", "c6", "c7", "c8", "q7", "q9"]
 # glued trees of two to four cycles
 GLUED = {
@@ -69,7 +75,7 @@ def dense_tower_rep(ab, summands):
             prod = ab.mult(c, ac)
             if prod is not None:
                 rows[pos[a.target][(li, prod)]][i] = 1
-        act[a.id] = F.matrix(rows, ncols=dims[a.source])
+        act[a.id] = matrix(F, rows, ncols=dims[a.source]).columns()
     return orc.Rep(ab.field, dims, act, labels=labels), pos
 
 
@@ -91,7 +97,7 @@ def dense_projective_rep(ab, v, radical):
             prod = ab.mult(c, ac)
             if prod is not None and prod in pos[a.target]:
                 rows[pos[a.target][prod]][i] = 1
-        act[a.id] = F.matrix(rows, ncols=dims[a.source])
+        act[a.id] = matrix(F, rows, ncols=dims[a.source]).columns()
     return orc.Rep(ab.field, dims, act, labels=basis)
 
 
@@ -104,13 +110,12 @@ def direct_sum(ab, parts):
               for w in ab.vertices}
     act = {}
     for a in ab.q.arrows:
-        rows = []
+        cols = act[a.id] = []
         off = 0
         for _, rep in parts:
-            rows.extend({off + j: x for j, x in row.items()}
-                        for row in rep.act[a.id].rows)
-            off += rep.dims[a.source]
-        act[a.id] = Matrix(rows, off)
+            cols.extend({off + i: x for i, x in col.items()}
+                        for col in rep.act[a.id])
+            off += rep.dims[a.target]
     dims = {w: len(lab) for w, lab in labels.items()}
     return orc.Rep(ab.field, dims, act, labels=labels)
 
@@ -126,25 +131,42 @@ def block_by_block(ab, summands, radical):
     return direct_sum(ab, parts)
 
 
-def matrix_rep(ab, rep):
-    """rep with its arrows acting by matrices: each label map of a tower
-    turned into its 0/1 matrix, entry 1 at (maps[a][j], j), and an arrow
-    without a label map, out of a vertex without basis, into a matrix with
-    no columns.  Any other module is returned as it is."""
+def column_rep(ab, rep):
+    """rep as a module that is not a tower, with dims at every vertex and
+    its arrows acting by image columns: each label map of a tower turned
+    into its 0/1 columns, {maps[a][j]: 1}, and an arrow without a label
+    map, out of a vertex without basis, into no columns.  Any other module
+    is returned as it is."""
     if rep.maps is None:
         return rep
     act = {}
     for a in ab.q.arrows:
-        rows = [{} for _ in range(rep.dims[a.target])]
         to = rep.maps.get(a.id)
         if to is None:
-            assert not rep.dims[a.source], a.id
+            assert not rep.dims.get(a.source, 0), a.id
             to = []
-        for j, i in enumerate(to):
-            if i is not None:
-                rows[i][j] = 1
-        act[a.id] = Matrix(rows, rep.dims[a.source])
-    return orc.Rep(rep.field, rep.dims, act, labels=rep.labels)
+        act[a.id] = [{} if i is None else {i: 1} for i in to]
+    dims = {w: rep.dims.get(w, 0) for w in ab.vertices}
+    return orc.Rep(rep.field, dims, act, labels=rep.labels)
+
+
+def arrow_matrix(ab, rep, aid):
+    """The matrix of an arrow on a module that is not a tower, from its
+    image columns."""
+    return indexed(from_columns(rep.dims[ab.q.arrow_by_id[aid].target],
+                                rep.act[aid]))
+
+
+def word_matrix(ab, rep, word, source):
+    """The matrix of the right action of a composable word starting at
+    source, on a module that is not a tower: the product of its arrow
+    matrices."""
+    if not word:
+        return eye(rep.dims[source])
+    m = arrow_matrix(ab, rep, word[0])
+    for aid in word[1:]:
+        m = ab.field.matmul(arrow_matrix(ab, rep, aid), m)
+    return indexed(m)
 
 
 def positions(ab, rep):
@@ -158,7 +180,7 @@ def assert_support_only(ab, rep, ref_labels, key):
     reference has a basis, and the arrows out of there; its labels equal
     the reference's, and its offsets give each label its index there."""
     held = [w for w in ab.vertices if ref_labels[w]]
-    assert list(rep.dims) == ab.vertices, key
+    assert sorted(rep.dims, key=ab.vertices.index) == held, key
     assert sorted(rep.labels, key=ab.vertices.index) == held, key
     assert set(rep.start) == set(held), key
     assert set(rep.maps) == {a.id for a in ab.q.arrows if a.source in held}, key
@@ -169,18 +191,17 @@ def assert_support_only(ab, rep, ref_labels, key):
 
 
 def assert_same_module(ab, rep, ref, key):
-    assert rep.dims == ref.dims, key
+    assert rep.dims == {w: n for w, n in ref.dims.items() if n}, key
     assert_support_only(ab, rep, ref.labels, key)
-    act = matrix_rep(ab, rep).act
+    act = column_rep(ab, rep).act
     assert act.keys() == ref.act.keys(), key
-    for aid, mat in act.items():
-        assert mat.shape == ref.act[aid].shape, (key, aid)
-        assert mat.rows == ref.act[aid].rows, (key, aid)
+    for aid, cols in act.items():
+        assert cols == ref.act[aid], (key, aid)
 
 
 def dense_columns(F, mat):
-    m, n = mat.shape
-    return [[mat[i, j] for i in range(m)] for j in range(n)]
+    m = mat.shape[0]
+    return [[col.get(i, 0) for i in range(m)] for col in mat.columns()]
 
 
 def dense_apply(F, mat, vec):
@@ -198,7 +219,7 @@ def dense_apply(F, mat, vec):
 
 def dense_hom_space(ab, M, N):
     F = ab.field
-    M, N = matrix_rep(ab, M), matrix_rep(ab, N)
+    M, N = column_rep(ab, M), column_rep(ab, N)
     verts = ab.q.sorted_vertices()
     offsets = {}
     total = 0
@@ -210,7 +231,7 @@ def dense_hom_space(ab, M, N):
         s, t = a.source, a.target
         if N.dims[t] * M.dims[s] == 0:
             continue
-        Ma, Na = M.act[a.id], N.act[a.id]
+        Ma, Na = arrow_matrix(ab, M, a.id), arrow_matrix(ab, N, a.id)
         for i in range(N.dims[t]):
             for j in range(M.dims[s]):
                 row = [F.scalar(0)] * total
@@ -222,16 +243,16 @@ def dense_hom_space(ab, M, N):
                     coeff = Na[i, k]
                     if not F.is_zero(coeff):
                         idx = offsets[s] + k * M.dims[s] + j
-                        row[idx] = F.add(row[idx], F.neg(coeff))
+                        row[idx] = F.add(row[idx], neg(F, coeff))
                 rows.append(row)
     if total == 0:
         return []
-    mat = F.matrix(rows, ncols=total) if rows else F.zeros(0, total)
+    mat = matrix(F, rows, ncols=total)
     out = []
     for col in dense_columns(F, F.nullspace(mat)):
         fam = {}
         for v in verts:
-            m = F.zeros(N.dims[v], M.dims[v])
+            m = zeros(N.dims[v], M.dims[v])
             for i in range(N.dims[v]):
                 for j in range(M.dims[v]):
                     m[i, j] = col[offsets[v] + i * M.dims[v] + j]
@@ -242,7 +263,7 @@ def dense_hom_space(ab, M, N):
 
 def dense_hom_tower_matrix(ab, pres, N):
     F = ab.field
-    N = matrix_rep(ab, N)
+    N = column_rep(ab, N)
     col_offsets, total_cols = [], 0
     for v in pres.p0:
         col_offsets.append(total_cols)
@@ -251,12 +272,12 @@ def dense_hom_tower_matrix(ab, pres, N):
     for v in pres.p1:
         row_offsets.append(total_rows)
         total_rows += N.dims[v]
-    mat = F.zeros(total_rows, total_cols)
+    mat = zeros(total_rows, total_cols)
     for (l, k), combo in pres.entries.items():
-        block = F.zeros(N.dims[pres.p1[k]], N.dims[pres.p0[l]])
+        block = zeros(N.dims[pres.p1[k]], N.dims[pres.p0[l]])
         for coeff, cls in combo:
             path = ab.classes[cls]
-            m = N.word_matrix(path.word, path.source)
+            m = word_matrix(ab, N, path.word, path.source)
             r, c = m.shape
             for i in range(r):
                 for j in range(c):
@@ -272,26 +293,27 @@ def dense_hom_tower_matrix(ab, pres, N):
 
 
 def dense_from_columns(F, nrows, cols):
-    return F.matrix([[col[i] for col in cols] for i in range(nrows)],
-                    ncols=len(cols))
+    return matrix(F, [[col[i] for col in cols] for i in range(nrows)],
+                  ncols=len(cols))
 
 
 def dense_coords_in_columns(F, bas_cols, n, targets):
     k = len(bas_cols)
-    red, piv = F.rref(dense_from_columns(F, n, bas_cols + targets))
+    red, piv = rref(F, dense_from_columns(F, n, bas_cols + targets))
     assert all(pc < k for pc in piv), "vector not inside the subspace"
     return [[red[i, k + j] for i in range(k)] for j in range(len(targets))]
 
 
 def dense_top_generators(ab, rep):
     F = ab.field
-    rep = matrix_rep(ab, rep)
+    rep = column_rep(ab, rep)
     rad = {w: [] for w in rep.dims}
     for a in ab.q.arrows:
-        rad[a.target].extend(c for c in dense_columns(F, rep.act[a.id]) if any(c))
+        rad[a.target].extend(c for c in dense_columns(F, arrow_matrix(ab, rep, a.id))
+                             if any(c))
     gens = {}
     for w, n in rep.dims.items():
-        pivset = set(F.rref(F.matrix(rad[w], ncols=n))[1]) if rad[w] else set()
+        pivset = set(rref(F, matrix(F, rad[w], ncols=n))[1]) if rad[w] else set()
         gens[w] = [[F.scalar(int(i == c)) for i in range(n)]
                    for c in range(n) if c not in pivset]
     return gens
@@ -299,7 +321,7 @@ def dense_top_generators(ab, rep):
 
 def dense_cover_map(ab, rep):
     F = ab.field
-    rep = matrix_rep(ab, rep)
+    rep = column_rep(ab, rep)
     gens = dense_top_generators(ab, rep)
     gen_list = [(w, g) for w in ab.vertices for g in gens[w]]
     summands = [w for w, _ in gen_list]
@@ -309,18 +331,19 @@ def dense_cover_map(ab, rep):
         cols = []
         for li, c in tower.labels.get(w, ()):
             gv, gvec = gen_list[li]
-            cols.append(dense_apply(F, rep.word_matrix(ab.classes[c].word, gv), gvec))
+            cols.append(dense_apply(F, word_matrix(ab, rep, ab.classes[c].word, gv),
+                                    gvec))
         mats[w] = dense_from_columns(F, rep.dims[w], cols)
     return summands, mats, tower
 
 
 def dense_submodule_cover(ab, ambient, sub):
     F = ab.field
-    ambient = matrix_rep(ab, ambient)
+    ambient = column_rep(ab, ambient)
     radcols = {w: [] for w in ambient.dims}
     for a in ab.q.arrows:
         for col in sub[a.source]:
-            moved = dense_apply(F, ambient.act[a.id], col)
+            moved = dense_apply(F, arrow_matrix(ab, ambient, a.id), col)
             if any(not F.is_zero(x) for x in moved):
                 radcols[a.target].append(moved)
     gen_list = []
@@ -331,15 +354,15 @@ def dense_submodule_cover(ab, ambient, sub):
         pivset = set()
         if radcols[w]:
             coords = dense_coords_in_columns(F, basis, ambient.dims[w], radcols[w])
-            pivset = set(F.rref(F.matrix(coords, ncols=len(basis)))[1])
+            pivset = set(rref(F, matrix(F, coords, ncols=len(basis)))[1])
         gen_list += [(w, b) for ci, b in enumerate(basis) if ci not in pivset]
     return gen_list
 
 
 def dense_kernel_cover(ab, tower, mats):
     F = ab.field
-    ker = {w: dense_columns(F, dense_nullspace(F, dense(mats[w]))) if n else []
-           for w, n in tower.dims.items()}
+    ker = {w: dense_columns(F, dense_nullspace(F, dense(mats[w])))
+           if tower.dims.get(w, 0) else [] for w in ab.vertices}
     gen_list = dense_submodule_cover(ab, tower, ker)
     entries = {}
     for k, (w, gvec) in enumerate(gen_list):
@@ -355,26 +378,28 @@ def dense_minimal_presentation(ab, rep):
     return orc.ModulePresentation(p1=p1, p0=summands, entries=entries)
 
 
-def as_matrices(rep, cols):
+def as_matrices(ab, rep, cols):
     """Vertex-wise image columns into rep, as matrices at every vertex: no
-    columns where cols has no key."""
-    return {w: from_columns(n, cols.get(w, [])) for w, n in rep.dims.items()}
+    columns where cols has no key, and no rows where rep has no basis."""
+    return {w: from_columns(rep.dims.get(w, 0), cols.get(w, []))
+            for w in ab.vertices}
 
 
 def dense_resolve_step(ab, pres):
     t1, t0, cols = orc.presentation_columns(ab, pres)
-    p2, entries = dense_kernel_cover(ab, t1, as_matrices(t0, cols))
+    p2, entries = dense_kernel_cover(ab, t1, as_matrices(ab, t0, cols))
     return orc.ModulePresentation(p1=p2, p0=list(pres.p1), entries=entries)
 
 
 class DenseQuotient:
-    """Coordinates for F^n modulo the span of the given dense columns."""
+    """Coordinates for F^n modulo the span of the given dense columns, read
+    off their back-substituted RREF."""
 
     def __init__(self, F, n, cols):
         self.F, self.n = F, n
         self.rows, self.pivots = [], []
         if cols:
-            red, piv = F.rref(F.matrix(cols, ncols=n))
+            red, piv = rref(F, matrix(F, cols, ncols=n))
             self.rows = [[red[i, j] for j in range(n)] for i in range(len(piv))]
             self.pivots = list(piv)
         self.free = [c for c in range(n) if c not in self.pivots]
@@ -384,7 +409,7 @@ class DenseQuotient:
         for row, p in zip(self.rows, self.pivots):
             c = v[p]
             if not F.is_zero(c):
-                v = [F.add(x, F.neg(F.mul(c, r))) for x, r in zip(v, row)]
+                v = [F.add(x, neg(F, F.mul(c, r))) for x, r in zip(v, row)]
         return [v[c] for c in self.free]
 
     def lift(self, k):
@@ -394,18 +419,18 @@ class DenseQuotient:
 def dense_cokernel_rep(ab, pres):
     F = ab.field
     _, t0, cols = orc.presentation_columns(ab, pres)
-    mats = as_matrices(t0, cols)
-    t0 = matrix_rep(ab, t0)
+    mats = as_matrices(ab, t0, cols)
+    t0 = column_rep(ab, t0)
     quots = {w: DenseQuotient(F, t0.dims[w],
                               [c for c in dense_columns(F, mats[w]) if any(c)])
              for w in ab.vertices}
     dims = {w: len(q.free) for w, q in quots.items()}
     act = {}
     for a in ab.q.arrows:
-        cols = [quots[a.target].project(dense_apply(F, t0.act[a.id],
+        cols = [quots[a.target].project(dense_apply(F, arrow_matrix(ab, t0, a.id),
                                                     quots[a.source].lift(k)))
                 for k in range(dims[a.source])]
-        act[a.id] = dense_from_columns(F, dims[a.target], cols)
+        act[a.id] = [sparse(c) for c in cols]
     return orc.Rep(ab.field, dims, act)
 
 
@@ -417,7 +442,7 @@ def family_stable_hom_dim(ab, M, N):
     if not homs:
         return 0
     _, pi_cols, towerN = orc.cover_map(ab, N)
-    pi_mats = as_matrices(N, pi_cols)
+    pi_mats = as_matrices(ab, N, pi_cols)
     lifts = dense_hom_space(ab, M, towerN)
     if not lifts:
         return len(homs)
@@ -469,13 +494,13 @@ def _entry(F, rng):
 
 
 def random_matrix(F, rng, m, n):
-    return F.matrix([[_entry(F, rng) for _ in range(n)] for _ in range(m)], ncols=n)
+    return matrix(F, [[_entry(F, rng) for _ in range(n)] for _ in range(m)], ncols=n)
 
 
 def random_rep(ab, rng, max_dim=3):
     F = ab.field
     dims = {v: rng.randint(0, max_dim) for v in ab.q.vertices}
-    act = {a.id: random_matrix(F, rng, dims[a.target], dims[a.source])
+    act = {a.id: random_matrix(F, rng, dims[a.target], dims[a.source]).columns()
            for a in ab.q.arrows}
     return orc.Rep(ab.field, dims, act)
 
@@ -576,7 +601,7 @@ def test_offsets_on_an_algebra_with_two_classes_per_pair(c3):
         pres = random_presentation(hand, rng)
         for N in hand._modules.values():
             got = orc.hom_tower_matrix(hand, pres, N)
-            want = orc.hom_tower_matrix(hand, pres, matrix_rep(hand, N))
+            want = orc.hom_tower_matrix(hand, pres, column_rep(hand, N))
             assert got.shape == want.shape
             assert got.rows == want.rows
 
@@ -586,10 +611,9 @@ def test_projectives_and_radicals_equal_the_dense_builder(quiver):
     for v in ab.vertices:
         for radical, rep in ((False, ab.projective(v)), (True, ab.radical_rep(v))):
             ref = dense_projective_rep(ab, v, radical)
-            assert rep.dims == ref.dims
-            for aid, mat in matrix_rep(ab, rep).act.items():
-                assert mat.shape == ref.act[aid].shape
-                assert mat.rows == ref.act[aid].rows, (v, radical, aid)
+            assert rep.dims == {w: n for w, n in ref.dims.items() if n}
+            for aid, cols in column_rep(ab, rep).act.items():
+                assert cols == ref.act[aid], (v, radical, aid)
         assert ab.radical_rep(v) is ab.radical_rep(v)
 
 
@@ -754,7 +778,9 @@ def sparse(vec):
 
 
 @pytest.mark.parametrize("field", FIELDS)
-def test_column_helpers_and_apply_match_dense_loops(field):
+def test_column_helpers_and_move_match_dense_loops(field):
+    """On a module that is not a tower, `_move` combines an arrow's image
+    columns as the dense product of their matrix does."""
     F = FIELDS[field]
     rng = random.Random(7)
     for _ in range(200):
@@ -763,36 +789,42 @@ def test_column_helpers_and_apply_match_dense_loops(field):
         cols = dense_columns(F, mat)
         assert mat.columns() == [sparse(c) for c in cols]
         vec = [_entry(F, rng) for _ in range(n)]
-        assert orc._apply(F, mat, sparse(vec)) == sparse(dense_apply(F, mat, vec))
+        module = orc.Rep(F, {"s": n, "t": m}, {"a": mat.columns()})
+        assert (orc._move(F, module, "a", sparse(vec))
+                == sparse(dense_apply(F, mat, vec)))
         assert from_columns(m, [sparse(c) for c in cols]).rows == mat.rows
 
 
 @pytest.mark.parametrize("field", FIELDS)
-def test_label_maps_move_vectors_as_their_matrices(field):
-    """`_move` through a tower's label maps gives what `_apply` of their 0/1
-    matrices gives, on random vectors of every tower the report keeps, and
-    sums what a map sends to one index."""
+def test_label_maps_move_vectors_as_their_columns(field):
+    """`_move` through a tower's label maps gives what its 0/1 image columns
+    give, and the dense product of their matrix, on random vectors of every
+    tower the report keeps, and sums what a map sends to one index."""
     F = FIELDS[field]
     rng = random.Random(5)
     ab = orc.build_algebra(load_fixture("q9"), F)
     assert orc.full_oracle_report(ab).ok
     for rep in ab._modules.values():
-        mats = matrix_rep(ab, rep).act
+        cols = column_rep(ab, rep)
         for a in ab.q.arrows:
-            vec = sparse([_entry(F, rng) for _ in range(rep.dims[a.source])])
-            assert orc._move(F, rep, a.id, vec) == orc._apply(F, mats[a.id], vec)
+            dvec = [_entry(F, rng) for _ in range(cols.dims[a.source])]
+            vec = sparse(dvec)
+            want = sparse(dense_apply(F, arrow_matrix(ab, cols, a.id), dvec))
+            assert orc._move(F, rep, a.id, vec) == want
+            assert orc._move(F, cols, a.id, vec) == want
     merging = orc.Rep(F, {}, maps={"a": [0, 0, None, 1, 1]})
-    vec = {0: F.scalar(1), 1: F.neg(F.scalar(1)), 2: F.scalar(5),
+    vec = {0: F.scalar(1), 1: neg(F, F.scalar(1)), 2: F.scalar(5),
            3: F.scalar(2), 4: F.scalar(3)}
     assert orc._move(F, merging, "a", vec) == {1: F.scalar(5)}
 
 
 @pytest.mark.parametrize("field", FIELDS)
 @pytest.mark.parametrize("name", [*FIXTURES, "k4"])
-def test_hom_tower_matrix_on_towers_equals_the_word_matrix_path(field, name):
+def test_hom_tower_matrix_on_towers_equals_the_image_column_path(field, name):
     """On every tower the report keeps, the Hom blocks read off the class
-    table equal the blocks its 0/1 arrow matrices give through
-    `word_matrix`, for each radical presentation and its next two steps."""
+    table equal the blocks its 0/1 image columns give, each basis vector
+    moved along the class's word, for each radical presentation and its
+    next two steps."""
     ab = orc.build_algebra(_quiver(name), FIELDS[field])
     assert orc.full_oracle_report(ab).ok
     presentations = []
@@ -801,7 +833,7 @@ def test_hom_tower_matrix_on_towers_equals_the_word_matrix_path(field, name):
         presentations += [pres, orc.resolve_step(ab, pres),
                           orc.resolve_step(ab, orc.resolve_step(ab, pres))]
     for N in list(ab._modules.values()):
-        ref = matrix_rep(ab, N)
+        ref = column_rep(ab, N)
         for pres in presentations:
             got = orc.hom_tower_matrix(ab, pres, N)
             want = orc.hom_tower_matrix(ab, pres, ref)
@@ -829,8 +861,8 @@ def test_block_kernel_equals_each_blocks_nullspace(field, monkeypatch):
                 for w, n in tower.dims.items()}
         orc._kernel_cover(ab, tower, {w: m.columns() for w, m in mats.items()})
         kernel = kernels.pop()
-        assert all(kernel.values())
-        for w in ab.vertices:
+        assert all(kernel.values()) and set(kernel) <= set(mats)
+        for w in mats:
             want = dense_nullspace(F, dense(mats[w])).columns()
             assert ([sorted(c.items()) for c in kernel.get(w, [])]
                     == [sorted(c.items()) for c in want]), w
@@ -843,7 +875,8 @@ def assert_same_cover(ab, rep):
     want_summands, want_mats, want_tower = dense_cover_map(ab, rep)
     assert summands == want_summands
     assert tower is want_tower
-    assert cols == {w: m.columns() for w, m in want_mats.items() if tower.dims[w]}
+    assert cols == {w: m.columns() for w, m in want_mats.items()
+                    if tower.dims.get(w, 0)}
 
 
 @pytest.mark.parametrize("field", FIELDS)
@@ -874,15 +907,10 @@ def test_tower_cover_of_a_label_map_that_merges_two_vectors(c3, field):
 
 @pytest.mark.parametrize("field", FIELDS)
 @pytest.mark.parametrize("name", [*FIXTURES, "interior_triangle", "k4"])
-def test_the_report_needs_no_back_substitution_and_no_unit_cover_of_a_tower(
+def test_the_report_covers_no_tower_through_its_unit_vectors(
         field, name, monkeypatch):
-    """The report reads kernels off forward elimination of image columns,
-    and pivots and ranks off forward elimination alone, so it passes with
-    the RREF refused; and it covers every tower off its label maps, never
-    through `submodule_cover` of the unit vectors."""
-    def refuse(*args):
-        raise AssertionError("back-substitution was taken")
-
+    """The report covers every tower off its label maps, never through
+    `submodule_cover` of the unit vectors."""
     def cover(ab, ambient, sub):
         if ambient.maps is not None and sub == {
                 w: [{c: 1} for c in range(n)] for w, n in ambient.dims.items()}:
@@ -890,26 +918,23 @@ def test_the_report_needs_no_back_substitution_and_no_unit_cover_of_a_tower(
         return submodule_cover(ab, ambient, sub)
 
     submodule_cover = orc.submodule_cover
-    monkeypatch.setattr(linalg, "back_substitute", refuse)
     monkeypatch.setattr(orc, "submodule_cover", cover)
     ab = orc.build_algebra(_quiver(name), FIELDS[field])
     assert orc.full_oracle_report(ab).ok
-    with pytest.raises(AssertionError, match="back-substitution"):
-        ab.field.rref(ab.field.eye(1))
 
 
 @pytest.mark.parametrize("name", ["c5", "q7", "q9", "k4"])
 def test_every_elimination_of_the_report_goes_through_modp(name, monkeypatch):
     """Over GF(p) every forward elimination the report runs is inside one of
     `_modp`'s entry points, which a tracer wraps by name: pivots and ranks
-    by the forward-only `rref_modp`, kernels by `kernel_columns_modp`."""
+    by `rref_modp`, kernels by `kernel_columns_modp`."""
     calls, stray, depth = Counter(), [], [0]
 
     def entry(fn_name):
         fn = getattr(_modp, fn_name)
 
         def wrapped(*args):
-            calls[fn_name, args[-1]] += 1
+            calls[fn_name] += 1
             depth[0] += 1
             try:
                 return fn(*args)
@@ -930,30 +955,43 @@ def test_every_elimination_of_the_report_goes_through_modp(name, monkeypatch):
     ab = orc.build_algebra(_quiver(name), FIELDS["GF"])
     assert orc.full_oracle_report(ab).ok
     assert not stray
-    p = ab.field.p
-    assert calls["rref_modp", False] and calls["kernel_columns_modp", p]
-    assert not calls["rref_modp", True]
+    assert calls["rref_modp"] and calls["kernel_columns_modp"]
 
 
 @pytest.mark.parametrize("field", FIELDS)
 @pytest.mark.parametrize("name", [*FIXTURES, "k4"])
-def test_the_report_never_takes_the_matrix_path_on_a_tower(
-        field, name, monkeypatch):
+def test_the_report_never_takes_the_image_column_path(field, name,
+                                                      monkeypatch):
     """Every module the report builds is a tower, which acts through its
-    label maps: patched to raise, neither `Rep.word_matrix` nor `_apply`
-    is called, and no tower keeps an arrow matrix."""
-    def refuse(*args):
-        raise AssertionError("the matrix path was taken")
+    label maps: patched to raise, `cokernel_rep` is never called, and
+    neither `_move` nor `_class_action` is handed a module without label
+    maps.  A cokernel is not a tower, keeps one image column per basis
+    vector at each arrow's source, and still takes that path."""
+    def refuse(fn):
+        # the module is the second argument of both
+        def wrapped(*args):
+            if args[1].maps is None:
+                raise AssertionError("the image-column path was taken")
+            return fn(*args)
+        return wrapped
 
-    monkeypatch.setattr(orc.Rep, "word_matrix", refuse)
-    monkeypatch.setattr(orc, "_apply", refuse)
+    def no_cokernel(*args):
+        raise AssertionError("the report built a cokernel")
+
+    real_cokernel = orc.cokernel_rep
+    monkeypatch.setattr(orc, "_move", refuse(orc._move))
+    monkeypatch.setattr(orc, "_class_action", refuse(orc._class_action))
+    monkeypatch.setattr(orc, "cokernel_rep", no_cokernel)
     ab = orc.build_algebra(_quiver(name), FIELDS[field])
     assert orc.full_oracle_report(ab).ok
     assert all(rep.act is None and rep.maps for rep in ab._modules.values())
-    # a module that is not a tower still takes it
-    M = orc.cokernel_rep(ab, orc.radical_presentation(ab, ab.vertices[0]))
-    with pytest.raises(AssertionError, match="matrix path"):
+    M = real_cokernel(ab, orc.radical_presentation(ab, ab.vertices[0]))
+    assert M.maps is None and list(M.dims) == ab.vertices
+    assert all(len(M.act[a.id]) == M.dims[a.source] for a in ab.q.arrows)
+    with pytest.raises(AssertionError, match="image-column path"):
         orc._move(ab.field, M, ab.q.arrows[0].id, {})
+    with pytest.raises(AssertionError, match="image-column path"):
+        orc._class_action(ab, M, 0)
 
 
 @pytest.mark.parametrize("field", FIELDS)
@@ -986,9 +1024,46 @@ def test_resolutions_and_cokernels_match_the_dense_cover_path(field, name):
             assert pres == ref, (x, step)
             got, want = orc.cokernel_rep(ab, pres), dense_cokernel_rep(ab, ref)
             assert got.dims == want.dims, (x, step)
-            for aid, mat in got.act.items():
-                assert mat.shape == want.act[aid].shape
-                assert mat.rows == want.act[aid].rows, (x, step, aid)
+            assert got.act == want.act, (x, step)
+
+
+def unreduced_presentation(ab):
+    """On c3, tower(1, 1, 1) -> its cokernel, whose image at vertex 2 is
+    spanned by e1 and e0 + e1 + e2.  Forward elimination finds pivot 1 first
+    and leaves the row of pivot 0 with entries at pivot 1 and at the free
+    coordinate 2: a vector reduced at pivot 0 gains an entry at pivot 1."""
+    a = ab.arrow_class("1->2")
+    return orc.ModulePresentation(p1=[2, 2], p0=[1, 1, 1], entries={
+        (1, 0): [(1, a)], (0, 1): [(1, a)], (1, 1): [(1, a)], (2, 1): [(1, a)]})
+
+
+@pytest.mark.parametrize("field", FOUR_FIELDS)
+def test_forward_reduction_quotient_equals_the_back_substituted_one(field):
+    """`cokernel_rep` reduces each vector against forward echelon rows, pivot
+    by pivot in increasing order.  Over Q, GF(2), GF(3) and GF(32003) it
+    gives the module that the back-substituted RREF gives
+    (`dense_cokernel_rep`), and the Hom between cokernels read off a
+    presentation equals the dense references on those modules: on a
+    presentation whose echelon rows are not reduced and come out of pivot
+    order, and on random ones."""
+    F = FOUR_FIELDS[field]
+    rng = random.Random(19)
+    for name in ("c3", "q7", "q9"):
+        ab = orc.build_algebra(load_fixture(name), F)
+        presentations = [random_presentation(ab, rng, 5) for _ in range(15)]
+        if name == "c3":
+            presentations.insert(0, unreduced_presentation(ab))
+            cols = orc.presentation_columns(ab, presentations[0])[2][2]
+            assert list(linalg.echelon(cols, F.p)) == [1, 0]
+        modules = []
+        for pres in presentations:
+            got, want = orc.cokernel_rep(ab, pres), dense_cokernel_rep(ab, pres)
+            assert got.dims == want.dims and got.act == want.act, (name, pres)
+            modules.append((pres, got, want))
+        for (pm, _, M), (_, N, want_N) in itertools.chain(
+                zip(modules, modules), zip(modules, modules[1:])):
+            assert (orc._pres_hom_dims(ab, pm, N)
+                    == dense_hom_dims(ab, M, want_N)), (name, pm)
 
 
 def test_submodule_cover_rejects_a_subspace_that_is_not_a_submodule(c3):
@@ -1039,9 +1114,10 @@ def test_a_vector_outside_a_towers_support_raises(name):
     ab = orc.build_algebra(_quiver(name), 32003)
     F = ab.field
     tower = ab.radical_rep(ab.vertices[0])
-    empty = [v for v in ab.vertices if not tower.dims[v]]
+    empty = [v for v in ab.vertices if not tower.dims.get(v, 0)]
     assert empty
     for u in empty:
+        assert u not in tower.dims
         assert u not in tower.labels and u not in tower.start
         for a in ab.q.out_arrows[u]:
             assert a.id not in tower.maps
@@ -1061,7 +1137,7 @@ def test_a_vector_outside_a_towers_support_raises(name):
         with pytest.raises(orc.OracleError, match="no basis"):
             orc._tower_map(ab, [u], tower, [{0: 1}])
     x, u = next((x, u) for x in ab.vertices for u in ab.vertices
-                if not ab.projective(x).dims[u])
+                if not ab.projective(x).dims.get(u, 0))
     a = ab.q.out_arrows[x][0]
     bad = [
         # at p1[0] = u, where tower(p0) = P(x) is empty
@@ -1119,7 +1195,7 @@ def test_kernel_cover_of_unit_heavy_maps_equals_the_dense_nullspace(field, monke
     for _ in range(60):
         target = orc.tower_rep(ab, [rng.choice(ab.vertices)
                                     for _ in range(rng.randint(1, 3))])
-        summands = [v for v in ab.vertices if target.dims[v]]
+        summands = list(target.dims)
         summands = [rng.choice(summands) for _ in range(rng.randint(1, 3))]
         tops = []
         for v in summands:
@@ -1131,7 +1207,7 @@ def test_kernel_cover_of_unit_heavy_maps_equals_the_dense_nullspace(field, monke
         asked.clear()
         got = orc._kernel_cover(ab, t1, cols)
         assert asked == [c for c in cols.values() if c]
-        mats = as_matrices(target, cols)
+        mats = as_matrices(ab, target, cols)
         assert got == dense_kernel_cover(ab, t1, mats)
         kernel = {w: kernel_columns(cols.get(w, [])) for w in ab.vertices}
         for w in ab.vertices:
