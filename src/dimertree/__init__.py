@@ -5,7 +5,7 @@ from .quiver import (
     Check,
     ChordlessCycle,
     CyclePath,
-    Potential,
+    PotentialTerm,
     Quiver,
     QuiverError,
     Report,
@@ -29,7 +29,7 @@ __all__ = [
     "Check",
     "ChordlessCycle",
     "CyclePath",
-    "Potential",
+    "PotentialTerm",
     "Quiver",
     "QuiverError",
     "Report",

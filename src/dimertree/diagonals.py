@@ -126,63 +126,66 @@ class Mesh:
 
 @dataclass
 class TranslationQuiver:
+    """The translation quiver as its meshes, one per 2-diagonal x in
+    `enumerate_diagonals` order, each with the sorted sources of the pivots
+    into x.  Its nodes, arrows and tau are read off them."""
     n: int
-    nodes: list[TwoDiagonal]
-    arrows: list[tuple[TwoDiagonal, TwoDiagonal]]
-    tau: dict[TwoDiagonal, TwoDiagonal]
     meshes: list[Mesh]
 
+    @property
+    def nodes(self) -> list[TwoDiagonal]:
+        return [m.target for m in self.meshes]
+
+    @property
+    def arrows(self) -> list[tuple[TwoDiagonal, TwoDiagonal]]:
+        return sorted((y, m.target) for m in self.meshes for y in m.middles)
+
+    @property
+    def tau(self) -> dict[TwoDiagonal, TwoDiagonal]:
+        return {m.target: m.tau_target for m in self.meshes}
+
     def tau_orbits(self) -> list[list[TwoDiagonal]]:
+        tau = self.tau
         seen: set[TwoDiagonal] = set()
         orbits = []
-        for d in self.nodes:
+        for d in tau:
             if d in seen:
                 continue
             orbit = [d]
             seen.add(d)
-            cur = self.tau[d]
+            cur = tau[d]
             while cur not in seen:
                 orbit.append(cur)
                 seen.add(cur)
-                cur = self.tau[cur]
+                cur = tau[cur]
             orbits.append(orbit)
         return orbits
 
     def check_translation_axiom(self) -> bool:
-        into = {x: set() for x in self.nodes}
-        outof = {x: set() for x in self.nodes}
-        for s, t in self.arrows:
-            into[t].add(s)
-            outof[s].add(t)
-        for x in self.nodes:
-            tx = self.tau[x]
-            if {y for y in into[x]} != {y for y in outof[tx]}:
+        """Whether the pivots into each x are the pivots out of tau x."""
+        n = self.n
+        for m in self.meshes:
+            out = sorted(e for fix in ("tail", "head")
+                         for e in [pivot(m.tau_target, fix, n)] if e is not None)
+            if m.middles != out:
                 return False
         return True
 
 
 def ar_quiver(n: int) -> TranslationQuiver:
     nodes = enumerate_diagonals(n)
-    arrows = [(d, e) for d in nodes for fix in ("tail", "head")
-              for e in [pivot(d, fix, n)] if e is not None]
+    # the sources arrive in node order, so each list is sorted
+    into: dict[TwoDiagonal, list[TwoDiagonal]] = {d: [] for d in nodes}
+    for d in nodes:
+        for fix in ("tail", "head"):
+            e = pivot(d, fix, n)
+            if e is not None:
+                into[e].append(d)
     # tau = R^-2 keeps each label's parity, so the tail stays the tail
     size = 2 * n
-    tau = {d: TwoDiagonal(_norm(d.tail - 2, size), _norm(d.head - 2, size))
-           for d in nodes}
-    arrow_set = set(arrows)
-    sources_into: dict[TwoDiagonal, list[TwoDiagonal]] = {d: [] for d in nodes}
-    for y, x in arrows:
-        sources_into[x].append(y)
-    meshes = []
-    for x in nodes:
-        tx = tau[x]
-        for y in sources_into[x]:
-            if (tx, y) not in arrow_set:
-                raise DiagonalError(
-                    f"translation axiom fails: no arrow {tx} -> {y}")
-        meshes.append(Mesh(target=x, tau_target=tx,
-                           middles=sorted(sources_into[x])))
-    return TranslationQuiver(n, nodes, sorted(arrows), tau, meshes)
+    return TranslationQuiver(n, [
+        Mesh(x, TwoDiagonal(_norm(x.tail - 2, size), _norm(x.head - 2, size)),
+             into[x]) for x in nodes])
 
 
 def translation_quiver_dot(tq: TranslationQuiver) -> str:
@@ -224,20 +227,19 @@ def enumerate_arcs(n: int) -> list[BoundaryArc]:
 def arc_to_diagonal(arc: BoundaryArc, n: int) -> TwoDiagonal:
     """(a, b) maps to the diagonal from the minus copy of a to the plus copy
     of b.  Boundary labels 1+,1-,2+,2-,... run counterclockwise, so with
-    clockwise numeric labels k+ is 2(1-k)+1 and k- is 2(1-k), normalized."""
+    clockwise numeric labels k- is 2(1-k)+1 and k+ is 2(1-k)+2, normalized.
+    The odd label is the tail; `arc_bijection_report` checks that the pair
+    is a 2-diagonal."""
     size = 2 * n
     minus_a = _norm(2 * (1 - arc.a) + 1, size)
     plus_b = _norm(2 * (1 - arc.b) + 2, size)
-    return make_diagonal(minus_a, plus_b, n)
+    return TwoDiagonal(minus_a, plus_b)
 
 
 def diagonal_to_arc(d: TwoDiagonal, n: int) -> BoundaryArc:
-    a = (-((d.tail - 1) // 2)) % n + 1
-    b = (-((d.head - 2) // 2)) % n + 1
-    arc = BoundaryArc(a, b)
-    if arc_to_diagonal(arc, n) != d:
-        raise DiagonalError(f"inverse mismatch for {d}")
-    return arc
+    """The inverse of `arc_to_diagonal`, as `arc_bijection_report` checks."""
+    return BoundaryArc((-((d.tail - 1) // 2)) % n + 1,
+                       (-((d.head - 2) // 2)) % n + 1)
 
 
 def arc_pivot(arc: BoundaryArc, fix: str, n: int) -> BoundaryArc | None:

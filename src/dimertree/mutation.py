@@ -19,6 +19,7 @@ from functools import partial
 
 from .quiver import (
     Arrow,
+    PotentialTerm,
     Quiver,
     QuiverError,
     StructureReport,
@@ -45,28 +46,17 @@ class StepBudgetExceeded(ReductionError):
     broken invariant."""
 
 
-@dataclass(frozen=True)
-class PotentialTerm:
-    coeff: int
-    word: tuple[str, ...]       # cyclic word of arrow ids
-
-
 @dataclass
 class QP:
+    """A quiver with potential.  `terms` may be the list `build_potential`
+    keeps on a structure, so it is never mutated."""
     quiver: Quiver
     terms: list[PotentialTerm]
 
 
-def _dimer_tree_terms(q: Quiver,
-                      structure: StructureReport) -> list[PotentialTerm]:
-    """The chordless cycles of q, signed by the tree-distance convention."""
-    return [PotentialTerm(s, c.word)
-            for s, c in build_potential(q, structure).terms]
-
-
 def qp_from_quiver(q: Quiver) -> QP:
     """Canonical quiver-with-potential: signed sum of the chordless cycles."""
-    return QP(q, _dimer_tree_terms(q, dimer_tree_structure(q, "mutation")))
+    return QP(q, build_potential(q, dimer_tree_structure(q, "mutation")))
 
 
 def _fresh_vertex(q: Quiver, base) -> str:
@@ -217,7 +207,7 @@ def normalize_signs(qp: QP) -> tuple[QP, list[str]]:
     already spells a cycle's canonical word is kept as it is; only the terms
     a move rewrote are canonicalised."""
     structure = analyze_structure(qp.quiver)
-    want = {c.word: s for s, c in build_potential(qp.quiver, structure).terms}
+    want = {t.word: t.coeff for t in build_potential(qp.quiver, structure)}
     words = [t.word if t.word in want else _canonical_word(t.word)
              for t in qp.terms]
     if set(words) != want.keys():
@@ -414,7 +404,7 @@ def _move_triangle_slide(qp: QP, site: dict, notes: list[str]) -> QP:
         added.append(Arrow(_fresh_id(q, used, f"[{sigma.id}.{gamma.id}]"), v2, v5))
     out_q = q.edit(drop=removed, add=added, drop_vertices=(v3,),
                    add_vertices=(v3p,))
-    out = QP(out_q, _dimer_tree_terms(out_q, analyze_structure(out_q)))
+    out = QP(out_q, build_potential(out_q, analyze_structure(out_q)))
     notes.append(f"replaced vertex {v3!r} by {v3p!r}")
     site["new_vertex"] = v3p
     return out
@@ -439,7 +429,7 @@ def _move_remove_3cycle(qp: QP, site: dict, notes: list[str]) -> QP:
            if set(c.arrows) == triangle) != 1:
         raise MutationError("alpha, beta do not bound a 3-cycle")
     out_q = q.edit(drop=(alpha.id, beta.id), drop_vertices=(k,))
-    out = QP(out_q, _dimer_tree_terms(out_q, analyze_structure(out_q)))
+    out = QP(out_q, build_potential(out_q, analyze_structure(out_q)))
     notes.append(f"removed vertex {k!r}")
     return out
 

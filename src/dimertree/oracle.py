@@ -76,7 +76,7 @@ from .linalg import (DEFAULT_PRIME, Field, Matrix, _eliminate, from_columns,
                      parse_field_spec)
 from .quiver import (
     Check,
-    Potential,
+    PotentialTerm,
     Quiver,
     Report,
     StructureReport,
@@ -127,9 +127,11 @@ class ModulePresentation:
                 tuple(sorted(self.p0, key=_vkey)))
 
 
-def _cycle_word_without(cycle, arrow_id: str) -> Word:
-    i = cycle.arrows.index(arrow_id)
-    return tuple(cycle.arrows[i + 1:]) + tuple(cycle.arrows[:i])
+def _cycle_word_without(word: Word, arrow_id: str) -> Word:
+    """The cyclic word after arrow_id, up to it: the derivative of a
+    potential term by an arrow it passes once."""
+    i = word.index(arrow_id)
+    return word[i + 1:] + word[:i]
 
 
 # -- rewriting --------------------------------------------------------------------
@@ -211,7 +213,7 @@ class AlgebraBasis:
     """Finite basis of nonzero path classes, with the action of each arrow."""
 
     def __init__(self, q: Quiver, structure: StructureReport,
-                 potential: Potential, field: Field):
+                 potential: list[PotentialTerm], field: Field):
         self.q = q
         self.structure = structure
         self.potential = potential
@@ -239,16 +241,15 @@ class AlgebraBasis:
     # -- construction -------------------------------------------------------
 
     def _build(self) -> None:
-        F = self.field
-        sign_of = {c.key: s for s, c in self.potential.terms}
+        F, potential = self.field, self.potential
         pairs: list[tuple[Word, Word | None]] = []
         for a in self.q.arrows:
-            # one cycle through a boundary arrow, two through an interior one
-            owners = self.structure.cycles_of_arrow(a.id)
-            u, *v = (_cycle_word_without(c, a.id) for c in owners)
+            # one term through a boundary arrow, two through an interior one
+            terms = [potential[i] for i in self.structure.owners[a.id]]
+            u, *v = (_cycle_word_without(t.word, a.id) for t in terms)
             # su u + sv v = 0 makes u = +v only when su + sv = 0; any other
             # coefficient would make a class a multiple of a word
-            if v and not F.is_zero(F.add(*(F.scalar(sign_of[c.key]) for c in owners))):
+            if v and not F.is_zero(F.add(*(F.scalar(t.coeff) for t in terms))):
                 raise OracleError(f"class of path {u} is not a single path class; "
                                   "input is not a dimer tree quiver")
             pairs.append((u, v[0] if v else None))
@@ -360,7 +361,7 @@ class AlgebraBasis:
 
 
 def build_algebra(q: Quiver, field: str | int | Field = DEFAULT_PRIME,
-                  potential: Potential | None = None) -> AlgebraBasis:
+                  potential: list[PotentialTerm] | None = None) -> AlgebraBasis:
     structure = dimer_tree_structure(q, "oracle")
     if potential is None:
         potential = build_potential(q, structure)

@@ -530,7 +530,7 @@ class StructureReport:
         default_factory=dict, init=False, repr=False, compare=False)
     _path_weights: dict[str, dict[str, int]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
-    _potential: Potential | None = field(
+    _potential: list[PotentialTerm] | None = field(
         default=None, init=False, repr=False, compare=False)
 
     @property
@@ -735,30 +735,27 @@ def dimer_tree_structure(q: Quiver, stage: str) -> StructureReport:
 
 # -- potential -----------------------------------------------------------------
 
-@dataclass
-class Potential:
-    """Signed sum of the chordless cycles; sign of C is (-1)**distance(C)."""
-    terms: list[tuple[int, ChordlessCycle]]
-    distances: dict[tuple, int]      # cycle key -> tree distance from a base leaf
+@dataclass(frozen=True)
+class PotentialTerm:
+    coeff: int
+    word: tuple[str, ...]       # cyclic word of arrow ids
 
 
-def build_potential(q: Quiver, structure: StructureReport | None = None) -> Potential:
-    """The potential of q, computed once per structure and kept on it, so
-    callers must not mutate it."""
+def build_potential(q: Quiver, structure: StructureReport | None = None
+                    ) -> list[PotentialTerm]:
+    """The potential of q: one term per chordless cycle, in cycle order, its
+    canonical word signed (-1)**(trunk distance from the base leaf).
+    Computed once per structure and kept on it, so callers must not mutate
+    it."""
     if structure is None:
         structure = dimer_tree_structure(q, "potential")
     if structure._potential is None:
-        structure._potential = _build_potential(structure)
+        if structure.base is None:
+            raise QuiverError("no chordless cycle with exactly one interior arrow")
+        dist = structure.base_distances
+        structure._potential = [PotentialTerm((-1) ** dist[i], c.word)
+                                for i, c in enumerate(structure.cycles)]
     return structure._potential
-
-
-def _build_potential(structure: StructureReport) -> Potential:
-    if structure.base is None:
-        raise QuiverError("no chordless cycle with exactly one interior arrow")
-    dist_by_idx = structure.base_distances
-    distances = {structure.cycles[i].key: d for i, d in dist_by_idx.items()}
-    terms = [((-1) ** dist_by_idx[i], c) for i, c in enumerate(structure.cycles)]
-    return Potential(terms, distances)
 
 
 # -- cycle paths and weights -----------------------------------------------------

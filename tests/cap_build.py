@@ -19,7 +19,7 @@ from __future__ import annotations
 from dimertree.linalg import DEFAULT_PRIME, Field, parse_field_spec
 from dimertree.oracle import (AlgebraBasis, OracleError, PathClass, Word,
                               _cycle_word_without)
-from dimertree.quiver import (Potential, Quiver, build_potential,
+from dimertree.quiver import (PotentialTerm, Quiver, build_potential,
                               dimer_tree_structure)
 
 from linalg_refs import neg, rref_rows
@@ -34,16 +34,17 @@ class CapLoopBasis(AlgebraBasis):
 
     def _build(self, max_cap: int | None) -> None:
         q = self.q
-        sign_of = {c.key: s for s, c in self.potential.terms}
+        sign_of = {c.key: t.coeff
+                   for c, t in zip(self.structure.cycles, self.potential)}
         forbidden: list[Word] = []
         relations = []
         for a in q.arrows:
             owners = self.structure.cycles_of_arrow(a.id)
             if len(owners) == 1:
-                forbidden.append(_cycle_word_without(owners[0], a.id))
+                forbidden.append(_cycle_word_without(owners[0].arrows, a.id))
             elif len(owners) == 2:
-                u = _cycle_word_without(owners[0], a.id)
-                v = _cycle_word_without(owners[1], a.id)
+                u = _cycle_word_without(owners[0].arrows, a.id)
+                v = _cycle_word_without(owners[1].arrows, a.id)
                 relations.append((u, v, sign_of[owners[0].key],
                                   sign_of[owners[1].key], a.target, a.source))
         max_cycle = max(len(c) for c in self.structure.cycles)
@@ -198,7 +199,7 @@ class CapLoopBasis(AlgebraBasis):
 
 
 def build_reference(q: Quiver, field: str | int | Field = DEFAULT_PRIME,
-                    potential: Potential | None = None,
+                    potential: list[PotentialTerm] | None = None,
                     max_cap: int | None = None) -> CapLoopBasis:
     """`build_algebra` as it was, on the cap loop."""
     structure = dimer_tree_structure(q, "oracle")

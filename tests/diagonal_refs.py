@@ -16,11 +16,16 @@ crossing kernel and slices a full period.  Both must give the same orbit
 table and the same resolutions.
 
 The function bodies are the earlier ones, unchanged but for keeping the
-orbits in a `table` the caller passes, not on the polygon.
+orbits in a `table` the caller passes, not on the polygon.  `ar_quiver`
+returns the earlier record, which stores the nodes, the arrows and tau
+beside the meshes; `dimertree.diagonals.TranslationQuiver` keeps only the
+meshes and reads the other three off them.
 """
 from __future__ import annotations
 
-from dimertree.diagonals import (DiagonalError, Mesh, TranslationQuiver,
+from dataclasses import dataclass
+
+from dimertree.diagonals import (DiagonalError, Mesh,
                                  TwoDiagonal, _cw_dist, _norm,
                                  enumerate_diagonals, make_diagonal, rotate)
 from dimertree import syzygy
@@ -62,6 +67,15 @@ def pivot(d: TwoDiagonal, fix: str, n: int) -> TwoDiagonal | None:
         return make_diagonal(a, b, n)
     except DiagonalError:
         return None
+
+
+@dataclass
+class TranslationQuiver:
+    n: int
+    nodes: list[TwoDiagonal]
+    arrows: list[tuple[TwoDiagonal, TwoDiagonal]]
+    tau: dict[TwoDiagonal, TwoDiagonal]
+    meshes: list[Mesh]
 
 
 def ar_quiver(n: int) -> TranslationQuiver:

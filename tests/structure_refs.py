@@ -14,12 +14,12 @@ The function bodies are the earlier ones, unchanged but for three things:
 the trunk is read off the structure report and searched by
 `cycle_distances_from` (the dual graph was a separate object with its own
 search); `validate_dimer_tree` reads it through `is_tree` here; and
-`build_potential` is the earlier `_build_potential`, which searches the
-dual graph afresh on every call.
+`build_potential` is the earlier build of the potential, which searches
+the dual graph afresh on every call, writing its terms as signed words.
 """
 from __future__ import annotations
 
-from dimertree.quiver import (Check, ChordlessCycle, Potential, Quiver,
+from dimertree.quiver import (Check, ChordlessCycle, PotentialTerm, Quiver,
                               QuiverError, StructureReport, ValidationReport,
                               analyze_structure, cycle_distances_from)
 
@@ -132,13 +132,12 @@ def leaf_cycles(structure: StructureReport) -> list[ChordlessCycle]:
             if [kind[a] for a in c.arrows].count("interior") == 1]
 
 
-def build_potential(structure: StructureReport) -> Potential:
+def build_potential(structure: StructureReport) -> list[PotentialTerm]:
     candidates = leaf_cycles(structure)
     if not candidates:
         raise QuiverError("no chordless cycle with exactly one interior arrow")
     base_idx = structure.cycles.index(min(candidates, key=lambda c: c.key))
     dist_by_idx = cycle_distances_from(len(structure.cycles),
                                        structure.trunk_edges, base_idx)
-    distances = {structure.cycles[i].key: d for i, d in dist_by_idx.items()}
-    terms = [((-1) ** dist_by_idx[i], c) for i, c in enumerate(structure.cycles)]
-    return Potential(terms, distances)
+    return [PotentialTerm((-1) ** dist_by_idx[i], c.word)
+            for i, c in enumerate(structure.cycles)]

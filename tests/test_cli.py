@@ -1,4 +1,6 @@
+import __future__
 import dataclasses
+import inspect
 import json
 import sys
 import time
@@ -442,9 +444,18 @@ def test_all_names_the_first_failing_validation_item_with_its_values(
 ])
 def test_all_fails_total_weight_even_on_a_seeded_weight(
         directions, reason, capsys, monkeypatch):
-    # q9's arrow 1->2 has weight 1 and coweight 2; adding 1 to it on one side
-    # makes the totals differ, on both sides makes them odd.  A valid dimer
-    # tree has neither, so the line fails with the reason, never exit 2
+    # a valid dimer tree has equal, even totals, so the line fails with the
+    # reason, never exit 2
+    seed_weight(monkeypatch, directions)
+    code, out, _ = run(capsys, "all", fixture_path("q9"))
+    assert code == 1
+    assert out.splitlines() == ["pass  dimer_tree_validation",
+                                f"FAIL  total_weight_even  ({reason})"]
+
+
+def seed_weight(monkeypatch, directions):
+    """q9's arrow 1->2 has weight 1 and coweight 2; adding 1 to it on one
+    side makes the totals differ, on both sides makes them odd."""
     weights = StructureReport.path_weights
 
     def seeded(self, direction):
@@ -454,10 +465,92 @@ def test_all_fails_total_weight_even_on_a_seeded_weight(
         return w
 
     monkeypatch.setattr(StructureReport, "path_weights", seeded)
-    code, out, _ = run(capsys, "all", fixture_path("q9"))
+
+
+def run_to_exit(capsys, *argv):
+    """`run`, with an exit by SystemExit read as its code."""
+    try:
+        return run(capsys, *argv)
+    except SystemExit as exc:
+        captured = capsys.readouterr()
+        return exc.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv, stage", [
+    (("weights",), "weight report"),
+    (("diag",), "weight report"),
+    (("polygon",), "checkerboard construction"),
+    (("resolve", "--diagonal", "5,12"), "checkerboard construction"),
+])
+def test_a_weight_refusal_after_validation_is_an_internal_error(
+        capsys, monkeypatch, argv, stage):
+    seed_weight(monkeypatch, ("cycle",))
+    cmd, *rest = argv
+    code, out, err = run_to_exit(capsys, cmd, fixture_path("q9"), *rest)
+    assert (code, out) == (3, "")
+    assert err == (f"internal error: {stage} failed: "
+                   "weight/coweight totals disagree: 15 vs 14\n")
+
+
+def test_a_one_sided_crossing_pattern_is_an_internal_error(
+        capsys, monkeypatch):
+    # q9's polygon reads (1,4) with no line crossing it left to right
+    crossing_lines = cli.dg.crossing_lines
+
+    def dropped(d, lines, n):
+        p0, p1 = crossing_lines(d, lines, n)
+        return (p0, []) if d == (1, 4) else (p0, p1)
+
+    monkeypatch.setattr(cli.dg, "crossing_lines", dropped)
+    for argv in (("resolve", "--diagonal", "1,4"), ("all",)):
+        cmd, *rest = argv
+        code, _, err = run_to_exit(capsys, cmd, fixture_path("q9"), *rest)
+        assert code == 3
+        assert err.startswith("internal error: diagonal (1,4) has a "
+                              "one-sided crossing pattern: p0=[")
+
+
+def test_a_dropped_pivot_fails_the_translation_axiom(capsys, monkeypatch):
+    # (1,4)'s tail pivot (1,6) is gone, so (1,4), the tau of (3,6), has one
+    # pivot out where (3,6) has two in
+    pivot = cli.dg.pivot
+    monkeypatch.setattr(cli.dg, "pivot", lambda d, fix, n: (
+        None if (d, fix) == ((1, 4), "tail") else pivot(d, fix, n)))
+    code, out, _ = run_to_exit(capsys, "all", fixture_path("q9"))
     assert code == 1
-    assert out.splitlines() == ["pass  dimer_tree_validation",
-                                f"FAIL  total_weight_even  ({reason})"]
+    assert [x for x in out.splitlines() if x.startswith("FAIL")] == [
+        "FAIL  translation_quiver"]
+    code, out, _ = run_to_exit(capsys, "diag", "--size", "10")
+    assert code == 1
+    assert "translation axiom: FAIL" in out.splitlines()
+
+
+@pytest.mark.parametrize("name, term, detail", [
+    # (1,4) maps back to the arc (1,2), not to (1,5)
+    ("diagonal_to_arc", "(-((d.head - 2) // 2)) % n + 1",
+     "2-diagonal (1,4) maps back to BoundaryArc(a=1, b=2), "
+     "not BoundaryArc(a=1, b=5)"),
+    # the arc (1,5) maps to the boundary edge (1,2)
+    ("arc_to_diagonal", "_norm(2 * (1 - arc.b) + 2, size)",
+     "arc BoundaryArc(a=1, b=5) maps to (1,2), not a 2-diagonal"),
+])
+def test_a_fault_in_an_arc_map_fails_the_bijection_line(
+        capsys, monkeypatch, name, term, detail):
+    # the formula itself is seeded, so any check inside the map runs on it
+    source = inspect.getsource(getattr(cli.dg, name))
+    assert source.count(term) == 1
+    which = ("d == (1, 4)" if name == "diagonal_to_arc"
+             else "arc == BoundaryArc(1, 5)")
+    source = source.replace(term, f"(2 if {which} else {term})")
+    scope = {}
+    exec(compile(source, cli.dg.__file__, "exec",
+                 flags=__future__.annotations.compiler_flag),
+         vars(cli.dg), scope)
+    monkeypatch.setattr(cli.dg, name, scope[name])
+    code, out, err = run_to_exit(capsys, "diag", "--size", "10")
+    assert (code, err) == (1, "")
+    assert out.splitlines()[-1].startswith(
+        f"boundary-arc bijection: FAIL {detail}")
 
 
 def test_all_names_the_first_failing_checkerboard_item_with_its_values(

@@ -467,7 +467,7 @@ def filtered_paths(ab, cap):
     """Composable words of length <= cap, in (length, lex) order, each new
     word tested against every vanishing word."""
     q = ab.q
-    forbidden = [orc._cycle_word_without(owners[0], a.id) for a in q.arrows
+    forbidden = [orc._cycle_word_without(owners[0].arrows, a.id) for a in q.arrows
                  if len(owners := ab.structure.cycles_of_arrow(a.id)) == 1]
     frontier = [((a.id,), a.target) for a in sorted(q.arrows, key=lambda a: a.id)]
     words = [w for w, _ in frontier]

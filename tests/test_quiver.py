@@ -12,6 +12,7 @@ from dimertree import oracle as orc
 from dimertree import quiver as quiver_mod
 from dimertree.quiver import (
     Arrow,
+    PotentialTerm,
     Quiver,
     QuiverError,
     analyze_structure,
@@ -311,28 +312,36 @@ def test_arrow_in_three_cycles_reported():
 
 # -- potential -------------------------------------------------------------------
 
+def potential_signs(q):
+    """Sorted cycle vertices -> sign; the terms are the cycles' words, in
+    cycle order."""
+    cycles = analyze_structure(q).cycles
+    pot = build_potential(q)
+    assert [t.word for t in pot] == [c.word for c in cycles]
+    return {tuple(sorted(c.vertices)): t.coeff for c, t in zip(cycles, pot)}
+
+
 def test_potential_c3(c3):
-    pot = build_potential(c3)
-    assert len(pot.terms) == 1
-    assert pot.terms[0][0] == 1
+    assert build_potential(c3) == [
+        PotentialTerm(1, analyze_structure(c3).cycles[0].word)]
 
 
 def test_potential_q7_signs(q7):
-    pot = build_potential(q7)
-    signs = {tuple(sorted(c.vertices)): s for s, c in pot.terms}
+    signs = potential_signs(q7)
     assert signs[(1, 2, 3, 4, 5)] == 1    # base cycle under the tie-break
     assert signs[(4, 5, 6, 7)] == -1
 
 
 def test_potential_q9_alternates_along_dual_path(q9):
-    pot = build_potential(q9)
-    signs = {tuple(sorted(c.vertices)): s for s, c in pot.terms}
+    signs = potential_signs(q9)
     assert signs[(1, 2, 3)] == 1
     assert signs[(2, 3, 4, 5)] == -1
     assert signs[(3, 4, 6, 7, 8)] == 1
     assert signs[(4, 6, 9)] == -1
-    base = [c for s, c in pot.terms if pot.distances[c.key] == 0]
-    assert [tuple(sorted(c.vertices)) for c in base] == [(1, 2, 3)]
+    structure = analyze_structure(q9)
+    base = structure.cycles[structure.base]
+    assert tuple(sorted(base.vertices)) == (1, 2, 3)
+    assert structure.base_distances[structure.base] == 0
 
 
 def test_potential_requires_valid_quiver():

@@ -109,10 +109,9 @@ def test_trees_the_cap_loop_gave_up_on_pass_every_check(tmp_path, capsys):
 
 def test_a_potential_with_one_sign_flipped_is_refused(q7):
     ab = orc.build_algebra(q7)
-    first = ab.potential.terms[0]
-    flipped = dataclasses.replace(
-        ab.potential, terms=[(-first[0], first[1]), *ab.potential.terms[1:]])
-    assert len(flipped.terms) > 1
+    first = ab.potential[0]
+    flipped = [dataclasses.replace(first, coeff=-first.coeff), *ab.potential[1:]]
+    assert len(flipped) > 1
     with pytest.raises(orc.OracleError, match="is not a single path class"):
         orc.build_algebra(q7, potential=flipped)
 
@@ -137,7 +136,7 @@ def test_completed_rules_are_reduced(name):
     structure = analyze_structure(q)
     pairs = []
     for a in q.arrows:
-        u, *v = (orc._cycle_word_without(c, a.id)
+        u, *v = (orc._cycle_word_without(c.arrows, a.id)
                  for c in structure.cycles_of_arrow(a.id))
         pairs.append((u, v[0] if v else None))
     rules = orc._complete(pairs)
