@@ -19,7 +19,6 @@ around the quiver vertex.
 """
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -725,9 +724,7 @@ def polygon_from_dict(doc: dict, q: Quiver) -> CheckerboardPolygon:
                                shaded, whites, list(doc["triangle_order"]))
 
 
-def render(cp: CheckerboardPolygon, format: str = "structured") -> str:
-    if format == "structured":
-        return json.dumps(polygon_to_dict(cp), indent=2, default=str) + "\n"
+def render(cp: CheckerboardPolygon, format: str) -> str:
     if format == "svg":
         return _render_svg(cp)
     if format == "dot":

@@ -13,6 +13,7 @@ Exit status:
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -32,7 +33,7 @@ EXIT_BAD_INPUT = 2
 EXIT_INTERNAL = 3
 
 # The largest `diag --size`: the work grows as N^2, and at 2N = 512 the
-# structured output takes 2.8 s and 383 MB (see README).
+# structured output takes 5.2 s and 131 MB (see README).
 MAX_DIAG_SIZE = 512
 
 
@@ -82,13 +83,18 @@ def _print_check(c: Check, file=None) -> None:
           + (f"  ({c.detail})" if c.detail else ""), file=file)
 
 
-def _emit(text: str, out: str | None):
+def _emit(doc, out: str | None):
+    """Write `doc` to the file `out`, or to stdout without one: a string as it
+    is, anything else as indented JSON and a newline, encoded chunk by chunk
+    as it is written.  The file is opened before anything is encoded."""
+    chunks = [doc] if isinstance(doc, str) else itertools.chain(
+        json.JSONEncoder(indent=2, default=str).iterencode(doc), ["\n"])
     if not out:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
     try:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     except OSError as exc:
         print(f"error: cannot write {out}: {exc.strerror or exc}",
               file=sys.stderr)
@@ -113,7 +119,7 @@ def cmd_weights(args) -> int:
     report = _require_valid(q)
     wr = _after_validation("weight report", weight_report, q, report.structure)
     if args.format == "structured":
-        doc = {
+        _emit({
             "total_weight": wr.total_weight,
             "half": wr.half,
             "entries": [{
@@ -123,8 +129,7 @@ def cmd_weights(args) -> int:
                 "cycle_path": list(e.cycle_path.arrows),
                 "cocycle_path": list(e.cocycle_path.arrows),
             } for e in wr.entries],
-        }
-        _emit(json.dumps(doc, indent=2, default=str) + "\n", args.out)
+        }, args.out)
         return EXIT_OK
     rows = [(e.cycle_path.pretty(q), e.weight, e.arrow) for e in wr.entries]
     width = max(len(r[0]) for r in rows)
@@ -144,7 +149,8 @@ def cmd_polygon(args) -> int:
     for c in val.items:
         _print_check(c, sys.stdout if c.passed else sys.stderr)
     if args.format != "text":
-        _emit(cb.render(cp, args.format), args.out)
+        _emit(cb.polygon_to_dict(cp) if args.format == "structured"
+              else cb.render(cp, args.format), args.out)
     else:
         lines = [f"polygon size: {cp.size}"] + [
             f"  line {v}: ({line.tail},{line.head})  "
@@ -167,11 +173,25 @@ def cmd_diag(args) -> int:
         n = _after_validation("weight report", weight_report,
                               q, report.structure).half
     tq = dg.ar_quiver(n)
-    if args.format == "dot":
-        _emit(dg.translation_quiver_dot(tq), args.out)
-        return EXIT_OK
-    if args.format == "structured":
-        doc = {
+    axiom = tq.check_translation_axiom()
+    bij = dg.arc_bijection_report(n)
+    axiom_line = f"translation axiom: {'pass' if axiom else 'FAIL'}"
+    bij_line = "boundary-arc bijection: " + (
+        "pass" if bij.ok else "FAIL " + "; ".join(c.detail for c in bij.failed()))
+    if args.format == "text":
+        lines = [f"2N = {2 * n}: {len(tq.nodes)} 2-diagonals, {len(tq.arrows)} pivots, "
+                 f"{len(tq.tau_orbits())} rotation-square orbits", axiom_line]
+        for m in tq.meshes:
+            mids = " + ".join(str(d) for d in m.middles)
+            lines.append(f"  mesh at {m.target}: {m.tau_target} -> {mids} -> {m.target}")
+        lines.append(bij_line)
+        _emit("\n".join(lines) + "\n", args.out)
+    else:
+        # the output holds the document alone; a failing check line goes to stderr
+        for ok, line in ((axiom, axiom_line), (bij.ok, bij_line)):
+            if not ok:
+                print(line, file=sys.stderr)
+        _emit(dg.translation_quiver_dot(tq) if args.format == "dot" else {
             "n": n,
             "diagonals": [[d.tail, d.head] for d in tq.nodes],
             "arrows": [[[s.tail, s.head], [t.tail, t.head]]
@@ -183,20 +203,7 @@ def cmd_diag(args) -> int:
                 "tau_target": [m.tau_target.tail, m.tau_target.head],
                 "middles": [[d.tail, d.head] for d in m.middles],
             } for m in tq.meshes],
-        }
-        _emit(json.dumps(doc, indent=2) + "\n", args.out)
-        return EXIT_OK
-    axiom = tq.check_translation_axiom()
-    lines = [f"2N = {2 * n}: {len(tq.nodes)} 2-diagonals, {len(tq.arrows)} pivots, "
-             f"{len(tq.tau_orbits())} rotation-square orbits",
-             f"translation axiom: {'pass' if axiom else 'FAIL'}"]
-    for m in tq.meshes:
-        mids = " + ".join(str(d) for d in m.middles)
-        lines.append(f"  mesh at {m.target}: {m.tau_target} -> {mids} -> {m.target}")
-    bij = dg.arc_bijection_report(n)
-    detail = "; ".join(c.detail for c in bij.failed())
-    lines.append(f"boundary-arc bijection: {'pass' if bij.ok else 'FAIL ' + detail}")
-    _emit("\n".join(lines) + "\n", args.out)
+        }, args.out)
     return EXIT_OK if axiom and bij.ok else EXIT_CHECK_FAILED
 
 
@@ -230,15 +237,14 @@ def cmd_resolve(args) -> int:
         raise SystemExit(EXIT_BAD_INPUT)
     trace = sy.resolution(cp, d, steps=args.steps)
     if args.format == "structured":
-        doc = {
+        _emit({
             "diagonal": [d.tail, d.head],
             "minimal_period": trace.minimal_period,
             "gluing_ok": trace.gluing_ok,
             "steps": [{"diagonal": [s.diagonal.tail, s.diagonal.head],
                        "P1": list(s.p1), "P0": list(s.p0)}
                       for s in trace.steps],
-        }
-        _emit(json.dumps(doc, indent=2, default=str) + "\n", args.out)
+        }, args.out)
     else:
         lines = [f"step {i}: {s.diagonal}  P1={list(s.p1)}  P0={list(s.p0)}"
                  for i, s in enumerate(trace.steps)]
@@ -256,12 +262,12 @@ def cmd_reduce(args) -> int:
     except mu.ReductionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         if exc.trace is not None and args.trace:
-            _emit(mu.trace_to_json(exc.trace), args.trace)
+            _emit(exc.trace.to_dict(), args.trace)
         # a budget hit is a refusal with its reason, not a broken invariant
         return (EXIT_BAD_INPUT if isinstance(exc, mu.StepBudgetExceeded)
                 else EXIT_INTERNAL)
     if args.trace:
-        _emit(mu.trace_to_json(trace), args.trace)
+        _emit(trace.to_dict(), args.trace)
     print(f"moves: {len(trace.steps)}")
     for s in trace.steps:
         print(f"  {s.move.kind} at {s.move.site}  [{s.move.equivalence}] "
@@ -326,6 +332,8 @@ def cmd_all(args) -> int:
     cp = _checkerboard(q, report.structure)
     val = cb.validate_checkerboard(cp, q, report.structure)
     note("checkerboard", val.ok, _first_failure(val))
+    if not val.ok:  # the checks below read the polygon's lines as 2-diagonals
+        return EXIT_CHECK_FAILED
     tq = dg.ar_quiver(cp.half)
     note("translation_quiver", tq.check_translation_axiom())
     ab = orc.build_algebra(q, field)

@@ -13,7 +13,6 @@ then substituted away.  Anything else is reported, never dropped.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -630,7 +629,3 @@ def _slide_site_after_mutation(qp: QP, v1, v2, v4) -> dict:
     gamma = outer.next_arrows("cycle")[sigma.id]
     return {"rho": rho.id, "sigma": sigma.id, "alpha": alpha,
             "beta": beta, "gamma": gamma}
-
-
-def trace_to_json(trace: ReductionTrace) -> str:
-    return json.dumps(trace.to_dict(), indent=2, default=str) + "\n"

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dimertree import checkerboard as cb
+from dimertree import cli
 from dimertree import diagonals as dg
 from dimertree.quiver import weight_report
 
@@ -280,16 +281,23 @@ def test_structured_roundtrip(q9, cp9):
     assert cb.polygon_to_dict(cp2) == cb.polygon_to_dict(cp9)
 
 
-def test_render_formats(cp3, cp9):
+def test_render_formats(cp3, cp9, tmp_path):
     svg = cb.render(cp9, "svg")
     assert svg.startswith("<svg") and "marker-end" in svg
     assert svg.count("<circle") == 14
     dot = cb.render(cp3, "dot")
     assert "graph checkerboard" in dot
-    structured = cb.render(cp3, "structured")
+    # the structured polygon is the CLI's JSON document, not a rendering
+    out = tmp_path / "c3.json"
+    assert cli.main(["polygon", str(FIXTURES / "c3.json"),
+                     "--format", "structured", "--out", str(out)]) == 0
+    structured = out.read_text(encoding="utf-8")
+    assert structured == json.dumps(cb.polygon_to_dict(cp3), indent=2,
+                                    default=str) + "\n"
     assert json.loads(structured)["size"] == 6
-    with pytest.raises(cb.CheckerboardError):
-        cb.render(cp3, "png")
+    for format in ("png", "structured"):
+        with pytest.raises(cb.CheckerboardError):
+            cb.render(cp3, format)
 
 
 def test_radical_line_of_unknown_vertex(cp3):

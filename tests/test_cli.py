@@ -502,12 +502,17 @@ def test_a_one_sided_crossing_pattern_is_an_internal_error(
         return (p0, []) if d == (1, 4) else (p0, p1)
 
     monkeypatch.setattr(cli.dg, "crossing_lines", dropped)
-    for argv in (("resolve", "--diagonal", "1,4"), ("all",)):
-        cmd, *rest = argv
-        code, _, err = run_to_exit(capsys, cmd, fixture_path("q9"), *rest)
-        assert code == 3
-        assert err.startswith("internal error: diagonal (1,4) has a "
-                              "one-sided crossing pattern: p0=[")
+    code, _, err = run_to_exit(capsys, "resolve", fixture_path("q9"),
+                               "--diagonal", "1,4")
+    assert code == 3
+    assert err.startswith("internal error: diagonal (1,4) has a "
+                          "one-sided crossing pattern: p0=[")
+    # the polygon validator reads the same pattern, so `all` fails its
+    # checkerboard line and stops there
+    code, out, err = run_to_exit(capsys, "all", fixture_path("q9"))
+    assert (code, err) == (1, "")
+    assert out.splitlines()[-1].startswith(
+        "FAIL  checkerboard  (crossings_iff_arrows: ")
 
 
 def test_a_dropped_pivot_fails_the_translation_axiom(capsys, monkeypatch):
@@ -523,6 +528,40 @@ def test_a_dropped_pivot_fails_the_translation_axiom(capsys, monkeypatch):
     code, out, _ = run_to_exit(capsys, "diag", "--size", "10")
     assert code == 1
     assert "translation axiom: FAIL" in out.splitlines()
+    # outside text the output is the document alone: the failing lines go
+    # to stderr, with the same exit status
+    failing = "".join(x + "\n" for x in out.splitlines() if "FAIL" in x)
+    assert failing.startswith(
+        "translation axiom: FAIL\nboundary-arc bijection: FAIL ")
+    tq = cli.dg.ar_quiver(5)
+    code, out, err = run_to_exit(capsys, "diag", "--size", "10",
+                                 "--format", "structured")
+    assert (code, err) == (1, failing)
+    assert json.loads(out)["meshes"] == [{
+        "target": [m.target.tail, m.target.head],
+        "tau_target": [m.tau_target.tail, m.tau_target.head],
+        "middles": [[d.tail, d.head] for d in m.middles]} for m in tq.meshes]
+    code, out, err = run_to_exit(capsys, "diag", "--size", "10",
+                                 "--format", "dot")
+    assert (code, err, out) == (1, failing, cli.dg.translation_quiver_dot(tq))
+
+
+def test_all_stops_after_a_failing_checkerboard_line(capsys, monkeypatch):
+    # line 4 of q9's polygon is the boundary edge (13,14), which the model
+    # checks after the checkerboard line cannot read as a 2-diagonal
+    build = cli.cb.build_checkerboard
+
+    def seeded(q, **kwargs):
+        cp = build(q, **kwargs)
+        cp.lines[4].tail, cp.lines[4].head = 13, 14
+        return cp
+
+    monkeypatch.setattr(cli.cb, "build_checkerboard", seeded)
+    code, out, err = run_to_exit(capsys, "all", fixture_path("q9"))
+    assert (code, err) == (1, "")
+    assert out.splitlines()[-1].startswith(
+        "FAIL  checkerboard  (radical_lines_are_oriented_2_diagonals: "
+        "4: 13,14 are neighbours on the boundary")
 
 
 @pytest.mark.parametrize("name, term, detail", [
@@ -581,8 +620,8 @@ def test_reduce_refuses_at_the_step_budget_with_the_partial_trace(
         tmp_path, capsys, monkeypatch):
     # a budget hit is a refusal with its reason (exit 2), with the moves
     # made so far written under --trace; `all` fails its reduction line
-    full = json.loads(cli.mu.trace_to_json(cli.mu.reduce_to_cycle(
-        load_fixture("q9"))))
+    full = json.loads(json.dumps(cli.mu.reduce_to_cycle(
+        load_fixture("q9")).to_dict(), indent=2, default=str) + "\n")
     monkeypatch.setattr(cli.mu, "step_budget", lambda q: 5)
     trace = tmp_path / "partial.json"
     code, out, err = run(capsys, "reduce", fixture_path("q9"),
@@ -616,16 +655,52 @@ def test_resolve_label_outside_the_polygon_is_bad_input(capsys, spec):
 
 
 @pytest.mark.parametrize("argv", [
-    ("reduce", "q7", "--trace", "{missing}/t.json"),
-    ("weights", "q9", "--format", "structured", "--out", "{missing}/x"),
+    ("reduce", "{q7}", "--trace", "{missing}/t.json"),
+    ("weights", "{q9}", "--format", "structured", "--out", "{missing}/x"),
+    ("diag", "--size", "10", "--format", "structured", "--out", "{missing}/x"),
 ])
 def test_unwritable_output_is_bad_input(tmp_path, capsys, argv):
-    cmd, fixture, *rest = argv
-    rest = [a.format(missing=tmp_path / "no-such-dir") for a in rest]
+    # the file is opened before anything is encoded, and the trace is
+    # written before the moves are printed
+    argv = [a.format(missing=tmp_path / "no-such-dir", q7=fixture_path("q7"),
+                     q9=fixture_path("q9")) for a in argv]
     with pytest.raises(SystemExit) as exc:
-        run(capsys, cmd, fixture_path(fixture), *rest)
+        run(capsys, *argv)
     assert exc.value.code == 2
-    assert "cannot write" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.err.startswith(
+        f"error: cannot write {tmp_path / 'no-such-dir'}/")
+    assert captured.out == ""
+
+
+STRUCTURED_COMMANDS = [
+    ("weights", "--format", "structured"),
+    ("polygon", "--format", "structured"),
+    ("diag", "--format", "structured"),
+    ("resolve", "--diagonal", "1,4", "--format", "structured"),
+]
+
+
+def test_structured_documents_are_encoded_as_they_are_written(
+        tmp_path, capsys, monkeypatch):
+    # no command builds a document's whole text before writing it
+    def outputs():
+        got = [run(capsys, cmd, fixture_path("q9"), *rest)
+               for cmd, *rest in STRUCTURED_COMMANDS]
+        trace = tmp_path / "trace.json"
+        got.append((*run(capsys, "reduce", fixture_path("q9"),
+                         "--trace", str(trace)), trace.read_text()))
+        return got
+
+    want = outputs()
+    assert [code for code, *_ in want] == [0] * 5
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a whole JSON text was built")
+
+    monkeypatch.setattr(json, "dumps", refused)
+    monkeypatch.setattr(json.JSONEncoder, "encode", refused)
+    assert outputs() == want
 
 
 TEXT_COMMANDS = {

@@ -1,13 +1,16 @@
 import hashlib
+import json
 import random
 
 import pytest
 
+from dimertree import cli
 from dimertree import mutation as mu
 from dimertree.quiver import (Quiver, analyze_structure, validate_dimer_tree,
                               weight_report)
 
-from conftest import cycle_quiver, glued_dimer_tree, load_fixture, parse_json_quiver
+from conftest import (cycle_quiver, fixture_path, glued_dimer_tree,
+                      load_fixture, parse_json_quiver)
 
 
 def case2_m3_quiver():
@@ -281,7 +284,7 @@ def test_step_budget_is_c_times_v_squared(q9, c3):
     assert mu.step_budget(c3) == 9
 
 
-def test_trace_document_schema(q7):
+def test_trace_document_schema(q7, tmp_path):
     tr = mu.reduce_to_cycle(q7)
     doc = tr.to_dict()
     assert doc["final_cycle_length"] == 6
@@ -290,7 +293,11 @@ def test_trace_document_schema(q7):
         assert {"move", "site", "equivalence", "total_weight_before",
                 "total_weight_after", "quiver_after"} <= set(step)
         assert step["equivalence"] in ("derived", "singular")
-    assert mu.trace_to_json(tr).startswith("{")
+    # `reduce --trace` writes the document as indented JSON and a newline
+    path = tmp_path / "q7-trace.json"
+    assert cli.main(["reduce", fixture_path("q7"), "--trace", str(path)]) == 0
+    assert path.read_text(encoding="utf-8") == json.dumps(
+        doc, indent=2, default=str) + "\n"
 
 
 def test_reduce_glued_trees_randomized():
@@ -327,10 +334,11 @@ def test_reduction_builds_one_quiver_per_move(monkeypatch):
     assert builds == {"init": 0, "edit": len(tr.steps)}
 
 
-# sha256 of `trace_to_json(reduce_to_cycle(q))`, recorded before the move
-# engine was flattened (k = 12 and 16: before moves built their quivers as
-# edits).  Any change to an arrow or vertex id, a site, a note, an
-# equivalence or the order of the moves changes a digest.
+# sha256 of the `reduce --trace` document of `reduce_to_cycle(q)` (indented
+# JSON and a newline), recorded before the move engine was flattened (k = 12
+# and 16: before moves built their quivers as edits).  Any change to an arrow
+# or vertex id, a site, a note, an equivalence or the order of the moves
+# changes a digest.
 TRACE_SHA256 = {
     "q9": "ea0258c273d6fc2dedc0fa4e1a50c7f503f55c3877bee8866d996ba874354973",
     "q7": "bd249f7701468dbc160ba7f667bdd9d157be524d79eb649f45e2c24e3f24b877",
@@ -368,7 +376,8 @@ def test_reduce_traces_are_byte_identical_to_the_pinned_ones():
     digests, kinds = {}, set()
     for name, q in pinned_quivers():
         tr = mu.reduce_to_cycle(q)
-        digests[name] = hashlib.sha256(mu.trace_to_json(tr).encode()).hexdigest()
+        text = json.dumps(tr.to_dict(), indent=2, default=str) + "\n"
+        digests[name] = hashlib.sha256(text.encode()).hexdigest()
         kinds.update(s.move.kind for s in tr.steps)
     assert digests == TRACE_SHA256
     # every kind of move reduce_to_cycle makes is pinned; it makes no one_point_ext
