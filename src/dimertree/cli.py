@@ -5,10 +5,13 @@ Exit status:
 
 - 0 when every requested check passes;
 - 1 on a failed check;
-- 2 on bad input, or on a request refused with a reason: a `diag --size`
-  above `MAX_DIAG_SIZE`, or a `reduce` that reaches its step budget
-  (`all` reports that as a failed `reduction` line);
-- 3 on an internal invariant breach.
+- 2 on bad input, refused with `error: <reason>` where it is read: the
+  arguments, the quiver file and its validation, the field, a diagonal,
+  `diag --size`, `resolve --steps`, an `--out` or `--trace` file that cannot
+  be written, and a `reduce` that reaches its step budget (`all` reports
+  that as a failed `reduction` line);
+- 3 on anything else that escapes a command, a fault of the program:
+  `main` reports it as one line, `internal error: <type>: <message>`.
 """
 from __future__ import annotations
 
@@ -23,7 +26,7 @@ from . import diagonals as dg
 from . import mutation as mu
 from . import oracle as orc
 from . import syzygy as sy
-from .linalg import DEFAULT_PRIME, FieldError, parse_field_spec
+from .linalg import DEFAULT_PRIME, Field, FieldError, parse_field_spec
 from .quiver import (Check, QuiverError, _vkey, load_quiver,
                      validate_dimer_tree, weight_report)
 
@@ -37,12 +40,17 @@ EXIT_INTERNAL = 3
 MAX_DIAG_SIZE = 512
 
 
-def _field(args) -> str:
-    """--field if given, else DIMERTREE_FIELD as it is when the command runs,
-    else the default prime."""
-    if args.field is not None:
-        return args.field
-    return os.environ.get("DIMERTREE_FIELD", str(DEFAULT_PRIME))
+def _field(args) -> Field | None:
+    """The field of --field if given, else of DIMERTREE_FIELD as it is when
+    the command runs, else of the default prime; None, with the reason on
+    stderr, when that spec is bad."""
+    spec = args.field if args.field is not None else os.environ.get(
+        "DIMERTREE_FIELD", str(DEFAULT_PRIME))
+    try:
+        return parse_field_spec(spec)
+    except FieldError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
 
 
 def _load(path: str):
@@ -60,22 +68,6 @@ def _require_valid(q):
             print(f"FAIL {c.name}: {c.detail}", file=sys.stderr)
         raise SystemExit(EXIT_BAD_INPUT)
     return report
-
-
-def _after_validation(stage: str, build, *args, **kwargs):
-    """build(*args, **kwargs) on a quiver that passed validation.  A valid
-    dimer tree has a polygon and equal, even weight totals, so a refusal
-    here is the program's, not the input's: exit 3, naming the stage."""
-    try:
-        return build(*args, **kwargs)
-    except (cb.CheckerboardError, QuiverError) as exc:
-        print(f"internal error: {stage} failed: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_INTERNAL)
-
-
-def _checkerboard(q, structure):
-    return _after_validation("checkerboard construction",
-                             cb.build_checkerboard, q, structure=structure)
 
 
 def _print_check(c: Check, file=None) -> None:
@@ -117,7 +109,7 @@ def cmd_validate(args) -> int:
 def cmd_weights(args) -> int:
     q = _load(args.quiver)
     report = _require_valid(q)
-    wr = _after_validation("weight report", weight_report, q, report.structure)
+    wr = weight_report(q, report.structure)
     if args.format == "structured":
         _emit({
             "total_weight": wr.total_weight,
@@ -144,7 +136,7 @@ def cmd_weights(args) -> int:
 def cmd_polygon(args) -> int:
     q = _load(args.quiver)
     report = _require_valid(q)
-    cp = _checkerboard(q, report.structure)
+    cp = cb.build_checkerboard(q, structure=report.structure)
     val = cb.validate_checkerboard(cp, q, report.structure)
     for c in val.items:
         _print_check(c, sys.stdout if c.passed else sys.stderr)
@@ -170,8 +162,7 @@ def cmd_diag(args) -> int:
     else:
         q = _load(args.quiver)
         report = _require_valid(q)
-        n = _after_validation("weight report", weight_report,
-                              q, report.structure).half
+        n = weight_report(q, report.structure).half
     tq = dg.ar_quiver(n)
     axiom = tq.check_translation_axiom()
     bij = dg.arc_bijection_report(n)
@@ -228,7 +219,7 @@ def _parse_diagonal(spec: str, n: int) -> dg.TwoDiagonal:
 def cmd_resolve(args) -> int:
     q = _load(args.quiver)
     report = _require_valid(q)
-    cp = _checkerboard(q, report.structure)
+    cp = cb.build_checkerboard(q, structure=report.structure)
     d = _parse_diagonal(args.diagonal, cp.half)
     # the trace repeats after at most 2N steps, and every step is kept
     if args.steps is not None and args.steps > 2 * cp.half:
@@ -260,12 +251,13 @@ def cmd_reduce(args) -> int:
     try:
         trace = mu.reduce_to_cycle(q)
     except mu.ReductionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         if exc.trace is not None and args.trace:
             _emit(exc.trace.to_dict(), args.trace)
-        # a budget hit is a refusal with its reason, not a broken invariant
-        return (EXIT_BAD_INPUT if isinstance(exc, mu.StepBudgetExceeded)
-                else EXIT_INTERNAL)
+        # a budget hit is a refusal with its reason; any other is a fault
+        if not isinstance(exc, mu.StepBudgetExceeded):
+            raise
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
     if args.trace:
         _emit(trace.to_dict(), args.trace)
     print(f"moves: {len(trace.steps)}")
@@ -280,9 +272,11 @@ ORACLE_CHECKS = (*orc.SECTIONS, "all")
 
 
 def cmd_oracle(args) -> int:
+    field = _field(args)
+    if field is None:
+        return EXIT_BAD_INPUT
     q = _load(args.quiver)
     _require_valid(q)
-    field = parse_field_spec(_field(args))
     ab = orc.build_algebra(q, field)
     print(f"algebra over {field.name}: dimension {ab.dimension}, "
           f"stabilization length {ab.stabilization_length}")
@@ -308,7 +302,9 @@ def _first_failure(report) -> str:
 
 def cmd_all(args) -> int:
     # refuse a bad field before any check prints
-    field = parse_field_spec(_field(args))
+    field = _field(args)
+    if field is None:
+        return EXIT_BAD_INPUT
     q = _load(args.quiver)
     report = validate_dimer_tree(q)
     status = EXIT_OK
@@ -329,7 +325,7 @@ def cmd_all(args) -> int:
         note("total_weight_even", False, str(exc))
         return EXIT_CHECK_FAILED
     note("total_weight_even", True, f"total {wr.total_weight}")
-    cp = _checkerboard(q, report.structure)
+    cp = cb.build_checkerboard(q, structure=report.structure)
     val = cb.validate_checkerboard(cp, q, report.structure)
     note("checkerboard", val.ok, _first_failure(val))
     if not val.ok:  # the checks below read the polygon's lines as 2-diagonals
@@ -442,16 +438,10 @@ def main(argv=None) -> int:
     fn = globals()[f"cmd_{args.command}"]
     try:
         return fn(args)
-    except SystemExit:
-        raise
-    except (QuiverError, cb.CheckerboardError, dg.DiagonalError,
-            FieldError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    # argparse refuses a negative --steps, so only a fault raises SyzygyError
-    except (orc.OracleError, mu.MutationError, mu.ReductionError,
-            sy.SyzygyError) as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
+    # bad input is refused where it is read, so whatever escapes a command is
+    # a fault; SystemExit, KeyboardInterrupt and other BaseExceptions pass
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

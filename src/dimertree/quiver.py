@@ -306,21 +306,13 @@ class ChordlessCycle:
 
     `key` is the sorted vertex keys, comparable across int and string vertex
     ids, and `word` the arrows rotated to start at the least id (the
-    potential term of the cycle).  The cycle search passes both; a cycle
-    built without them computes them here."""
+    potential term of the cycle); `_canonical_cycle` computes both."""
     arrows: tuple[str, ...]           # arrow ids in cycle order
     vertices: tuple[VertexId, ...]    # induced vertex cycle, same order
-    key: tuple = field(default=None, repr=False, compare=False)
-    word: tuple[str, ...] = field(default=None, repr=False, compare=False)
+    key: tuple = field(repr=False, compare=False)
+    word: tuple[str, ...] = field(repr=False, compare=False)
     _next: dict[str, dict[str, str]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.key is None:
-            object.__setattr__(self, "key",
-                               tuple(sorted(_vkey(v) for v in self.vertices)))
-        if self.word is None:
-            object.__setattr__(self, "word", _canonical_word(self.arrows))
 
     def __len__(self) -> int:
         return len(self.arrows)

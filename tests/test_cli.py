@@ -64,9 +64,11 @@ def test_non_utf8_file_is_bad_input(tmp_path, capsys):
     assert "malformed document" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cmd", ["all", "oracle"])
 @pytest.mark.parametrize("via_env", [False, True])
-def test_all_refuses_a_bad_field_before_any_check(via_env, capsys, monkeypatch):
-    argv = ["all", fixture_path("c3")]
+def test_all_refuses_a_bad_field_before_any_check(cmd, via_env, capsys,
+                                                  monkeypatch):
+    argv = [cmd, fixture_path("c3")]
     if via_env:
         monkeypatch.setenv("DIMERTREE_FIELD", "4")
     else:
@@ -137,11 +139,10 @@ def test_checkerboard_failure_is_an_internal_error_in_every_command(
 
     monkeypatch.setattr(cb, "build_checkerboard", fail)
     cmd, fixture, *rest = argv
-    with pytest.raises(SystemExit) as exc:
-        run(capsys, cmd, fixture_path(fixture), *rest)
-    assert exc.value.code == 3
-    err = capsys.readouterr().err
-    assert "checkerboard" in err and "triangle walk closed early" in err
+    code, _, err = run(capsys, cmd, fixture_path(fixture), *rest)
+    assert code == 3
+    assert err.splitlines()[-1] == (
+        "internal error: CheckerboardError: triangle walk closed early")
 
 
 def test_diag_by_size(capsys):
@@ -476,19 +477,65 @@ def run_to_exit(capsys, *argv):
         return exc.code, captured.out, captured.err
 
 
-@pytest.mark.parametrize("argv, stage", [
-    (("weights",), "weight report"),
-    (("diag",), "weight report"),
-    (("polygon",), "checkerboard construction"),
-    (("resolve", "--diagonal", "5,12"), "checkerboard construction"),
+# Each row seeds a fault in one call a command makes after its input passed
+# validation: a bare KeyError, then the error of that call's own layer.
+# Bad input is refused where it is read, so each is a fault of the program.
+FAULTS = [
+    (("weights",), "weight_report", KeyError),
+    (("weights",), "weight_report", cli.QuiverError),
+    (("diag",), "weight_report", KeyError),
+    (("diag",), "weight_report", cli.QuiverError),
+    (("polygon",), "cb.build_checkerboard", KeyError),
+    (("polygon",), "cb.build_checkerboard", cli.cb.CheckerboardError),
+    (("resolve", "--diagonal", "5,12"), "cb.build_checkerboard", KeyError),
+    (("resolve", "--diagonal", "5,12"), "cb.build_checkerboard",
+     cli.cb.CheckerboardError),
+    (("resolve", "--diagonal", "5,12"), "sy.resolution", KeyError),
+    (("resolve", "--diagonal", "5,12"), "sy.resolution", cli.sy.SyzygyError),
+    (("reduce",), "mu.reduce_to_cycle", KeyError),
+    (("reduce",), "mu.reduce_to_cycle", cli.mu.MutationError),
+    (("oracle",), "orc.build_algebra", KeyError),
+    (("oracle",), "orc.build_algebra", orc.OracleError),
+    (("oracle",), "orc.build_algebra", cli.QuiverError),
+    (("all",), "weight_report", KeyError),
+    (("all",), "cb.build_checkerboard", cli.cb.CheckerboardError),
+    (("all",), "dg.ar_quiver", KeyError),
+    (("all",), "dg.ar_quiver", cli.dg.DiagonalError),
+]
+
+
+@pytest.mark.parametrize("argv, target, error", FAULTS)
+def test_a_fault_after_validation_is_one_internal_error_line(
+        capsys, monkeypatch, argv, target, error):
+    def fault(*args, **kwargs):
+        raise error("seeded fault")
+
+    owner, _, name = target.rpartition(".")
+    monkeypatch.setattr(getattr(cli, owner) if owner else cli, name, fault)
+    cmd, *rest = argv
+    code, _, err = run(capsys, cmd, fixture_path("q9"), *rest)
+    assert code == 3
+    lines = err.splitlines()
+    # a KeyError's message is the repr of its key
+    message = repr("seeded fault") if error is KeyError else "seeded fault"
+    assert lines[-1] == f"internal error: {error.__name__}: {message}"
+    assert not any(line.startswith(("error:", "Traceback")) for line in lines)
+    assert sum(line.startswith("internal error:") for line in lines) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("weights",),
+    ("diag",),
+    ("polygon",),
+    ("resolve", "--diagonal", "5,12"),
 ])
 def test_a_weight_refusal_after_validation_is_an_internal_error(
-        capsys, monkeypatch, argv, stage):
+        capsys, monkeypatch, argv):
     seed_weight(monkeypatch, ("cycle",))
     cmd, *rest = argv
-    code, out, err = run_to_exit(capsys, cmd, fixture_path("q9"), *rest)
+    code, out, err = run(capsys, cmd, fixture_path("q9"), *rest)
     assert (code, out) == (3, "")
-    assert err == (f"internal error: {stage} failed: "
+    assert err == ("internal error: QuiverError: "
                    "weight/coweight totals disagree: 15 vs 14\n")
 
 
@@ -502,11 +549,11 @@ def test_a_one_sided_crossing_pattern_is_an_internal_error(
         return (p0, []) if d == (1, 4) else (p0, p1)
 
     monkeypatch.setattr(cli.dg, "crossing_lines", dropped)
-    code, _, err = run_to_exit(capsys, "resolve", fixture_path("q9"),
-                               "--diagonal", "1,4")
+    code, _, err = run(capsys, "resolve", fixture_path("q9"),
+                       "--diagonal", "1,4")
     assert code == 3
-    assert err.startswith("internal error: diagonal (1,4) has a "
-                          "one-sided crossing pattern: p0=[")
+    assert err.startswith("internal error: SyzygyError: diagonal (1,4) has "
+                          "a one-sided crossing pattern: p0=[")
     # the polygon validator reads the same pattern, so `all` fails its
     # checkerboard line and stops there
     code, out, err = run_to_exit(capsys, "all", fixture_path("q9"))
@@ -642,7 +689,7 @@ def test_reduce_exits_3_on_any_other_reduction_error(capsys, monkeypatch):
     monkeypatch.setattr(cli.mu, "apply_move", broken)
     code, out, err = run(capsys, "reduce", fixture_path("q9"))
     assert (code, out) == (3, "")
-    assert err.startswith("error: no ")
+    assert err.startswith("internal error: ReductionError: no ")
 
 
 @pytest.mark.parametrize("spec", ["17,20", "0,3", "3,15"])
